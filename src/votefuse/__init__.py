@@ -33,11 +33,9 @@ _EXPORTS = {
     "Accuracies": "moments",
     "estimate_moments": "moments",
     "enumerate_triplets": "moments",
-    "solve_triplet": "moments",
     "aggregate_accuracies": "moments",
     "resolve_signs": "moments",
     "ratio_accuracy": "moments",
-    "conditional_accuracy": "moments",
     "estimate_accuracies": "moments",
     # recovery
     "TransformPair": "recovery",
@@ -72,6 +70,8 @@ _EXPORTS = {
     # config
     "RunConfig": "config",
 }
+
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

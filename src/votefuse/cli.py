@@ -147,8 +147,6 @@ def _make_config(args):
         kw["window"] = args.window
     if getattr(args, "warmup", None) is not None:
         kw["warmup"] = args.warmup
-    if args.threads is not None:
-        kw["threads"] = args.threads
     return RunConfig.from_dict(kw)
 
 

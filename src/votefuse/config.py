@@ -58,7 +58,6 @@ class RunConfig:
     low_acc_isolation: bool = True
     window: Optional[int] = None
     warmup: Optional[int] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.agg_method not in AGG_METHODS:

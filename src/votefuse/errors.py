@@ -41,10 +41,6 @@ class InsufficientIndependence(EstimationError):
     """No observed variable admits a valid triplet and the ratio fallback is off."""
 
 
-class DegenerateTriplet(EstimationError):
-    """A triplet's pairwise moments are too close to zero to solve."""
-
-
 class NoUsableTriplet(EstimationError):
     """Every triplet for a variable was degenerate and no fallback is available."""
 

@@ -8,6 +8,11 @@ three magnitudes in closed form:
 
     |a_i| = sqrt(|M_ij * M_ik / M_jk|),   M_ab = E[v_a v_b].
 
+One kernel, ``_anchor_magnitudes``, evaluates this formula for a flat array
+of triplets, and ``_segment_reduce`` averages (mean or median) the results per
+anchor. The batch aggregation, the greedy single-triplet mode and the
+abstain-conditioned accuracies all go through that pair.
+
 Signs are recovered separately: per task, either by picking the global flip
 with a nonnegative accuracy sum, by propagating one anchored sign through the
 pairwise products, or by agreeing with the first moments E[v] = a * E[Y].
@@ -24,7 +29,6 @@ import numpy as np
 from .augment import AugmentedGraph
 from .config import RunConfig
 from .errors import (
-    DegenerateTriplet,
     EstimationWarning,
     InsufficientIndependence,
     NoUsableTriplet,
@@ -246,18 +250,34 @@ class TripletPlan:
     three distinct components of the dependency-edge graph) and at least one
     partner votes on the anchor's task, so that all three pairwise moments
     factor into accuracy products against the anchor's hidden variable.
+
+    The same triplets are also kept flat, one entry per triplet, grouped by
+    anchor in ascending column order: ``anchors``, ``j`` and ``k`` index the
+    three columns, and anchor ``columns[s]`` owns the segment that begins at
+    ``starts[s]``.
     """
 
     n_columns: int
     partners: Dict[int, np.ndarray]   # column -> (T, 2) int array
     fallback: Tuple[int, ...]         # columns with no valid triplet
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    anchors: np.ndarray = field(init=False, repr=False, compare=False)
+    j: np.ndarray = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.columns = np.array(sorted(self.partners), dtype=np.intp)
+        groups = [np.asarray(self.partners[a], dtype=np.intp).reshape(-1, 2)
+                  for a in self.columns.tolist()]
+        sizes = np.array([len(p) for p in groups], dtype=np.intp)
+        self.starts = np.cumsum(sizes) - sizes
+        self.anchors = np.repeat(self.columns, sizes)
+        self.j, self.k = np.concatenate(groups + [np.empty((0, 2), np.intp)]).T
 
     @property
     def omega(self) -> Tuple[int, ...]:
         return tuple(sorted(self.partners))
-
-    def triples(self, a: int) -> List[Tuple[int, int, int]]:
-        return [(a, int(j), int(k)) for j, k in self.partners.get(a, ())]
 
 
 def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> TripletPlan:
@@ -304,40 +324,43 @@ def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Tripl
 
 
 # ---------------------------------------------------------------------------
-# triplet solving and aggregation
+# the triplet kernel and its consumers
 # ---------------------------------------------------------------------------
 
-def solve_triplet(M: np.ndarray, t: Tuple[int, int, int],
-                  eps_den: float = 1e-4, eps_acc: float = 1e-3) -> Tuple[float, float, float]:
-    """Magnitudes (|a_i|, |a_j|, |a_k|) from one triplet's pairwise moments."""
-    i, j, k = t
-    mij, mik, mjk = float(M[i, j]), float(M[i, k]), float(M[j, k])
-    if min(abs(mij), abs(mik), abs(mjk)) < eps_den:
-        raise DegenerateTriplet(
-            f"triplet ({i}, {j}, {k}) has a pairwise moment below {eps_den}"
-        )
-    ai = np.sqrt(abs(mij * mik / mjk))
-    aj = np.sqrt(abs(mij * mjk / mik))
-    ak = np.sqrt(abs(mik * mjk / mij))
-    clip = lambda x: float(min(1.0, max(eps_acc, x)))
-    return clip(ai), clip(aj), clip(ak)
-
-
-def _anchor_magnitudes(M: np.ndarray, a: int, partners: np.ndarray,
-                       eps_den: float, eps_acc: float) -> np.ndarray:
-    """Vectorized |a_anchor| estimates over a partner array; degenerates dropped."""
-    j, k = partners[:, 0], partners[:, 1]
+def _anchor_magnitudes(M: np.ndarray, a, j, k, eps_den: float, eps_acc: float) -> np.ndarray:
+    """Clamped |a_a| per triplet (a, j, k); NaN where a pairwise moment is
+    below ``eps_den``. The index arguments broadcast against each other."""
     mij, mik, mjk = M[a, j], M[a, k], M[j, k]
     ok = (np.abs(mij) >= eps_den) & (np.abs(mik) >= eps_den) & (np.abs(mjk) >= eps_den)
-    if not np.any(ok):
-        return np.empty(0)
-    vals = np.sqrt(np.abs(mij[ok] * mik[ok] / mjk[ok]))
-    return np.clip(vals, eps_acc, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.clip(np.sqrt(np.abs(mij * mik / mjk)), eps_acc, 1.0)
+    return np.where(ok, vals, np.nan)
 
 
-def _reduce(values: np.ndarray, method: str) -> float:
-    values = np.sort(values)
-    return float(np.mean(values) if method == "mean" else np.median(values))
+def _segment_reduce(vals: np.ndarray, starts: np.ndarray,
+                    method: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean or median of the non-NaN values of each segment.
+
+    Segment s is ``vals[starts[s]:starts[s + 1]]`` (the last one runs to the
+    end). Returns the reductions, NaN for a segment with no usable value, and
+    the count of values each one used. The median averages the two middle
+    values, as np.median does.
+    """
+    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(vals)))
+    vals = vals[np.lexsort((vals, seg))]  # ascending within each segment, NaN last
+    ok = ~np.isnan(vals)
+    used = np.bincount(seg[ok], minlength=len(starts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if method == "mean":
+            out = np.add.reduceat(np.where(ok, vals, 0.0), starts) / used
+        else:
+            out = (vals[starts + np.maximum(used - 1, 0) // 2] + vals[starts + used // 2]) / 2
+    return np.where(used > 0, out, np.nan), used
+
+
+def _no_usable_triplet(col: int) -> NoUsableTriplet:
+    return NoUsableTriplet(f"every triplet for column {col} is degenerate and the "
+                           f"ratio fallback is disabled")
 
 
 def aggregate_accuracies(plan: TripletPlan, M: np.ndarray,
@@ -347,70 +370,54 @@ def aggregate_accuracies(plan: TripletPlan, M: np.ndarray,
 
     Columns whose every triplet is degenerate are omitted from the result so
     the caller can route them to the ratio fallback; with the fallback
-    disabled this raises NoUsableTriplet.
+    disabled this raises NoUsableTriplet. Low-accuracy isolation re-reduces
+    the same per-triplet values with every triplet through the least
+    accurate column masked out.
     """
-    mags: Dict[int, float] = {}
-    info: Dict[int, dict] = {}
-    for a in sorted(plan.partners):
-        vals = _anchor_magnitudes(M, a, plan.partners[a], cfg.eps_den, cfg.eps_acc)
-        total = len(plan.partners[a])
-        info[a] = {"triplets": total, "used": int(vals.size)}
-        if vals.size == 0:
-            if not cfg.ratio_fallback:
-                raise NoUsableTriplet(
-                    f"every triplet for column {a} is degenerate and the ratio "
-                    f"fallback is disabled"
-                )
-            continue
-        mags[a] = _reduce(vals, method)
+    vals = _anchor_magnitudes(M, plan.anchors, plan.j, plan.k, cfg.eps_den, cfg.eps_acc)
+    mags, used = _segment_reduce(vals, plan.starts, method)
+    if not cfg.ratio_fallback and np.any(used == 0):
+        raise _no_usable_triplet(int(plan.columns[np.argmin(used)]))
+    info = {int(a): {"triplets": len(plan.partners[a]), "used": int(u)}
+            for a, u in zip(plan.columns.tolist(), used.tolist())}
 
-    if cfg.low_acc_isolation and len(mags) > 2:
-        worst = min(sorted(mags), key=lambda c: mags[c])
-        for a in sorted(plan.partners):
-            if a == worst or a not in mags:
-                continue
-            p = plan.partners[a]
-            keep = (p[:, 0] != worst) & (p[:, 1] != worst)
-            if not np.any(keep):
-                continue
-            vals = _anchor_magnitudes(M, a, p[keep], cfg.eps_den, cfg.eps_acc)
-            if vals.size:
-                mags[a] = _reduce(vals, method)
-                info[a]["used_after_isolation"] = int(vals.size)
-    return mags, info
+    if cfg.low_acc_isolation and np.count_nonzero(used) > 2:
+        worst = plan.columns[np.nanargmin(mags)]
+        masked = np.where((plan.j == worst) | (plan.k == worst), np.nan, vals)
+        iso, iso_used = _segment_reduce(masked, plan.starts, method)
+        redo = (iso_used > 0) & (plan.columns != worst)
+        mags = np.where(redo, iso, mags)
+        for a, u in zip(plan.columns[redo].tolist(), iso_used[redo].tolist()):
+            info[a]["used_after_isolation"] = u
+    return {a: float(v) for a, v in zip(plan.columns.tolist(), mags) if not np.isnan(v)}, info
 
 
 def greedy_accuracies(plan: TripletPlan, M: np.ndarray, G: AugmentedGraph,
                       cfg: RunConfig = RunConfig()) -> Tuple[Dict[int, float], Dict[int, dict]]:
-    """Single-pass variant: each column keeps the value from the first triplet
-    that covers it, and covered columns are skipped as anchors."""
+    """Single-pass variant: each column keeps the value from the first usable
+    triplet that covers it, and covered columns are skipped as anchors."""
+    vals = _anchor_magnitudes(M, plan.anchors, plan.j, plan.k, cfg.eps_den, cfg.eps_acc)
+    ends = np.append(plan.starts[1:], len(vals))
     mags: Dict[int, float] = {}
     info: Dict[int, dict] = {}
     covered = set()
-    for a in sorted(plan.partners):
+    for a, lo, hi in zip(plan.columns.tolist(), plan.starts, ends):
         if a in covered:
             continue
-        for (j, k) in map(tuple, plan.partners[a]):
-            try:
-                xa, xj, xk = solve_triplet(M, (a, j, k), cfg.eps_den, cfg.eps_acc)
-            except DegenerateTriplet:
-                continue
-            mags[a] = xa
-            info[a] = {"triplets": 1, "used": 1}
-            covered.update((a, j, k))
-            if j not in mags and G.task_of(j) == G.task_of(a):
-                mags[j] = xj
-                info[j] = {"triplets": 1, "used": 1}
-            if k not in mags and G.task_of(k) == G.task_of(a):
-                mags[k] = xk
-                info[k] = {"triplets": 1, "used": 1}
-            break
-        else:
+        hit = np.flatnonzero(~np.isnan(vals[lo:hi]))
+        if hit.size == 0:
             if not cfg.ratio_fallback:
-                raise NoUsableTriplet(
-                    f"every triplet for column {a} is degenerate and the ratio "
-                    f"fallback is disabled"
-                )
+                raise _no_usable_triplet(a)
+            continue
+        t = lo + hit[0]
+        j, k = int(plan.j[t]), int(plan.k[t])
+        # the partners' magnitudes: the same triplet anchored at j and at k
+        xj, xk = _anchor_magnitudes(M, [j, k], [a, a], [k, j], cfg.eps_den, cfg.eps_acc)
+        covered.update((a, j, k))
+        for c, x in ((a, vals[t]), (j, xj), (k, xk)):
+            if c not in mags and G.task_of(c) == G.task_of(a):
+                mags[c] = float(x)
+                info[c] = {"triplets": 1, "used": 1}
     return mags, info
 
 
@@ -584,51 +591,21 @@ def conditional_accuracy_from_stats(target: int, cond: int,
     p = plan.partners.get(col)
     if p is None:
         return ratio_or_raise(f"no triplets available for column {col}")
-    avoid = {2 * cond, 2 * cond + 1}
-    keep = ~(np.isin(p[:, 0], list(avoid)) | np.isin(p[:, 1], list(avoid)))
-    if not np.any(keep):
+    p = p[(p // 2 != cond).all(axis=1)]  # triplets clear of both of cond's columns
+    if not len(p):
         return ratio_or_raise(
             f"no abstain-restricted triplet for source {target + 1} avoids "
             f"source {cond + 1}"
         )
-    vals = _anchor_magnitudes(cs.M, col, p[keep], cfg.eps_den, cfg.eps_acc)
-    if vals.size == 0:
+    vals = _anchor_magnitudes(cs.M, col, p[:, 0], p[:, 1], cfg.eps_den, cfg.eps_acc)
+    (mag,), (used,) = _segment_reduce(vals, np.zeros(1, dtype=np.intp), cfg.agg_method)
+    if used == 0:
         return ratio_or_raise(
             f"abstain-restricted triplets for source {target + 1} are all "
             f"degenerate"
         )
-    mag = _reduce(vals, cfg.agg_method)
     sign = 1.0 if sign_hint >= 0 else -1.0
     return float(np.clip(sign * mag, -1.0, 1.0))
-
-
-def conditional_accuracy(target: int, cond: int, A: AugmentedLabelMatrix,
-                         plan: TripletPlan, G: AugmentedGraph, prior: ClassPrior,
-                         cfg: RunConfig = RunConfig(),
-                         sign_hint: float = 1.0) -> float:
-    """Public wrapper re-running the triplet pipeline on the abstain-restricted
-    subset of rows where ``cond`` abstained."""
-    votes = A.collapse().votes
-    rows = votes[:, cond] == 0
-    n_rows = int(rows.sum())
-    if n_rows < cfg.n_min_abstain:
-        raise TooFewAbstainRows(
-            f"source {cond + 1} abstains on {n_rows} rows; need {cfg.n_min_abstain}"
-        )
-    sub = A.data[rows]
-    stats = RunningStats(A.m)
-    stats.n = n_rows
-    stats.second = _exact_gram(sub)
-    stats.first = sub.sum(axis=0, dtype=np.int64)
-    vi = RunningStats._vote_idx(votes[rows])
-    for j in range(A.m):
-        stats.vote_counts[j] = np.bincount(vi[:, j], minlength=3)
-    sub_moments = stats.to_moments(prior)
-    sub_moments.conditional[cond] = CondStats(M=sub_moments.M,
-                                              first=sub_moments.first_moments,
-                                              n_rows=n_rows)
-    return conditional_accuracy_from_stats(target, cond, sub_moments, plan, G,
-                                           cfg, sign_hint)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ does not grow with the stream length.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -141,8 +141,9 @@ class RollingState:
                 failure = failure or exc
                 continue
             if is_stale:
+                # a copy, so the snapshot returned fresh earlier stays fresh
                 self._note_stale(failure)
-                params.diagnostics.stale = True
+                params = replace(params, diagnostics=replace(params.diagnostics, stale=True))
             else:
                 self.last_params = params
             return StepResult(params=params,

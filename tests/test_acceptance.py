@@ -308,9 +308,10 @@ def test_criterion_6b_single_triplet_ablation():
         for _ in range(25):
             mags = {}
             for c, partners in plan.partners.items():
-                pick = partners[rng.integers(len(partners))][None, :]
-                vals = _anchor_magnitudes(me.M, c, pick, cfg.eps_den, cfg.eps_acc)
-                mags[c] = float(vals[0]) if vals.size else cfg.eps_acc
+                j, k = partners[rng.integers(len(partners))]
+                val = _anchor_magnitudes(me.M, c, j, k, cfg.eps_den, cfg.eps_acc)
+                # a degenerate triplet counts as the accuracy floor
+                mags[c] = cfg.eps_acc if np.isnan(val) else float(val)
             signed, _ = resolve_signs(mags, me.M, plan, G, cfg,
                                       me.first_moments, prior)
             values = np.zeros(10)

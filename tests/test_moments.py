@@ -1,24 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votefuse.augment import augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import (
-    DegenerateTriplet,
     InsufficientIndependence,
+    NoUsableTriplet,
     PriorNearZero,
     TooFewAbstainRows,
 )
 from votefuse.graph import ClassPrior, LabelMatrix
 from votefuse.moments import (
+    RunningStats,
+    TripletPlan,
+    _anchor_magnitudes,
     aggregate_accuracies,
-    conditional_accuracy,
+    conditional_accuracy_from_stats,
     enumerate_triplets,
     estimate_accuracies,
     estimate_moments,
     ratio_accuracy,
     resolve_signs,
-    solve_triplet,
 )
 from votefuse.oracle import (
     CanonicalParameters,
@@ -146,45 +150,49 @@ class TestEnumerateTriplets:
                 assert G.task_of(j) == ta or G.task_of(k) == ta
 
 
+def _solve(M, eps_den=1e-4, eps_acc=1e-3):
+    """(|a_0|, |a_1|, |a_2|) of triplet (0, 1, 2): the kernel anchored at
+    each member in turn."""
+    return tuple(_anchor_magnitudes(M, [0, 1, 2], [1, 0, 0], [2, 2, 1], eps_den, eps_acc))
+
+
+def _moments3(m01, m02, m12):
+    M = np.eye(3)
+    M[0, 1] = M[1, 0] = m01
+    M[0, 2] = M[2, 0] = m02
+    M[1, 2] = M[2, 1] = m12
+    return M
+
+
 class TestSolveTriplet:
     def test_forward_products(self):
-        M = np.eye(3)
-        M[0, 1] = M[1, 0] = 0.48
-        M[0, 2] = M[2, 0] = 0.48
-        M[1, 2] = M[2, 1] = 0.36
-        assert solve_triplet(M, (0, 1, 2)) == pytest.approx((0.8, 0.6, 0.6))
+        M = _moments3(0.48, 0.48, 0.36)
+        assert _solve(M) == pytest.approx((0.8, 0.6, 0.6))
 
     def test_perfect_sources(self):
         M = np.ones((3, 3))
-        assert solve_triplet(M, (0, 1, 2)) == (1.0, 1.0, 1.0)
+        assert _solve(M) == (1.0, 1.0, 1.0)
 
     def test_signs_discarded(self):
-        M = np.eye(3)
-        M[0, 1] = M[1, 0] = -0.48
-        M[0, 2] = M[2, 0] = 0.48
-        M[1, 2] = M[2, 1] = -0.36
-        assert solve_triplet(M, (0, 1, 2)) == pytest.approx((0.8, 0.6, 0.6))
+        M = _moments3(-0.48, 0.48, -0.36)
+        assert _solve(M) == pytest.approx((0.8, 0.6, 0.6))
 
     def test_degenerate_denominator(self):
-        M = np.eye(3)
-        M[0, 1] = M[1, 0] = 0.5
-        M[0, 2] = M[2, 0] = 0.5
-        M[1, 2] = M[2, 1] = 1e-6
-        with pytest.raises(DegenerateTriplet):
-            solve_triplet(M, (0, 1, 2))
+        M = _moments3(0.5, 0.5, 1e-6)
+        assert np.all(np.isnan(_solve(M)))
+        plan = TripletPlan(n_columns=3, partners={0: np.array([[1, 2]])}, fallback=())
+        with pytest.raises(NoUsableTriplet):
+            aggregate_accuracies(plan, M, "mean", RunConfig(low_acc_isolation=False))
 
     def test_clamped_to_floor_and_one(self):
-        M = np.eye(3)
-        M[0, 1] = M[1, 0] = 0.9
-        M[0, 2] = M[2, 0] = 0.9
-        M[1, 2] = M[2, 1] = 0.1  # implies |a_0| > 1
-        vals = solve_triplet(M, (0, 1, 2))
-        assert vals[0] == 1.0
+        M = _moments3(0.9, 0.9, 0.1)  # implies |a_0| > 1
+        assert _solve(M)[0] == 1.0
+        M = _moments3(2e-4, 2e-4, 1.0)  # implies |a_0| = 2e-4, below the floor
+        assert _solve(M)[0] == 1e-3
 
 
 class TestAggregate:
     def _plan_for(self, pairs):
-        from votefuse.moments import TripletPlan
         return TripletPlan(n_columns=6,
                            partners={0: np.asarray(pairs, dtype=np.intp)},
                            fallback=())
@@ -209,7 +217,6 @@ class TestAggregate:
             M[0, j] = M[j, 0] = a * 0.5
             M[0, k] = M[k, 0] = a * 0.5
             M[j, k] = M[k, j] = 0.25
-        from votefuse.moments import TripletPlan
         plan = TripletPlan(n_columns=8,
                            partners={0: np.asarray([(1, 2), (3, 4), (5, 6)], dtype=np.intp)},
                            fallback=())
@@ -229,6 +236,71 @@ class TestAggregate:
         for c in mean_mags:
             assert mean_mags[c] == pytest.approx(truth[c], abs=1e-10)
             assert med_mags[c] == pytest.approx(truth[c], abs=1e-10)
+
+
+def _reference_aggregate(plan, M, method, cfg):
+    """aggregate_accuracies written as a plain per-anchor loop."""
+    reduce = np.mean if method == "mean" else np.median
+
+    def magnitude(a, pairs):
+        vals = [min(1.0, max(cfg.eps_acc, np.sqrt(abs(M[a, j] * M[a, k] / M[j, k]))))
+                for j, k in pairs
+                if min(abs(M[a, j]), abs(M[a, k]), abs(M[j, k])) >= cfg.eps_den]
+        return reduce(vals) if vals else None
+
+    mags = {}
+    for a in sorted(plan.partners):
+        v = magnitude(a, plan.partners[a])
+        if v is not None:
+            mags[a] = v
+    if cfg.low_acc_isolation and len(mags) > 2:
+        worst = min(sorted(mags), key=mags.get)
+        for a in sorted(mags):
+            v = magnitude(a, [(j, k) for j, k in plan.partners[a] if worst not in (j, k)])
+            if a != worst and v is not None:
+                mags[a] = v
+    return mags
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 9), min_size=2, max_size=6),
+       p_degenerate=st.sampled_from([0.0, 0.1, 0.3]),
+       method=st.sampled_from(["mean", "median"]),
+       isolation=st.booleans())
+def test_kernel_matches_per_anchor_reference(seed, sizes, p_degenerate, method, isolation):
+    # a noisy rank-one moment matrix; column `dead` is uncorrelated with
+    # everything, so the last anchor, whose every triplet uses it, has no
+    # usable triplet at all
+    rng = np.random.default_rng(seed)
+    n = 12
+    dead = n - 1
+    acc = rng.uniform(-0.9, 0.9, n)
+    noise = rng.normal(0.0, 0.05, (n, n))
+    M = np.outer(acc, acc) + (noise + noise.T) / 2
+    M[rng.random((n, n)) < p_degenerate] = 1e-6
+    M = np.triu(M, 1) + np.triu(M, 1).T + np.eye(n)
+    M[dead, :dead] = M[:dead, dead] = 0.0
+
+    sizes = sizes + [2, 3]  # at least one even and one odd segment
+    partners = {}
+    for a, size in enumerate(sizes):
+        pool = [(j, k) for j in range(dead) for k in range(j + 1, dead) if a not in (j, k)]
+        pick = rng.choice(len(pool), size=size, replace=False)
+        partners[a] = np.array([pool[t] for t in sorted(pick)], dtype=np.intp)
+    last = len(sizes)
+    partners[last] = np.array([(j, dead) for j in range(3)], dtype=np.intp)
+    plan = TripletPlan(n_columns=n, partners=partners, fallback=())
+
+    cfg = RunConfig(ratio_fallback=True, low_acc_isolation=isolation)
+    mags, info = aggregate_accuracies(plan, M, method, cfg)
+    ref = _reference_aggregate(plan, M, method, cfg)
+    assert sorted(mags) == sorted(ref)
+    assert last not in mags and info[last]["used"] == 0
+    for a in ref:
+        assert mags[a] == pytest.approx(ref[a], rel=1e-12, abs=1e-15)
+    with pytest.raises(NoUsableTriplet):
+        aggregate_accuracies(plan, M, method, cfg.replace(ratio_fallback=False))
 
 
 class TestResolveSigns:
@@ -324,15 +396,21 @@ class TestRatioAccuracy:
             assert ratio_accuracy(2 * i, me, G) == pytest.approx(truth[i], abs=1e-12)
 
 
+def _restricted_moments(A, votes, cond, prior):
+    """Moments that carry the abstain-restricted statistics of source ``cond``."""
+    return RunningStats.from_matrix(A, votes, cond_sources=(cond,)).to_moments(prior)
+
+
 class TestConditionalAccuracy:
     def test_never_abstains_errors(self):
         g = star(4)
         votes = np.ones((100, 4), dtype=np.int8)
         A = augment_matrix(LabelMatrix(votes))
         plan = enumerate_triplets(augment_graph(g))
+        me = _restricted_moments(A, votes, 0, ClassPrior.from_balance(0.5))
         with pytest.raises(TooFewAbstainRows):
-            conditional_accuracy(1, 0, A, plan, augment_graph(g),
-                                 ClassPrior.from_balance(0.5))
+            conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
+                                            RunConfig(), sign_hint=1.0)
 
     def test_independent_abstention_equals_unconditional(self):
         # when the conditioning source has no dependency edge, restricting to
@@ -341,7 +419,6 @@ class TestConditionalAccuracy:
         th = random_model(g, seed=5)
         j = enumerate_joint(th)
         me = j.moment_estimates()
-        from votefuse.moments import conditional_accuracy_from_stats
         me.conditional[0] = j.restricted_moments(0)
         plan = enumerate_triplets(augment_graph(g))
         truth = j.accuracies()
@@ -359,8 +436,9 @@ class TestConditionalAccuracy:
         L, _ = sample(j, 200_000, seed=13)
         A = augment_matrix(L)
         plan = enumerate_triplets(augment_graph(g))
-        got = conditional_accuracy(1, 0, A, plan, augment_graph(g), j.prior(),
-                                   RunConfig(), sign_hint=truth)
+        me = _restricted_moments(A, L.votes, 0, j.prior())
+        got = conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
+                                              RunConfig(), sign_hint=truth)
         assert abs(got - truth) < 0.03
 
 

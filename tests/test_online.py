@@ -110,15 +110,24 @@ class TestStep:
         L, _ = sample(j, 400, seed=15)
         prior = j.prior()
         state = RollingState(g, RunConfig(), window=60, warmup=50)
+        fresh = None
         for t in range(400):
             res = state.step(L.votes[t], prior)
-        good = res.params
+            if not (res.warmup or res.stale):
+                fresh = res.params
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(70):
                 res = state.step(np.zeros(3, dtype=np.int8), prior)
+                if not res.stale:
+                    fresh = res.params
         assert res.stale
         assert state.stale_steps > 0
+        # a stale step reports through a copy of the last fresh snapshot,
+        # which keeps reading fresh
+        assert res.params.diagnostics.stale
+        assert fresh is state.last_params
+        assert not fresh.diagnostics.stale
 
     def test_per_step_cost_independent_of_stream_length(self):
         g = star(4)
