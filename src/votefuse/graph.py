@@ -418,9 +418,8 @@ def build_junction_tree(g: DependencyGraph) -> JunctionTree:
     adj = g.adjacency()
     if not _is_chordal(adj):
         raise NotTriangulated("graph is not triangulated; run validate_graph first")
-    _check_clique_shapes(_chordal_maximal_cliques(adj), g)
-
     raw = _chordal_maximal_cliques(adj)
+    _check_clique_shapes(raw, g)
     cliques = tuple(_to_varset(c, g.n_tasks) for c in raw)
 
     cand = []

@@ -2,15 +2,28 @@
 
 The joint over (tasks, votes) is the junction-tree product: clique marginals
 multiplied together, divided by each separator marginal raised to one less
-than its adjacency degree. Posteriors enumerate the task configurations
-exactly (the task count is capped low enough for that to be cheap) and
-normalize per vote row.
+than its adjacency degree. One kernel, ``_log_joint``, evaluates that product
+in log space for a block of vote rows and all 2^D task configurations at once:
+
+* each call turns every factor into a log table, ``log(clique)`` for a clique
+  and ``-(deg - 1) * log(separator)`` for a separator;
+* each factor's source axes are indexed by the rows' vote states
+  (``1 - vote``), and the gathered values are added into a
+  ``(2,) * D + (n,)`` log-joint, broadcast over the factor's task axes.
+
+Zero-factor rule: a zero entry in any clique or separator table makes the
+joint of the configurations it touches exactly zero (``-inf`` in log space;
+a zero separator never turns into a division by zero). A row whose every
+task configuration has zero joint raises :class:`AllZeroLikelihood`.
+Posteriors are normalized per row after a max-shift. ``predict_proba``,
+``posterior`` and ``joint_probability`` are views of the kernel on n rows,
+one row and one entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -28,14 +41,7 @@ from .graph import (
     LabelModelParameters,
     MAX_EXACT_TASKS,
     TASK_IDX,
-    VOTE_IDX,
-    VarSet,
 )
-
-
-@dataclass
-class InferenceDiagnostics:
-    zero_separators: List[dict] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -59,144 +65,100 @@ class PosteriorLabels:
         return np.where(self.probs >= 0.5, 1, -1).astype(np.int8)
 
 
-def _clique_factor(table: np.ndarray, vs: VarSet, y, lam) -> float:
-    idx = tuple(TASK_IDX[int(y[d])] for d in vs.tasks) + \
-          tuple(VOTE_IDX[int(lam[i])] for i in vs.sources)
-    return float(table[idx])
+def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
+               votes: np.ndarray) -> np.ndarray:
+    """log P(Y = y, votes = row) for every task configuration y and row of the
+    n x m int8 ``votes``, shape (2,)*D + (n,); zero joints read ``-inf``."""
+    D, m = mu.graph.n_tasks, mu.graph.n_sources
+    if votes.shape[1] != m:
+        raise ShapeMismatch(f"matrix has {votes.shape[1]} sources, model expects {m}")
+    if D > MAX_EXACT_TASKS:
+        raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
+    with np.errstate(divide="ignore"):
+        factors = [(vs, np.log(mu.cliques[vs])) for vs in jt.cliques]
+        for sep, deg in jt.separators:
+            tbl = mu.separators[sep]
+            factors.append((sep, np.where(tbl > 0, (1 - deg) * np.log(tbl), -np.inf)))
+    n = votes.shape[0]
+    out = np.zeros((2,) * D + (n,))
+    for vs, log_tbl in factors:
+        # task axes broadcast into the log-joint; the source axes flatten to
+        # one axis indexed by the rows' base-3 vote states
+        log_tbl = log_tbl.reshape(
+            tuple(2 if d in vs.tasks else 1 for d in range(D)) + (-1,))
+        state = np.zeros(1, dtype=np.intp)
+        for i in vs.sources:
+            state = 3 * state + (1 - votes[:, i])
+        out += np.take(log_tbl, state, axis=-1)
+    return out
+
+
+def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
+                votes: np.ndarray) -> np.ndarray:
+    """P(Y | row) for every row of ``votes``, shape (2,)*D + (n,)."""
+    if prior.n_tasks != mu.graph.n_tasks:
+        raise ShapeMismatch(
+            f"prior covers {prior.n_tasks} tasks, model has {mu.graph.n_tasks}")
+    log_joint = _log_joint(mu, jt, votes)
+    flat = log_joint.reshape(2 ** mu.graph.n_tasks, votes.shape[0])
+    peak = flat.max(axis=0)
+    dead = ~np.isfinite(peak)
+    if np.any(dead):
+        r = int(np.argmax(dead))
+        raise AllZeroLikelihood(
+            f"every task configuration has zero probability for row {r} "
+            f"(votes {tuple(int(v) for v in votes[r])})"
+        )
+    w = np.exp(flat - peak)
+    w /= w.sum(axis=0)
+    return w.reshape(log_joint.shape)
+
+
+def _positives(w: np.ndarray) -> np.ndarray:
+    """n x D matrix of P(Y_d = 1) from posteriors shaped (2,)*D + (n,)."""
+    D, n = w.ndim - 1, w.shape[-1]
+    return np.stack([w.take(0, axis=d).reshape(2 ** (D - 1), n).sum(axis=0)
+                     for d in range(D)], axis=1)
+
+
+def _row(lam: Sequence[int]) -> np.ndarray:
+    return LabelMatrix(np.reshape(lam, (1, -1))).votes
 
 
 def joint_probability(mu: LabelModelParameters, jt: JunctionTree,
-                      y: Sequence[int], lam: Sequence[int],
-                      diag: Optional[InferenceDiagnostics] = None) -> float:
+                      y: Sequence[int], lam: Sequence[int]) -> float:
     """P(Y = y, votes = lam) via the junction-tree product.
 
-    A zero clique factor makes the joint zero outright. A zero separator
-    factor with every adjacent clique factor zero is also a plain zero; a zero
-    separator under nonzero cliques is a 0/0 ambiguity, resolved to zero with
-    a diagnostic record.
+    Zero when any clique or separator factor of (y, lam) is zero.
     """
-    factors = {}
-    for vs in jt.cliques:
-        f = _clique_factor(mu.cliques[vs], vs, y, lam)
-        if f == 0.0:
-            return 0.0
-        factors[vs] = f
-    log_p = 0.0
-    for vs, f in factors.items():
-        log_p += np.log(f)
-    for sep, deg in jt.separators:
-        fs = _clique_factor(mu.separators[sep], sep, y, lam)
-        if fs == 0.0:
-            if diag is not None:
-                diag.zero_separators.append(
-                    {"separator": sep.label(), "y": tuple(int(v) for v in y),
-                     "lam": tuple(int(v) for v in lam)})
-            return 0.0
-        log_p -= (deg - 1) * np.log(fs)
-    return float(np.exp(log_p))
-
-
-def _task_configs(D: int) -> np.ndarray:
-    """All +/-1 task configurations, shape (2^D, D), matching C-order over
-    task state indices (so config g corresponds to flat index g)."""
-    grids = np.indices((2,) * D).reshape(D, -1).T
-    return np.where(grids == 0, 1, -1).astype(np.int8)
+    y_idx = tuple(TASK_IDX[int(v)] for v in y)
+    return float(np.exp(_log_joint(mu, jt, _row(lam))[y_idx + (0,)]))
 
 
 def posterior(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
-              lam: Sequence[int],
-              diag: Optional[InferenceDiagnostics] = None) -> np.ndarray:
+              lam: Sequence[int]) -> np.ndarray:
     """P(Y | votes) over {-1,+1}^D, returned as a table with axes (2,)*D.
 
     Exact enumeration over task configurations; the result sums to one. The
     prior argument is kept for interface symmetry (the tables already embed
     it) and only checked for shape.
     """
-    D = mu.graph.n_tasks
-    if prior.n_tasks != D:
-        raise ShapeMismatch(f"prior covers {prior.n_tasks} tasks, model has {D}")
-    if D > MAX_EXACT_TASKS:
-        raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
-    configs = _task_configs(D)
-    joint = np.array([joint_probability(mu, jt, cfg, lam, diag) for cfg in configs])
-    total = joint.sum()
-    if total <= 0.0:
-        raise AllZeroLikelihood(
-            f"every task configuration has zero probability for votes "
-            f"{tuple(int(v) for v in lam)}"
-        )
-    return (joint / total).reshape((2,) * D)
+    return _normalized(mu, jt, prior, _row(lam))[..., 0]
 
 
 def marginal_positives(post_table: np.ndarray) -> np.ndarray:
     """P(Y_d = 1) per task from a posterior table."""
-    D = post_table.ndim
-    return np.array([post_table.take(0, axis=d).sum() for d in range(D)])
+    return _positives(post_table[..., np.newaxis])[0]
 
 
 def predict_proba(L: LabelMatrix, mu: LabelModelParameters, jt: JunctionTree,
                   prior: ClassPrior) -> PosteriorLabels:
     """Row-wise posterior marginals P(Y_d = 1 | row); deterministic.
 
-    Vectorized over rows: per task configuration, log clique factors are
-    gathered per clique with fancy indexing, so cost scales with
-    2^D * (#cliques) row-length gathers rather than per-row python work.
+    One kernel pass over all rows: cost scales with the number of cliques
+    and separators times 2^D * n, with no per-row Python work.
     """
-    if L.m != mu.graph.n_sources:
-        raise ShapeMismatch(
-            f"matrix has {L.m} sources, model expects {mu.graph.n_sources}"
-        )
-    D = mu.graph.n_tasks
-    n = L.n
-    if n == 0:
-        return PosteriorLabels(np.zeros((0, D)))
-    if D > MAX_EXACT_TASKS:
-        raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
-
-    state = (1 - L.votes.astype(np.intp))  # vote -> state index, n x m
-    configs = _task_configs(D)
-    n_cfg = configs.shape[0]
-    log_joint = np.zeros((n_cfg, n))
-
-    with np.errstate(divide="ignore"):
-        for gi in range(n_cfg):
-            y_idx = np.unravel_index(gi, (2,) * D)
-            acc = np.zeros(n)
-            for vs in jt.cliques:
-                tbl = mu.cliques[vs]
-                t_idx = tuple(y_idx[d] for d in vs.tasks)
-                sub = tbl[t_idx]  # table over this clique's source axes
-                if vs.sources:
-                    cols = tuple(state[:, i] for i in vs.sources)
-                    acc += np.log(sub[cols])
-                else:
-                    acc += np.log(float(sub))
-            for sep, deg in jt.separators:
-                tbl = mu.separators[sep]
-                t_idx = tuple(y_idx[d] for d in sep.tasks)
-                sub = tbl[t_idx] if sep.tasks else tbl
-                if sep.sources:
-                    cols = tuple(state[:, i] for i in sep.sources)
-                    acc -= (deg - 1) * np.log(sub[cols])
-                else:
-                    acc -= (deg - 1) * np.log(float(sub))
-            log_joint[gi] = acc
-
-    peak = log_joint.max(axis=0)
-    dead = ~np.isfinite(peak)
-    if np.any(dead):
-        raise AllZeroLikelihood(
-            f"every task configuration has zero probability for row "
-            f"{int(np.nonzero(dead)[0][0])}"
-        )
-    w = np.exp(log_joint - peak)
-    w /= w.sum(axis=0)
-
-    probs = np.empty((n, D))
-    cfg_pos = configs == 1  # (n_cfg, D)
-    for d in range(D):
-        probs[:, d] = w[cfg_pos[:, d]].sum(axis=0)
-    return PosteriorLabels(probs)
+    return PosteriorLabels(_positives(_normalized(mu, jt, prior, L.votes)))
 
 
 def majority_vote(L: LabelMatrix) -> np.ndarray:

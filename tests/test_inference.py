@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from votefuse.graph import (
     validate_graph,
 )
 from votefuse.inference import (
-    InferenceDiagnostics,
     joint_probability,
     majority_vote,
     marginal_positives,
@@ -96,9 +97,18 @@ class TestJointProbability:
             graph=g, jtree=jt,
             cliques={VarSet((0,), (0,)): t, VarSet((0,), (1,)): t},
             separators={VarSet((0,), ()): sep})
-        diag = InferenceDiagnostics()
-        assert joint_probability(mu, jt, [-1], [-1, -1], diag) == 0.0
-        assert diag.zero_separators and diag.zero_separators[0]["separator"] == "{Y1}"
+        prior = ClassPrior.from_balance(1.0)
+        assert joint_probability(mu, jt, [-1], [-1, -1]) == 0.0
+        # the zero separator zeroes Y=-1 instead of dividing by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert posterior(mu, jt, prior, [1, 1])[0] == 1.0
+            post = predict_proba(LabelMatrix(np.array([[1, 1]])), mu, jt, prior)
+            assert post.probs[0, 0] == 1.0
+            with pytest.raises(AllZeroLikelihood):
+                posterior(mu, jt, prior, [-1, -1])
+            with pytest.raises(AllZeroLikelihood):
+                predict_proba(LabelMatrix(np.array([[1, 1], [-1, -1]])), mu, jt, prior)
 
 
 class TestPosterior:
@@ -129,6 +139,21 @@ class TestPosterior:
                 post = posterior(mu, jt, j.prior(), lam)
                 assert abs(post.sum() - 1.0) < 1e-12
                 assert np.max(np.abs(post.reshape(-1) - ptab[li])) < 1e-9
+
+    def test_batch_marginals_match_oracle_on_grid(self):
+        for g, seed, abstaining in acceptance_grid():
+            g = validate_graph(g)
+            j = enumerate_joint(random_model(g, seed=seed, abstaining=abstaining))
+            jt = build_junction_tree(g)
+            ptab = j.posterior_table()
+            live = ptab.sum(axis=1) > 0
+            states = np.indices((3,) * g.n_sources).reshape(g.n_sources, -1).T
+            L = LabelMatrix((1 - states[live]).astype(np.int8))
+            post = predict_proba(L, j.true_parameters(jt), jt, j.prior())
+            want = ptab[live].reshape((-1,) + (2,) * g.n_tasks)
+            for d in range(g.n_tasks):
+                pos = want.take(0, axis=1 + d).reshape(L.n, -1).sum(axis=1)
+                assert np.max(np.abs(post.probs[:, d] - pos)) < 1e-9
 
     def test_all_zero_likelihood(self):
         mu, jt = _single_source_params()
