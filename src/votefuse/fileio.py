@@ -6,8 +6,10 @@ Parameter files round-trip bit-exactly (floats serialize via repr).
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Dict, TextIO, Tuple
+import warnings
+from typing import Dict, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -37,18 +39,70 @@ def _looks_like_header(line: str) -> bool:
     return False
 
 
-def read_label_csv(path: str, values=(-1, 0, 1)) -> np.ndarray:
-    """Comma-separated integer votes, one row per line, optional header."""
+def _data_start(fh: TextIO) -> Optional[int]:
+    """Physical lines before the first data row: the leading blank lines,
+    plus the header when the first non-blank line is one. None when no
+    data row follows."""
+    header = False
+    for count, raw in enumerate(fh):
+        line = raw.strip()
+        if not line:
+            continue
+        if header or not _looks_like_header(line):
+            return count
+        header = True
+    return None
+
+
+def read_label_csv(path: str) -> np.ndarray:
+    """Comma-separated votes in {-1, 0, 1}, one row per line, as int8.
+
+    The first non-blank line is a header, and skipped, when one of its
+    comma- or space-separated tokens is not an integer. Blank and
+    whitespace-only lines are ignored; entries may carry surrounding
+    whitespace, a sign and leading zeros. A bad entry, a row of the wrong
+    length or a file without data rows raises DataFormatError; the message
+    names the row (counting data rows only) and, for an entry, the column.
+    """
+    # np.loadtxt parses a well-formed file in one C-level pass and is strict
+    # where the loop is lenient (whitespace-only lines, underscores, Unicode
+    # digits), so anything it rejects, or an entry out of range, goes to the
+    # loop, which gives the result or the row/column error. loadtxt reads
+    # the open handle, not the path, so it decodes lines exactly as the loop
+    # does; given a path, numpy would also decompress a name ending in .gz.
+    # Some numpy releases parse an entry such as "1.0", "nan" or "256" via
+    # float and cast it, with only a DeprecationWarning; raising that
+    # warning sends such a file to the loop whatever the numpy version.
+    with open(path) as fh:
+        skip = _data_start(fh)
+        if skip is not None:
+            fh.seek(0)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    votes = np.loadtxt(fh, delimiter=",", dtype=np.int8,
+                                       comments=None, ndmin=2,
+                                       skiprows=skip)
+            except (ValueError, DeprecationWarning):
+                pass
+            else:
+                if not ((votes < -1) | (votes > 1)).any():
+                    return votes
+    return _read_label_csv_loop(path)
+
+
+def _read_label_csv_loop(path: str) -> np.ndarray:
+    """Per-token reference parser behind ``read_label_csv``."""
     rows = []
     width = None
-    allowed = set(values)
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    start = 0
+        skip = _data_start(fh)
+        if skip is None:
+            raise DataFormatError(f"{path}: no data rows")
+        fh.seek(0)
+        lines = [ln.strip() for ln in itertools.islice(fh, skip, None)]
     lines = [ln for ln in lines if ln]
-    if lines and _looks_like_header(lines[0]):
-        start = 1
-    for rn, line in enumerate(lines[start:], start=1):
+    for rn, line in enumerate(lines, start=1):
         toks = [t for t in line.split(",")]
         row = []
         for cn, tok in enumerate(toks, start=1):
@@ -57,10 +111,10 @@ def read_label_csv(path: str, values=(-1, 0, 1)) -> np.ndarray:
             except ValueError:
                 raise DataFormatError(
                     f"{path}: row {rn}, column {cn}: not an integer: {tok!r}")
-            if v not in allowed:
+            if v not in (-1, 0, 1):
                 raise DataFormatError(
-                    f"{path}: row {rn}, column {cn}: entry {v} outside "
-                    f"{sorted(allowed)}")
+                    f"{path}: row {rn}, column {cn}: "
+                    f"entry {v} outside [-1, 0, 1]")
             row.append(v)
         if width is None:
             width = len(row)
@@ -68,8 +122,6 @@ def read_label_csv(path: str, values=(-1, 0, 1)) -> np.ndarray:
             raise DataFormatError(
                 f"{path}: row {rn} has {len(row)} entries, expected {width}")
         rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.int8)
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from votefuse import fileio
 from votefuse.errors import AssignmentMissing, DataFormatError
@@ -11,6 +17,58 @@ from votefuse.recovery import recover_parameters
 from votefuse.config import RunConfig
 
 from conftest import star_with_edges
+
+
+_VALID = ["1", "0", "-1", "+1", "01", "-0", "-01"]
+# int() reads "0_0" and loadtxt refuses it; some numpy releases parse
+# "1.0", "0.5", "nan" and "256" via float and cast them to 1, 0, 0, 0
+_BAD = ["2", "-2", "127", "300", "-129", "256", "1.0", "0.5", "nan", "",
+        "x", "0_0"]
+_PADS = ["", " ", "\t", " \t"]
+_BLANKS = ["", " ", "\t "]
+_HEADERS = ["s1,s2", "votes", " id , s1", "a,1"]
+
+
+@st.composite
+def _vote_csvs(draw):
+    """A small vote CSV text; its rows when every entry is valid and the
+    rows agree in length, else None; and whether np.loadtxt must take all
+    of it."""
+    blanks = st.lists(st.sampled_from(_BLANKS), max_size=2)
+    lines = draw(blanks)
+    if draw(st.booleans()):
+        lines += [draw(st.sampled_from(_HEADERS))] + draw(blanks)
+    corrupt, ragged = draw(st.booleans()), draw(st.booleans())
+    tokens = st.sampled_from(_VALID + _BAD if corrupt else _VALID)
+    pads = st.sampled_from(_PADS)
+    width = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 4))
+    rows, clean = [], n_rows > 0
+    for _ in range(n_rows):
+        w = max(1, width + draw(st.sampled_from([-1, 0, 1]))) if ragged else width
+        toks = [draw(tokens) for _ in range(w)]
+        row = ",".join(draw(pads) + t + draw(pads) for t in toks)
+        if ragged and draw(st.booleans()):
+            row += ","  # an empty last field
+            w = -1
+        gap = draw(st.lists(st.sampled_from(_BLANKS), max_size=1))
+        lines += [row] + gap
+        valid = w == width and all(t in _VALID for t in toks)
+        if rows is not None:
+            rows = rows + [[int(t) for t in toks]] if valid else None
+        # loadtxt skips empty lines but refuses whitespace-only ones
+        clean = clean and valid and not any(gap)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, rows, clean
+
+
+def _outcome(read, path):
+    try:
+        votes = read(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    return "votes", votes.dtype, votes.tolist()
 
 
 class TestLabelCsv:
@@ -37,6 +95,54 @@ class TestLabelCsv:
         path.write_text("1,0\n1\n")
         with pytest.raises(DataFormatError, match="row 2"):
             fileio.read_label_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "s1,s2\n", "\ns1,s2\n \n"])
+    def test_no_data_rows_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "votes.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="no data rows"):
+                fileio.read_label_csv(path)
+
+    def test_float_parsed_entries_go_to_the_loop(self, tmp_path):
+        # a numpy that parses "1.0" via float returns 1 with only a
+        # DeprecationWarning, which Python hides outside tests
+        def float_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            return np.ones((2, 1), dtype=np.int8)
+
+        path = tmp_path / "votes.csv"
+        path.write_text("1\n1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with mock.patch.object(fileio.np, "loadtxt", float_loadtxt):
+                with pytest.raises(DataFormatError,
+                                   match="row 2, column 1: not an integer"):
+                    fileio.read_label_csv(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_vote_csvs())
+    @example(("s1\n1\n2\n", None, False))  # int8 takes 2; the range check must not
+    def test_matches_token_loop(self, case):
+        text, rows, clean = case
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "votes.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            want = _outcome(fileio._read_label_csv_loop, path)
+            with mock.patch.object(fileio, "_read_label_csv_loop",
+                                   wraps=fileio._read_label_csv_loop) as loop:
+                got = _outcome(fileio.read_label_csv, path)
+        assert got == want
+        if rows == []:
+            assert got == ("error", f"{path}: no data rows")
+        elif rows is not None:
+            assert got == ("votes", np.int8, rows)
+        if clean:
+            # a well-formed file never needs the loop
+            assert loop.call_count == 0
 
 
 class TestGraphSpec:

@@ -74,8 +74,6 @@ class TestJointProbability:
             worst = 0.0
             coll = j.collapsed.reshape((2 ** g.n_tasks, 3 ** g.n_sources))
             for yi in range(2 ** g.n_tasks):
-                y = [1 if (yi >> (g.n_tasks - 1 - d)) % 2 == 0 else -1
-                     for d in range(g.n_tasks)]
                 # match C-order unraveling of the collapsed task axes
                 y_states = np.unravel_index(yi, (2,) * g.n_tasks)
                 y = [1 if s == 0 else -1 for s in y_states]
