@@ -4,18 +4,26 @@ Each source becomes a column pair: a vote of +1 maps to (1, -1), a vote of -1
 to (-1, 1), and an abstain to (1, 1) or (-1, -1) with balanced frequency. The
 abstain fill-in is keyed per column by the abstain's ordinal position, so
 augmenting is deterministic, replayable, and order-independent across columns.
+
+One kernel, ``_encode``, pair-encodes a row block from per-column start
+ordinals: ``augment_matrix`` runs it over fixed row blocks, ``augment_row`` on
+one stream row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .graph import AugmentedLabelMatrix, DependencyGraph, LabelMatrix
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+# Rows per call of the block kernels: pair encoding here and the sufficient
+# statistics in ``moments``. Working memory scales with the block, not with n.
+BLOCK_ROWS = 1 << 14
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -30,10 +38,11 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _coin(seed: int, column: int, ordinals: np.ndarray) -> np.ndarray:
-    """Fair +/-1 coins for the given abstain ordinals of one column."""
+def _coin(seed: int, column, ordinals: np.ndarray) -> np.ndarray:
+    """Fair +/-1 coins for the given abstain ordinals of ``column`` (one
+    column index, or one per ordinal)."""
     base = _mix64(np.asarray([np.uint64(seed & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64))[0]
-    key = _mix64(base + np.uint64(column))
+    key = _mix64(base + np.asarray(column, dtype=np.uint64))
     bits = _mix64(key + ordinals.astype(np.uint64))
     return np.where((bits >> np.uint64(63)).astype(bool), np.int8(1), np.int8(-1))
 
@@ -59,29 +68,44 @@ class AbstainPolicy:
         if self.phase is not None:
             object.__setattr__(self, "phase", tuple(int(p) for p in self.phase))
 
-    def fill_values(self, column: int, ordinals: np.ndarray) -> np.ndarray:
-        """The +/-1 value shared by both pair columns for each abstain ordinal."""
-        off = 0 if self.phase is None else self.phase[column]
-        shifted = ordinals + off
+    def fill_values(self, column, ordinals: np.ndarray) -> np.ndarray:
+        """The +/-1 value shared by both pair columns for each abstain ordinal
+        of ``column`` (one column index, or one per ordinal)."""
+        shifted = ordinals if self.phase is None else ordinals + np.asarray(self.phase)[column]
         if self.mode == "alternating":
             return np.where(shifted % 2 == 0, np.int8(1), np.int8(-1))
         return _coin(self.seed, column, shifted)
 
 
-def augment_matrix(L: LabelMatrix, policy: AbstainPolicy = AbstainPolicy()) -> AugmentedLabelMatrix:
-    """Pair-encode a label matrix; deterministic given (L, policy)."""
-    votes = L.votes
+def _encode(votes: np.ndarray, policy: AbstainPolicy, ordinals: np.ndarray) -> np.ndarray:
+    """Pair-encode a block of vote rows. Column j's abstains take the ordinals
+    ``ordinals[j]``, ``ordinals[j] + 1``, ... in row order; ``ordinals`` (int64)
+    is advanced in place past them, so the next block continues the sequence."""
     n, m = votes.shape
     out = np.empty((n, 2 * m), dtype=np.int8)
     out[:, 0::2] = votes
     out[:, 1::2] = -votes
-    for j in range(m):
-        rows = np.nonzero(votes[:, j] == 0)[0]
-        if rows.size == 0:
-            continue
-        vals = policy.fill_values(j, np.arange(rows.size, dtype=np.int64))
-        out[rows, 2 * j] = vals
-        out[rows, 2 * j + 1] = vals
+    # abstains as flat indices into the transposed block: column by column,
+    # rows ascending, so each column's abstains form one run in ordinal order
+    flat = np.flatnonzero(np.ascontiguousarray(votes.T) == 0)
+    bounds = np.searchsorted(flat, np.arange(m + 1) * n)
+    counts = bounds[1:] - bounds[:-1]
+    cols = np.repeat(np.arange(m), counts)
+    vals = policy.fill_values(cols, np.arange(flat.size) + np.repeat(ordinals - bounds[:-1], counts))
+    rows = flat - cols * n
+    pair = rows * (2 * m) + 2 * cols  # flat index of the pair's first column in ``out``
+    out.reshape(-1)[pair] = vals
+    out.reshape(-1)[pair + 1] = vals
+    ordinals += counts
+    return out
+
+
+def augment_matrix(L: LabelMatrix, policy: AbstainPolicy = AbstainPolicy()) -> AugmentedLabelMatrix:
+    """Pair-encode a label matrix block by block; deterministic given (L, policy)."""
+    out = np.empty((L.n, 2 * L.m), dtype=np.int8)
+    ordinals = np.zeros(L.m, dtype=np.int64)
+    for lo in range(0, L.n, BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = _encode(L.votes[lo:lo + BLOCK_ROWS], policy, ordinals)
     return AugmentedLabelMatrix(out)
 
 
@@ -93,17 +117,7 @@ def augment_row(row: np.ndarray, policy: AbstainPolicy,
     it is advanced in place so consecutive calls continue the per-column
     ordinal sequence.
     """
-    row = np.asarray(row, dtype=np.int8)
-    m = row.shape[0]
-    out = np.empty(2 * m, dtype=np.int8)
-    out[0::2] = row
-    out[1::2] = -row
-    for j in np.nonzero(row == 0)[0]:
-        val = policy.fill_values(int(j), np.asarray([abstain_counts[j]], dtype=np.int64))[0]
-        out[2 * j] = val
-        out[2 * j + 1] = val
-        abstain_counts[j] += 1
-    return out
+    return _encode(np.asarray(row, dtype=np.int8).reshape(1, -1), policy, abstain_counts)[0]
 
 
 @dataclass(frozen=True)

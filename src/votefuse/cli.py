@@ -1,8 +1,9 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 usage/configuration, 2 data format, 3 numerical
-failure. ``--threads`` is honored by setting the BLAS thread environment
-before numeric modules load, so it must be handled prior to any imports.
+Exit codes: 0 success, 1 usage/configuration, 2 data format or an
+unreadable file, 3 numerical failure. ``--threads`` is honored by setting
+the BLAS thread environment before numeric modules load, so it must be
+handled prior to any imports.
 """
 
 from __future__ import annotations
@@ -143,10 +144,6 @@ def _make_config(args):
         ratio_fallback=args.ratio_fallback,
         greedy_triplets=args.compat_greedy_triplets,
     )
-    if getattr(args, "window", None) is not None:
-        kw["window"] = args.window
-    if getattr(args, "warmup", None) is not None:
-        kw["warmup"] = args.warmup
     return RunConfig.from_dict(kw)
 
 
@@ -306,7 +303,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, GraphError, ShapeMismatch, ValueError) as exc:
+    except (DataFormatError, GraphError, ShapeMismatch, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (EstimationError, RecoveryError, InferenceError, TooLarge) as exc:

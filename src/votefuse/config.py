@@ -56,8 +56,6 @@ class RunConfig:
     ratio_fallback: bool = False
     greedy_triplets: bool = False
     low_acc_isolation: bool = True
-    window: Optional[int] = None
-    warmup: Optional[int] = None
 
     def __post_init__(self):
         if self.agg_method not in AGG_METHODS:
@@ -73,8 +71,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.triplet_cap < 1:
             raise ConfigError("triplet_cap must be at least 1")
-        if self.window is not None and self.window < 1:
-            raise ConfigError("window must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

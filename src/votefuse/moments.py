@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .augment import AugmentedGraph
+from .augment import BLOCK_ROWS, AugmentedGraph
 from .config import RunConfig
 from .errors import (
     EstimationWarning,
@@ -36,14 +36,20 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import AugmentedLabelMatrix, ClassPrior
-
-_EXACT_F32_LIMIT = 1 << 24  # +/-1 dot products stay integral in float32 below this n
+from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph
 
 
 # ---------------------------------------------------------------------------
 # sufficient statistics (shared by the batch and streaming paths)
 # ---------------------------------------------------------------------------
+
+def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """The source pairs whose vote cross-tabs, and the sources whose
+    abstain-restricted moments, clique recovery needs: every dependency edge
+    and every source on one."""
+    edges = g.source_edges
+    return edges, tuple(sorted({s for e in edges for s in e}))
+
 
 class RunningStats:
     """Integer-exact sufficient statistics over a set of augmented rows.
@@ -51,9 +57,14 @@ class RunningStats:
     Holds everything parameter recovery consumes: pairwise products and first
     moments of the augmented columns, per-source vote histograms, vote
     cross-tabs for tracked source pairs, and abstain-restricted copies of the
-    pairwise sums for tracked conditioning sources. Rows can be added and
-    removed, so a rolling window maintains the same statistics the batch path
-    computes, bit for bit.
+    pairwise sums for tracked conditioning sources.
+
+    One kernel, ``_accumulate``, adds or subtracts a block of augmented rows.
+    It reads every vote state from the rows themselves: source i's vote is
+    (a[2i] - a[2i+1]) / 2, which is 0 (abstain) where the pair agrees. A
+    stream adds and removes one row at a time and a batch adds fixed-size row
+    blocks, so a rolling window holds the same statistics the batch path
+    computes, bit for bit, and batch memory is bounded by the block.
     """
 
     def __init__(self, m: int,
@@ -64,61 +75,53 @@ class RunningStats:
         c = 2 * m
         self.second = np.zeros((c, c), dtype=np.int64)
         self.first = np.zeros(c, dtype=np.int64)
-        self.vote_counts = np.zeros((m, 3), dtype=np.int64)
         self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
-        self.pair_counts = {p: np.zeros((3, 3), dtype=np.int64) for p in self.tracked_pairs}
+        # vote histograms and pair cross-tabs are views into one count vector,
+        # so a block updates all of them with a single bincount
+        k = len(self.tracked_pairs)
+        self._counts = np.zeros(3 * m + 9 * k, dtype=np.int64)
+        self.vote_counts = self._counts[:3 * m].reshape(m, 3)
+        tabs = self._counts[3 * m:].reshape(k, 3, 3)
+        self.pair_counts = dict(zip(self.tracked_pairs, tabs))
+        self._p, self._q = np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2).T
+        self._offsets = np.concatenate([3 * np.arange(m), 3 * m + 9 * np.arange(k)])
         self.cond_sources = tuple(sorted(set(cond_sources)))
         self.cond_second = {i: np.zeros((c, c), dtype=np.int64) for i in self.cond_sources}
         self.cond_first = {i: np.zeros(c, dtype=np.int64) for i in self.cond_sources}
         self.cond_n = {i: 0 for i in self.cond_sources}
 
-    @staticmethod
-    def _vote_idx(votes_row: np.ndarray) -> np.ndarray:
-        return (1 - votes_row).astype(np.intp)  # +1 -> 0, 0 -> 1, -1 -> 2
-
-    def _apply(self, aug_row: np.ndarray, votes_row: np.ndarray, sign: int) -> None:
-        a64 = aug_row.astype(np.int64)
-        outer = np.outer(a64, a64)
-        self.second += sign * outer
-        self.first += sign * a64
-        vi = self._vote_idx(votes_row)
-        for j in range(self.m):
-            self.vote_counts[j, vi[j]] += sign
-        for (p, q) in self.tracked_pairs:
-            self.pair_counts[(p, q)][vi[p], vi[q]] += sign
+    def _accumulate(self, aug: np.ndarray, sign: int) -> None:
+        """Add (sign +1) or subtract (sign -1) the rows of an augmented block."""
+        gram = _exact_gram(aug)
+        self.second += sign * gram
+        self.first += sign * aug.sum(axis=0, dtype=np.int64)
+        state = 1 - ((aug[:, 0::2] - aug[:, 1::2]) >> 1)  # +1 -> 0, abstain -> 1, -1 -> 2
+        cells = np.concatenate([state, 3 * state[:, self._p] + state[:, self._q]], axis=1)
+        self._counts += sign * np.bincount((cells + self._offsets).ravel(),
+                                           minlength=self._counts.size)
         for i in self.cond_sources:
-            if votes_row[i] == 0:
-                self.cond_second[i] += sign * outer
-                self.cond_first[i] += sign * a64
-                self.cond_n[i] += sign
-        self.n += sign
+            rows = state[:, i] == 1
+            k = int(np.count_nonzero(rows))
+            if k == 0:
+                continue
+            sub = aug if k == aug.shape[0] else aug[rows]  # whole block: reuse its Gram
+            self.cond_second[i] += sign * (gram if sub is aug else _exact_gram(sub))
+            self.cond_first[i] += sign * sub.sum(axis=0, dtype=np.int64)
+            self.cond_n[i] += sign * k
+        self.n += sign * aug.shape[0]
 
-    def add(self, aug_row: np.ndarray, votes_row: np.ndarray) -> None:
-        self._apply(aug_row, votes_row, 1)
+    def add(self, aug_row: np.ndarray) -> None:
+        self._accumulate(aug_row.reshape(1, -1), 1)
 
-    def remove(self, aug_row: np.ndarray, votes_row: np.ndarray) -> None:
-        self._apply(aug_row, votes_row, -1)
+    def remove(self, aug_row: np.ndarray) -> None:
+        self._accumulate(aug_row.reshape(1, -1), -1)
 
     @classmethod
-    def from_matrix(cls, A: AugmentedLabelMatrix, votes: np.ndarray,
+    def from_matrix(cls, A: AugmentedLabelMatrix,
                     tracked_pairs=(), cond_sources=()) -> "RunningStats":
         st = cls(A.m, tracked_pairs, cond_sources)
-        st.n = A.n
-        data = A.data
-        st.second = _exact_gram(data)
-        st.first = data.sum(axis=0, dtype=np.int64)
-        vi = cls._vote_idx(votes)
-        for j in range(A.m):
-            st.vote_counts[j] = np.bincount(vi[:, j], minlength=3)
-        for (p, q) in st.tracked_pairs:
-            flat = vi[:, p] * 3 + vi[:, q]
-            st.pair_counts[(p, q)] = np.bincount(flat, minlength=9).reshape(3, 3)
-        for i in st.cond_sources:
-            rows = votes[:, i] == 0
-            sub = data[rows]
-            st.cond_second[i] = _exact_gram(sub)
-            st.cond_first[i] = sub.sum(axis=0, dtype=np.int64)
-            st.cond_n[i] = int(rows.sum())
+        for lo in range(0, A.n, BLOCK_ROWS):
+            st._accumulate(A.data[lo:lo + BLOCK_ROWS], 1)
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
@@ -146,13 +149,10 @@ class RunningStats:
 
 
 def _exact_gram(data: np.ndarray) -> np.ndarray:
-    """data.T @ data with integer-exact arithmetic, returned as int64."""
-    if data.shape[0] == 0:
-        return np.zeros((data.shape[1], data.shape[1]), dtype=np.int64)
-    dtype = np.float32 if data.shape[0] < _EXACT_F32_LIMIT else np.float64
-    f = data.astype(dtype)
-    g = f.T @ f
-    return np.rint(g).astype(np.int64)
+    """data.T @ data for a +/-1 block, as int64. A block has at most
+    ``BLOCK_ROWS`` < 2**24 rows, so float32 BLAS computes every entry exactly."""
+    f = data.astype(np.float32)
+    return np.rint(f.T @ f).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +228,8 @@ def estimate_moments(A: AugmentedLabelMatrix, prior: ClassPrior,
     """
     if A.n < 1:
         raise ValueError("need at least one sample")
-    votes = A.collapse().votes
-    tracked, cond = (), ()
-    if graph is not None:
-        tracked = graph.graph.source_edges
-        cond = tuple(sorted({s for e in graph.graph.source_edges for s in e}))
-    stats = RunningStats.from_matrix(A, votes, tracked, cond)
+    tracked, cond = tracked_statistics(graph.graph) if graph is not None else ((), ())
+    stats = RunningStats.from_matrix(A, tracked, cond)
     return stats.to_moments(prior)
 
 

@@ -10,17 +10,19 @@ does not grow with the stream length.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Deque, Optional, Sequence
 
 import numpy as np
 
 from .augment import AbstainPolicy, augment_graph, augment_row
 from .config import RunConfig
-from .errors import EstimationWarning, VoteFuseError
-from .graph import ClassPrior, DependencyGraph, LabelModelParameters, build_junction_tree, validate_graph
+from .errors import ConfigError, EstimationWarning, VoteFuseError
+from .graph import (AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelModelParameters,
+                    build_junction_tree, validate_graph)
 from .inference import marginal_positives, posterior
-from .moments import RunningStats, enumerate_triplets
+from .moments import RunningStats, enumerate_triplets, tracked_statistics
 from .recovery import recover_from_moments
 
 
@@ -36,35 +38,31 @@ class StepResult:
 class RollingState:
     """Single-writer streaming estimator state.
 
-    Keeps the last W raw and augmented rows in ring buffers plus running
-    integer sums of every windowed statistic. ``window=None`` means cumulative
-    estimation (never evict). Parameters recovered at each step are immutable
-    snapshots; on a failed window the last valid snapshot is reused and the
-    step is flagged stale.
+    Keeps the last W augmented rows in a buffer plus running integer sums of
+    every windowed statistic. ``window=None`` means cumulative estimation
+    (never evict). Parameters recovered at each step are immutable snapshots;
+    on a failed window the last valid snapshot is reused and the step is
+    flagged stale.
     """
 
     def __init__(self, g: DependencyGraph, cfg: RunConfig = RunConfig(),
                  window: Optional[int] = None, warmup: Optional[int] = None):
+        if window is not None and window < 1:
+            raise ConfigError(f"window must be positive, got {window}")
         self.graph = validate_graph(g)
         self.cfg = cfg
-        self.window = window if window is not None else cfg.window
+        self.window = window
         m = self.graph.n_sources
-        default_warmup = max(100, 10 * m)
-        self.warmup = warmup if warmup is not None else (cfg.warmup or default_warmup)
+        self.warmup = warmup if warmup is not None else max(100, 10 * m)
         if self.window is not None and self.warmup > self.window:
             self.warmup = self.window
         self.jtree = build_junction_tree(self.graph)
         self.aug_graph = augment_graph(self.graph)
         self.plan = enumerate_triplets(self.aug_graph, cfg)
-        tracked = self.graph.source_edges
-        cond = tuple(sorted({s for e in tracked for s in e}))
-        self.stats = RunningStats(m, tracked, cond)
+        self.stats = RunningStats(m, *tracked_statistics(self.graph))
         self.t = 0
         self.abstain_ordinals = np.zeros(m, dtype=np.int64)
-        cap = self.window if self.window is not None else 0
-        self._votes_buf: List[np.ndarray] = []
-        self._aug_buf: List[np.ndarray] = []
-        self._cap = cap
+        self._rows: Deque[np.ndarray] = deque()  # augmented rows, oldest first
         self.last_params: Optional[LabelModelParameters] = None
         self.stale_steps = 0
         self._stale_warned = False
@@ -73,39 +71,36 @@ class RollingState:
 
     @property
     def buffered(self) -> int:
-        return len(self._votes_buf)
+        return len(self._rows)
 
     def window_rows(self) -> np.ndarray:
         """Raw vote rows currently inside the window (oldest first)."""
-        if not self._votes_buf:
-            return np.zeros((0, self.graph.n_sources), dtype=np.int8)
-        return np.stack(self._votes_buf)
+        aug = np.array(self._rows, dtype=np.int8).reshape(-1, 2 * self.graph.n_sources)
+        return AugmentedLabelMatrix(aug).collapse().votes
 
     def window_policy(self) -> AbstainPolicy:
         """A policy whose per-column phase reproduces this stream's abstain
         fill-ins for the buffered rows, so a batch augmentation of
         ``window_rows()`` matches the stream bit for bit."""
-        in_buf = np.zeros(self.graph.n_sources, dtype=np.int64)
-        for row in self._votes_buf:
-            in_buf += row == 0
-        phase = self.abstain_ordinals - in_buf
+        phase = self.abstain_ordinals - (self.window_rows() == 0).sum(axis=0)
         return AbstainPolicy(mode=self.cfg.policy.mode, seed=self.cfg.policy.seed,
                              phase=tuple(int(p) for p in phase))
 
     # -- the step ---------------------------------------------------------------
 
     def step(self, lam_t: Sequence[int], prior_t: ClassPrior) -> StepResult:
-        row = np.asarray(lam_t, dtype=np.int8)
-        if row.shape != (self.graph.n_sources,):
-            raise ValueError(f"expected {self.graph.n_sources} votes, got {row.shape}")
+        raw = np.asarray(lam_t)
+        if raw.shape != (self.graph.n_sources,):
+            raise ValueError(f"expected {self.graph.n_sources} votes, got {raw.shape}")
+        bad = np.flatnonzero((raw != -1) & (raw != 0) & (raw != 1))
+        if bad.size:
+            raise ValueError(f"vote {raw[bad[0]]} at position {bad[0]} is not -1, 0 or +1")
+        row = raw.astype(np.int8)
         aug = augment_row(row, self.cfg.policy, self.abstain_ordinals)
-        self.stats.add(aug, row)
-        self._votes_buf.append(row)
-        self._aug_buf.append(aug)
-        if self._cap and len(self._votes_buf) > self._cap:
-            old_votes = self._votes_buf.pop(0)
-            old_aug = self._aug_buf.pop(0)
-            self.stats.remove(old_aug, old_votes)
+        self.stats.add(aug)
+        self._rows.append(aug)
+        if self.window is not None and len(self._rows) > self.window:
+            self.stats.remove(self._rows.popleft())
         self.t += 1
 
         prior_pos = np.array([prior_t.p_pos(d) for d in range(self.graph.n_tasks)])

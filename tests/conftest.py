@@ -1,9 +1,21 @@
 """Shared fixtures: the oracle-backed model grid used across the suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from votefuse.graph import DependencyGraph
+
+
+def child_env() -> dict:
+    """This environment with the package's ``src`` directory first on
+    PYTHONPATH, so child interpreters import the checkout under test."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def star(m: int) -> DependencyGraph:

@@ -6,7 +6,6 @@ from the standalone transform construction; the fitted pipeline never sees a
 hidden label.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -45,7 +44,7 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import build_transform, mu_flatten, recover_from_moments, recover_parameters
 
-from conftest import acceptance_grid
+from conftest import acceptance_grid, child_env
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -237,7 +236,7 @@ print(time.perf_counter() - t0)
 
 
 def test_criterion_5_fit_speed():
-    env = dict(os.environ)
+    env = child_env()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         env[var] = "1"

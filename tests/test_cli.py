@@ -6,6 +6,8 @@ import pytest
 
 from votefuse.cli import main
 
+from conftest import child_env
+
 MODEL = """\
 tasks 1
 sources 4
@@ -70,6 +72,21 @@ def test_malformed_csv_exit_code(workdir, capsys):
     assert "row 2" in err and "column 2" in err
 
 
+def test_missing_input_is_a_data_error(workdir, capsys):
+    rc = main(["fit", "--labels", str(workdir / "missing.csv"),
+               "--graph", str(workdir / "model.txt"), "--balance", "0.55",
+               "--out", str(workdir / "p.json")])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_stream_nonpositive_window_is_a_usage_error(workdir, capsys):
+    rc = main(["stream", "--graph", str(workdir / "model.txt"), "--balance", "0.55",
+               "--window", "0"])
+    assert rc == 1
+    assert "window" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(workdir, tmp_path, capsys):
     # fully dependent sources leave no valid triplet
     model = tmp_path / "dep.txt"
@@ -96,7 +113,7 @@ def test_stream_mode(workdir):
         [sys.executable, "-m", "votefuse.cli", "stream",
          "--graph", str(workdir / "model.txt"), "--balance", "0.55",
          "--window", "50", "--warmup", "2"],
-        input=rows, capture_output=True, text=True,
+        input=rows, capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     out = proc.stdout.strip().splitlines()

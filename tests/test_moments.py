@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votefuse.augment import augment_graph, augment_matrix
+from votefuse import moments
+from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import (
     InsufficientIndependence,
@@ -73,6 +76,113 @@ class TestEstimateMoments:
         pair = me.pair_table(0, 1)
         assert pair[0, 0] == pytest.approx(0.25)   # (+1, +1) once
         assert pair.sum() == pytest.approx(1.0)
+
+
+def _reference_stats(m, tracked, cond, ops):
+    """Statistics from the former per-row update: ``np.outer`` plus Python
+    loops over sources and pairs, fed vote rows alongside augmented rows.
+
+    ``ops`` is a sequence of (augmented row, vote row, sign) with sign +1 to
+    add the row and -1 to remove it.
+    """
+    c = 2 * m
+    ref = {"n": 0, "second": np.zeros((c, c), np.int64), "first": np.zeros(c, np.int64),
+           "vote_counts": np.zeros((m, 3), np.int64),
+           "pair_counts": {p: np.zeros((3, 3), np.int64) for p in tracked},
+           "cond_second": {i: np.zeros((c, c), np.int64) for i in cond},
+           "cond_first": {i: np.zeros(c, np.int64) for i in cond},
+           "cond_n": {i: 0 for i in cond}}
+    for aug_row, votes_row, sign in ops:
+        a64 = aug_row.astype(np.int64)
+        outer = np.outer(a64, a64)
+        ref["second"] += sign * outer
+        ref["first"] += sign * a64
+        vi = (1 - votes_row).astype(np.intp)  # +1 -> 0, 0 -> 1, -1 -> 2
+        for j in range(m):
+            ref["vote_counts"][j, vi[j]] += sign
+        for (p, q) in tracked:
+            ref["pair_counts"][(p, q)][vi[p], vi[q]] += sign
+        for i in cond:
+            if votes_row[i] == 0:
+                ref["cond_second"][i] += sign * outer
+                ref["cond_first"][i] += sign * a64
+                ref["cond_n"][i] += sign
+        ref["n"] += sign
+    return ref
+
+
+def _assert_same_stats(stats, ref):
+    assert stats.n == ref["n"]
+    for name in ("second", "first", "vote_counts"):
+        got = getattr(stats, name)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref[name])
+    for name in ("pair_counts", "cond_second", "cond_first", "cond_n"):
+        got = getattr(stats, name)
+        assert sorted(got) == sorted(ref[name])
+        for key in got:
+            np.testing.assert_array_equal(got[key], ref[name][key])
+
+
+@st.composite
+def _stat_inputs(draw):
+    """Abstaining votes with their pair encoding, plus random tracked source
+    pairs and conditioning sources."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 40))
+    p_abstain = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    votes = rng.choice(np.array([-1, 1], np.int8), size=(n, m))
+    votes[rng.random((n, m)) < p_abstain] = 0
+    mode = draw(st.sampled_from(["alternating", "seeded-random"]))
+    A = augment_matrix(LabelMatrix(votes), AbstainPolicy(mode=mode, seed=seed))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    tracked = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
+    cond = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
+    return A, votes, tracked, cond
+
+
+class TestRunningStatsKernel:
+    """The block kernel against the former per-row update, which is kept here
+    as the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stat_inputs(), st.integers(1, 45))
+    def test_from_matrix_matches_reference_for_any_block_size(self, inputs, block):
+        A, votes, tracked, cond = inputs
+        ref = _reference_stats(A.m, sorted(tracked), cond,
+                               [(A.data[t], votes[t], 1) for t in range(A.n)])
+        with mock.patch.object(moments, "BLOCK_ROWS", block):
+            stats = RunningStats.from_matrix(A, tracked, cond)
+        _assert_same_stats(stats, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stat_inputs(), st.lists(st.integers(0, 2 ** 16), max_size=60))
+    def test_add_remove_sequence_matches_reference(self, inputs, picks):
+        # each pick either adds the next row or removes a held one
+        A, votes, tracked, cond = inputs
+        stats = RunningStats(A.m, tracked, cond)
+        ops, held, nxt = [], [], 0
+        for pick in picks:
+            if nxt < A.n and (not held or pick % 3):
+                stats.add(A.data[nxt])
+                ops.append((A.data[nxt], votes[nxt], 1))
+                held.append(nxt)
+                nxt += 1
+            elif held:
+                t = held.pop(pick % len(held))
+                stats.remove(A.data[t])
+                ops.append((A.data[t], votes[t], -1))
+        _assert_same_stats(stats, _reference_stats(A.m, sorted(tracked), cond, ops))
+
+    def test_removing_every_row_returns_to_zero(self):
+        votes = np.array([[1, 0, -1], [0, 0, 1], [-1, 1, 0]], dtype=np.int8)
+        A = augment_matrix(LabelMatrix(votes))
+        stats = RunningStats.from_matrix(A, [(0, 2)], [0, 1])
+        for row in A.data:
+            stats.remove(row)
+        _assert_same_stats(stats, _reference_stats(3, [(0, 2)], (0, 1), []))
 
 
 class TestEnumerateTriplets:
@@ -396,9 +506,9 @@ class TestRatioAccuracy:
             assert ratio_accuracy(2 * i, me, G) == pytest.approx(truth[i], abs=1e-12)
 
 
-def _restricted_moments(A, votes, cond, prior):
+def _restricted_moments(A, cond, prior):
     """Moments that carry the abstain-restricted statistics of source ``cond``."""
-    return RunningStats.from_matrix(A, votes, cond_sources=(cond,)).to_moments(prior)
+    return RunningStats.from_matrix(A, cond_sources=(cond,)).to_moments(prior)
 
 
 class TestConditionalAccuracy:
@@ -407,7 +517,7 @@ class TestConditionalAccuracy:
         votes = np.ones((100, 4), dtype=np.int8)
         A = augment_matrix(LabelMatrix(votes))
         plan = enumerate_triplets(augment_graph(g))
-        me = _restricted_moments(A, votes, 0, ClassPrior.from_balance(0.5))
+        me = _restricted_moments(A, 0, ClassPrior.from_balance(0.5))
         with pytest.raises(TooFewAbstainRows):
             conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
                                             RunConfig(), sign_hint=1.0)
@@ -436,7 +546,7 @@ class TestConditionalAccuracy:
         L, _ = sample(j, 200_000, seed=13)
         A = augment_matrix(L)
         plan = enumerate_triplets(augment_graph(g))
-        me = _restricted_moments(A, L.votes, 0, j.prior())
+        me = _restricted_moments(A, 0, j.prior())
         got = conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
                                               RunConfig(), sign_hint=truth)
         assert abs(got - truth) < 0.03

@@ -6,6 +6,7 @@ import pytest
 
 from votefuse.augment import augment_graph, augment_matrix
 from votefuse.config import RunConfig
+from votefuse.errors import ConfigError, EstimationWarning
 from votefuse.graph import ClassPrior, LabelMatrix
 from votefuse.moments import estimate_moments
 from votefuse.online import RollingState, parameter_error, run_stream, step, sweep_window
@@ -149,6 +150,35 @@ class TestStep:
         late = time.perf_counter() - t0
         assert state.buffered == 200
         assert late < 10 * early + 0.05  # generous; guards against growth in t
+
+    def test_rejected_row_leaves_state_untouched(self):
+        g = star_with_edges(4, [(0, 1)])
+        prior = ClassPrior.from_balance(0.5)
+        state = RollingState(g, RunConfig(), window=3, warmup=100)  # warmup capped to 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)  # 3-row fits are unusable
+            for row in ([1, 0, -1, 0], [0, 0, 1, 1], [-1, 1, 0, 0], [0, -1, 0, 1]):
+                state.step(row, prior)
+        stats = state.stats
+
+        def snapshot():
+            arrays = [stats.second, stats.first, stats.vote_counts, stats.pair_counts[(0, 1)],
+                      stats.cond_second[0], stats.cond_first[0], state.abstain_ordinals]
+            return ([a.copy() for a in arrays] + [state.window_rows()],
+                    (stats.n, dict(stats.cond_n), state.window_policy(), state.t))
+
+        arrays, scalars = snapshot()
+        with pytest.raises(ValueError, match="position 1"):
+            state.step([1, 5, 0, 0], prior)
+        arrays_after, scalars_after = snapshot()
+        for before, after in zip(arrays, arrays_after):
+            np.testing.assert_array_equal(before, after)
+        assert scalars == scalars_after
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_nonpositive_window_is_a_config_error(self, window):
+        with pytest.raises(ConfigError, match="window"):
+            RollingState(star(3), RunConfig(), window=window)
 
 
 class TestDriftBehavior:
