@@ -33,7 +33,6 @@ _EXPORTS = {
     "Accuracies": "moments",
     "estimate_moments": "moments",
     "enumerate_triplets": "moments",
-    "aggregate_accuracies": "moments",
     "resolve_signs": "moments",
     "ratio_accuracy": "moments",
     "estimate_accuracies": "moments",

@@ -17,13 +17,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .graph import AugmentedLabelMatrix, DependencyGraph, LabelMatrix
+from .graph import BLOCK_ROWS, AugmentedLabelMatrix, DependencyGraph, LabelMatrix
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-# Rows per call of the block kernels: pair encoding here and the sufficient
-# statistics in ``moments``. Working memory scales with the block, not with n.
-BLOCK_ROWS = 1 << 14
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

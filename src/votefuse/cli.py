@@ -46,14 +46,11 @@ def _build_parser() -> _Parser:
         g.add_argument("--balance", type=float, help="P(Y=1) for a single task")
 
     def est_flags(sp):
-        sp.add_argument("--agg", choices=("mean", "median"), default="mean")
         sp.add_argument("--signs", default="sum",
                         help="sum | anchor:I:+ | anchor:I:- | ratio-anchor")
         sp.add_argument("--abstain", default="alt", help="alt | rand:SEED")
         sp.add_argument("--ratio-fallback", action="store_true",
                         help="allow the E[v]/E[Y] fallback for untripletable sources")
-        sp.add_argument("--compat-greedy-triplets", action="store_true",
-                        help="single-pass triplet assignment instead of aggregation")
         sp.add_argument("--threads", type=int, default=None)
 
     def common(sp, labels=True, out=True):
@@ -139,10 +136,8 @@ def _make_config(args):
     from .config import RunConfig
     kw = dict(_parse_signs(args.signs))
     kw.update(
-        agg_method=args.agg,
         policy=_parse_abstain(args.abstain),
         ratio_fallback=args.ratio_fallback,
-        greedy_triplets=args.compat_greedy_triplets,
     )
     return RunConfig.from_dict(kw)
 

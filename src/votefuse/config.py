@@ -9,7 +9,6 @@ from typing import Optional
 from .augment import AbstainPolicy
 from .errors import ConfigError
 
-AGG_METHODS = ("mean", "median")
 SIGN_STRATEGIES = ("nonnegative-sum", "anchor", "ratio-anchor")
 
 
@@ -17,9 +16,13 @@ SIGN_STRATEGIES = ("nonnegative-sum", "anchor", "ratio-anchor")
 class RunConfig:
     """Tunables for accuracy estimation and parameter recovery.
 
+    policy
+        How abstain votes are pair-encoded (see ``AbstainPolicy``).
     eps_den
-        Triplets whose pairwise moments fall below this magnitude are skipped
-        as numerically degenerate.
+        Pairwise moments smaller than this carry no sign information. A
+        column's triplet fit is numerically degenerate, and the column goes
+        to the ratio fallback, when the squared partner moments it divides by
+        sum to less than ``eps_den**2``.
     eps_acc
         Floor for triplet-recovered accuracy magnitudes.
     eps_prior
@@ -30,20 +33,14 @@ class RunConfig:
         and ``anchor_sign``). "ratio-anchor" derives the anchor sign from the
         observed first moments and the prior, which lets a windowed estimator
         track accuracy sign inversions when the class balance is not 50/50.
-    triplet_cap
-        Maximum number of triplets enumerated per observed variable.
-    greedy_triplets
-        Compatibility mode: one triplet per variable, consumed in a single
-        greedy pass, instead of aggregating over all enumerated triplets.
-    low_acc_isolation
-        Re-estimate every variable excluding the globally least accurate one,
-        which is the main driver of triplet noise.
+    n_min_abstain
+        Fewest rows on which a source must abstain before accuracies
+        conditioned on its abstaining are estimated.
     ratio_fallback
         Allow accuracies to be estimated as E[v]/E[Y] for variables without a
         usable triplet (and permit m < 3 inputs).
     """
 
-    agg_method: str = "mean"
     sign_strategy: str = "nonnegative-sum"
     anchor_source: Optional[int] = None
     anchor_sign: int = 1
@@ -51,15 +48,10 @@ class RunConfig:
     eps_den: float = 1e-4
     eps_acc: float = 1e-3
     eps_prior: float = 1e-2
-    triplet_cap: int = 500
     n_min_abstain: int = 50
     ratio_fallback: bool = False
-    greedy_triplets: bool = False
-    low_acc_isolation: bool = True
 
     def __post_init__(self):
-        if self.agg_method not in AGG_METHODS:
-            raise ConfigError(f"unknown aggregation method {self.agg_method!r}")
         if self.sign_strategy not in SIGN_STRATEGIES:
             raise ConfigError(f"unknown sign strategy {self.sign_strategy!r}")
         if self.sign_strategy == "anchor" and self.anchor_source is None:
@@ -69,8 +61,6 @@ class RunConfig:
         for name in ("eps_den", "eps_acc", "eps_prior"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.triplet_cap < 1:
-            raise ConfigError("triplet_cap must be at least 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

@@ -42,7 +42,8 @@ class InsufficientIndependence(EstimationError):
 
 
 class NoUsableTriplet(EstimationError):
-    """Every triplet for a variable was degenerate and no fallback is available."""
+    """A variable has no valid triplet, or its pooled triplet fit divides by
+    near-zero partner moments, and no fallback is available."""
 
 
 class PriorNearZero(EstimationError):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import AssignmentMissing, DataFormatError
 from .graph import (
+    BLOCK_ROWS,
     ClassPrior,
     DependencyGraph,
     LabelModelParameters,
@@ -364,9 +365,15 @@ def write_posterior_csv(fh: TextIO, probs: np.ndarray) -> None:
     row and task indices are 1-based."""
     fh.write("row,task,p_pos\n")
     n, D = probs.shape
-    for r in range(n):
-        for d in range(D):
-            fh.write(f"{r + 1},{d + 1},{probs[r, d]:.9g}\n")
+    for lo in range(0, n, BLOCK_ROWS):
+        block = probs[lo:lo + BLOCK_ROWS]
+        # one (row, task, p) triple per line; "%" formats a float exactly as
+        # an f-string with the same spec does
+        cells = np.empty(block.shape + (3,), dtype=object)
+        cells[..., 0] = np.arange(lo + 1, lo + len(block) + 1)[:, None]
+        cells[..., 1] = np.arange(1, D + 1)
+        cells[..., 2] = block
+        fh.write("%d,%d,%.9g\n" * block.size % tuple(cells.ravel()))
 
 
 def save_posterior_csv(path: str, probs: np.ndarray) -> None:

@@ -32,6 +32,11 @@ VOTE_STATES = (1, 0, -1)
 
 MAX_EXACT_TASKS = 20
 
+# Rows per call of the block kernels: validation here, pair encoding in
+# ``augment``, sufficient statistics in ``moments`` and the posterior writer
+# in ``fileio``. Working memory scales with the block, not with n.
+BLOCK_ROWS = 1 << 14
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -95,8 +100,9 @@ class AugmentedLabelMatrix:
         d = np.asarray(self.data, dtype=np.int8)
         if d.ndim != 2 or d.shape[1] % 2:
             raise ValueError("augmented matrix must be n x 2m")
-        if d.size and not np.all(np.abs(d) == 1):
-            raise ValueError("augmented entries must be +/-1")
+        for lo in range(0, d.shape[0], BLOCK_ROWS):
+            if not np.all(np.abs(d[lo:lo + BLOCK_ROWS]) == 1):
+                raise ValueError("augmented entries must be +/-1")
         object.__setattr__(self, "data", _freeze(d))
 
     @property

@@ -1,17 +1,22 @@
 """Observable moments and closed-form recovery of unobservable source accuracies.
 
-The accuracy of observed column ``a`` is E[v_a Y(a)], the scaled correlation
-with its hidden task. For three columns that are pairwise conditionally
-independent given the anchor's task, each pairwise product moment factors into
-a product of two accuracies, so three observable agreement rates determine the
-three magnitudes in closed form:
+The accuracy of observed column ``a`` is a_a = E[v_a Y(a)], the scaled
+correlation with its hidden task. For columns a, j, k that are pairwise
+conditionally independent, with j or k on a's task, every pairwise moment
+M_xy = E[v_x v_y] factors into accuracies, so that
 
-    |a_i| = sqrt(|M_ij * M_ik / M_jk|),   M_ab = E[v_a v_b].
+    M_aj * M_ak * M_jk = a_a^2 * M_jk^2.
 
-One kernel, ``_anchor_magnitudes``, evaluates this formula for a flat array
-of triplets, and ``_segment_reduce`` averages (mean or median) the results per
-anchor. The batch aggregation, the greedy single-triplet mode and the
-abstain-conditioned accuracies all go through that pair.
+One kernel, ``_pooled_magnitudes``, fits a_a^2 to this identity by least
+squares over every valid partner pair of the anchor,
+
+    a_a^2 = sum_{j != k} M_aj M_ak M_jk / sum_{j != k} M_jk^2,
+
+which weights each triplet by M_jk^2, so a triplet with a small, noisy
+denominator counts little. ``enumerate_triplets`` builds the partner masks
+once per graph, and the batch fit and the abstain-conditioned accuracies
+both call the kernel. Only the vote-tracking (even) columns are anchors; the
+odd column of each pair mirrors its twin.
 
 Signs are recovered separately: per task, either by picking the global flip
 with a nonnegative accuracy sum, by propagating one anchored sign through the
@@ -26,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .augment import BLOCK_ROWS, AugmentedGraph
+from .augment import AugmentedGraph
 from .config import RunConfig
 from .errors import (
     EstimationWarning,
@@ -36,7 +41,7 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph
+from .graph import BLOCK_ROWS, AugmentedLabelMatrix, ClassPrior, DependencyGraph
 
 
 # ---------------------------------------------------------------------------
@@ -234,187 +239,93 @@ def estimate_moments(A: AugmentedLabelMatrix, prior: ClassPrior,
 
 
 # ---------------------------------------------------------------------------
-# triplet enumeration
+# the partner plan
 # ---------------------------------------------------------------------------
 
 @dataclass
 class TripletPlan:
-    """Per-column lists of valid triplets (stored as partner index pairs).
+    """Which columns and column pairs the pooled accuracy fit uses; depends on
+    the graph only.
 
-    A triplet anchored at column ``a`` with partners (j, k) is valid when the
-    three columns are pairwise conditionally independent (their sources lie in
-    three distinct components of the dependency-edge graph) and at least one
-    partner votes on the anchor's task, so that all three pairwise moments
-    factor into accuracy products against the anchor's hidden variable.
+    Accuracies are fitted on the vote-tracking (even) columns. A triplet
+    (a, j, k) anchored at even column ``a`` is valid when the three sources
+    lie in three distinct components of the dependency-edge graph, so the
+    columns are pairwise conditionally independent given the hidden layer,
+    and j or k votes on a's task, so all three pairwise moments factor into
+    accuracy products against a's hidden variable.
 
-    The same triplets are also kept flat, one entry per triplet, grouped by
-    anchor in ascending column order: ``anchors``, ``j`` and ``k`` index the
-    three columns, and anchor ``columns[s]`` owns the segment that begins at
-    ``starts[s]``.
+    ``partners[a]`` lists the columns outside a's component and ``pairs[a]``
+    counts a's valid unordered partner pairs, for every anchor with at least
+    one; ``fallback`` lists the even columns with none. ``blocks`` holds one
+    (anchors, P, K) entry per task: P (anchors x columns) is 1 on each
+    anchor's partner columns, and K (columns x columns) is 1 on the pairs in
+    distinct components with a member on the task.
     """
 
     n_columns: int
-    partners: Dict[int, np.ndarray]   # column -> (T, 2) int array
-    fallback: Tuple[int, ...]         # columns with no valid triplet
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    anchors: np.ndarray = field(init=False, repr=False, compare=False)
-    j: np.ndarray = field(init=False, repr=False, compare=False)
-    k: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.columns = np.array(sorted(self.partners), dtype=np.intp)
-        groups = [np.asarray(self.partners[a], dtype=np.intp).reshape(-1, 2)
-                  for a in self.columns.tolist()]
-        sizes = np.array([len(p) for p in groups], dtype=np.intp)
-        self.starts = np.cumsum(sizes) - sizes
-        self.anchors = np.repeat(self.columns, sizes)
-        self.j, self.k = np.concatenate(groups + [np.empty((0, 2), np.intp)]).T
-
-    @property
-    def omega(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.partners))
+    partners: Dict[int, np.ndarray]
+    pairs: Dict[int, int]
+    fallback: Tuple[int, ...]
+    blocks: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> TripletPlan:
-    """All valid triplets per observed column, lexicographic, capped per column."""
+    """The partner masks of every even column, built once per graph."""
     n_cols = G.n_columns
-    g = G.graph
-    task = [g.assignment[c >> 1] for c in range(n_cols)]
-    comp = G.source_components()
-    cap = cfg.triplet_cap
-    partners: Dict[int, np.ndarray] = {}
-    fallback: List[int] = []
-    for a in range(n_cols):
-        ca = comp[a >> 1]
-        ta = task[a]
-        found: List[Tuple[int, int]] = []
-        for j in range(n_cols):
-            if j == a or comp[j >> 1] == ca:
-                continue
-            cj = comp[j >> 1]
-            j_on_task = task[j] == ta
-            for k in range(j + 1, n_cols):
-                if k == a:
-                    continue
-                ck = comp[k >> 1]
-                if ck == ca or ck == cj:
-                    continue
-                if not j_on_task and task[k] != ta:
-                    continue
-                found.append((j, k))
-                if len(found) >= cap:
-                    break
-            if len(found) >= cap:
-                break
-        if found:
-            partners[a] = np.asarray(found, dtype=np.intp)
-        else:
-            fallback.append(a)
-    if not partners and not cfg.ratio_fallback:
+    src = np.arange(n_cols) // 2
+    comp = np.asarray(G.source_components())[src]
+    task = np.asarray(G.graph.assignment)[src]
+    apart = comp[:, None] != comp[None, :]
+    evens = np.arange(0, n_cols, 2)
+    anchors, counts, blocks = [], [], []
+    for d in range(G.n_tasks):
+        on = task == d
+        K = (apart & (on[:, None] | on[None, :])).astype(np.float64)
+        cand = evens[task[evens] == d]
+        P = apart[cand].astype(np.float64)
+        n_pairs = np.rint(np.einsum("aj,aj->a", P @ K, P) / 2).astype(np.int64)
+        ok = n_pairs > 0
+        blocks.append((cand[ok], P[ok], K))
+        anchors.append(cand[ok])
+        counts.append(n_pairs[ok])
+    anchors, counts = np.concatenate(anchors), np.concatenate(counts)
+    if not anchors.size and not cfg.ratio_fallback:
         raise InsufficientIndependence(
             "no observed variable admits a conditionally independent triplet; "
             "enable the ratio fallback or revise the dependency graph"
         )
-    return TripletPlan(n_columns=n_cols, partners=partners, fallback=tuple(fallback))
+    rows, cols = np.nonzero(apart[anchors])
+    partners = dict(zip(anchors.tolist(),
+                        np.split(cols, np.searchsorted(rows, np.arange(1, anchors.size)))))
+    return TripletPlan(n_columns=n_cols, partners=partners,
+                       pairs=dict(zip(anchors.tolist(), counts.tolist())),
+                       fallback=tuple(np.setdiff1d(evens, anchors).tolist()),
+                       blocks=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
-# the triplet kernel and its consumers
+# the pooled magnitude kernel
 # ---------------------------------------------------------------------------
 
-def _anchor_magnitudes(M: np.ndarray, a, j, k, eps_den: float, eps_acc: float) -> np.ndarray:
-    """Clamped |a_a| per triplet (a, j, k); NaN where a pairwise moment is
-    below ``eps_den``. The index arguments broadcast against each other."""
-    mij, mik, mjk = M[a, j], M[a, k], M[j, k]
-    ok = (np.abs(mij) >= eps_den) & (np.abs(mik) >= eps_den) & (np.abs(mjk) >= eps_den)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.clip(np.sqrt(np.abs(mij * mik / mjk)), eps_acc, 1.0)
-    return np.where(ok, vals, np.nan)
-
-
-def _segment_reduce(vals: np.ndarray, starts: np.ndarray,
-                    method: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean or median of the non-NaN values of each segment.
-
-    Segment s is ``vals[starts[s]:starts[s + 1]]`` (the last one runs to the
-    end). Returns the reductions, NaN for a segment with no usable value, and
-    the count of values each one used. The median averages the two middle
-    values, as np.median does.
-    """
-    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(vals)))
-    vals = vals[np.lexsort((vals, seg))]  # ascending within each segment, NaN last
-    ok = ~np.isnan(vals)
-    used = np.bincount(seg[ok], minlength=len(starts))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if method == "mean":
-            out = np.add.reduceat(np.where(ok, vals, 0.0), starts) / used
-        else:
-            out = (vals[starts + np.maximum(used - 1, 0) // 2] + vals[starts + used // 2]) / 2
-    return np.where(used > 0, out, np.nan), used
-
-
-def _no_usable_triplet(col: int) -> NoUsableTriplet:
-    return NoUsableTriplet(f"every triplet for column {col} is degenerate and the "
-                           f"ratio fallback is disabled")
-
-
-def aggregate_accuracies(plan: TripletPlan, M: np.ndarray,
-                         method: str = "mean",
-                         cfg: RunConfig = RunConfig()) -> Tuple[Dict[int, float], Dict[int, dict]]:
-    """Accuracy magnitude per column, aggregating over all its triplets.
-
-    Columns whose every triplet is degenerate are omitted from the result so
-    the caller can route them to the ratio fallback; with the fallback
-    disabled this raises NoUsableTriplet. Low-accuracy isolation re-reduces
-    the same per-triplet values with every triplet through the least
-    accurate column masked out.
-    """
-    vals = _anchor_magnitudes(M, plan.anchors, plan.j, plan.k, cfg.eps_den, cfg.eps_acc)
-    mags, used = _segment_reduce(vals, plan.starts, method)
-    if not cfg.ratio_fallback and np.any(used == 0):
-        raise _no_usable_triplet(int(plan.columns[np.argmin(used)]))
-    info = {int(a): {"triplets": len(plan.partners[a]), "used": int(u)}
-            for a, u in zip(plan.columns.tolist(), used.tolist())}
-
-    if cfg.low_acc_isolation and np.count_nonzero(used) > 2:
-        worst = plan.columns[np.nanargmin(mags)]
-        masked = np.where((plan.j == worst) | (plan.k == worst), np.nan, vals)
-        iso, iso_used = _segment_reduce(masked, plan.starts, method)
-        redo = (iso_used > 0) & (plan.columns != worst)
-        mags = np.where(redo, iso, mags)
-        for a, u in zip(plan.columns[redo].tolist(), iso_used[redo].tolist()):
-            info[a]["used_after_isolation"] = u
-    return {a: float(v) for a, v in zip(plan.columns.tolist(), mags) if not np.isnan(v)}, info
-
-
-def greedy_accuracies(plan: TripletPlan, M: np.ndarray, G: AugmentedGraph,
-                      cfg: RunConfig = RunConfig()) -> Tuple[Dict[int, float], Dict[int, dict]]:
-    """Single-pass variant: each column keeps the value from the first usable
-    triplet that covers it, and covered columns are skipped as anchors."""
-    vals = _anchor_magnitudes(M, plan.anchors, plan.j, plan.k, cfg.eps_den, cfg.eps_acc)
-    ends = np.append(plan.starts[1:], len(vals))
-    mags: Dict[int, float] = {}
-    info: Dict[int, dict] = {}
-    covered = set()
-    for a, lo, hi in zip(plan.columns.tolist(), plan.starts, ends):
-        if a in covered:
-            continue
-        hit = np.flatnonzero(~np.isnan(vals[lo:hi]))
-        if hit.size == 0:
-            if not cfg.ratio_fallback:
-                raise _no_usable_triplet(a)
-            continue
-        t = lo + hit[0]
-        j, k = int(plan.j[t]), int(plan.k[t])
-        # the partners' magnitudes: the same triplet anchored at j and at k
-        xj, xk = _anchor_magnitudes(M, [j, k], [a, a], [k, j], cfg.eps_den, cfg.eps_acc)
-        covered.update((a, j, k))
-        for c, x in ((a, vals[t]), (j, xj), (k, xk)):
-            if c not in mags and G.task_of(c) == G.task_of(a):
-                mags[c] = float(x)
-                info[c] = {"triplets": 1, "used": 1}
-    return mags, info
+def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, eps_den: float,
+                       eps_acc: float, columns=None) -> np.ndarray:
+    """Least-squares |a_a| per anchor over all its valid triplets, clamped to
+    [eps_acc, 1]: a_a^2 = sum M_aj M_ak M_jk / sum M_jk^2 over its partner
+    pairs, as two masked matrix products per task. NaN where the anchor has
+    no estimate: not an anchor, not in ``columns`` (when given), or sum
+    M_jk^2 below eps_den^2."""
+    out = np.full(plan.n_columns, np.nan)
+    for anchors, P, K in plan.blocks:
+        if columns is not None:
+            keep = np.isin(anchors, columns)
+            anchors, P = anchors[keep], P[keep]
+        U = M[anchors] * P
+        num = np.einsum("aj,aj->a", U @ (M * K), U)
+        den = np.einsum("aj,aj->a", P @ (M * M * K), P)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag = np.clip(np.sqrt(np.maximum(num, 0.0) / den), eps_acc, 1.0)
+        out[anchors] = np.where(den >= eps_den ** 2, mag, np.nan)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +390,7 @@ def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph,
     return comps
 
 
-def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray, plan: TripletPlan,
+def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
                   G: AugmentedGraph, cfg: RunConfig = RunConfig(),
                   first_moments: Optional[np.ndarray] = None,
                   prior: Optional[ClassPrior] = None) -> Tuple[Dict[int, float], dict]:
@@ -564,7 +475,9 @@ def conditional_accuracy_from_stats(target: int, cond: int,
                                     moments: MomentEstimates, plan: TripletPlan,
                                     G: AugmentedGraph, cfg: RunConfig,
                                     sign_hint: float) -> float:
-    """E[lambda_target Y | lambda_cond = 0] via triplets on restricted moments.
+    """E[lambda_target Y | lambda_cond = 0]: the pooled triplet fit on the
+    moments restricted to the rows where ``cond`` abstains. ``cond`` shares
+    the target's component, so its columns are never partners.
 
     Sources without a usable restricted triplet fall back (when enabled) to
     the restricted first-moment ratio: the abstain indicator is independent of
@@ -584,18 +497,10 @@ def conditional_accuracy_from_stats(target: int, cond: int,
             return float(np.clip(cs.first[col] / ey, -1.0, 1.0))
         raise NoUsableTriplet(reason)
 
-    p = plan.partners.get(col)
-    if p is None:
+    if col not in plan.partners:
         return ratio_or_raise(f"no triplets available for column {col}")
-    p = p[(p // 2 != cond).all(axis=1)]  # triplets clear of both of cond's columns
-    if not len(p):
-        return ratio_or_raise(
-            f"no abstain-restricted triplet for source {target + 1} avoids "
-            f"source {cond + 1}"
-        )
-    vals = _anchor_magnitudes(cs.M, col, p[:, 0], p[:, 1], cfg.eps_den, cfg.eps_acc)
-    (mag,), (used,) = _segment_reduce(vals, np.zeros(1, dtype=np.intp), cfg.agg_method)
-    if used == 0:
+    mag = _pooled_magnitudes(cs.M, plan, cfg.eps_den, cfg.eps_acc, columns=[col])[col]
+    if np.isnan(mag):
         return ratio_or_raise(
             f"abstain-restricted triplets for source {target + 1} are all "
             f"degenerate"
@@ -611,13 +516,10 @@ def conditional_accuracy_from_stats(target: int, cond: int,
 def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                         G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
     """Triplet magnitudes, sign resolution, and ratio fallback, in one pass."""
-    if cfg.greedy_triplets:
-        mags, info = greedy_accuracies(plan, moments.M, G, cfg)
-    else:
-        mags, info = aggregate_accuracies(plan, moments.M, cfg.agg_method, cfg)
-
+    vals = _pooled_magnitudes(moments.M, plan, cfg.eps_den, cfg.eps_acc)
+    mags = {c: float(vals[c]) for c in plan.partners if not np.isnan(vals[c])}
     signed, sign_diag = resolve_signs(
-        mags, moments.M, plan, G, cfg,
+        mags, moments.M, G, cfg,
         first_moments=moments.first_moments, prior=moments.prior,
     )
 
@@ -656,7 +558,7 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
         )
 
     diag = {
-        "triplet_info": info,
+        "partner_pairs": dict(plan.pairs),
         "sign": sign_diag,
         "ratio_fallback_sources": fallback_used,
         "floored_columns": floored,

@@ -270,7 +270,7 @@ def solve_marginal(T: TransformPair, r: RhsVector,
 
 @dataclass
 class RecoveryDiagnostics:
-    triplet_info: dict = field(default_factory=dict)
+    partner_pairs: Dict[int, int] = field(default_factory=dict)
     sign: dict = field(default_factory=dict)
     ratio_fallback_sources: list = field(default_factory=list)
     floored_columns: list = field(default_factory=list)
@@ -284,10 +284,10 @@ class RecoveryDiagnostics:
 
     def report(self) -> str:
         lines = ["recovery diagnostics"]
-        used = [v["used"] for v in self.triplet_info.values()]
-        if used:
-            lines.append(f"  triplets used per column: min {min(used)}, "
-                         f"max {max(used)}, columns {len(used)}")
+        pairs = list(self.partner_pairs.values())
+        if pairs:
+            lines.append(f"  valid partner pairs per column: min {min(pairs)}, "
+                         f"max {max(pairs)}, columns {len(pairs)}")
         if self.ratio_fallback_sources:
             lines.append(f"  ratio fallback for sources: "
                          f"{[s + 1 for s in self.ratio_fallback_sources]}")
@@ -371,7 +371,7 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
         acc = estimate_accuracies(moments, plan, G, cfg)
 
     diag = RecoveryDiagnostics(
-        triplet_info=acc.diagnostics.get("triplet_info", {}),
+        partner_pairs=acc.diagnostics.get("partner_pairs", {}),
         sign=acc.diagnostics.get("sign", {}),
         ratio_fallback_sources=acc.diagnostics.get("ratio_fallback_sources", []),
         floored_columns=acc.diagnostics.get("floored_columns", []),

@@ -29,7 +29,6 @@ from votefuse.moments import (
     estimate_accuracies,
     estimate_moments,
     resolve_signs,
-    _anchor_magnitudes,
     Accuracies,
 )
 from votefuse.online import run_stream
@@ -284,12 +283,26 @@ def test_criterion_6a_abstain_ablation():
             f"every seed: {strictly_worse}")
 
 
+def _anchor_magnitudes(M, a, j, k, eps_den, eps_acc):
+    """Clamped |a_a| = sqrt(|M_aj M_ak / M_jk|) from the single triplet
+    (a, j, k); NaN where a pairwise moment is below ``eps_den``."""
+    mij, mik, mjk = M[a, j], M[a, k], M[j, k]
+    ok = (np.abs(mij) >= eps_den) & (np.abs(mik) >= eps_den) & (np.abs(mjk) >= eps_den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.clip(np.sqrt(np.abs(mij * mik / mjk)), eps_acc, 1.0)
+    return np.where(ok, vals, np.nan)
+
+
 def test_criterion_6b_single_triplet_ablation():
     g = star_graph(5)
     prior = ClassPrior.from_balance(0.5)
     cfg = RunConfig()
     G = augment_graph(g)
     plan = enumerate_triplets(G, cfg)
+    # every valid triplet per anchor: on a star, any two partner columns of
+    # distinct sources
+    triplets = {c: [(j, k) for j in p for k in p if j < k and not G.columns_dependent(j, k)]
+                for c, p in plan.partners.items()}
     n_better = 0
     agg_all, worst_all = [], []
     for seed in range(20):
@@ -306,12 +319,12 @@ def test_criterion_6b_single_triplet_ablation():
         errs = []
         for _ in range(25):
             mags = {}
-            for c, partners in plan.partners.items():
-                j, k = partners[rng.integers(len(partners))]
+            for c, pairs in triplets.items():
+                j, k = pairs[rng.integers(len(pairs))]
                 val = _anchor_magnitudes(me.M, c, j, k, cfg.eps_den, cfg.eps_acc)
                 # a degenerate triplet counts as the accuracy floor
                 mags[c] = cfg.eps_acc if np.isnan(val) else float(val)
-            signed, _ = resolve_signs(mags, me.M, plan, G, cfg,
+            signed, _ = resolve_signs(mags, me.M, G, cfg,
                                       me.first_moments, prior)
             values = np.zeros(10)
             for c, v in signed.items():

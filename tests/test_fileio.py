@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import tempfile
@@ -258,3 +259,41 @@ def test_posterior_csv_format(tmp_path):
     assert lines[1] == "1,1,0.123456789"
     assert lines[2] == "1,2,1"
     assert lines[3] == "2,1,0.5"
+
+
+def _reference_write_posterior_csv(fh, probs):
+    """The former writer: one f-string and one write per value."""
+    fh.write("row,task,p_pos\n")
+    n, D = probs.shape
+    for r in range(n):
+        for d in range(D):
+            fh.write(f"{r + 1},{d + 1},{probs[r, d]:.9g}\n")
+
+
+SPECIAL_PROBS = [0.0, 1.0, 0.5, 1e-5, 1e-300, 5e-324, 0.123456789123, 1 - 1e-12]
+
+
+@settings(max_examples=100, deadline=None)
+@given(D=st.sampled_from([1, 3]), n=st.integers(0, 9), block=st.integers(1, 4),
+       data=st.data())
+def test_posterior_writer_matches_per_value_reference(D, n, block, data):
+    values = st.one_of(st.sampled_from(SPECIAL_PROBS), st.floats(0.0, 1.0))
+    probs = np.array(data.draw(st.lists(values, min_size=n * D, max_size=n * D)),
+                     dtype=np.float64).reshape(n, D)
+    want = io.StringIO()
+    _reference_write_posterior_csv(want, probs)
+    got = io.StringIO()
+    with mock.patch.object(fileio, "BLOCK_ROWS", block):
+        fileio.write_posterior_csv(got, probs)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_posterior_writer_special_values():
+    for D in (1, 3):
+        probs = np.resize(np.array(SPECIAL_PROBS), (len(SPECIAL_PROBS), D))
+        want = io.StringIO()
+        _reference_write_posterior_csv(want, probs)
+        got = io.StringIO()
+        fileio.write_posterior_csv(got, probs)
+        assert got.getvalue() == want.getvalue()
+    assert "1e-05" in got.getvalue() and "4.94065646e-324" in got.getvalue()

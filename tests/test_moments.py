@@ -9,17 +9,17 @@ from votefuse import moments
 from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import (
+    EstimationWarning,
     InsufficientIndependence,
     NoUsableTriplet,
     PriorNearZero,
     TooFewAbstainRows,
 )
-from votefuse.graph import ClassPrior, LabelMatrix
+from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
 from votefuse.moments import (
+    MomentEstimates,
     RunningStats,
-    TripletPlan,
-    _anchor_magnitudes,
-    aggregate_accuracies,
+    _pooled_magnitudes,
     conditional_accuracy_from_stats,
     enumerate_triplets,
     estimate_accuracies,
@@ -35,7 +35,7 @@ from votefuse.oracle import (
     sample_symmetric_star,
 )
 
-from conftest import chain3, star, star_with_edges
+from conftest import acceptance_grid, chain3, star, star_with_edges
 
 
 class TestEstimateMoments:
@@ -188,16 +188,21 @@ class TestRunningStatsKernel:
 class TestEnumerateTriplets:
     def test_star_contains_vote_tracking_triple(self):
         plan = enumerate_triplets(augment_graph(star(3)))
-        assert (2, 4) in {tuple(p) for p in plan.partners[0]}
-        assert sorted(plan.omega) == list(range(6))
+        assert sorted(plan.partners) == [0, 2, 4]
+        np.testing.assert_array_equal(plan.partners[0], [2, 3, 4, 5])
+        # one column of each other source: (2, 4), (2, 5), (3, 4), (3, 5)
+        assert plan.pairs == {0: 4, 2: 4, 4: 4}
+        assert plan.fallback == ()
 
     def test_dependent_pair_excluded(self):
         # with an edge between sources 1 and 2, source 1 may partner with
         # sources 3 and 4 but never source 2
         plan = enumerate_triplets(augment_graph(star_with_edges(4, [(0, 1)])))
-        for j, k in plan.partners[0]:
-            assert j // 2 != 1 and k // 2 != 1
-            assert {j // 2, k // 2} <= {2, 3}
+        for a in (0, 2):
+            assert set(plan.partners[a] // 2) == {2, 3}
+        # sources 3 and 4 pair a column of sources 1-2 with one of the other
+        # remaining source; sources 1 and 2 pair a column of 3 with one of 4
+        assert plan.pairs == {0: 4, 2: 4, 4: 8, 6: 8}
 
     def test_shared_neighbor_makes_sources_dependent(self):
         # sources 2 and 3 have no direct edge but both couple to source 1;
@@ -209,7 +214,7 @@ class TestEnumerateTriplets:
         # component {1,2,3} plus singleton {4}: only two independence classes,
         # so nothing is triplet-recoverable
         assert plan.partners == {}
-        assert len(plan.fallback) == 8
+        assert plan.fallback == (0, 2, 4, 6)
 
     def test_two_dependent_sources_have_no_triplets(self):
         G = augment_graph(star_with_edges(2, [(0, 1)]))
@@ -217,11 +222,7 @@ class TestEnumerateTriplets:
             enumerate_triplets(G, RunConfig())
         plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
         assert plan.partners == {}
-        assert set(plan.fallback) == {0, 1, 2, 3}
-
-    def test_cap_respected(self):
-        plan = enumerate_triplets(augment_graph(star(8)), RunConfig(triplet_cap=7))
-        assert all(len(p) == 7 for p in plan.partners.values())
+        assert plan.fallback == (0, 2)
 
     def test_no_observed_path_avoids_hidden_layer(self):
         # pairwise validity means no two triple members are joined by
@@ -247,23 +248,28 @@ class TestEnumerateTriplets:
 
         plan = enumerate_triplets(G)
         for a, partners in plan.partners.items():
-            for j, k in partners[:20]:
-                for x, y in ((a, j), (a, k), (j, k)):
-                    assert not connected(x, y)
+            assert not any(connected(a, j) for j in partners)
+        for _anchors, _P, K in plan.blocks:
+            for j, k in zip(*np.nonzero(K)):
+                assert not connected(j, k)
 
     def test_multi_task_triples_keep_an_on_task_partner(self):
-        plan = enumerate_triplets(augment_graph(chain3()))
         G = augment_graph(chain3())
-        for a, partners in plan.partners.items():
-            ta = G.task_of(a)
-            for j, k in partners:
-                assert G.task_of(j) == ta or G.task_of(k) == ta
+        plan = enumerate_triplets(G)
+        assert len(plan.blocks) == 3
+        for d, (anchors, _P, K) in enumerate(plan.blocks):
+            assert all(G.task_of(a) == d for a in anchors)
+            for j, k in zip(*np.nonzero(K)):
+                assert G.task_of(j) == d or G.task_of(k) == d
 
 
-def _solve(M, eps_den=1e-4, eps_acc=1e-3):
-    """(|a_0|, |a_1|, |a_2|) of triplet (0, 1, 2): the kernel anchored at
-    each member in turn."""
-    return tuple(_anchor_magnitudes(M, [0, 1, 2], [1, 0, 0], [2, 2, 1], eps_den, eps_acc))
+def _solve(M3, eps_den=1e-4, eps_acc=1e-3):
+    """(|a_0|, |a_1|, |a_2|) from the pooled kernel on a three-source star
+    whose vote columns have pairwise moments ``M3``; each odd column mirrors
+    its source's even one, so every triplet gives the same value."""
+    M = np.kron(M3, [[1.0, -1.0], [-1.0, 1.0]])
+    plan = enumerate_triplets(augment_graph(star(3)))
+    return tuple(_pooled_magnitudes(M, plan, eps_den, eps_acc)[0::2])
 
 
 def _moments3(m01, m02, m12):
@@ -288,11 +294,23 @@ class TestSolveTriplet:
         assert _solve(M) == pytest.approx((0.8, 0.6, 0.6))
 
     def test_degenerate_denominator(self):
-        M = _moments3(0.5, 0.5, 1e-6)
-        assert np.all(np.isnan(_solve(M)))
-        plan = TripletPlan(n_columns=3, partners={0: np.array([[1, 2]])}, fallback=())
+        # sources 2 and 3 are uncorrelated, so source 1's fit divides by ~0
+        # and goes to the ratio fallback or raises without it
+        M3 = _moments3(0.5, 0.5, 1e-6)
+        assert np.isnan(_solve(M3)[0])
+        G = augment_graph(star(3))
+        plan = enumerate_triplets(G)
+        me = MomentEstimates(M=np.kron(M3, [[1.0, -1.0], [-1.0, 1.0]]),
+                             first_moments=np.array([0.1, -0.1, 0.3, -0.3, 0.0, 0.0]),
+                             vote_marginals=np.tile([0.5, 0.0, 0.5], (3, 1)),
+                             prior=ClassPrior.from_balance(0.6))
         with pytest.raises(NoUsableTriplet):
-            aggregate_accuracies(plan, M, "mean", RunConfig(low_acc_isolation=False))
+            estimate_accuracies(me, plan, G, RunConfig())
+        with pytest.warns(EstimationWarning, match="floor"):
+            acc = estimate_accuracies(me, plan, G, RunConfig(ratio_fallback=True))
+        assert acc.method[0] == "ratio"
+        assert acc.values[0] == pytest.approx(0.5)  # E[v] / E[Y] = 0.1 / 0.2
+        assert acc.values[0] == ratio_accuracy(0, me, G)
 
     def test_clamped_to_floor_and_one(self):
         M = _moments3(0.9, 0.9, 0.1)  # implies |a_0| > 1
@@ -302,37 +320,17 @@ class TestSolveTriplet:
 
 
 class TestAggregate:
-    def _plan_for(self, pairs):
-        return TripletPlan(n_columns=6,
-                           partners={0: np.asarray(pairs, dtype=np.intp)},
-                           fallback=())
-
     def test_mean(self):
-        # two triplets yielding 0.6 and 0.8 average to 0.7
+        # two equally weighted triplets yielding a^2 = 0.36 and 0.64 pool to
+        # their mean, 0.5; the mixed pairs (2, 5) and (3, 4) have M_jk = 0 and
+        # count for nothing
         M = np.eye(6)
-        M[0, 1] = M[1, 0] = 0.6 * 0.5
-        M[0, 2] = M[2, 0] = 0.6 * 0.5
-        M[1, 2] = M[2, 1] = 0.25
-        M[0, 3] = M[3, 0] = 0.8 * 0.5
-        M[0, 4] = M[4, 0] = 0.8 * 0.5
-        M[3, 4] = M[4, 3] = 0.25
-        plan = self._plan_for([(1, 2), (3, 4)])
-        cfg = RunConfig(low_acc_isolation=False)
-        mags, _ = aggregate_accuracies(plan, M, "mean", cfg)
-        assert mags[0] == pytest.approx(0.7)
-
-    def test_median(self):
-        M = np.eye(8)
-        for (j, k), a in zip([(1, 2), (3, 4), (5, 6)], [0.5, 0.9, 0.9]):
-            M[0, j] = M[j, 0] = a * 0.5
-            M[0, k] = M[k, 0] = a * 0.5
-            M[j, k] = M[k, j] = 0.25
-        plan = TripletPlan(n_columns=8,
-                           partners={0: np.asarray([(1, 2), (3, 4), (5, 6)], dtype=np.intp)},
-                           fallback=())
-        mags, _ = aggregate_accuracies(plan, M, "median",
-                                       RunConfig(low_acc_isolation=False))
-        assert mags[0] == pytest.approx(0.9)
+        M[0, 2] = M[2, 0] = M[0, 4] = M[4, 0] = 0.6 * 0.5
+        M[0, 3] = M[3, 0] = M[0, 5] = M[5, 0] = 0.8 * 0.5
+        M[2, 4] = M[4, 2] = M[3, 5] = M[5, 3] = 0.25
+        plan = enumerate_triplets(augment_graph(star(3)))
+        mags = _pooled_magnitudes(M, plan, 1e-4, 1e-3)
+        assert mags[0] == pytest.approx(np.sqrt(0.5), rel=1e-14)
 
     def test_exact_moments_make_all_triplets_agree(self):
         g = star(5)
@@ -340,77 +338,66 @@ class TestAggregate:
         j = enumerate_joint(th)
         me = j.moment_estimates()
         plan = enumerate_triplets(augment_graph(g))
-        mean_mags, _ = aggregate_accuracies(plan, me.M, "mean", RunConfig())
-        med_mags, _ = aggregate_accuracies(plan, me.M, "median", RunConfig())
+        mags = _pooled_magnitudes(me.M, plan, 1e-4, 1e-3)
         truth = np.abs(j.column_accuracies())
-        for c in mean_mags:
-            assert mean_mags[c] == pytest.approx(truth[c], abs=1e-10)
-            assert med_mags[c] == pytest.approx(truth[c], abs=1e-10)
+        np.testing.assert_allclose(mags[0::2], truth[0::2], rtol=0, atol=1e-12)
+        assert np.isnan(mags[1::2]).all()  # odd columns are mirrors, not anchors
 
 
-def _reference_aggregate(plan, M, method, cfg):
-    """aggregate_accuracies written as a plain per-anchor loop."""
-    reduce = np.mean if method == "mean" else np.median
-
-    def magnitude(a, pairs):
-        vals = [min(1.0, max(cfg.eps_acc, np.sqrt(abs(M[a, j] * M[a, k] / M[j, k]))))
-                for j, k in pairs
-                if min(abs(M[a, j]), abs(M[a, k]), abs(M[j, k])) >= cfg.eps_den]
-        return reduce(vals) if vals else None
-
-    mags = {}
-    for a in sorted(plan.partners):
-        v = magnitude(a, plan.partners[a])
-        if v is not None:
-            mags[a] = v
-    if cfg.low_acc_isolation and len(mags) > 2:
-        worst = min(sorted(mags), key=mags.get)
-        for a in sorted(mags):
-            v = magnitude(a, [(j, k) for j, k in plan.partners[a] if worst not in (j, k)])
-            if a != worst and v is not None:
-                mags[a] = v
-    return mags
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       sizes=st.lists(st.integers(1, 9), min_size=2, max_size=6),
-       p_degenerate=st.sampled_from([0.0, 0.1, 0.3]),
-       method=st.sampled_from(["mean", "median"]),
-       isolation=st.booleans())
-def test_kernel_matches_per_anchor_reference(seed, sizes, p_degenerate, method, isolation):
-    # a noisy rank-one moment matrix; column `dead` is uncorrelated with
-    # everything, so the last anchor, whose every triplet uses it, has no
-    # usable triplet at all
-    rng = np.random.default_rng(seed)
-    n = 12
-    dead = n - 1
+@st.composite
+def _kernel_inputs(draw):
+    """A random multi-task graph with random source edges, and a noisy
+    symmetric moment matrix for it that may be scaled to degeneracy."""
+    n_tasks = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 7))
+    assignment = draw(st.lists(st.integers(0, n_tasks - 1), min_size=m, max_size=m))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3))
+    g = DependencyGraph(n_tasks, m, tuple(assignment), source_edges=tuple(edges))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = 2 * m
     acc = rng.uniform(-0.9, 0.9, n)
-    noise = rng.normal(0.0, 0.05, (n, n))
-    M = np.outer(acc, acc) + (noise + noise.T) / 2
-    M[rng.random((n, n)) < p_degenerate] = 1e-6
+    noise = rng.normal(0.0, draw(st.sampled_from([0.0, 0.05, 0.5])), (n, n))
+    M = (np.outer(acc, acc) + (noise + noise.T) / 2) * draw(st.sampled_from([1.0, 1e-6]))
     M = np.triu(M, 1) + np.triu(M, 1).T + np.eye(n)
-    M[dead, :dead] = M[:dead, dead] = 0.0
+    return augment_graph(g), M
 
-    sizes = sizes + [2, 3]  # at least one even and one odd segment
-    partners = {}
-    for a, size in enumerate(sizes):
-        pool = [(j, k) for j in range(dead) for k in range(j + 1, dead) if a not in (j, k)]
-        pick = rng.choice(len(pool), size=size, replace=False)
-        partners[a] = np.array([pool[t] for t in sorted(pick)], dtype=np.intp)
-    last = len(sizes)
-    partners[last] = np.array([(j, dead) for j in range(3)], dtype=np.intp)
-    plan = TripletPlan(n_columns=n, partners=partners, fallback=())
 
-    cfg = RunConfig(ratio_fallback=True, low_acc_isolation=isolation)
-    mags, info = aggregate_accuracies(plan, M, method, cfg)
-    ref = _reference_aggregate(plan, M, method, cfg)
-    assert sorted(mags) == sorted(ref)
-    assert last not in mags and info[last]["used"] == 0
-    for a in ref:
-        assert mags[a] == pytest.approx(ref[a], rel=1e-12, abs=1e-15)
-    with pytest.raises(NoUsableTriplet):
-        aggregate_accuracies(plan, M, method, cfg.replace(ratio_fallback=False))
+@settings(max_examples=150, deadline=None)
+@given(_kernel_inputs())
+def test_kernel_matches_per_triplet_reference(inputs):
+    # the plan and the pooled kernel against a plain loop over every triplet
+    # that the validity rule admits
+    G, M = inputs
+    eps_den, eps_acc = 1e-4, 1e-3
+    plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
+    got = _pooled_magnitudes(M, plan, eps_den, eps_acc)
+    n = G.n_columns
+    for a in range(0, n, 2):
+        apart = [j for j in range(n) if not G.columns_dependent(a, j)]
+        valid = [(j, k) for j in apart for k in apart
+                 if not G.columns_dependent(j, k)
+                 and G.task_of(a) in (G.task_of(j), G.task_of(k))]
+        if not valid:
+            assert a in plan.fallback and a not in plan.partners
+            assert np.isnan(got[a])
+            continue
+        np.testing.assert_array_equal(plan.partners[a], apart)
+        assert plan.pairs[a] * 2 == len(valid)
+        num = sum(M[a, j] * M[a, k] * M[j, k] for j, k in valid)
+        den = sum(M[j, k] ** 2 for j, k in valid)
+        if den < eps_den ** 2:
+            assert np.isnan(got[a])
+        else:
+            want = min(1.0, max(eps_acc, np.sqrt(max(num, 0.0) / den)))
+            assert got[a] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert np.isnan(got[1::2]).all()
+    # a restricted call computes the same values (up to BLAS summation
+    # order) for the named anchors only
+    some = list(plan.partners)[::2]
+    part = _pooled_magnitudes(M, plan, eps_den, eps_acc, columns=some)
+    np.testing.assert_allclose(part[some], got[some], rtol=1e-13, atol=0)
+    assert np.isnan(np.delete(part, some)).all()
 
 
 class TestResolveSigns:
@@ -422,8 +409,7 @@ class TestResolveSigns:
         for (a, b), s in sgn.items():
             M[a, b] = M[b, a] = s * 0.4
         mags = {0: 0.8, 2: 0.6, 4: 0.6}
-        plan = enumerate_triplets(G)
-        signed, _ = resolve_signs(mags, M, plan, G)
+        signed, _ = resolve_signs(mags, M, G)
         assert signed[0] > 0 and signed[2] < 0 and signed[4] > 0
 
     def test_all_positive(self):
@@ -433,8 +419,7 @@ class TestResolveSigns:
             for b in (0, 2, 4):
                 if a != b:
                     M[a, b] = 0.3
-        signed, _ = resolve_signs({0: 0.5, 2: 0.6, 4: 0.7}, M,
-                                  enumerate_triplets(G), G)
+        signed, _ = resolve_signs({0: 0.5, 2: 0.6, 4: 0.7}, M, G)
         assert all(v > 0 for v in signed.values())
 
     def test_anchor_propagates(self):
@@ -445,8 +430,7 @@ class TestResolveSigns:
                 if a != b:
                     M[a, b] = 0.3
         cfg = RunConfig(sign_strategy="anchor", anchor_source=0, anchor_sign=-1)
-        signed, _ = resolve_signs({0: 0.5, 2: 0.6, 4: 0.7}, M,
-                                  enumerate_triplets(G), G, cfg)
+        signed, _ = resolve_signs({0: 0.5, 2: 0.6, 4: 0.7}, M, G, cfg)
         assert all(v < 0 for v in signed.values())
 
     def test_anchor_unreachable(self):
@@ -457,7 +441,7 @@ class TestResolveSigns:
         M[4, 6] = M[6, 4] = 0.3
         cfg = RunConfig(sign_strategy="anchor", anchor_source=0, anchor_sign=1)
         with pytest.raises(AnchorUnreachable):
-            resolve_signs({0: 0.5, 2: 0.5, 4: 0.5, 6: 0.5}, M, None, G, cfg)
+            resolve_signs({0: 0.5, 2: 0.5, 4: 0.5, 6: 0.5}, M, G, cfg)
 
     def test_scaling_leaves_pattern_unchanged(self):
         G = augment_graph(star(3))
@@ -465,10 +449,9 @@ class TestResolveSigns:
         sgn = {(0, 2): -1, (0, 4): 1, (2, 4): -1}
         for (a, b), s in sgn.items():
             M[a, b] = M[b, a] = s * 0.4
-        plan = enumerate_triplets(G)
         base = {0: 0.8, 2: 0.6, 4: 0.6}
-        s1, _ = resolve_signs(base, M, plan, G)
-        s2, _ = resolve_signs({k: 3.7 * v for k, v in base.items()}, M, plan, G)
+        s1, _ = resolve_signs(base, M, G)
+        s2, _ = resolve_signs({k: 3.7 * v for k, v in base.items()}, M, G)
         assert {k: np.sign(v) for k, v in s1.items()} == \
                {k: np.sign(v) for k, v in s2.items()}
 
@@ -582,16 +565,46 @@ class TestPipelineProperties:
         accp = estimate_accuracies(mep, enumerate_triplets(G), G, RunConfig())
         np.testing.assert_allclose(accp.per_source, acc.per_source[perm], atol=1e-12)
 
-    def test_greedy_mode_covers_all_columns(self):
-        g = star(5)
-        th = random_model(g, seed=10)
-        j = enumerate_joint(th)
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(18, 30), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_source_permutation_permutes_accuracies(self, m, seed, data):
+        # every valid triplet enters the fit, so the order of the sources
+        # cannot matter (a per-anchor triplet cap would make it matter here)
+        rng = np.random.default_rng(seed)
+        L, _ = sample_symmetric_star(rng.uniform(0.3, 0.65, m), np.full(m, 0.3),
+                                     0.6, 2_000, seed=seed)
+        perm = np.array(data.draw(st.permutations(range(m))))
+        G = augment_graph(star(m))
+        plan = enumerate_triplets(G)
+        prior = ClassPrior.from_balance(0.6)
+
+        def fit(votes):
+            me = estimate_moments(augment_matrix(LabelMatrix(votes)), prior, G)
+            return estimate_accuracies(me, plan, G, RunConfig())
+
+        acc, accp = fit(L.votes), fit(L.votes[:, perm])
+        np.testing.assert_allclose(accp.per_source, acc.per_source[perm],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", [4, 7, 9, 11])
+    def test_pooled_magnitudes_exact_with_tasks_and_source_edges(self, case):
+        # grid models with source edges or three tasks: at exact moments the
+        # pooled fit returns the enumerated accuracies, and on the restricted
+        # moments the enumerated abstain-conditioned ones
+        g, seed, abstaining = acceptance_grid()[case]
+        j = enumerate_joint(random_model(g, seed=seed, abstaining=abstaining))
         me = j.moment_estimates()
         G = augment_graph(g)
-        acc = estimate_accuracies(me, enumerate_triplets(G), G,
-                                  RunConfig(greedy_triplets=True))
-        truth = j.accuracies()
-        np.testing.assert_allclose(acc.per_source, truth, atol=1e-10)
+        plan = enumerate_triplets(G)
+        cfg = RunConfig()
+        mags = _pooled_magnitudes(me.M, plan, cfg.eps_den, cfg.eps_acc)
+        np.testing.assert_allclose(mags[0::2], np.abs(j.accuracies()), rtol=0, atol=1e-12)
+        for a, b in g.source_edges:
+            for target, cond in ((a, b), (b, a)):
+                truth = j.conditional_accuracy(target, cond)
+                got = conditional_accuracy_from_stats(target, cond, me, plan, G, cfg,
+                                                      sign_hint=truth)
+                assert got == pytest.approx(truth, abs=1e-12)
 
     def test_cross_task_triples_stay_exact(self):
         # a task group with only two independent sources must borrow the third

@@ -1,4 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import votefuse
+from votefuse.augment import augment_graph
+from votefuse.moments import enumerate_triplets
+from votefuse.oracle import star_graph
 
 
 def test_star_import_binds_every_export():
@@ -7,3 +13,22 @@ def test_star_import_binds_every_export():
     assert votefuse.__all__ == sorted(votefuse._EXPORTS)
     for name in votefuse.__all__:
         assert ns[name] is getattr(votefuse, name)
+
+
+def _tracing():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_points_resolve():
+    # the traced benchmark run wraps these names where votefuse looks them
+    # up; a rename here would break it and its self-test
+    tracing = _tracing()
+    for owner, attribute, _span, _count in tracing.PATCHES:
+        assert callable(getattr(tracing._owner(owner), attribute, None)), (owner, attribute)
+    # the plan span counts partner columns: 2m - 2 per even column of a star
+    plan = enumerate_triplets(augment_graph(star_graph(100)))
+    assert tracing._triplet_count(plan) == 100 * 198

@@ -271,6 +271,18 @@ class TestRecoverParameters:
                 np.testing.assert_allclose(mu.cliques[vs], truth.cliques[vs],
                                            atol=1e-9)
 
+    def test_report_counts_partner_pairs(self):
+        # star(5) with sources 1-2 coupled. Sources 1 and 2 pair columns of
+        # two of sources 3-5: 3 source pairs x 4. Sources 3-5 pair one of the
+        # coupled sources' 4 columns with one of the other two sources' 4
+        # columns (16), or those two sources with each other (4).
+        g = validate_graph(star_with_edges(5, [(0, 1)]))
+        j = enumerate_joint(random_model(g, seed=23))
+        mu = recover_from_moments(j.moment_estimates(), g, RunConfig())
+        assert mu.diagnostics.partner_pairs == {0: 12, 2: 12, 4: 20, 6: 20, 8: 20}
+        assert "valid partner pairs per column: min 12, max 20, columns 5" in \
+            mu.diagnostics.report()
+
     def test_exact_closure_with_chained_dependencies(self):
         # one source coupled to two others produces a task+source separator
         # and leaves no valid triplets; the ratio fallback carries the whole
