@@ -6,18 +6,20 @@ abstain fill-in is keyed per column by the abstain's ordinal position, so
 augmenting is deterministic, replayable, and order-independent across columns.
 
 One kernel, ``_encode``, pair-encodes a row block from per-column start
-ordinals: ``augment_matrix`` runs it over fixed row blocks, ``augment_row`` on
-one stream row.
+ordinals. ``augment_matrix`` returns the encoding of a whole label matrix
+without computing it: its rows are encoded block by block as the statistics
+pass reads them, so the n x 2m matrix exists only if a caller asks for
+``.data``. ``augment_row`` runs the kernel on one stream row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .graph import BLOCK_ROWS, AugmentedLabelMatrix, DependencyGraph, LabelMatrix
+from .graph import BLOCK_ROWS, AugmentedLabelMatrix, DependencyGraph, LabelMatrix, _freeze
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -69,40 +71,84 @@ class AbstainPolicy:
         of ``column`` (one column index, or one per ordinal)."""
         shifted = ordinals if self.phase is None else ordinals + np.asarray(self.phase)[column]
         if self.mode == "alternating":
-            return np.where(shifted % 2 == 0, np.int8(1), np.int8(-1))
+            return 1 - 2 * (shifted & 1).astype(np.int8)
         return _coin(self.seed, column, shifted)
 
 
 def _encode(votes: np.ndarray, policy: AbstainPolicy, ordinals: np.ndarray) -> np.ndarray:
     """Pair-encode a block of vote rows. Column j's abstains take the ordinals
     ``ordinals[j]``, ``ordinals[j] + 1``, ... in row order; ``ordinals`` (int64)
-    is advanced in place past them, so the next block continues the sequence."""
+    is advanced in place past them, so the next block continues the sequence.
+
+    The n x 2m result is the transpose of a C-contiguous 2m x n array, in
+    which each column is one contiguous row and each source's abstains one run.
+    """
     n, m = votes.shape
-    out = np.empty((n, 2 * m), dtype=np.int8)
-    out[:, 0::2] = votes
-    out[:, 1::2] = -votes
-    # abstains as flat indices into the transposed block: column by column,
-    # rows ascending, so each column's abstains form one run in ordinal order
-    flat = np.flatnonzero(np.ascontiguousarray(votes.T) == 0)
+    out = np.empty((2 * m, n), dtype=np.int8)
+    out[0::2] = votes.T
+    np.negative(out[0::2], out=out[1::2])
+    # abstains as flat indices into the vote rows ``out[0::2]``: column by
+    # column, rows ascending, so each column's abstains form one run in
+    # ordinal order
+    flat = np.flatnonzero(out[0::2] == 0)
     bounds = np.searchsorted(flat, np.arange(m + 1) * n)
-    counts = bounds[1:] - bounds[:-1]
-    cols = np.repeat(np.arange(m), counts)
-    vals = policy.fill_values(cols, np.arange(flat.size) + np.repeat(ordinals - bounds[:-1], counts))
-    rows = flat - cols * n
-    pair = rows * (2 * m) + 2 * cols  # flat index of the pair's first column in ``out``
-    out.reshape(-1)[pair] = vals
-    out.reshape(-1)[pair + 1] = vals
+    counts = np.diff(bounds)
+    cols = np.repeat(np.arange(m, dtype=np.int32), counts)
+    # the k-th abstain of the block is column j's (ordinals[j] + k - bounds[j])-th
+    shifted = (ordinals - bounds[:-1])[cols]
+    shifted += np.arange(flat.size)
+    vals = policy.fill_values(cols, shifted)
+    del shifted  # the index arrays dominate the block's working memory
+    flat += cols * np.int64(n)  # row 2j of ``out``; its mirror row is n further
+    out.reshape(-1)[flat] = vals
+    flat += n
+    out.reshape(-1)[flat] = vals
     ordinals += counts
-    return out
+    return out.T
+
+
+class EncodedLabelMatrix(AugmentedLabelMatrix):
+    """The pair encoding of a label matrix under an abstain policy, computed
+    on demand.
+
+    It holds the votes and the policy. ``blocks`` encodes the rows block by
+    block, carrying each column's abstain ordinals across blocks, so the
+    result does not depend on the block size. ``data`` materialises the whole
+    matrix on first use.
+    """
+
+    def __init__(self, L: LabelMatrix, policy: AbstainPolicy):
+        object.__setattr__(self, "votes", L.votes)
+        object.__setattr__(self, "policy", policy)
+
+    @property
+    def n(self) -> int:
+        return self.votes.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.votes.shape[1]
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        ordinals = np.zeros(self.m, dtype=np.int64)
+        for lo in range(0, self.n, rows):
+            yield _encode(self.votes[lo:lo + rows], self.policy, ordinals)
+
+    @property
+    def data(self) -> np.ndarray:
+        data = self.__dict__.get("_data")
+        if data is None:
+            data = np.empty((self.n, 2 * self.m), dtype=np.int8)
+            for lo, block in zip(range(0, self.n, BLOCK_ROWS), self.blocks(BLOCK_ROWS)):
+                data[lo:lo + BLOCK_ROWS] = block
+            data = self.__dict__["_data"] = _freeze(data)
+        return data
 
 
 def augment_matrix(L: LabelMatrix, policy: AbstainPolicy = AbstainPolicy()) -> AugmentedLabelMatrix:
-    """Pair-encode a label matrix block by block; deterministic given (L, policy)."""
-    out = np.empty((L.n, 2 * L.m), dtype=np.int8)
-    ordinals = np.zeros(L.m, dtype=np.int64)
-    for lo in range(0, L.n, BLOCK_ROWS):
-        out[lo:lo + BLOCK_ROWS] = _encode(L.votes[lo:lo + BLOCK_ROWS], policy, ordinals)
-    return AugmentedLabelMatrix(out)
+    """The pair encoding of ``L``, deterministic given (L, policy); rows are
+    encoded when they are read."""
+    return EncodedLabelMatrix(L, policy)
 
 
 def augment_row(row: np.ndarray, policy: AbstainPolicy,

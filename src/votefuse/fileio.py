@@ -127,9 +127,14 @@ def _read_label_csv_loop(path: str) -> np.ndarray:
 
 
 def write_label_csv(path: str, votes: np.ndarray) -> None:
+    """One line of comma-separated integers per row, formatted one row block
+    per call."""
+    votes = np.asarray(votes)
+    line = ",".join(["%d"] * votes.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in np.asarray(votes):
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        for lo in range(0, votes.shape[0], BLOCK_ROWS):
+            block = votes[lo:lo + BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +33,9 @@ VOTE_STATES = (1, 0, -1)
 MAX_EXACT_TASKS = 20
 
 # Rows per call of the block kernels: validation here, pair encoding in
-# ``augment``, sufficient statistics in ``moments`` and the posterior writer
-# in ``fileio``. Working memory scales with the block, not with n.
+# ``augment``, sufficient statistics in ``moments``, posteriors in
+# ``inference`` and the CSV writers in ``fileio``. Working memory scales with
+# the block, not with n.
 BLOCK_ROWS = 1 << 14
 
 
@@ -60,14 +61,17 @@ class LabelMatrix:
     votes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.votes, dtype=np.int8)
-        if v.ndim != 2:
+        raw = np.asarray(self.votes)
+        if raw.ndim != 2:
             raise ValueError("votes must be a 2-d array")
-        bad = np.argwhere((v < -1) | (v > 1))
-        if bad.size:
-            r, c = bad[0]
-            raise ValueError(f"vote out of {{-1,0,+1}} at row {r}, column {c}")
-        object.__setattr__(self, "votes", _freeze(v))
+        # check the given values before narrowing, so 257 or 1.7 cannot wrap
+        # or truncate into range; an integer array needs only its extremes
+        if raw.size and not (raw.dtype.kind in "biu" and raw.min() >= -1 and raw.max() <= 1):
+            bad = np.argwhere((raw != -1) & (raw != 0) & (raw != 1))
+            if bad.size:
+                r, c = bad[0]
+                raise ValueError(f"vote out of {{-1,0,+1}} at row {r}, column {c}")
+        object.__setattr__(self, "votes", _freeze(raw.astype(np.int8, copy=False)))
 
     @property
     def n(self) -> int:
@@ -92,6 +96,10 @@ class AugmentedLabelMatrix:
 
     Pair encoding per row: vote +1 -> (1, -1); vote -1 -> (-1, 1); abstain ->
     (1, 1) or (-1, -1), balanced by the abstain policy.
+
+    Built from its entries, it checks and holds them. ``augment.augment_matrix``
+    returns a subclass that holds only the votes and the policy and encodes
+    rows as ``blocks`` asks for them.
     """
 
     data: np.ndarray  # n x 2m, entries in {-1, +1}
@@ -112,6 +120,11 @@ class AugmentedLabelMatrix:
     @property
     def m(self) -> int:
         return self.data.shape[1] // 2
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The matrix as consecutive blocks of at most ``rows`` rows."""
+        for lo in range(0, self.n, rows):
+            yield self.data[lo:lo + rows]
 
     def collapse(self) -> LabelMatrix:
         """Invert the pair encoding back to ternary votes (exact round trip)."""

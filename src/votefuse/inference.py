@@ -16,8 +16,9 @@ joint of the configurations it touches exactly zero (``-inf`` in log space;
 a zero separator never turns into a division by zero). A row whose every
 task configuration has zero joint raises :class:`AllZeroLikelihood`.
 Posteriors are normalized per row after a max-shift. ``predict_proba``,
-``posterior`` and ``joint_probability`` are views of the kernel on n rows,
-one row and one entry.
+``posterior`` and ``joint_probability`` are views of the kernel on row
+blocks, one row and one entry; ``predict_proba`` holds one block's log-joint
+at a time, so its working memory is bounded by the block, not by n.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graph import (
+    BLOCK_ROWS,
     ClassPrior,
     DependencyGraph,
     JunctionTree,
@@ -94,8 +96,9 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
 
 
 def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
-                votes: np.ndarray) -> np.ndarray:
-    """P(Y | row) for every row of ``votes``, shape (2,)*D + (n,)."""
+                votes: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """P(Y | row) for every row of ``votes``, shape (2,)*D + (n,). Errors
+    number the rows from ``first_row``."""
     if prior.n_tasks != mu.graph.n_tasks:
         raise ShapeMismatch(
             f"prior covers {prior.n_tasks} tasks, model has {mu.graph.n_tasks}")
@@ -106,18 +109,25 @@ def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
     if np.any(dead):
         r = int(np.argmax(dead))
         raise AllZeroLikelihood(
-            f"every task configuration has zero probability for row {r} "
+            f"every task configuration has zero probability for row {first_row + r} "
             f"(votes {tuple(int(v) for v in votes[r])})"
         )
     w = np.exp(flat - peak)
-    w /= w.sum(axis=0)
+    w /= _sum_rows(w)
     return w.reshape(log_joint.shape)
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0), added in row order for any number of columns. numpy
+    sums eight or more rows pairwise when ``a`` has one column, so a row's
+    posterior would depend on the size of its block."""
+    return np.cumsum(a, axis=0)[-1]
 
 
 def _positives(w: np.ndarray) -> np.ndarray:
     """n x D matrix of P(Y_d = 1) from posteriors shaped (2,)*D + (n,)."""
     D, n = w.ndim - 1, w.shape[-1]
-    return np.stack([w.take(0, axis=d).reshape(2 ** (D - 1), n).sum(axis=0)
+    return np.stack([_sum_rows(w.take(0, axis=d).reshape(2 ** (D - 1), n))
                      for d in range(D)], axis=1)
 
 
@@ -155,10 +165,17 @@ def predict_proba(L: LabelMatrix, mu: LabelModelParameters, jt: JunctionTree,
                   prior: ClassPrior) -> PosteriorLabels:
     """Row-wise posterior marginals P(Y_d = 1 | row); deterministic.
 
-    One kernel pass over all rows: cost scales with the number of cliques
-    and separators times 2^D * n, with no per-row Python work.
+    One kernel pass per block of ``BLOCK_ROWS`` rows: cost scales with the
+    number of cliques and separators times 2^D * n, with no per-row Python
+    work, and working memory with the block. Each row's arithmetic does not
+    depend on the block, so the result is the same for any block size.
     """
-    return PosteriorLabels(_positives(_normalized(mu, jt, prior, L.votes)))
+    probs = np.empty((L.n, mu.graph.n_tasks))
+    # an empty matrix still takes one (empty) pass, which checks its shape
+    for lo in range(0, max(L.n, 1), BLOCK_ROWS):
+        w = _normalized(mu, jt, prior, L.votes[lo:lo + BLOCK_ROWS], first_row=lo)
+        probs[lo:lo + BLOCK_ROWS] = _positives(w)
+    return PosteriorLabels(probs)
 
 
 def majority_vote(L: LabelMatrix) -> np.ndarray:

@@ -1,5 +1,11 @@
 """Observable moments and closed-form recovery of unobservable source accuracies.
 
+The moments come from one pass over the rows: ``RunningStats`` folds each
+block of pair-encoded rows, as ``augment`` encodes it, into one Gram of the
+block with a ones column, so pairwise products, first moments, vote counts
+and the row count cost one matrix product per block and the n x 2m matrix is
+never held.
+
 The accuracy of observed column ``a`` is a_a = E[v_a Y(a)], the scaled
 correlation with its hidden task. For columns a, j, k that are pairwise
 conditionally independent, with j or k on a's task, every pairwise moment
@@ -64,56 +70,77 @@ class RunningStats:
     cross-tabs for tracked source pairs, and abstain-restricted copies of the
     pairwise sums for tracked conditioning sources.
 
-    One kernel, ``_accumulate``, adds or subtracts a block of augmented rows.
-    It reads every vote state from the rows themselves: source i's vote is
-    (a[2i] - a[2i+1]) / 2, which is 0 (abstain) where the pair agrees. A
-    stream adds and removes one row at a time and a batch adds fixed-size row
-    blocks, so a rolling window holds the same statistics the batch path
-    computes, bit for bit, and batch memory is bounded by the block.
+    One kernel, ``_accumulate``, adds or subtracts a block of augmented rows
+    with one float32 Gram of the block with a ones column appended:
+    ``second``, ``first`` and ``n`` are views of that int64 sum. The vote
+    histograms follow from it exactly, so only the tracked pairs' cross-tabs
+    need a count, and each conditioning source takes one more Gram of its
+    abstaining rows. A stream adds and removes one row at a time and a batch
+    adds fixed-size row blocks, so a rolling window holds the same statistics
+    the batch path computes, bit for bit, and batch memory is bounded by the
+    block.
     """
 
     def __init__(self, m: int,
                  tracked_pairs: Iterable[Tuple[int, int]] = (),
                  cond_sources: Iterable[int] = ()):
         self.m = m
-        self.n = 0
         c = 2 * m
-        self.second = np.zeros((c, c), dtype=np.int64)
-        self.first = np.zeros(c, dtype=np.int64)
+        # [[second, first], [first, n]]: the Gram of the rows with a ones column
+        self._gram = np.zeros((c + 1, c + 1), dtype=np.int64)
+        self.second = self._gram[:c, :c]
+        self.first = self._gram[c, :c]
         self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
-        # vote histograms and pair cross-tabs are views into one count vector,
-        # so a block updates all of them with a single bincount
+        # the pair cross-tabs are views into one count vector, so a block
+        # updates all of them with a single bincount
         k = len(self.tracked_pairs)
-        self._counts = np.zeros(3 * m + 9 * k, dtype=np.int64)
-        self.vote_counts = self._counts[:3 * m].reshape(m, 3)
-        tabs = self._counts[3 * m:].reshape(k, 3, 3)
-        self.pair_counts = dict(zip(self.tracked_pairs, tabs))
+        self._pair_cells = np.zeros(9 * k, dtype=np.int64)
+        self.pair_counts = dict(zip(self.tracked_pairs, self._pair_cells.reshape(k, 3, 3)))
         self._p, self._q = np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2).T
-        self._offsets = np.concatenate([3 * np.arange(m), 3 * m + 9 * np.arange(k)])
         self.cond_sources = tuple(sorted(set(cond_sources)))
-        self.cond_second = {i: np.zeros((c, c), dtype=np.int64) for i in self.cond_sources}
-        self.cond_first = {i: np.zeros(c, dtype=np.int64) for i in self.cond_sources}
-        self.cond_n = {i: 0 for i in self.cond_sources}
+        self._cond_gram = {i: np.zeros((c + 1, c + 1), dtype=np.int64) for i in self.cond_sources}
+        self.cond_second = {i: g[:c, :c] for i, g in self._cond_gram.items()}
+        self.cond_first = {i: g[c, :c] for i, g in self._cond_gram.items()}
+
+    @property
+    def n(self) -> int:
+        return int(self._gram[-1, -1])
+
+    @property
+    def cond_n(self) -> Dict[int, int]:
+        return {i: int(g[-1, -1]) for i, g in self._cond_gram.items()}
+
+    @property
+    def vote_counts(self) -> np.ndarray:
+        """(m, 3) counts of +1, abstain and -1 votes per source, read off the
+        Gram: a pair's product sums to abstains - votes, and the difference of
+        its column sums is twice (positives - negatives)."""
+        n = self.n
+        abstain = (n + np.diagonal(self.second, 1)[0::2]) // 2
+        pos = (n - abstain + (self.first[0::2] - self.first[1::2]) // 2) // 2
+        return np.stack([pos, abstain, n - abstain - pos], axis=1)
 
     def _accumulate(self, aug: np.ndarray, sign: int) -> None:
         """Add (sign +1) or subtract (sign -1) the rows of an augmented block."""
-        gram = _exact_gram(aug)
-        self.second += sign * gram
-        self.first += sign * aug.sum(axis=0, dtype=np.int64)
-        state = 1 - ((aug[:, 0::2] - aug[:, 1::2]) >> 1)  # +1 -> 0, abstain -> 1, -1 -> 2
-        cells = np.concatenate([state, 3 * state[:, self._p] + state[:, self._q]], axis=1)
-        self._counts += sign * np.bincount((cells + self._offsets).ravel(),
-                                           minlength=self._counts.size)
-        for i in self.cond_sources:
-            rows = state[:, i] == 1
+        c = aug.shape[1]
+        xt = np.empty((c + 1, aug.shape[0]), dtype=np.float32)  # [aug | 1], transposed
+        xt[:c] = aug.T
+        xt[c] = 1
+        update = np.add if sign > 0 else np.subtract
+        gram = _exact_gram(xt)
+        update(self._gram, gram, out=self._gram)
+        if self.tracked_pairs:
+            state = 1 - ((aug[:, 0::2] - aug[:, 1::2]) >> 1)  # +1 -> 0, abstain -> 1, -1 -> 2
+            cells = 3 * state[:, self._p] + state[:, self._q] + 9 * np.arange(len(self._p))
+            update(self._pair_cells, np.bincount(cells.ravel(), minlength=self._pair_cells.size),
+                   out=self._pair_cells)
+        for i, total in self._cond_gram.items():
+            rows = aug[:, 2 * i] == aug[:, 2 * i + 1]  # source i abstains
             k = int(np.count_nonzero(rows))
             if k == 0:
                 continue
-            sub = aug if k == aug.shape[0] else aug[rows]  # whole block: reuse its Gram
-            self.cond_second[i] += sign * (gram if sub is aug else _exact_gram(sub))
-            self.cond_first[i] += sign * sub.sum(axis=0, dtype=np.int64)
-            self.cond_n[i] += sign * k
-        self.n += sign * aug.shape[0]
+            # a block where every row abstains reuses its Gram
+            update(total, gram if k == rows.size else _exact_gram(xt[:, rows]), out=total)
 
     def add(self, aug_row: np.ndarray) -> None:
         self._accumulate(aug_row.reshape(1, -1), 1)
@@ -125,8 +152,9 @@ class RunningStats:
     def from_matrix(cls, A: AugmentedLabelMatrix,
                     tracked_pairs=(), cond_sources=()) -> "RunningStats":
         st = cls(A.m, tracked_pairs, cond_sources)
-        for lo in range(0, A.n, BLOCK_ROWS):
-            st._accumulate(A.data[lo:lo + BLOCK_ROWS], 1)
+        for block in A.blocks(BLOCK_ROWS):
+            st._accumulate(block, 1)
+            del block  # free it before the next block is encoded
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
@@ -134,8 +162,7 @@ class RunningStats:
             raise ValueError("no rows accumulated")
         n = float(self.n)
         conditional = {}
-        for i in self.cond_sources:
-            cn = self.cond_n[i]
+        for i, cn in self.cond_n.items():
             if cn > 0:
                 conditional[i] = CondStats(
                     n_rows=cn,
@@ -153,11 +180,11 @@ class RunningStats:
         )
 
 
-def _exact_gram(data: np.ndarray) -> np.ndarray:
-    """data.T @ data for a +/-1 block, as int64. A block has at most
-    ``BLOCK_ROWS`` < 2**24 rows, so float32 BLAS computes every entry exactly."""
-    f = data.astype(np.float32)
-    return np.rint(f.T @ f).astype(np.int64)
+def _exact_gram(xt: np.ndarray) -> np.ndarray:
+    """xt @ xt.T as int64 for a transposed block of +/-1 entries. A block has
+    at most ``BLOCK_ROWS`` < 2**24 rows, so every partial sum is an integer
+    that float32 holds exactly."""
+    return (xt @ xt.T).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,23 @@ def child_env() -> dict:
     return env
 
 
+def reference_augment(votes, policy):
+    """The former per-column pair encoding loop, kept as the reference for the
+    block encoder."""
+    n, m = votes.shape
+    out = np.empty((n, 2 * m), dtype=np.int8)
+    out[:, 0::2] = votes
+    out[:, 1::2] = -votes
+    for j in range(m):
+        rows = np.nonzero(votes[:, j] == 0)[0]
+        if rows.size == 0:
+            continue
+        vals = policy.fill_values(j, np.arange(rows.size, dtype=np.int64))
+        out[rows, 2 * j] = vals
+        out[rows, 2 * j + 1] = vals
+    return out
+
+
 def star(m: int) -> DependencyGraph:
     return DependencyGraph(n_tasks=1, n_sources=m, assignment=(0,) * m)
 

@@ -9,7 +9,7 @@ from votefuse import augment
 from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix, augment_row
 from votefuse.graph import LabelMatrix
 
-from conftest import star, star_with_edges
+from conftest import reference_augment, star, star_with_edges
 
 
 class TestPairEncoding:
@@ -95,22 +95,6 @@ def test_phase_offsets_continue_a_stream():
     np.testing.assert_array_equal(tail.data, full.data[2:])
 
 
-def _reference_augment(votes, policy):
-    """The former per-column encoding loop, kept as the reference."""
-    n, m = votes.shape
-    out = np.empty((n, 2 * m), dtype=np.int8)
-    out[:, 0::2] = votes
-    out[:, 1::2] = -votes
-    for j in range(m):
-        rows = np.nonzero(votes[:, j] == 0)[0]
-        if rows.size == 0:
-            continue
-        vals = policy.fill_values(j, np.arange(rows.size, dtype=np.int64))
-        out[rows, 2 * j] = vals
-        out[rows, 2 * j + 1] = vals
-    return out
-
-
 @st.composite
 def _votes_and_policy(draw):
     votes = draw(arrays(np.int8, st.tuples(st.integers(0, 30), st.integers(1, 5)),
@@ -129,8 +113,8 @@ def _votes_and_policy(draw):
 def test_matrix_matches_reference_encoding_for_any_block_size(case, block):
     votes, policy = case
     with mock.patch.object(augment, "BLOCK_ROWS", block):
-        A = augment_matrix(LabelMatrix(votes), policy)
-    np.testing.assert_array_equal(A.data, _reference_augment(votes, policy))
+        data = augment_matrix(LabelMatrix(votes), policy).data  # encoded here
+    np.testing.assert_array_equal(data, reference_augment(votes, policy))
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,7 +123,7 @@ def test_rows_match_reference_encoding(case):
     votes, policy = case
     counts = np.zeros(votes.shape[1], dtype=np.int64)
     rows = [augment_row(v, policy, counts) for v in votes]
-    expected = _reference_augment(votes, policy)
+    expected = reference_augment(votes, policy)
     np.testing.assert_array_equal(np.stack(rows) if rows else expected, expected)
     np.testing.assert_array_equal(counts, (votes == 0).sum(axis=0))
 

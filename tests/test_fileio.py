@@ -72,6 +72,27 @@ def _outcome(read, path):
     return "votes", votes.dtype, votes.tolist()
 
 
+def _reference_write_label_csv(path, votes):
+    """The former writer: one joined generator and one write per row."""
+    with open(path, "w") as fh:
+        for row in np.asarray(votes):
+            fh.write(",".join(str(int(v)) for v in row) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 9), m=st.integers(0, 4), block=st.integers(1, 4),
+       dtype=st.sampled_from([np.int8, np.int64]), seed=st.integers(0, 2 ** 16))
+def test_label_writer_matches_per_row_reference(n, m, block, dtype, seed):
+    votes = np.random.default_rng(seed).integers(-1, 2, size=(n, m)).astype(dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = os.path.join(tmp, "want.csv"), os.path.join(tmp, "got.csv")
+        _reference_write_label_csv(want, votes)
+        with mock.patch.object(fileio, "BLOCK_ROWS", block):
+            fileio.write_label_csv(got, votes)
+        with open(want, "rb") as fw, open(got, "rb") as fg:
+            assert fg.read() == fw.read()
+
+
 class TestLabelCsv:
     def test_round_trip(self, tmp_path):
         votes = np.array([[1, 0, -1], [0, 0, 1]], dtype=np.int8)

@@ -32,6 +32,25 @@ class TestLabelMatrix:
         with pytest.raises(ValueError, match="row 1, column 2"):
             LabelMatrix(np.array([[0, 0, 0], [1, 0, 2]]))
 
+    @pytest.mark.parametrize("votes", [
+        np.array([[1, 0], [257, -1]]),
+        np.array([[1, 0], [255, -1]]),
+        np.array([[1, 0], [1.7, -1]]),
+        np.array([[1, 0], [2 ** 32 + 1, -1]]),
+        np.array([[1, 0], [255, 1]], dtype=np.uint8),
+    ])
+    def test_values_checked_before_narrowing(self, votes):
+        # each bad entry used to narrow to int8 first and pass as 1 or -1
+        with pytest.raises(ValueError, match="row 1, column 0"):
+            LabelMatrix(votes)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.float64, bool])
+    def test_valid_values_of_any_dtype_accepted(self, dtype):
+        votes = np.array([[1, 0], [0, 1]], dtype=dtype)
+        L = LabelMatrix(votes)
+        assert L.votes.dtype == np.int8
+        np.testing.assert_array_equal(L.votes, votes)
+
     def test_fit_shape_requirements(self):
         L = LabelMatrix(np.array([[1, -1]]))
         with pytest.raises(ValueError, match="at least 3 sources"):

@@ -1,8 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from votefuse import inference
 from votefuse.config import RunConfig
 from votefuse.errors import AllZeroLikelihood, DegenerateClass, ShapeMismatch
 from votefuse.graph import (
@@ -31,7 +33,7 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import recover_parameters
 
-from conftest import acceptance_grid, star, star_with_edges
+from conftest import acceptance_grid, chain3, star, star_with_edges
 
 
 def _single_source_params():
@@ -199,6 +201,33 @@ class TestPredictProba:
             single = posterior(mu, jt, j.prior(), L.votes[r])
             np.testing.assert_allclose(post.probs[r],
                                        marginal_positives(single), atol=1e-12)
+
+    @pytest.mark.parametrize("g, seed", [(star(4), 8), (star_with_edges(4, [(2, 3)]), 5),
+                                         (chain3(), 41)])
+    def test_blocks_equal_per_row_posterior_bit_for_bit(self, g, seed):
+        # chain3 has eight task configurations, which numpy would sum in
+        # another order for a one-row block than for a longer one
+        j = enumerate_joint(random_model(g, seed=seed))
+        jt = build_junction_tree(g)
+        mu = j.true_parameters(jt)
+        L, _ = sample(j, 50, seed=6)
+        rows = np.stack([marginal_positives(posterior(mu, jt, j.prior(), v)) for v in L.votes])
+        for block in (1, 7, 50, 64):
+            with mock.patch.object(inference, "BLOCK_ROWS", block):
+                post = predict_proba(L, mu, jt, j.prior())
+            assert post.probs.tobytes() == rows.tobytes()
+
+    def test_zero_likelihood_row_past_the_first_block_is_named(self):
+        mu, jt = _single_source_params()
+        tbl = mu.cliques[VarSet((0,), (0,))].copy()
+        tbl[:, 2] = 0.0  # a -1 vote is impossible
+        mu.cliques[VarSet((0,), (0,))] = tbl / tbl.sum()
+        votes = np.ones((10, 1), dtype=np.int8)
+        votes[3] = 0
+        votes[7] = -1
+        with mock.patch.object(inference, "BLOCK_ROWS", 3):
+            with pytest.raises(AllZeroLikelihood, match=r"for row 7 \(votes \(-1,\)\)"):
+                predict_proba(LabelMatrix(votes), mu, jt, ClassPrior.from_balance(0.5))
 
     def test_beats_majority_vote_on_heterogeneous_sources(self):
         accs = np.array([0.8, 0.1, 0.1, 0.1, 0.1])

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,8 @@ from votefuse.errors import (
     PriorNearZero,
     TooFewAbstainRows,
 )
-from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
+from votefuse.graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMatrix
+from votefuse.inference import predict_proba
 from votefuse.moments import (
     MomentEstimates,
     RunningStats,
@@ -34,8 +36,9 @@ from votefuse.oracle import (
     sample,
     sample_symmetric_star,
 )
+from votefuse.recovery import recover_parameters
 
-from conftest import acceptance_grid, chain3, star, star_with_edges
+from conftest import acceptance_grid, chain3, reference_augment, star, star_with_edges
 
 
 class TestEstimateMoments:
@@ -126,8 +129,9 @@ def _assert_same_stats(stats, ref):
 
 @st.composite
 def _stat_inputs(draw):
-    """Abstaining votes with their pair encoding, plus random tracked source
-    pairs and conditioning sources."""
+    """Abstaining votes with their lazily encoded pair encoding and its
+    reference encoding, plus random tracked source pairs and conditioning
+    sources."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(0, 40))
     p_abstain = draw(st.sampled_from([0.0, 0.3, 0.9]))
@@ -136,11 +140,13 @@ def _stat_inputs(draw):
     votes = rng.choice(np.array([-1, 1], np.int8), size=(n, m))
     votes[rng.random((n, m)) < p_abstain] = 0
     mode = draw(st.sampled_from(["alternating", "seeded-random"]))
-    A = augment_matrix(LabelMatrix(votes), AbstainPolicy(mode=mode, seed=seed))
+    phase = draw(st.none() | st.lists(st.integers(0, 10 ** 6), min_size=m, max_size=m))
+    policy = AbstainPolicy(mode=mode, seed=seed, phase=phase)
+    A = augment_matrix(LabelMatrix(votes), policy)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     tracked = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
     cond = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
-    return A, votes, tracked, cond
+    return A, votes, reference_augment(votes, policy), tracked, cond
 
 
 class TestRunningStatsKernel:
@@ -150,18 +156,23 @@ class TestRunningStatsKernel:
     @settings(max_examples=150, deadline=None)
     @given(_stat_inputs(), st.integers(1, 45))
     def test_from_matrix_matches_reference_for_any_block_size(self, inputs, block):
-        A, votes, tracked, cond = inputs
+        # the lazily encoded matrix is encoded block by block inside from_matrix
+        A, votes, aug, tracked, cond = inputs
         ref = _reference_stats(A.m, sorted(tracked), cond,
-                               [(A.data[t], votes[t], 1) for t in range(A.n)])
+                               [(aug[t], votes[t], 1) for t in range(A.n)])
         with mock.patch.object(moments, "BLOCK_ROWS", block):
             stats = RunningStats.from_matrix(A, tracked, cond)
+        _assert_same_stats(stats, ref)
+        # so are the entries of an explicit matrix
+        with mock.patch.object(moments, "BLOCK_ROWS", block):
+            stats = RunningStats.from_matrix(AugmentedLabelMatrix(aug), tracked, cond)
         _assert_same_stats(stats, ref)
 
     @settings(max_examples=150, deadline=None)
     @given(_stat_inputs(), st.lists(st.integers(0, 2 ** 16), max_size=60))
     def test_add_remove_sequence_matches_reference(self, inputs, picks):
         # each pick either adds the next row or removes a held one
-        A, votes, tracked, cond = inputs
+        A, votes, _aug, tracked, cond = inputs
         stats = RunningStats(A.m, tracked, cond)
         ops, held, nxt = [], [], 0
         for pick in picks:
@@ -183,6 +194,22 @@ class TestRunningStatsKernel:
         for row in A.data:
             stats.remove(row)
         _assert_same_stats(stats, _reference_stats(3, [(0, 2)], (0, 1), []))
+
+    def test_fit_and_predict_never_hold_the_augmented_matrix(self):
+        # six blocks of 40 sources at the benchmark's abstain rate: the fit
+        # encodes and accumulates one block at a time and the posterior pass
+        # is blocked too, so neither allocates the n x 2m int8 matrix
+        m, n = 40, 6 * moments.BLOCK_ROWS
+        L, _ = sample_symmetric_star(np.full(m, 0.5), np.full(m, 0.3), 0.6, n, seed=0)
+        prior = ClassPrior.from_balance(0.6)
+        tracemalloc.start()
+        try:
+            mu = recover_parameters(L, star(m), prior)
+            predict_proba(L, mu, mu.jtree, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 2 * m
 
 
 class TestEnumerateTriplets:

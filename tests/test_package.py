@@ -1,10 +1,14 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import votefuse
+from votefuse import inference, recovery
 from votefuse.augment import augment_graph
+from votefuse.graph import ClassPrior
 from votefuse.moments import enumerate_triplets
-from votefuse.oracle import star_graph
+from votefuse.oracle import sample_symmetric_star, star_graph
 
 
 def test_star_import_binds_every_export():
@@ -32,3 +36,17 @@ def test_benchmark_trace_points_resolve():
     # the plan span counts partner columns: 2m - 2 per even column of a star
     plan = enumerate_triplets(augment_graph(star_graph(100)))
     assert tracing._triplet_count(plan) == 100 * 198
+
+
+def test_benchmark_layer_spans_are_each_recorded_once():
+    # the traced benchmark times augment, statistics and inference through
+    # these wrapped names; each must run exactly once per fit and predict
+    tracing = _tracing()
+    L, _ = sample_symmetric_star(np.full(5, 0.6), np.full(5, 0.3), 0.6, 400, seed=1)
+    prior = ClassPrior.from_balance(0.6)
+    with tracing.installed(tracing.Recorder()) as rec:
+        mu = recovery.recover_parameters(L, star_graph(5), prior)
+        inference.predict_proba(L, mu, mu.jtree, prior)
+    names = [s.name for s in rec.spans]
+    for name in ("augment.matrix", "moments.stats", "inference.predict"):
+        assert names.count(name) == 1, (name, names)
