@@ -38,12 +38,7 @@ _EXPORTS = {
     "estimate_accuracies": "moments",
     # recovery
     "TransformPair": "recovery",
-    "CliqueExpectation": "recovery",
-    "RhsVector": "recovery",
     "build_transform": "recovery",
-    "clique_expectation": "recovery",
-    "assemble_rhs": "recovery",
-    "solve_marginal": "recovery",
     "recover_parameters": "recovery",
     "recover_from_moments": "recovery",
     # inference

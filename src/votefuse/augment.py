@@ -239,12 +239,21 @@ class AugmentedGraph:
         comp = self.source_components()
         return tuple(s for s in range(self.graph.n_sources) if comp[s] == comp[i])
 
+    def independent_columns(self) -> np.ndarray:
+        """Read-only 2m x 2m mask of the observed column pairs that are
+        conditionally independent given the hidden layer: columns of sources
+        in different components. Built once per graph."""
+        cached = self.__dict__.get("_indep_cache")
+        if cached is None:
+            comp = np.asarray(self.source_components())[np.arange(self.n_columns) // 2]
+            cached = self.__dict__["_indep_cache"] = _freeze(comp[:, None] != comp[None, :])
+        return cached
+
     def columns_dependent(self, a: int, b: int) -> bool:
         """Conditional dependence test between observed columns given the
         hidden layer: same source's pair, or sources connected through
         dependency edges."""
-        comp = self.source_components()
-        return comp[a // 2] == comp[b // 2]
+        return not self.independent_columns()[a, b]
 
 
 def augment_graph(g: DependencyGraph) -> AugmentedGraph:

@@ -126,15 +126,24 @@ def _read_label_csv_loop(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.int8)
 
 
+# each vote as its text after a comma, padded with NUL: ",-1", ",0", ",1"
+_VOTE_TEXT = np.frombuffer(b",-1,0\x00,1\x00", dtype=np.uint8).reshape(3, 3)
+
+
 def write_label_csv(path: str, votes: np.ndarray) -> None:
-    """One line of comma-separated integers per row, formatted one row block
-    per call."""
+    """One line of comma-separated votes (-1, 0 or +1) per row. Each row
+    block is written as one string: every vote is looked up as its padded
+    text and the padding is dropped."""
     votes = np.asarray(votes)
-    line = ",".join(["%d"] * votes.shape[1]) + "\n"
     with open(path, "w") as fh:
         for lo in range(0, votes.shape[0], BLOCK_ROWS):
-            block = votes[lo:lo + BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            block = votes[lo:lo + BLOCK_ROWS] + 1
+            if np.any((block < 0) | (block > 2)):
+                raise ValueError("votes must be -1, 0 or +1")
+            text = np.take(_VOTE_TEXT, block, axis=0).reshape(len(block), -1)
+            text[:, :1] = 0  # no comma before a row's first vote
+            text = np.column_stack([text, np.full(len(block), ord("\n"), dtype=np.uint8)])
+            fh.write(text[text != 0].tobytes().decode("ascii"))
 
 
 # ---------------------------------------------------------------------------

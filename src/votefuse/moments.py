@@ -233,9 +233,6 @@ class MomentEstimates:
         """P(lambda_i = 0) per source."""
         return self.vote_marginals[:, 1]
 
-    def p_vote(self, i: int, v: int) -> float:
-        return float(self.vote_marginals[i, {1: 0, 0: 1, -1: 2}[v]])
-
     def pair_table(self, i: int, j: int) -> np.ndarray:
         """3x3 cross-tab P(lambda_i = a, lambda_j = b), rows indexed by i's state."""
         key = (min(i, j), max(i, j))
@@ -299,10 +296,8 @@ class TripletPlan:
 def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> TripletPlan:
     """The partner masks of every even column, built once per graph."""
     n_cols = G.n_columns
-    src = np.arange(n_cols) // 2
-    comp = np.asarray(G.source_components())[src]
-    task = np.asarray(G.graph.assignment)[src]
-    apart = comp[:, None] != comp[None, :]
+    task = np.asarray(G.graph.assignment)[np.arange(n_cols) // 2]
+    apart = G.independent_columns()
     evens = np.arange(0, n_cols, 2)
     anchors, counts, blocks = [], [], []
     for d in range(G.n_tasks):
@@ -344,7 +339,7 @@ def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, eps_den: float,
     out = np.full(plan.n_columns, np.nan)
     for anchors, P, K in plan.blocks:
         if columns is not None:
-            keep = np.isin(anchors, columns)
+            keep = (anchors[:, None] == np.asarray(columns)).any(axis=1)
             anchors, P = anchors[keep], P[keep]
         U = M[anchors] * P
         num = np.einsum("aj,aj->a", U @ (M * K), U)
@@ -382,25 +377,19 @@ def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph,
                      eps_den: float):
     """Connected components of the sign-constraint graph over one task group.
 
-    Edges join independent column pairs with a usable pairwise moment and
-    constrain the sign product to sign(M). Returns (component, pattern) pairs
-    where pattern fixes relative signs with the lowest column set positive.
+    Edges join independent column pairs (``G.independent_columns()``) whose
+    pairwise moment is usable, |M| >= eps_den, and constrain the sign product
+    to sign(M). Returns one pattern per component, mapping its columns to
+    relative signs with the lowest column set positive.
     """
-    idx = {c: t for t, c in enumerate(group)}
-    adj = {c: [] for c in group}
-    for x in range(len(group)):
-        for y in range(x + 1, len(group)):
-            cx, cy = group[x], group[y]
-            if G.columns_dependent(cx, cy):
-                continue
-            if abs(M[cx, cy]) < eps_den:
-                continue
-            rel = 1 if M[cx, cy] > 0 else -1
-            adj[cx].append((cy, rel))
-            adj[cy].append((cx, rel))
+    idx = np.asarray(group)
+    sub = M[idx[:, None], idx]
+    edge = G.independent_columns()[idx[:, None], idx] & (np.abs(sub) >= eps_den)
+    rel = np.where(sub > 0, 1, -1).tolist()
+    adj = [[w for w, on in enumerate(row) if on] for row in edge.tolist()]  # ascending
     comps = []
     seen = set()
-    for c in group:
+    for c in range(len(group)):
         if c in seen:
             continue
         pattern = {c: 1}
@@ -408,12 +397,12 @@ def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph,
         seen.add(c)
         while stack:
             u = stack.pop()
-            for w, rel in adj[u]:
+            for w in adj[u]:
                 if w not in pattern:
-                    pattern[w] = pattern[u] * rel
+                    pattern[w] = pattern[u] * rel[u][w]
                     seen.add(w)
                     stack.append(w)
-        comps.append(pattern)
+        comps.append({group[k]: sign for k, sign in pattern.items()})
     return comps
 
 
@@ -544,7 +533,8 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                         G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
     """Triplet magnitudes, sign resolution, and ratio fallback, in one pass."""
     vals = _pooled_magnitudes(moments.M, plan, cfg.eps_den, cfg.eps_acc)
-    mags = {c: float(vals[c]) for c in plan.partners if not np.isnan(vals[c])}
+    found = np.flatnonzero(~np.isnan(vals))
+    mags = dict(zip(found.tolist(), vals[found].tolist()))
     signed, sign_diag = resolve_signs(
         mags, moments.M, G, cfg,
         first_moments=moments.first_moments, prior=moments.prior,
@@ -573,9 +563,8 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
         method[c] = "ratio"
         fallback_used.append(c // 2)
 
-    for c in range(0, n_cols, 2):
-        values[c + 1] = -values[c]
-        method[c + 1] = "mirror"
+    values[1::2] = -values[0::2]
+    method[1::2] = ["mirror"] * (n_cols // 2)
 
     if floored:
         warnings.warn(

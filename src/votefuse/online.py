@@ -10,9 +10,8 @@ does not grow with the stream length.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .graph import (AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMode
                     build_junction_tree, validate_graph)
 from .inference import marginal_positives, posterior
 from .moments import RunningStats, enumerate_triplets, tracked_statistics
-from .recovery import recover_from_moments
+from .recovery import compile_cliques, recover_from_moments
 
 
 @dataclass
@@ -38,11 +37,13 @@ class StepResult:
 class RollingState:
     """Single-writer streaming estimator state.
 
-    Keeps the last W augmented rows in a buffer plus running integer sums of
-    every windowed statistic. ``window=None`` means cumulative estimation
-    (never evict). Parameters recovered at each step are immutable snapshots;
-    on a failed window the last valid snapshot is reused and the step is
-    flagged stale.
+    Keeps the last W augmented rows in one int8 ring buffer plus running
+    integer sums of every windowed statistic. ``window=None`` means
+    cumulative estimation (never evict). The buffer grows by doubling up to
+    W rows (without bound when cumulative). Everything that depends on the
+    graph alone is built at construction. Parameters recovered at each step
+    are immutable snapshots; on a failed window the last valid snapshot is
+    reused and the step is flagged stale.
     """
 
     def __init__(self, g: DependencyGraph, cfg: RunConfig = RunConfig(),
@@ -57,12 +58,14 @@ class RollingState:
         if self.window is not None and self.warmup > self.window:
             self.warmup = self.window
         self.jtree = build_junction_tree(self.graph)
+        compile_cliques(self.jtree)
         self.aug_graph = augment_graph(self.graph)
         self.plan = enumerate_triplets(self.aug_graph, cfg)
         self.stats = RunningStats(m, *tracked_statistics(self.graph))
         self.t = 0
         self.abstain_ordinals = np.zeros(m, dtype=np.int64)
-        self._rows: Deque[np.ndarray] = deque()  # augmented rows, oldest first
+        # the augmented row of step t sits at t % len(self._rows)
+        self._rows = np.empty((min(window or 64, 64), 2 * m), dtype=np.int8)
         self.last_params: Optional[LabelModelParameters] = None
         self.stale_steps = 0
         self._stale_warned = False
@@ -71,12 +74,12 @@ class RollingState:
 
     @property
     def buffered(self) -> int:
-        return len(self._rows)
+        return min(self.t, len(self._rows))
 
     def window_rows(self) -> np.ndarray:
         """Raw vote rows currently inside the window (oldest first)."""
-        aug = np.array(self._rows, dtype=np.int8).reshape(-1, 2 * self.graph.n_sources)
-        return AugmentedLabelMatrix(aug).collapse().votes
+        idx = (self.t + np.arange(-self.buffered, 0)) % len(self._rows)
+        return AugmentedLabelMatrix(self._rows[idx]).collapse().votes
 
     def window_policy(self) -> AbstainPolicy:
         """A policy whose per-column phase reproduces this stream's abstain
@@ -98,9 +101,13 @@ class RollingState:
         row = raw.astype(np.int8)
         aug = augment_row(row, self.cfg.policy, self.abstain_ordinals)
         self.stats.add(aug)
-        self._rows.append(aug)
-        if self.window is not None and len(self._rows) > self.window:
-            self.stats.remove(self._rows.popleft())
+        if self.t == len(self._rows) and self.t != self.window:  # grow; nothing evicted yet
+            grown = min(2 * self.t, self.window or 2 * self.t)
+            self._rows = np.resize(self._rows, (grown, self._rows.shape[1]))
+        slot = self.t % len(self._rows)
+        if self.t >= len(self._rows):  # the window is full: evict its oldest row
+            self.stats.remove(self._rows[slot])
+        self._rows[slot] = aug
         self.t += 1
 
         prior_pos = np.array([prior_t.p_pos(d) for d in range(self.graph.n_tasks)])

@@ -9,6 +9,15 @@ order (per source: absent, then in Z, then in U; the task alternates between
 absent and in Z). A_s and the companion B_s (same events with product = -1)
 are built by a Kronecker recursion from 2x2 bases, and A_s is invertible, so
 the marginal is a single solve.
+
+What depends on the junction tree alone is compiled once per tree by
+``compile_cliques`` and cached on it: the source cliques grouped by source
+count, with the columns, vote marginals and cross-tabs each one reads, the
+source pairs whose abstain-conditioned accuracies they need, and each
+separator's host clique. A fit is then a batched solve: per clique size, one
+right-hand-side matrix with a row per clique, one clamp into [0, 1], one
+product with A_s^{-1} and one clip-and-renormalise, with no Python per
+clique.
 """
 
 from __future__ import annotations
@@ -21,13 +30,7 @@ import numpy as np
 
 from .augment import AugmentedGraph, augment_graph, augment_matrix
 from .config import RunConfig
-from .errors import (
-    EstimationWarning,
-    NoUsableTriplet,
-    NumericalInstability,
-    TooFewAbstainRows,
-    UnsupportedCliqueSize,
-)
+from .errors import EstimationWarning, NoUsableTriplet, NumericalInstability, TooFewAbstainRows
 from .graph import (
     ClassPrior,
     DependencyGraph,
@@ -74,10 +77,6 @@ class TransformPair:
     B: np.ndarray
     A_inv: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return 2 * 3 ** self.s
-
 
 _transform_cache: Dict[int, TransformPair] = {}
 
@@ -104,164 +103,182 @@ def mu_flatten(table: np.ndarray) -> np.ndarray:
 
 
 def mu_unflatten(flat: np.ndarray, s: int) -> np.ndarray:
-    arr = flat.reshape((3,) * s + (2,))
-    order = tuple(range(arr.ndim - 1, -1, -1))
+    """Transform-order vectors (the last axis) -> clique tables; leading axes
+    are kept, so a stack of vectors becomes a stack of tables."""
+    lead = flat.ndim - 1
+    arr = flat.reshape(flat.shape[:-1] + (3,) * s + (2,))
+    order = tuple(range(lead)) + tuple(range(arr.ndim - 1, lead - 1, -1))
     return np.ascontiguousarray(np.transpose(arr, order))
 
 
 # ---------------------------------------------------------------------------
-# clique expectations
+# the compiled junction tree
 # ---------------------------------------------------------------------------
 
+# a raw solution outside [-INSTABILITY, 1 + INSTABILITY] is rejected
+INSTABILITY = 0.05
+
+
 @dataclass(frozen=True)
-class CliqueExpectation:
-    """E[prod of member votes * task] for a clique of one or two sources."""
+class CliqueGroup:
+    """The source cliques with ``T.s`` sources, in junction-tree order:
+    ``tasks[k]`` is clique k's task, ``cols[t, k]`` the vote-tracking column
+    of its t-th source (ascending) and, for two sources, ``pairs[k]`` its
+    cross-tab key."""
 
-    clique: VarSet
-    value: float
+    T: TransformPair
+    cliques: Tuple[VarSet, ...]
+    tasks: np.ndarray
+    cols: np.ndarray
+    pairs: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self):
-        if abs(self.value) > 1 + 1e-9:
-            raise ValueError("clique expectation must lie in [-1, 1]")
+
+@dataclass(frozen=True)
+class CompiledCliques:
+    """The part of clique recovery that depends on the junction tree only.
+
+    ``groups`` holds the source cliques by source count; ``cliques`` and
+    ``labels`` list them in tree order, and ``order[k]`` is the position of
+    the k-th of them in the groups' concatenation. ``cond_pairs`` lists the
+    (target, conditioning source) pairs whose abstain-conditioned accuracy
+    the two-source cliques need, (j, i) then (i, j) for each, and
+    ``separators`` pairs every separator with the clique it is marginalised
+    from (None for task-only separators).
+    """
+
+    groups: Tuple[CliqueGroup, ...]
+    cliques: Tuple[VarSet, ...]
+    labels: Tuple[str, ...]
+    order: np.ndarray
+    cond_pairs: Tuple[Tuple[int, int], ...]
+    separators: Tuple[Tuple[VarSet, Optional[VarSet]], ...]
 
 
-def clique_expectation(clique: VarSet, acc: Accuracies, M: MomentEstimates,
-                       prior: ClassPrior) -> CliqueExpectation:
-    """Single sources pass their accuracy through; a pair's product with the
-    task splits as E[v_i v_j] * E[Y] by the even-parity independence of the
-    pair product from the task."""
-    srcs = clique.sources
-    if len(srcs) == 1:
-        value = float(acc.values[2 * srcs[0]])
-    elif len(srcs) == 2:
-        i, j = srcs
-        value = float(M.M[2 * i, 2 * j] * prior.task_mean(clique.tasks[0]))
-    else:
-        raise UnsupportedCliqueSize(
-            f"clique {clique.label()} has {len(srcs)} sources; supported sizes "
-            f"are 1 and 2"
-        )
-    return CliqueExpectation(clique=clique, value=float(np.clip(value, -1.0, 1.0)))
+def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
+    """Compile the clique recovery of ``jtree`` and cache it on the tree.
+    Its source cliques have one or two sources: ``build_junction_tree``
+    rejects any other shape."""
+    source = jtree.source_cliques()
+    groups = []
+    for s in (1, 2):
+        members = tuple(c for c in source if len(c.sources) == s)
+        if members:
+            groups.append(CliqueGroup(
+                T=build_transform(s), cliques=members,
+                tasks=np.array([c.tasks[0] for c in members]),
+                cols=2 * np.array([c.sources for c in members]).T,
+                pairs=tuple(c.sources for c in members) if s == 2 else ()))
+    position = {c: k for k, c in enumerate(c for grp in groups for c in grp.cliques)}
+    pairs = [c.sources for c in source if len(c.sources) == 2]
+    compiled = CompiledCliques(
+        groups=tuple(groups),
+        cliques=source,
+        labels=tuple(c.label() for c in source),
+        order=np.array([position[c] for c in source], dtype=np.intp),
+        cond_pairs=tuple(p for i, j in pairs for p in ((j, i), (i, j))),
+        separators=tuple(
+            (sep, next(c for c in jtree.cliques if sep <= c and c.sources)
+             if sep.sources else None)
+            for sep, _deg in jtree.separators),
+    )
+    jtree.__dict__["_compiled_cliques"] = compiled
+    return compiled
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RhsVector:
-    """Right-hand side r_C in the transform's positional order."""
-
-    clique: VarSet
-    entries: np.ndarray
-    clamped: float = 0.0  # largest amount any entry was pulled back into [0, 1]
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        lo, hi = float(np.min(e)), float(np.max(e))
-        clamp = max(0.0, -lo, hi - 1.0)
-        if clamp > 0:
-            e = np.clip(e, 0.0, 1.0)
-        self.entries = e
-        self.clamped = clamp
+def clique_expectations(grp: CliqueGroup, acc: np.ndarray, M: np.ndarray,
+                        means: np.ndarray) -> np.ndarray:
+    """E[vote * task] for each source of ``grp``'s cliques, one row per
+    source: its accuracy, from ``acc`` per column. For two sources a third
+    row holds E[v_i v_j * task], which splits as E[v_i v_j] * E[Y] by the
+    even-parity independence of the pair product from the task; ``means[d]``
+    is E[Y_d]. Clipped to [-1, 1]."""
+    value = acc[grp.cols]
+    if grp.T.s == 2:
+        value = np.vstack([value, M[grp.cols[0], grp.cols[1]] * means[grp.tasks]])
+    return np.clip(value, -1.0, 1.0)
 
 
-def _p_vote_product_one(exp_value: float, p_zero: float) -> float:
-    """P(product of votes * task = 1) from E[product * task] and P(product = 0)."""
-    return 0.5 * (exp_value + 1.0 - p_zero)
-
-
-def assemble_rhs(clique: VarSet, exps: Dict[VarSet, CliqueExpectation],
-                 moments: MomentEstimates,
-                 cond_acc: Dict[Tuple[int, int], float],
-                 prior: ClassPrior) -> RhsVector:
-    """Fill r_C for a clique of one task and one or two sources.
+def clique_rhs(grp: CliqueGroup, acc: np.ndarray, moments: MomentEstimates,
+               cond: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """The right-hand sides r_C of ``grp``'s cliques before clamping, one
+    column per clique.
 
     Unobservable entries decompose into clique expectations, abstain rates,
-    the prior, and (for pairs) accuracies conditioned on the partner
-    abstaining; everything else is read straight off the vote statistics.
+    the prior, and (for pairs) the accuracies ``cond`` conditioned on the
+    partner abstaining, ordered as ``CompiledCliques.cond_pairs``;
+    everything else is read straight off the vote statistics.
     """
-    d = clique.tasks[0]
-    p_y = prior.p_pos(d)
-    srcs = clique.sources
-    if len(srcs) == 1:
-        i = srcs[0]
-        z = float(moments.abstain_rates[i])
-        a_i = exps[VarSet((d,), (i,))].value
-        r = np.array([
-            1.0,
-            p_y,
-            moments.p_vote(i, 1),
-            _p_vote_product_one(a_i, z),
-            z,
-            z * p_y,
-        ])
-        return RhsVector(clique=clique, entries=r)
-
-    if len(srcs) != 2:
-        raise UnsupportedCliqueSize(
-            f"cannot assemble a right-hand side for {clique.label()}"
-        )
-    i, j = srcs
-    z_i = float(moments.abstain_rates[i])
-    z_j = float(moments.abstain_rates[j])
-    pair = moments.pair_table(i, j)  # rows: i in {+1,0,-1}, cols: j
-    z_ij = float(pair[1, 1])
-    a_i = exps[VarSet((d,), (i,))].value
-    a_j = exps[VarSet((d,), (j,))].value
-    a_ij = exps[VarSet((d,), (i, j))].value
-    p_prod_pos = float(pair[0, 0] + pair[2, 2])      # P(lambda_i lambda_j = 1)
-    p_prod_zero = z_i + z_j - z_ij                   # P(lambda_i lambda_j = 0)
-    e_j_cond_i = cond_acc[(j, i)]
-    e_i_cond_j = cond_acc[(i, j)]
-    r = np.array([
-        1.0,
-        p_y,
-        moments.p_vote(i, 1),
-        _p_vote_product_one(a_i, z_i),
-        z_i,
-        z_i * p_y,
-        moments.p_vote(j, 1),
-        _p_vote_product_one(a_j, z_j),
-        p_prod_pos,
-        _p_vote_product_one(a_ij, p_prod_zero),
-        float(pair[1, 0]),                            # P(i = 0, j = +1)
-        0.5 * (z_i + e_j_cond_i * z_i - z_ij),
-        z_j,
-        z_j * p_y,
-        float(pair[0, 1]),                            # P(i = +1, j = 0)
-        0.5 * (z_j + e_i_cond_j * z_j - z_ij),
-        z_ij,
-        z_ij * p_y,
-    ])
-    return RhsVector(clique=clique, entries=r)
+    p_y = 0.5 * (1.0 + means[grp.tasks])
+    p_vote, z = moments.vote_marginals.T[:2, grp.cols // 2]   # P(+1), P(abstain)
+    zero = z                                                   # P(product = 0)
+    if grp.T.s == 2:
+        # (i's state, j's state, clique)
+        pair = np.array([moments.pair_tables[p] for p in grp.pairs]).transpose(1, 2, 0)
+        z_ij = pair[1, 1]
+        zero = np.vstack([z, z[0] + z[1] - z_ij])
+    # P(product * task = 1) for each source and, in row 2, the pair
+    p_one = 0.5 * (clique_expectations(grp, acc, moments.M, means) + 1.0 - zero)
+    rows = [np.ones_like(p_y), p_y, p_vote[0], p_one[0], z[0], z[0] * p_y]
+    if grp.T.s == 2:
+        e_j, e_i = cond.reshape(-1, 2).T                       # E[j Y | i = 0], E[i Y | j = 0]
+        rows += [
+            p_vote[1], p_one[1], pair[0, 0] + pair[2, 2], p_one[2],
+            pair[1, 0], 0.5 * (z[0] + e_j * z[0] - z_ij),      # P(i = 0, j = +1), ...
+            z[1], z[1] * p_y,
+            pair[0, 1], 0.5 * (z[1] + e_i * z[1] - z_ij),      # P(i = +1, j = 0), ...
+            z_ij, z_ij * p_y,
+        ]
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
 # marginal solve
 # ---------------------------------------------------------------------------
 
-def solve_marginal(T: TransformPair, r: RhsVector,
-                   instability: float = 0.05) -> Tuple[np.ndarray, float]:
-    """mu = A_s^{-1} r, clipped to [0, 1] and renormalized.
+def solve_cliques(compiled: CompiledCliques, rhs) -> Tuple[
+        Dict[VarSet, np.ndarray], Dict[str, float], Dict[str, float]]:
+    """Solve every source clique from its right-hand side, one matrix per
+    group of ``compiled`` with a column per clique: clamp r into [0, 1],
+    mu = A_s^{-1} r, clip negative entries and renormalise.
 
-    Returns the clique table plus the largest clip magnitude; raises when the
-    raw solution leaves [-instability, 1 + instability].
+    Returns the tables, then the largest clip of each raw solution and the
+    largest clamp of each r by clique label, all in tree order. Raises
+    NumericalInstability naming the first clique in tree order whose raw
+    solution leaves [-INSTABILITY, 1 + INSTABILITY] or has no mass.
     """
-    mu = T.A_inv @ r.entries
-    lo, hi = float(mu.min()), float(mu.max())
-    if lo < -instability or hi > 1.0 + instability:
-        raise NumericalInstability(
-            f"marginal for {r.clique.label()} solved to range "
-            f"[{lo:.4f}, {hi:.4f}]"
-        )
-    clip = max(0.0, -lo, hi - 1.0)
-    mu = np.clip(mu, 0.0, None)
-    total = float(mu.sum())
-    if total <= 0.0:
-        raise NumericalInstability(f"marginal for {r.clique.label()} has no mass")
-    mu /= total
-    return mu_unflatten(mu, len(r.clique.sources)), clip
+    if not compiled.groups:
+        return {}, {}, {}
+    sols, lo, hi, total, clamp = [], [], [], [], []
+    for grp, R in zip(compiled.groups, rhs):
+        clamped = np.clip(R, 0.0, 1.0)
+        clamp.append(np.abs(R - clamped).max(axis=0))
+        mu = grp.T.A_inv @ clamped
+        lo.append(mu.min(axis=0))
+        hi.append(mu.max(axis=0))
+        np.maximum(mu, 0.0, out=mu)
+        total.append(mu.sum(axis=0))
+        sols.append(mu)
+    order = compiled.order
+    lo, hi, clamp = (np.concatenate(x)[order] for x in (lo, hi, clamp))
+    in_range = (lo >= -INSTABILITY) & (hi <= 1.0 + INSTABILITY)
+    if not in_range.all() or min(t.min() for t in total) <= 0.0:
+        k = int(np.argmax(~in_range | (np.concatenate(total)[order] <= 0.0)))
+        label = compiled.labels[k]
+        what = ("has no mass" if in_range[k]
+                else f"solved to range [{lo[k]:.4f}, {hi[k]:.4f}]")
+        raise NumericalInstability(f"marginal for {label} {what} (clique {label})")
+    tables = []
+    for grp, mu, t in zip(compiled.groups, sols, total):
+        mu /= t
+        tables.extend(mu_unflatten(mu.T, grp.T.s))
+    clip = np.maximum(0.0, np.maximum(-lo, hi - 1.0))
+    return ({c: tables[k] for c, k in zip(compiled.cliques, order.tolist())},
+            dict(zip(compiled.labels, clip.tolist())),
+            dict(zip(compiled.labels, clamp.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -311,40 +328,33 @@ class RecoveryDiagnostics:
 # full recovery
 # ---------------------------------------------------------------------------
 
-def _conditional_accuracies(jtree: JunctionTree, moments: MomentEstimates,
-                            plan: TripletPlan, G: AugmentedGraph,
-                            acc: Accuracies, cfg: RunConfig,
-                            diag: RecoveryDiagnostics) -> Dict[Tuple[int, int], float]:
-    """E[lambda_t Y | lambda_c = 0] for both orientations of every source pair
-    appearing in a clique; substitutes the unconditional accuracy when the
-    restricted estimate is unavailable."""
-    out: Dict[Tuple[int, int], float] = {}
-    for clique in jtree.source_cliques():
-        if len(clique.sources) != 2:
+def _conditional_accuracies(pairs: Tuple[Tuple[int, int], ...],
+                            moments: MomentEstimates, plan: TripletPlan,
+                            G: AugmentedGraph, acc: Accuracies, cfg: RunConfig,
+                            diag: RecoveryDiagnostics) -> np.ndarray:
+    """E[lambda_t Y | lambda_c = 0] for every (t, c) in ``pairs``;
+    substitutes the unconditional accuracy when the restricted estimate is
+    unavailable."""
+    out = np.empty(len(pairs))
+    for k, (target, cond) in enumerate(pairs):
+        hint = float(acc.values[2 * target])
+        if moments.abstain_rates[cond] == 0.0:
+            # every entry using this value carries a P(cond abstains) = 0
+            # factor, so the substitution is exact and not worth a warning
+            out[k] = hint
             continue
-        i, j = clique.sources
-        for target, cond in ((j, i), (i, j)):
-            if (target, cond) in out:
-                continue
-            hint = float(acc.values[2 * target])
-            if moments.abstain_rates[cond] == 0.0:
-                # every entry using this value carries a P(cond abstains) = 0
-                # factor, so the substitution is exact and not worth a warning
-                out[(target, cond)] = hint
-                continue
-            try:
-                val = conditional_accuracy_from_stats(
-                    target, cond, moments, plan, G, cfg, sign_hint=hint)
-            except (TooFewAbstainRows, NoUsableTriplet) as exc:
-                val = hint
-                diag.conditional_substitutions.append(
-                    {"target": target + 1, "cond": cond + 1, "reason": str(exc)})
-                warnings.warn(
-                    f"substituting the unconditional accuracy of source "
-                    f"{target + 1} for its abstain-conditioned value: {exc}",
-                    EstimationWarning,
-                )
-            out[(target, cond)] = val
+        try:
+            out[k] = conditional_accuracy_from_stats(
+                target, cond, moments, plan, G, cfg, sign_hint=hint)
+        except (TooFewAbstainRows, NoUsableTriplet) as exc:
+            out[k] = hint
+            diag.conditional_substitutions.append(
+                {"target": target + 1, "cond": cond + 1, "reason": str(exc)})
+            warnings.warn(
+                f"substituting the unconditional accuracy of source "
+                f"{target + 1} for its abstain-conditioned value: {exc}",
+                EstimationWarning,
+            )
     return out
 
 
@@ -369,6 +379,7 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
         plan = enumerate_triplets(G, cfg)
     if acc is None:
         acc = estimate_accuracies(moments, plan, G, cfg)
+    compiled = jtree.__dict__.get("_compiled_cliques") or compile_cliques(jtree)
 
     diag = RecoveryDiagnostics(
         partner_pairs=acc.diagnostics.get("partner_pairs", {}),
@@ -377,41 +388,15 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
         floored_columns=acc.diagnostics.get("floored_columns", []),
     )
 
-    cond_acc = _conditional_accuracies(jtree, moments, plan, G, acc, cfg, diag)
+    cond = _conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc, cfg, diag)
+    means = np.array([prior.task_mean(d) for d in range(g.n_tasks)])
+    rhs = [clique_rhs(grp, acc.values, moments, cond, means) for grp in compiled.groups]
+    tables, diag.clip_magnitudes, diag.rhs_clamps = solve_cliques(compiled, rhs)
 
-    exps: Dict[VarSet, CliqueExpectation] = {}
-    for clique in jtree.source_cliques():
-        d = clique.tasks[0]
-        for i in clique.sources:
-            single = VarSet((d,), (i,))
-            if single not in exps:
-                exps[single] = clique_expectation(single, acc, moments, prior)
-        if len(clique.sources) == 2:
-            exps[clique] = clique_expectation(clique, acc, moments, prior)
-
-    cliques: Dict[VarSet, np.ndarray] = {}
-    for clique in jtree.cliques:
-        if not clique.sources:
-            cliques[clique] = prior.table(clique.tasks)
-            continue
-        try:
-            r = assemble_rhs(clique, exps, moments, cond_acc, prior)
-            T = build_transform(len(clique.sources))
-            table, clip = solve_marginal(T, r)
-        except NumericalInstability as exc:
-            raise NumericalInstability(f"{exc} (clique {clique.label()})") from exc
-        cliques[clique] = table
-        diag.clip_magnitudes[clique.label()] = clip
-        diag.rhs_clamps[clique.label()] = r.clamped
-
-    separators: Dict[VarSet, np.ndarray] = {}
-    for sep, _deg in jtree.separators:
-        if not sep.sources:
-            separators[sep] = prior.table(sep.tasks)
-            continue
-        host = next(c for c in jtree.cliques if sep <= c and c.sources)
-        separators[sep] = marginalize_table(host, cliques[host], sep)
-
+    cliques = {c: tables[c] if c.sources else prior.table(c.tasks) for c in jtree.cliques}
+    separators = {sep: prior.table(sep.tasks) if host is None
+                  else marginalize_table(host, cliques[host], sep)
+                  for sep, host in compiled.separators}
     return LabelModelParameters(graph=g, jtree=jtree, cliques=cliques,
                                 separators=separators, diagnostics=diag)
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from votefuse.graph import DependencyGraph
+from votefuse.errors import NumericalInstability
+from votefuse.graph import DependencyGraph, VarSet
+from votefuse.recovery import build_transform, mu_unflatten
 
 
 def child_env() -> dict:
@@ -33,6 +35,83 @@ def reference_augment(votes, policy):
         out[rows, 2 * j] = vals
         out[rows, 2 * j + 1] = vals
     return out
+
+
+def _reference_expectation(clique, acc, M, prior):
+    """E[prod of member votes * task]: a single source's accuracy, or
+    E[v_i v_j] * E[Y] for a pair; clipped to [-1, 1]."""
+    srcs = clique.sources
+    if len(srcs) == 1:
+        value = float(acc[2 * srcs[0]])
+    else:
+        i, j = srcs
+        value = float(M[2 * i, 2 * j] * prior.task_mean(clique.tasks[0]))
+    return float(np.clip(value, -1.0, 1.0))
+
+
+def _reference_rhs(clique, acc, moments, cond_acc, prior):
+    """r_C for one clique, clamped into [0, 1], and the clamp magnitude."""
+    d = clique.tasks[0]
+    p_y = prior.p_pos(d)
+    srcs = clique.sources
+
+    def p_one(exp_value, p_zero):
+        return 0.5 * (exp_value + 1.0 - p_zero)
+
+    def exp(*members):
+        return _reference_expectation(VarSet((d,), members), acc, moments.M, prior)
+
+    i = srcs[0]
+    z_i = float(moments.abstain_rates[i])
+    r = [1.0, p_y, float(moments.vote_marginals[i, 0]), p_one(exp(i), z_i), z_i, z_i * p_y]
+    if len(srcs) == 2:
+        j = srcs[1]
+        z_j = float(moments.abstain_rates[j])
+        pair = moments.pair_table(i, j)
+        z_ij = float(pair[1, 1])
+        r += [
+            float(moments.vote_marginals[j, 0]),
+            p_one(exp(j), z_j),
+            float(pair[0, 0] + pair[2, 2]),
+            p_one(exp(i, j), z_i + z_j - z_ij),
+            float(pair[1, 0]),
+            0.5 * (z_i + cond_acc[(j, i)] * z_i - z_ij),
+            z_j,
+            z_j * p_y,
+            float(pair[0, 1]),
+            0.5 * (z_j + cond_acc[(i, j)] * z_j - z_ij),
+            z_ij,
+            z_ij * p_y,
+        ]
+    e = np.array(r)
+    clamp = max(0.0, -float(e.min()), float(e.max()) - 1.0)
+    return (np.clip(e, 0.0, 1.0) if clamp > 0 else e), clamp
+
+
+def reference_clique_tables(jtree, acc, moments, cond_acc, prior, instability=0.05):
+    """The former per-clique recovery loop (expectation, right-hand side,
+    solve, one clique at a time), kept as the reference for the batched
+    solve. ``acc`` holds the accuracy per column and ``cond_acc`` maps
+    (target, cond) to E[l_target Y | l_cond = 0]. Returns the source-clique
+    tables and the clip and clamp magnitudes by label; raises
+    NumericalInstability for the first offending clique in tree order."""
+    tables, clips, clamps = {}, {}, {}
+    for clique in jtree.source_cliques():
+        label = clique.label()
+        r, clamp = _reference_rhs(clique, acc, moments, cond_acc, prior)
+        mu = build_transform(len(clique.sources)).A_inv @ r
+        lo, hi = float(mu.min()), float(mu.max())
+        if lo < -instability or hi > 1.0 + instability:
+            raise NumericalInstability(
+                f"marginal for {label} solved to range [{lo:.4f}, {hi:.4f}] (clique {label})")
+        mu = np.clip(mu, 0.0, None)
+        total = float(mu.sum())
+        if total <= 0.0:
+            raise NumericalInstability(f"marginal for {label} has no mass (clique {label})")
+        tables[clique] = mu_unflatten(mu / total, len(clique.sources))
+        clips[label] = max(0.0, -lo, hi - 1.0)
+        clamps[label] = clamp
+    return tables, clips, clamps
 
 
 def star(m: int) -> DependencyGraph:

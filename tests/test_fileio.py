@@ -100,6 +100,11 @@ class TestLabelCsv:
         fileio.write_label_csv(path, votes)
         np.testing.assert_array_equal(fileio.read_label_csv(path), votes)
 
+    @pytest.mark.parametrize("bad", [2, -2])
+    def test_writer_rejects_non_votes(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="-1, 0 or \\+1"):
+            fileio.write_label_csv(tmp_path / "votes.csv", np.array([[1, bad]]))
+
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "votes.csv"
         path.write_text("s1,s2\n1,0\n-1,1\n")

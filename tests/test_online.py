@@ -1,10 +1,13 @@
 import time
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from votefuse.augment import augment_graph, augment_matrix
+from votefuse import online, recovery
+from votefuse.augment import AbstainPolicy, AugmentedGraph, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import ConfigError, EstimationWarning
 from votefuse.graph import ClassPrior, LabelMatrix
@@ -94,7 +97,76 @@ class TestWindowedStatistics:
         assert state.stats.n == 250
 
 
+    @pytest.mark.parametrize("window", [7, None])
+    def test_window_rows_and_policy_follow_the_input(self, window):
+        # the ring wraps (window 7) and the cumulative buffer grows past its
+        # first capacity; both keep returning the rows of the window
+        rows = np.random.default_rng(18).integers(-1, 2, size=(150, 4)).astype(np.int8)
+        state = RollingState(star(4), RunConfig(), window=window, warmup=1000)
+        prior = ClassPrior.from_balance(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)  # 7-row fits are unusable
+            for t in range(150):
+                state.step(rows[t], prior)
+                lo = 0 if window is None else max(0, t + 1 - window)
+                np.testing.assert_array_equal(state.window_rows(), rows[lo:t + 1])
+                assert state.window_policy() == AbstainPolicy(
+                    phase=tuple(int(v) for v in (rows[:lo] == 0).sum(axis=0)))
+
+    def test_cumulative_buffer_memory_per_step(self):
+        rows = np.random.default_rng(19).integers(-1, 2, size=(20_000, 8)).astype(np.int8)
+        prior = ClassPrior.from_balance(0.5)
+        state = RollingState(star(8), RunConfig(), window=None, warmup=30_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for row in rows:
+                state.step(row, prior)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert state.buffered == 20_000
+        assert held / 20_000 < 40, f"{held / 20_000:.0f} B per step"
+
+
 class TestStep:
+    def test_step_does_no_per_graph_work(self):
+        g = star_with_edges(8, [(0, 1)])
+        j = enumerate_joint(random_model(g, seed=20))
+        L, _ = sample(j, 400, seed=21)
+        prior = j.prior()
+        counted = {
+            "build_transform": (recovery, "build_transform"),
+            "compile_cliques": (recovery, "compile_cliques"),
+            "enumerate_triplets": (recovery, "enumerate_triplets"),
+            "enumerate_triplets (online)": (online, "enumerate_triplets"),
+            "compile_cliques (online)": (online, "compile_cliques"),
+            "columns_dependent": (AugmentedGraph, "columns_dependent"),
+        }
+
+        def run(steps, state=None):
+            patches = {name: mock.patch.object(owner, attr, autospec=True,
+                                               side_effect=getattr(owner, attr))
+                       for name, (owner, attr) in counted.items()}
+            mocks = {name: p.start() for name, p in patches.items()}
+            try:
+                state = state or RollingState(g, RunConfig(), window=300, warmup=200)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", EstimationWarning)  # some windows fail
+                    fresh = sum(not state.step(L.votes[t], prior).stale for t in steps)
+            finally:
+                for p in patches.values():
+                    p.stop()
+            return state, fresh, {name: m.call_count for name, m in mocks.items()}
+
+        state, _, at_build = run(range(250))
+        assert at_build["compile_cliques (online)"] == 1
+        assert at_build["enumerate_triplets (online)"] == 1
+        assert at_build["build_transform"] > 0
+        _, fresh, per_step = run(range(250, 300), state)
+        assert fresh > 0
+        assert per_step == dict.fromkeys(counted, 0)
+
     def test_warmup_returns_prior(self):
         g = star(3)
         state = RollingState(g, RunConfig(), window=200, warmup=150)

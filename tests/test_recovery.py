@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from votefuse.config import RunConfig
-from votefuse.errors import NumericalInstability, UnsupportedCliqueSize
+from votefuse import recovery
+from votefuse.augment import augment_graph, augment_matrix
+from votefuse.errors import EstimationWarning, NumericalInstability, UnsupportedCliqueSize, VoteFuseError
 from votefuse.graph import (
     ClassPrior,
     DependencyGraph,
@@ -19,18 +25,20 @@ from votefuse.oracle import (
     sample,
 )
 from votefuse.recovery import (
-    RhsVector,
-    assemble_rhs,
     build_transform,
-    clique_expectation,
+    clique_expectations,
+    clique_rhs,
+    compile_cliques,
     mu_flatten,
     mu_unflatten,
     recover_from_moments,
     recover_parameters,
-    solve_marginal,
+    solve_cliques,
 )
 
-from conftest import acceptance_grid, star, star_with_edges
+from votefuse.moments import enumerate_triplets, estimate_accuracies, estimate_moments
+
+from conftest import acceptance_grid, reference_clique_tables, star, star_with_edges
 
 # the displayed single-source transform, frozen
 A1_EXPECTED = np.array([
@@ -117,6 +125,12 @@ class TestTransformIdentity:
         np.testing.assert_array_equal(mu_unflatten(mu_flatten(tbl), 2), tbl)
 
 
+def _group(g, s):
+    """The compiled group of ``g``'s cliques with ``s`` sources."""
+    compiled = compile_cliques(build_junction_tree(validate_graph(g)))
+    return next(grp for grp in compiled.groups if grp.T.s == s)
+
+
 class TestCliqueExpectation:
     def test_pair_product_rule(self):
         # E[v_i v_j] = 0.42 and E[Y] = 0.2 give 0.084
@@ -125,23 +139,17 @@ class TestCliqueExpectation:
         me = j.moment_estimates()
         me.M[0, 2] = me.M[2, 0] = 0.42
         prior = ClassPrior.from_balance(0.6)  # E[Y] = 0.2
-
-        class FakeAcc:
-            values = np.zeros(4)
-
-        exp = clique_expectation(VarSet((0,), (0, 1)), FakeAcc(), me, prior)
-        assert exp.value == pytest.approx(0.084)
+        exp = clique_expectations(_group(g, 2), np.zeros(4), me.M,
+                                  np.array([prior.task_mean(0)]))
+        assert exp[2, 0] == pytest.approx(0.084)
 
     def test_single_source_passthrough(self):
         g = star(3)
         j = enumerate_joint(random_model(g, seed=1))
         me = j.moment_estimates()
-
-        class FakeAcc:
-            values = np.array([0.61, -0.61, 0.2, -0.2, 0.3, -0.3])
-
-        exp = clique_expectation(VarSet((0,), (0,)), FakeAcc(), me, j.prior())
-        assert exp.value == 0.61
+        values = np.array([0.61, -0.61, 0.2, -0.2, 0.3, -0.3])
+        exp = clique_expectations(_group(g, 1), values, me.M, np.array([0.0]))
+        assert exp[0, 0] == 0.61
 
     def test_matches_enumerated_pair_expectation(self):
         g = star_with_edges(3, [(0, 1)])
@@ -151,23 +159,15 @@ class TestCliqueExpectation:
             p = j.p_full
             truth = float(np.dot(p, j.lambda_value(0) * j.lambda_value(1)
                                  * j.task_value(0)))
-
-            class FakeAcc:
-                values = j.column_accuracies()
-
-            exp = clique_expectation(VarSet((0,), (0, 1)), FakeAcc(), me, j.prior())
-            assert exp.value == pytest.approx(truth, abs=1e-10)
+            exp = clique_expectations(_group(g, 2), j.column_accuracies(), me.M,
+                                      np.array([j.prior().task_mean(0)]))
+            assert exp[2, 0] == pytest.approx(truth, abs=1e-10)
 
     def test_three_sources_rejected(self):
-        g = star(3)
-        j = enumerate_joint(random_model(g, seed=1))
-
-        class FakeAcc:
-            values = np.zeros(6)
-
+        # a clique of three sources never reaches the recovery: the junction
+        # tree refuses it
         with pytest.raises(UnsupportedCliqueSize):
-            clique_expectation(VarSet((0,), (0, 1, 2)), FakeAcc(), j.moment_estimates(),
-                               j.prior())
+            build_junction_tree(star_with_edges(3, [(0, 1), (0, 2), (1, 2)]))
 
 
 class TestAssembleRhs:
@@ -175,21 +175,15 @@ class TestAssembleRhs:
         g = star(1)
         th = CanonicalParameters(graph=g, theta_task=(0.0,), theta_acc=(0.5,),
                                  abstaining=False)
-        j = enumerate_joint(th)
-        me = j.moment_estimates()
-        a = float(j.accuracies()[0])
-        exps = {VarSet((0,), (0,)): clique_expectation(
-            VarSet((0,), (0,)), type("A", (), {"values": j.column_accuracies()}),
-            me, ClassPrior.from_balance(0.5))}
-        # rebuild with a pinned accuracy of 0.6 for the frozen value
-        exps[VarSet((0,), (0,))] = type(exps[VarSet((0,), (0,))])(
-            clique=VarSet((0,), (0,)), value=0.6)
-        r = assemble_rhs(VarSet((0,), (0,)), exps, me, {}, ClassPrior.from_balance(0.5))
-        assert r.entries[0] == 1.0
-        assert r.entries[1] == 0.5
-        assert r.entries[3] == pytest.approx(0.5 * (0.6 - 0.0 + 1.0))  # = 0.8
-        assert r.entries[4] == 0.0
-        assert r.entries[5] == 0.0
+        me = enumerate_joint(th).moment_estimates()
+        # a pinned accuracy of 0.6 for the frozen value, under E[Y] = 0
+        r = clique_rhs(_group(g, 1), np.array([0.6, -0.6]), me, np.empty(0),
+                       np.array([0.0]))[:, 0]
+        assert r[0] == 1.0
+        assert r[1] == 0.5
+        assert r[3] == pytest.approx(0.5 * (0.6 - 0.0 + 1.0))  # = 0.8
+        assert r[4] == 0.0
+        assert r[5] == 0.0
 
     def test_always_abstaining_source(self):
         g = star(1)
@@ -198,32 +192,20 @@ class TestAssembleRhs:
         from votefuse.moments import estimate_moments
         me = estimate_moments(augment_matrix(LabelMatrix(votes)),
                               ClassPrior.from_balance(0.5))
-        exps = {VarSet((0,), (0,)): type("E", (), {"value": 0.0})()}
-        from votefuse.recovery import CliqueExpectation
-        exps = {VarSet((0,), (0,)): CliqueExpectation(VarSet((0,), (0,)), 0.0)}
-        r = assemble_rhs(VarSet((0,), (0,)), exps, me, {}, ClassPrior.from_balance(0.5))
-        assert r.entries[4] == 1.0                     # P(abstain) = 1
-        assert r.entries[3] == pytest.approx(0.0)      # P(lambda Y = 1) = 0
+        r = clique_rhs(_group(g, 1), np.zeros(2), me, np.empty(0),
+                       np.array([0.0]))[:, 0]
+        assert r[4] == 1.0                     # P(abstain) = 1
+        assert r[3] == pytest.approx(0.0)      # P(lambda Y = 1) = 0
 
     def test_matches_enumerated_probabilities(self):
         g = star_with_edges(2, [(0, 1)])
+        compiled = compile_cliques(build_junction_tree(g))
         for seed in range(5):
             j = enumerate_joint(random_model(g, seed=seed))
-            me = j.moment_estimates()
-            from votefuse.recovery import CliqueExpectation
-            accs = j.accuracies()
-            pair_truth = float(np.dot(j.p_full, j.lambda_value(0) * j.lambda_value(1)
-                                      * j.task_value(0)))
-            exps = {
-                VarSet((0,), (0,)): CliqueExpectation(VarSet((0,), (0,)), accs[0]),
-                VarSet((0,), (1,)): CliqueExpectation(VarSet((0,), (1,)), accs[1]),
-                VarSet((0,), (0, 1)): CliqueExpectation(VarSet((0,), (0, 1)), pair_truth),
-            }
-            cond = {(1, 0): j.conditional_accuracy(1, 0),
-                    (0, 1): j.conditional_accuracy(0, 1)}
-            r = assemble_rhs(VarSet((0,), (0, 1)), exps, me, cond, j.prior())
-            np.testing.assert_allclose(r.entries, _r_direct(j, 0, (0, 1), 1),
-                                       atol=1e-10)
+            cond = np.array([j.conditional_accuracy(t, c) for t, c in compiled.cond_pairs])
+            r = clique_rhs(compiled.groups[0], j.column_accuracies(), j.moment_estimates(),
+                           cond, np.array([j.prior().task_mean(0)]))[:, 0]
+            np.testing.assert_allclose(r, _r_direct(j, 0, (0, 1), 1), atol=1e-10)
 
 
 class TestSolveMarginal:
@@ -231,32 +213,104 @@ class TestSolveMarginal:
         g = star_with_edges(2, [(0, 1)])
         j = enumerate_joint(random_model(g, seed=4))
         vs = VarSet((0,), (0, 1))
-        r = RhsVector(clique=vs, entries=_r_direct(j, 0, (0, 1), 1))
-        table, clip = solve_marginal(build_transform(2), r)
-        np.testing.assert_allclose(table, j.clique_table(vs), atol=1e-9)
-        assert clip == pytest.approx(0.0, abs=1e-12)
+        compiled = compile_cliques(build_junction_tree(g))
+        tables, clip, _ = solve_cliques(compiled, [_r_direct(j, 0, (0, 1), 1)[:, None]])
+        np.testing.assert_allclose(tables[vs], j.clique_table(vs), atol=1e-9)
+        assert clip[vs.label()] == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_source(self):
-        r = RhsVector(clique=VarSet((0,), (0,)),
-                      entries=np.array([1.0, 0.5, 0.5, 1.0, 0.0, 0.0]))
-        table, _ = solve_marginal(build_transform(1), r)
+        r = np.array([1.0, 0.5, 0.5, 1.0, 0.0, 0.0])
+        tables, _, _ = solve_cliques(_compiled_star1(), [r[:, None]])
+        table = tables[VarSet((0,), (0,))]
         assert table[0, 0] == pytest.approx(0.5)   # mu(Y=1, vote=1)
         assert table[1, 2] == pytest.approx(0.5)   # mu(Y=-1, vote=-1)
         assert abs(table).sum() == pytest.approx(1.0)
 
     def test_always_abstaining_source(self):
-        r = RhsVector(clique=VarSet((0,), (0,)),
-                      entries=np.array([1.0, 0.6, 0.0, 0.0, 1.0, 0.6]))
-        table, _ = solve_marginal(build_transform(1), r)
+        r = np.array([1.0, 0.6, 0.0, 0.0, 1.0, 0.6])
+        tables, _, _ = solve_cliques(_compiled_star1(), [r[:, None]])
+        table = tables[VarSet((0,), (0,))]
         assert table[0, 1] == pytest.approx(0.6)   # mass only on abstain states
         assert table[1, 1] == pytest.approx(0.4)
         assert table[:, (0, 2)].sum() == pytest.approx(0.0)
 
     def test_instability_raises(self):
-        r = RhsVector(clique=VarSet((0,), (0,)),
-                      entries=np.array([1.0, 0.5, 0.9, 0.9, 0.4, 0.0]))
-        with pytest.raises(NumericalInstability):
-            solve_marginal(build_transform(1), r)
+        r = np.array([1.0, 0.5, 0.9, 0.9, 0.4, 0.0])
+        with pytest.raises(NumericalInstability, match=r"\{Y1,L1\} solved to range"):
+            solve_cliques(_compiled_star1(), [r[:, None]])
+
+    def test_instability_names_first_clique_in_tree_order(self):
+        # {Y1,L1,L2} precedes {Y1,L3} in the tree but is solved in the
+        # second group; with both unstable, the error names it
+        compiled = compile_cliques(build_junction_tree(star_with_edges(3, [(0, 1)])))
+        assert [c.label() for c in compiled.cliques] == ["{Y1,L1,L2}", "{Y1,L3}"]
+        bad = np.array([1.0, 0.5, 0.9, 0.9, 0.4, 0.0])
+        bad_pair = np.kron(np.array([1.0, 0.0, 0.0]), bad)
+        with pytest.raises(NumericalInstability,
+                           match=r"^marginal for \{Y1,L1,L2\} .* \(clique \{Y1,L1,L2\}\)$"):
+            solve_cliques(compiled, [bad[:, None], bad_pair[:, None]])
+
+
+def _compiled_star1():
+    return compile_cliques(build_junction_tree(star(1)))
+
+
+@st.composite
+def _sampled_model(draw):
+    """A star with 0-3 source edges, or a two-task chain, with a sampled window."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 8))
+        g = DependencyGraph(1, m, (0,) * m, source_edges=tuple(draw(st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=3))))
+    else:
+        m1, m2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        edges = [(0, 1)] if draw(st.booleans()) else []
+        g = DependencyGraph(2, m1 + m2, (0,) * m1 + (1,) * m2, task_edges=((0, 1),),
+                            source_edges=tuple(edges))
+    return g, draw(st.integers(0, 2 ** 16)), draw(st.sampled_from([60, 150, 400, 2000]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_sampled_model())
+def test_batched_solve_matches_per_clique_reference(model):
+    g, seed, n = model
+    try:
+        g = validate_graph(g)
+    except UnsupportedCliqueSize:
+        assume(False)
+    j = enumerate_joint(random_model(g, seed=seed))
+    L, _ = sample(j, n, seed=seed + 1)
+    G, jt, cfg = augment_graph(g), build_junction_tree(g), RunConfig(ratio_fallback=True)
+    moments = estimate_moments(augment_matrix(L), j.prior(), G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EstimationWarning)
+        try:
+            plan = enumerate_triplets(G, cfg)
+            acc = estimate_accuracies(moments, plan, G, cfg)
+        except VoteFuseError:
+            assume(False)
+        compiled = compile_cliques(jt)
+        event("two-source cliques" if compiled.cond_pairs else "one-source cliques only")
+        cond = recovery._conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc,
+                                                cfg, recovery.RecoveryDiagnostics())
+        try:
+            want = reference_clique_tables(jt, acc.values, moments,
+                                           dict(zip(compiled.cond_pairs, cond)), j.prior())
+        except NumericalInstability as exc:
+            event("unstable solve")
+            with pytest.raises(NumericalInstability) as got:
+                recover_from_moments(moments, g, cfg, jtree=jt, G=G, plan=plan, acc=acc)
+            assert str(got.value) == str(exc)
+            return
+        mu = recover_from_moments(moments, g, cfg, jtree=jt, G=G, plan=plan, acc=acc)
+    tables, clips, clamps = want
+    for vs, table in tables.items():
+        np.testing.assert_allclose(mu.cliques[vs], table, rtol=0, atol=1e-15)
+    # the batched product sums in another order than a one-vector product, so
+    # a clip (a deviation of the raw solution) may differ in its last bits
+    assert mu.diagnostics.clip_magnitudes == pytest.approx(clips, rel=0, abs=1e-15)
+    assert mu.diagnostics.rhs_clamps == clamps
 
 
 class TestRecoverParameters:
@@ -306,6 +360,12 @@ class TestRecoverParameters:
         for vs, _deg in jt.separators:
             np.testing.assert_allclose(mu.separators[vs], truth.separators[vs],
                                        atol=1e-9)
+
+    def test_graph_without_sources_returns_the_prior(self):
+        mu = recover_parameters(LabelMatrix(np.zeros((5, 0), dtype=np.int8)),
+                                DependencyGraph(1, 0, ()), ClassPrior.from_balance(0.6),
+                                RunConfig(ratio_fallback=True))
+        np.testing.assert_array_equal(mu.cliques[VarSet((0,), ())], [0.6, 0.4])
 
     def test_sampled_recovery(self):
         g = star(5)
