@@ -6,10 +6,14 @@ abstain fill-in is keyed per column by the abstain's ordinal position, so
 augmenting is deterministic, replayable, and order-independent across columns.
 
 One kernel, ``_encode``, pair-encodes a row block from per-column start
-ordinals. ``augment_matrix`` returns the encoding of a whole label matrix
-without computing it: its rows are encoded block by block as the statistics
-pass reads them, so the n x 2m matrix exists only if a caller asks for
-``.data``. ``augment_row`` runs the kernel on one stream row.
+ordinals: it writes the votes and their negations, then visits only the
+columns that hold abstains and fills each one's abstain rows with the next
+ordinals of that column, so its working memory is the block and its abstain
+mask, with no index array per abstain. ``augment_matrix`` returns the
+encoding of a whole label matrix without computing it: its rows are encoded
+block by block as the statistics pass reads them, so the n x 2m matrix
+exists only if a caller asks for ``.data``. ``augment_row`` runs the kernel
+on one stream row.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ def _coin(seed: int, column, ordinals: np.ndarray) -> np.ndarray:
     return np.where((bits >> np.uint64(63)).astype(bool), np.int8(1), np.int8(-1))
 
 
+_ALTERNATE = np.array([1, -1], dtype=np.int8)  # the fill of even and odd ordinals
+
+
 @dataclass(frozen=True)
 class AbstainPolicy:
     """How abstain pairs are realized.
@@ -71,7 +78,7 @@ class AbstainPolicy:
         of ``column`` (one column index, or one per ordinal)."""
         shifted = ordinals if self.phase is None else ordinals + np.asarray(self.phase)[column]
         if self.mode == "alternating":
-            return 1 - 2 * (shifted & 1).astype(np.int8)
+            return _ALTERNATE.take(shifted & 1)
         return _coin(self.seed, column, shifted)
 
 
@@ -81,29 +88,22 @@ def _encode(votes: np.ndarray, policy: AbstainPolicy, ordinals: np.ndarray) -> n
     is advanced in place past them, so the next block continues the sequence.
 
     The n x 2m result is the transpose of a C-contiguous 2m x n array, in
-    which each column is one contiguous row and each source's abstains one run.
+    which each column is one contiguous row.
     """
     n, m = votes.shape
     out = np.empty((2 * m, n), dtype=np.int8)
     out[0::2] = votes.T
     np.negative(out[0::2], out=out[1::2])
-    # abstains as flat indices into the vote rows ``out[0::2]``: column by
-    # column, rows ascending, so each column's abstains form one run in
-    # ordinal order
-    flat = np.flatnonzero(out[0::2] == 0)
-    bounds = np.searchsorted(flat, np.arange(m + 1) * n)
-    counts = np.diff(bounds)
-    cols = np.repeat(np.arange(m, dtype=np.int32), counts)
-    # the k-th abstain of the block is column j's (ordinals[j] + k - bounds[j])-th
-    shifted = (ordinals - bounds[:-1])[cols]
-    shifted += np.arange(flat.size)
-    vals = policy.fill_values(cols, shifted)
-    del shifted  # the index arrays dominate the block's working memory
-    flat += cols * np.int64(n)  # row 2j of ``out``; its mirror row is n further
-    out.reshape(-1)[flat] = vals
-    flat += n
-    out.reshape(-1)[flat] = vals
-    ordinals += counts
+    abstains = out[0::2] == 0
+    # only the columns that hold abstains: their rows, in row order, take
+    # the next ordinals of the column, one fill value for both pair columns
+    for j in abstains.any(axis=1).nonzero()[0].tolist():
+        rows = abstains[j].nonzero()[0]
+        first = ordinals[j]
+        vals = policy.fill_values(j, np.arange(first, first + rows.size))
+        out[2 * j][rows] = vals
+        out[2 * j + 1][rows] = vals
+        ordinals[j] = first + rows.size
     return out.T
 
 

@@ -45,6 +45,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _clip(x, lo: float, hi: float):
+    """np.clip(x, lo, hi), bit for bit (signed zeros and NaN included),
+    without the Python-level wrapper that costs more than the arithmetic on
+    a stream step's small arrays."""
+    return np.minimum(np.maximum(lo, x), hi)
+
+
 # ---------------------------------------------------------------------------
 # label matrices
 # ---------------------------------------------------------------------------

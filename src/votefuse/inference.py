@@ -8,8 +8,14 @@ in log space for a block of vote rows and all 2^D task configurations at once:
 * each call turns every factor into a log table, ``log(clique)`` for a clique
   and ``-(deg - 1) * log(separator)`` for a separator;
 * each factor's source axes are indexed by the rows' vote states
-  (``1 - vote``), and the gathered values are added into a
-  ``(2,) * D + (n,)`` log-joint, broadcast over the factor's task axes.
+  (``1 - vote``, read from one contiguous sources x rows block), and the
+  gathered values are added into a ``(2,) * D + (n,)`` log-joint, broadcast
+  over the factor's task axes.
+
+The layout of the factors depends on the junction tree alone: each factor's
+broadcast shape, source indices and base-3 strides are built once per tree
+by ``compile_factors`` and cached on it, so per factor a call only takes the
+log, gathers and adds.
 
 Zero-factor rule: a zero entry in any clique or separator table makes the
 joint of the configurations it touches exactly zero (``-inf`` in log space;
@@ -24,7 +30,7 @@ at a time, so its working memory is bounded by the block, not by n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from .graph import (
     LabelModelParameters,
     MAX_EXACT_TASKS,
     TASK_IDX,
+    VarSet,
 )
 
 
@@ -67,6 +74,36 @@ class PosteriorLabels:
         return np.where(self.probs >= 0.5, 1, -1).astype(np.int8)
 
 
+@dataclass(frozen=True)
+class Factor:
+    """One factor of the junction-tree product: clique or separator ``vs``
+    (``degree`` 0 for a clique, its adjacency degree for a separator). Its
+    log table is reshaped to ``shape``, 2 or 1 per task then one axis over
+    the base-3 states of its sources; a row's state is the sum over
+    ``sources`` of ``strides`` times the source's vote state."""
+
+    vs: VarSet
+    degree: int
+    shape: Tuple[int, ...]
+    sources: np.ndarray
+    strides: np.ndarray
+
+
+def compile_factors(jt: JunctionTree, n_tasks: int) -> Tuple[Factor, ...]:
+    """The layout of ``jt``'s factors for ``_log_joint``, cliques first, then
+    separators, cached on the tree."""
+    factors = []
+    for vs, degree in [(c, 0) for c in jt.cliques] + list(jt.separators):
+        s = len(vs.sources)
+        factors.append(Factor(
+            vs=vs, degree=degree,
+            shape=tuple(2 if d in vs.tasks else 1 for d in range(n_tasks)) + (-1,),
+            sources=np.array(vs.sources, dtype=np.intp),
+            strides=3 ** np.arange(s - 1, -1, -1, dtype=np.intp)))
+    factors = jt.__dict__["_factors"] = tuple(factors)
+    return factors
+
+
 def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
                votes: np.ndarray) -> np.ndarray:
     """log P(Y = y, votes = row) for every task configuration y and row of the
@@ -76,42 +113,42 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
         raise ShapeMismatch(f"matrix has {votes.shape[1]} sources, model expects {m}")
     if D > MAX_EXACT_TASKS:
         raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
+    factors = jt.__dict__.get("_factors") or compile_factors(jt, D)
+    states = np.subtract(1, votes.T, order="C")  # per source and row: +1 -> 0, 0 -> 1, -1 -> 2
+    out = np.zeros((2,) * D + (votes.shape[0],))
     with np.errstate(divide="ignore"):
-        factors = [(vs, np.log(mu.cliques[vs])) for vs in jt.cliques]
-        for sep, deg in jt.separators:
-            tbl = mu.separators[sep]
-            factors.append((sep, np.where(tbl > 0, (1 - deg) * np.log(tbl), -np.inf)))
-    n = votes.shape[0]
-    out = np.zeros((2,) * D + (n,))
-    for vs, log_tbl in factors:
-        # task axes broadcast into the log-joint; the source axes flatten to
-        # one axis indexed by the rows' base-3 vote states
-        log_tbl = log_tbl.reshape(
-            tuple(2 if d in vs.tasks else 1 for d in range(D)) + (-1,))
-        state = np.zeros(1, dtype=np.intp)
-        for i in vs.sources:
-            state = 3 * state + (1 - votes[:, i])
-        out += np.take(log_tbl, state, axis=-1)
+        for f in factors:
+            if f.degree:
+                tbl = mu.separators[f.vs]
+                log_tbl = np.where(tbl > 0, (1 - f.degree) * np.log(tbl), -np.inf)
+            else:
+                log_tbl = np.log(mu.cliques[f.vs])
+            # one source's states are a row of the block; otherwise base 3
+            state = (states[f.sources[0]] if len(f.sources) == 1
+                     else f.strides @ states[f.sources])
+            # task axes broadcast into the log-joint
+            out += log_tbl.reshape(f.shape).take(state, axis=-1)
     return out
 
 
 def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
-                votes: np.ndarray, first_row: int = 0) -> np.ndarray:
+                votes: np.ndarray, first_row: Optional[int] = 0) -> np.ndarray:
     """P(Y | row) for every row of ``votes``, shape (2,)*D + (n,). Errors
-    number the rows from ``first_row``."""
+    number the rows from ``first_row``, or name only the votes when it is
+    None."""
     if prior.n_tasks != mu.graph.n_tasks:
         raise ShapeMismatch(
             f"prior covers {prior.n_tasks} tasks, model has {mu.graph.n_tasks}")
     log_joint = _log_joint(mu, jt, votes)
     flat = log_joint.reshape(2 ** mu.graph.n_tasks, votes.shape[0])
     peak = flat.max(axis=0)
-    dead = ~np.isfinite(peak)
-    if np.any(dead):
-        r = int(np.argmax(dead))
+    alive = np.isfinite(peak)
+    if not alive.all():
+        r = int(np.argmin(alive))
+        row = f"votes {tuple(int(v) for v in votes[r])}"
         raise AllZeroLikelihood(
-            f"every task configuration has zero probability for row {first_row + r} "
-            f"(votes {tuple(int(v) for v in votes[r])})"
-        )
+            "every task configuration has zero probability for "
+            + (row if first_row is None else f"row {first_row + r} ({row})"))
     w = np.exp(flat - peak)
     w /= _sum_rows(w)
     return w.reshape(log_joint.shape)
@@ -127,8 +164,10 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 def _positives(w: np.ndarray) -> np.ndarray:
     """n x D matrix of P(Y_d = 1) from posteriors shaped (2,)*D + (n,)."""
     D, n = w.ndim - 1, w.shape[-1]
-    return np.stack([_sum_rows(w.take(0, axis=d).reshape(2 ** (D - 1), n))
-                     for d in range(D)], axis=1)
+    out = np.empty((n, D))
+    for d in range(D):
+        out[:, d] = _sum_rows(w.take(0, axis=d).reshape(2 ** (D - 1), n))
+    return out
 
 
 def _row(lam: Sequence[int]) -> np.ndarray:
@@ -153,7 +192,7 @@ def posterior(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
     prior argument is kept for interface symmetry (the tables already embed
     it) and only checked for shape.
     """
-    return _normalized(mu, jt, prior, _row(lam))[..., 0]
+    return _normalized(mu, jt, prior, _row(lam), first_row=None)[..., 0]
 
 
 def marginal_positives(post_table: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import BLOCK_ROWS, AugmentedLabelMatrix, ClassPrior, DependencyGraph
+from .graph import BLOCK_ROWS, AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,9 @@ def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...],
     and every source on one."""
     edges = g.source_edges
     return edges, tuple(sorted({s for e in edges for s in e}))
+
+
+_PAIR_WEIGHTS = np.array([-3, 3, -1, 1])
 
 
 class RunningStats:
@@ -96,8 +99,16 @@ class RunningStats:
         k = len(self.tracked_pairs)
         self._pair_cells = np.zeros(9 * k, dtype=np.int64)
         self.pair_counts = dict(zip(self.tracked_pairs, self._pair_cells.reshape(k, 3, 3)))
-        self._p, self._q = np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2).T
+        # a tracked pair (p, q) sits in cell 9k + 3 * state_p + state_q of
+        # its 3 x 3 block, with state 0, 1, 2 for +1, abstain, -1. A source's
+        # state is 1 - (even - odd) / 2 over its two columns, so the cell is
+        # 9k + 4 + (the pair's four columns . _PAIR_WEIGHTS) / 2.
+        self._pair_cols = 2 * np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)[
+            :, [0, 0, 1, 1]] + [0, 1, 0, 1]
+        self._pair_base = 9 * np.arange(k) + 4
         self.cond_sources = tuple(sorted(set(cond_sources)))
+        # the two columns of each conditioning source
+        self._cond_cols = 2 * np.array(self.cond_sources, dtype=np.intp) + [[0], [1]]
         self._cond_gram = {i: np.zeros((c + 1, c + 1), dtype=np.int64) for i in self.cond_sources}
         self.cond_second = {i: g[:c, :c] for i, g in self._cond_gram.items()}
         self.cond_first = {i: g[c, :c] for i, g in self._cond_gram.items()}
@@ -116,31 +127,35 @@ class RunningStats:
         Gram: a pair's product sums to abstains - votes, and the difference of
         its column sums is twice (positives - negatives)."""
         n = self.n
-        abstain = (n + np.diagonal(self.second, 1)[0::2]) // 2
+        abstain = (n + self.second.diagonal(1)[0::2]) // 2
         pos = (n - abstain + (self.first[0::2] - self.first[1::2]) // 2) // 2
-        return np.stack([pos, abstain, n - abstain - pos], axis=1)
+        return np.array([pos, abstain, n - abstain - pos]).T
 
     def _accumulate(self, aug: np.ndarray, sign: int) -> None:
         """Add (sign +1) or subtract (sign -1) the rows of an augmented block."""
-        c = aug.shape[1]
-        xt = np.empty((c + 1, aug.shape[0]), dtype=np.float32)  # [aug | 1], transposed
+        n, c = aug.shape
+        xt = np.empty((c + 1, n), dtype=np.float32)  # [aug | 1], transposed
         xt[:c] = aug.T
         xt[c] = 1
         update = np.add if sign > 0 else np.subtract
         gram = _exact_gram(xt)
         update(self._gram, gram, out=self._gram)
         if self.tracked_pairs:
-            state = 1 - ((aug[:, 0::2] - aug[:, 1::2]) >> 1)  # +1 -> 0, abstain -> 1, -1 -> 2
-            cells = 3 * state[:, self._p] + state[:, self._q] + 9 * np.arange(len(self._p))
+            cells = aug.take(self._pair_cols, axis=1) @ _PAIR_WEIGHTS
+            cells >>= 1
+            cells += self._pair_base
             update(self._pair_cells, np.bincount(cells.ravel(), minlength=self._pair_cells.size),
                    out=self._pair_cells)
-        for i, total in self._cond_gram.items():
-            rows = aug[:, 2 * i] == aug[:, 2 * i + 1]  # source i abstains
-            k = int(np.count_nonzero(rows))
-            if k == 0:
-                continue
-            # a block where every row abstains reuses its Gram
-            update(total, gram if k == rows.size else _exact_gram(xt[:, rows]), out=total)
+        if self.cond_sources:
+            # rows where each conditioning source abstains: its pair agrees
+            even, odd = aug.T.take(self._cond_cols, axis=0)
+            abstains = even == odd
+            counts = abstains.sum(axis=1)
+            for t in counts.nonzero()[0].tolist():
+                total = self._cond_gram[self.cond_sources[t]]
+                # a block where every row abstains reuses its Gram
+                update(total, gram if counts[t] == n else _exact_gram(xt[:, abstains[t]]),
+                       out=total)
 
     def add(self, aug_row: np.ndarray) -> None:
         self._accumulate(aug_row.reshape(1, -1), 1)
@@ -158,24 +173,26 @@ class RunningStats:
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
-        if self.n < 1:
+        """The averages of the statistics; each int64 Gram is divided once and
+        the moments are views of the quotient."""
+        n = self.n
+        if n < 1:
             raise ValueError("no rows accumulated")
-        n = float(self.n)
+        c = 2 * self.m
         conditional = {}
         for i, cn in self.cond_n.items():
             if cn > 0:
-                conditional[i] = CondStats(
-                    n_rows=cn,
-                    M=self.cond_second[i].astype(np.float64) / float(cn),
-                    first=self.cond_first[i].astype(np.float64) / float(cn),
-                )
+                avg = self._cond_gram[i] / cn
+                conditional[i] = CondStats(n_rows=cn, M=avg[:c, :c], first=avg[c, :c])
+        avg = self._gram / n
+        k = len(self.tracked_pairs)
         return MomentEstimates(
-            n=self.n,
-            M=self.second.astype(np.float64) / n,
-            first_moments=self.first.astype(np.float64) / n,
-            vote_marginals=self.vote_counts.astype(np.float64) / n,
+            n=n,
+            M=avg[:c, :c],
+            first_moments=avg[c, :c],
+            vote_marginals=self.vote_counts / n,
             prior=prior,
-            pair_tables={p: c.astype(np.float64) / n for p, c in self.pair_counts.items()},
+            pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
             conditional=conditional,
         )
 
@@ -283,7 +300,8 @@ class TripletPlan:
     one; ``fallback`` lists the even columns with none. ``blocks`` holds one
     (anchors, P, K) entry per task: P (anchors x columns) is 1 on each
     anchor's partner columns, and K (columns x columns) is 1 on the pairs in
-    distinct components with a member on the task.
+    distinct components with a member on the task. ``rows[a]`` is anchor a's
+    (block, row) in ``blocks``.
     """
 
     n_columns: int
@@ -291,6 +309,7 @@ class TripletPlan:
     pairs: Dict[int, int]
     fallback: Tuple[int, ...]
     blocks: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    rows: Dict[int, Tuple[int, int]]
 
 
 def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> TripletPlan:
@@ -322,7 +341,9 @@ def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Tripl
     return TripletPlan(n_columns=n_cols, partners=partners,
                        pairs=dict(zip(anchors.tolist(), counts.tolist())),
                        fallback=tuple(np.setdiff1d(evens, anchors).tolist()),
-                       blocks=tuple(blocks))
+                       blocks=tuple(blocks),
+                       rows={a: (b, r) for b, (block, _P, _K) in enumerate(blocks)
+                             for r, a in enumerate(block.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +358,21 @@ def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, eps_den: float,
     no estimate: not an anchor, not in ``columns`` (when given), or sum
     M_jk^2 below eps_den^2."""
     out = np.full(plan.n_columns, np.nan)
-    for anchors, P, K in plan.blocks:
-        if columns is not None:
-            keep = (anchors[:, None] == np.asarray(columns)).any(axis=1)
-            anchors, P = anchors[keep], P[keep]
+    blocks = plan.blocks
+    if columns is not None:
+        # the named anchors, in plan order, block by block
+        picked = sorted(plan.rows[c] for c in columns if c in plan.rows)
+        blocks = []
+        for b, (anchors, P, K) in enumerate(plan.blocks):
+            keep = [r for bb, r in picked if bb == b]
+            if keep:
+                blocks.append((anchors.take(keep), P.take(keep, axis=0), K))
+    for anchors, P, K in blocks:
         U = M[anchors] * P
         num = np.einsum("aj,aj->a", U @ (M * K), U)
         den = np.einsum("aj,aj->a", P @ (M * M * K), P)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mag = np.clip(np.sqrt(np.maximum(num, 0.0) / den), eps_acc, 1.0)
+            mag = _clip(np.sqrt(np.maximum(num, 0.0) / den), eps_acc, 1.0)
         out[anchors] = np.where(den >= eps_den ** 2, mag, np.nan)
     return out
 
@@ -383,10 +410,10 @@ def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph,
     relative signs with the lowest column set positive.
     """
     idx = np.asarray(group)
-    sub = M[idx[:, None], idx]
-    edge = G.independent_columns()[idx[:, None], idx] & (np.abs(sub) >= eps_den)
-    rel = np.where(sub > 0, 1, -1).tolist()
-    adj = [[w for w, on in enumerate(row) if on] for row in edge.tolist()]  # ascending
+    sub = M.take(idx, axis=0).take(idx, axis=1)
+    edge = G.independent_columns().take(idx, axis=0).take(idx, axis=1) & (np.abs(sub) >= eps_den)
+    # per column pair: 0 without an edge, else the sign product it imposes
+    rel = (np.where(sub > 0, 1, -1) * edge).tolist()
     comps = []
     seen = set()
     for c in range(len(group)):
@@ -394,14 +421,13 @@ def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph,
             continue
         pattern = {c: 1}
         stack = [c]
-        seen.add(c)
         while stack:
             u = stack.pop()
-            for w in adj[u]:
-                if w not in pattern:
-                    pattern[w] = pattern[u] * rel[u][w]
-                    seen.add(w)
+            for w, sign in enumerate(rel[u]):  # neighbours in ascending order
+                if sign and w not in pattern:
+                    pattern[w] = pattern[u] * sign
                     stack.append(w)
+        seen.update(pattern)
         comps.append({group[k]: sign for k, sign in pattern.items()})
     return comps
 
@@ -421,8 +447,9 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
     diag = {"sign_ties": [], "ratio_anchor_fallbacks": []}
     signed: Dict[int, float] = {}
     anchor_col = 2 * cfg.anchor_source if cfg.anchor_source is not None else None
+    task = G.graph.assignment
     for d in range(G.n_tasks):
-        group = [c for c in sorted(magnitudes) if c % 2 == 0 and G.task_of(c) == d]
+        group = [c for c in sorted(magnitudes) if c % 2 == 0 and task[c // 2] == d]
         if not group:
             continue
         components = _sign_components(group, M, G, cfg.eps_den)
@@ -444,13 +471,13 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
             elif cfg.sign_strategy == "ratio-anchor":
                 ey = prior.task_mean(d) if prior is not None else 0.0
                 if first_moments is not None and abs(ey) >= cfg.eps_prior:
-                    score = float(np.sum(weights * first_moments[cols]))
+                    score = float((weights * first_moments[cols]).sum())
                     if score != 0.0:
                         flip = 1 if score * ey > 0 else -1
                 if flip is None:
                     diag["ratio_anchor_fallbacks"].append(cols[0])
             if flip is None:  # nonnegative-sum
-                total = float(np.sum(weights))
+                total = float(weights.sum())
                 if total == 0.0:
                     diag["sign_ties"].append(cols[0])
                     warnings.warn(
@@ -510,7 +537,7 @@ def conditional_accuracy_from_stats(target: int, cond: int,
     def ratio_or_raise(reason: str) -> float:
         ey = moments.prior.task_mean(G.task_of(col))
         if cfg.ratio_fallback and abs(ey) >= cfg.eps_prior:
-            return float(np.clip(cs.first[col] / ey, -1.0, 1.0))
+            return float(_clip(cs.first[col] / ey, -1.0, 1.0))
         raise NoUsableTriplet(reason)
 
     if col not in plan.partners:
@@ -522,7 +549,7 @@ def conditional_accuracy_from_stats(target: int, cond: int,
             f"degenerate"
         )
     sign = 1.0 if sign_hint >= 0 else -1.0
-    return float(np.clip(sign * mag, -1.0, 1.0))
+    return float(_clip(sign * mag, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +560,7 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                         G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
     """Triplet magnitudes, sign resolution, and ratio fallback, in one pass."""
     vals = _pooled_magnitudes(moments.M, plan, cfg.eps_den, cfg.eps_acc)
-    found = np.flatnonzero(~np.isnan(vals))
+    found = (~np.isnan(vals)).nonzero()[0]
     mags = dict(zip(found.tolist(), vals[found].tolist()))
     signed, sign_diag = resolve_signs(
         mags, moments.M, G, cfg,

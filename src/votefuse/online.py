@@ -9,6 +9,7 @@ does not grow with the stream length.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -20,7 +21,7 @@ from .config import RunConfig
 from .errors import ConfigError, EstimationWarning, VoteFuseError
 from .graph import (AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelModelParameters,
                     build_junction_tree, validate_graph)
-from .inference import marginal_positives, posterior
+from .inference import compile_factors, marginal_positives, posterior
 from .moments import RunningStats, enumerate_triplets, tracked_statistics
 from .recovery import compile_cliques, recover_from_moments
 
@@ -59,6 +60,7 @@ class RollingState:
             self.warmup = self.window
         self.jtree = build_junction_tree(self.graph)
         compile_cliques(self.jtree)
+        compile_factors(self.jtree, self.graph.n_tasks)
         self.aug_graph = augment_graph(self.graph)
         self.plan = enumerate_triplets(self.aug_graph, cfg)
         self.stats = RunningStats(m, *tracked_statistics(self.graph))
@@ -143,9 +145,11 @@ class RollingState:
                 failure = failure or exc
                 continue
             if is_stale:
-                # a copy, so the snapshot returned fresh earlier stays fresh
+                # a copy, so the snapshot returned fresh earlier stays fresh;
+                # it shares the frozen tables
                 self._note_stale(failure)
-                params = replace(params, diagnostics=replace(params.diagnostics, stale=True))
+                params = copy.copy(params)
+                params.diagnostics = replace(params.diagnostics, stale=True)
             else:
                 self.last_params = params
             return StepResult(params=params,
@@ -160,9 +164,9 @@ class RollingState:
         self.stale_steps += 1
         if not self._stale_warned:
             warnings.warn(
-                f"window fit unusable at step {self.t} ({failure}); degrading "
-                f"to stale parameters or the prior (warning once; see "
-                f"StepResult.stale)",
+                f"window fit unusable at step {self.t} (stream row {self.t - 1}, "
+                f"counted from 0): {failure}; degrading to stale parameters or "
+                f"the prior (warning once; see StepResult.stale)",
                 EstimationWarning,
             )
             self._stale_warned = True

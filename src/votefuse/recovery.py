@@ -12,12 +12,14 @@ the marginal is a single solve.
 
 What depends on the junction tree alone is compiled once per tree by
 ``compile_cliques`` and cached on it: the source cliques grouped by source
-count, with the columns, vote marginals and cross-tabs each one reads, the
-source pairs whose abstain-conditioned accuracies they need, and each
-separator's host clique. A fit is then a batched solve: per clique size, one
-right-hand-side matrix with a row per clique, one clamp into [0, 1], one
-product with A_s^{-1} and one clip-and-renormalise, with no Python per
-clique.
+count, the source pairs whose abstain-conditioned accuracies they need, each
+separator's host clique, and two gather indices. A fit is then one pass over
+every clique size at once. ``clique_rhs`` computes each right-hand-side
+quantity once per source or source pair, as a vector, and gathers the flat
+right-hand side of all cliques from them in one step; ``solve_cliques``
+clamps it into [0, 1] at once, takes one product with A_s^{-1} per clique
+size, and gathers every renormalised table, in table axis order, from the
+solutions in one step. No Python runs per clique.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .graph import (
     LabelMatrix,
     LabelModelParameters,
     VarSet,
+    _clip,
     build_junction_tree,
     marginalize_table,
     validate_graph,
@@ -118,19 +121,38 @@ def mu_unflatten(flat: np.ndarray, s: int) -> np.ndarray:
 # a raw solution outside [-INSTABILITY, 1 + INSTABILITY] is rejected
 INSTABILITY = 0.05
 
+# Every right-hand-side entry is read from one vector of per-source and
+# per-pair quantities: a leading 1, then one block of m entries per
+# _SOURCE_COLUMNS name, then one block per _PAIR_COLUMNS name with an entry
+# per two-source clique. Per source i: P(Y = 1), P(i = +1), P(i * Y = 1),
+# P(i = 0) and P(i = 0) * P(Y = 1); per pair (i, j): P(i = j != 0),
+# P(i * j * Y = 1), P(i = 0, j = +1), P(i = 0, j * Y = 1), P(i = +1, j = 0),
+# P(j = 0, i * Y = 1), P(i = j = 0) and P(i = j = 0) * P(Y = 1).
+_SOURCE_COLUMNS = ("p_y", "p_vote", "p_one", "z", "z_p_y")
+_PAIR_COLUMNS = ("agree", "p_one", "z0_pos", "z0_cond", "pos_z0", "cond_z0",
+                 "z", "z_p_y")
+# r_C per clique size: entry "1", or (member, column) with member 0 or 1 the
+# clique's first or second source and "pair" its pair entry
+_RHS_ROWS = {
+    1: ("1", (0, "p_y"), (0, "p_vote"), (0, "p_one"), (0, "z"), (0, "z_p_y")),
+    2: ("1", (0, "p_y"), (0, "p_vote"), (0, "p_one"), (0, "z"), (0, "z_p_y"),
+        (1, "p_vote"), (1, "p_one"), ("pair", "agree"), ("pair", "p_one"),
+        ("pair", "z0_pos"), ("pair", "z0_cond"), (1, "z"), (1, "z_p_y"),
+        ("pair", "pos_z0"), ("pair", "cond_z0"), ("pair", "z"), ("pair", "z_p_y")),
+}
+_ONE = np.ones(1)
+
 
 @dataclass(frozen=True)
 class CliqueGroup:
-    """The source cliques with ``T.s`` sources, in junction-tree order:
-    ``tasks[k]`` is clique k's task, ``cols[t, k]`` the vote-tracking column
-    of its t-th source (ascending) and, for two sources, ``pairs[k]`` its
-    cross-tab key."""
+    """The source cliques with ``T.s`` sources, in junction-tree order. Their
+    right-hand sides, and their solutions, are the ``span`` of the flat
+    vector: a (2 * 3^s) x k block, one column per clique, row-major; they are
+    the ``cols`` of the per-clique summaries."""
 
     T: TransformPair
-    cliques: Tuple[VarSet, ...]
-    tasks: np.ndarray
-    cols: np.ndarray
-    pairs: Tuple[Tuple[int, int], ...]
+    span: slice
+    cols: slice
 
 
 @dataclass(frozen=True)
@@ -139,9 +161,14 @@ class CompiledCliques:
 
     ``groups`` holds the source cliques by source count; ``cliques`` and
     ``labels`` list them in tree order, and ``order[k]`` is the position of
-    the k-th of them in the groups' concatenation. ``cond_pairs`` lists the
-    (target, conditioning source) pairs whose abstain-conditioned accuracy
-    the two-source cliques need, (j, i) then (i, j) for each, and
+    the k-th of them in the groups' concatenation. ``task[i]`` is source i's
+    task. ``pairs`` lists the two-source cliques' sources in group order
+    (``pair_sources`` as a 2 x k array) and ``cond_pairs`` the (target, conditioning source) pairs whose
+    abstain-conditioned accuracy they need, (j, i) then (i, j) for each.
+    ``rhs_index`` gathers the flat right-hand side from the quantity vector
+    of ``clique_rhs``; ``table_index`` gathers every clique's table, in tree
+    order and table axis order, from the flat solution, ``owner`` names the
+    clique of each gathered entry and ``tables`` the span and shape of each.
     ``separators`` pairs every separator with the clique it is marginalised
     from (None for task-only separators).
     """
@@ -150,32 +177,72 @@ class CompiledCliques:
     cliques: Tuple[VarSet, ...]
     labels: Tuple[str, ...]
     order: np.ndarray
+    task: np.ndarray
+    pairs: Tuple[Tuple[int, int], ...]
+    pair_sources: np.ndarray
     cond_pairs: Tuple[Tuple[int, int], ...]
+    rhs_index: np.ndarray
+    table_index: np.ndarray
+    owner: np.ndarray
+    tables: Tuple[Tuple[VarSet, int, int, Tuple[int, ...]], ...]
     separators: Tuple[Tuple[VarSet, Optional[VarSet]], ...]
 
 
 def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
     """Compile the clique recovery of ``jtree`` and cache it on the tree.
     Its source cliques have one or two sources: ``build_junction_tree``
-    rejects any other shape."""
+    rejects any other shape, and every source lies in one of them."""
     source = jtree.source_cliques()
-    groups = []
-    for s in (1, 2):
-        members = tuple(c for c in source if len(c.sources) == s)
-        if members:
-            groups.append(CliqueGroup(
-                T=build_transform(s), cliques=members,
-                tasks=np.array([c.tasks[0] for c in members]),
-                cols=2 * np.array([c.sources for c in members]).T,
-                pairs=tuple(c.sources for c in members) if s == 2 else ()))
-    position = {c: k for k, c in enumerate(c for grp in groups for c in grp.cliques)}
-    pairs = [c.sources for c in source if len(c.sources) == 2]
+    m = 1 + max((i for c in source for i in c.sources), default=-1)
+    task = np.zeros(m, dtype=np.intp)
+    for c in source:
+        task[list(c.sources)] = c.tasks[0]
+    members = {s: tuple(c for c in source if len(c.sources) == s) for s in (1, 2)}
+    pairs = tuple(c.sources for c in members[2])
+    pair_row = {p: q for q, p in enumerate(pairs)}
+
+    def entry(clique, spec):
+        if spec == "1":
+            return 0
+        who, column = spec
+        if who == "pair":
+            return (1 + len(_SOURCE_COLUMNS) * m
+                    + len(pairs) * _PAIR_COLUMNS.index(column) + pair_row[clique.sources])
+        return 1 + m * _SOURCE_COLUMNS.index(column) + clique.sources[who]
+
+    groups, rhs_index, position, table_index = [], [], {}, {}
+    size = 0
+    for s, cliques in members.items():
+        if not cliques:
+            continue
+        T = build_transform(s)
+        k, rows = len(cliques), len(T.A)
+        groups.append(CliqueGroup(T=T, span=slice(size, size + rows * k),
+                                  cols=slice(len(position), len(position) + k)))
+        rhs_index += [entry(c, spec) for spec in _RHS_ROWS[s] for c in cliques]
+        # entry e of a table is row row_of[e] of its clique's solution column
+        row_of = mu_unflatten(np.arange(rows), s)
+        for p, c in enumerate(cliques):
+            position[c] = len(position)
+            table_index[c] = size + row_of * k + p
+        size += rows * k
+    sizes = [table_index[c].size for c in source]
+    ends = np.cumsum(sizes, dtype=np.intp).tolist()
     compiled = CompiledCliques(
         groups=tuple(groups),
         cliques=source,
         labels=tuple(c.label() for c in source),
         order=np.array([position[c] for c in source], dtype=np.intp),
+        task=task,
+        pairs=pairs,
+        pair_sources=np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
         cond_pairs=tuple(p for i, j in pairs for p in ((j, i), (i, j))),
+        rhs_index=np.array(rhs_index, dtype=np.intp),
+        table_index=np.array([e for c in source for e in table_index[c].ravel().tolist()],
+                             dtype=np.intp),
+        owner=np.repeat(np.arange(len(source)), sizes),
+        tables=tuple((c, end - size, end, table_index[c].shape)
+                     for c, size, end in zip(source, sizes, ends)),
         separators=tuple(
             (sep, next(c for c in jtree.cliques if sep <= c and c.sources)
              if sep.sources else None)
@@ -189,94 +256,102 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def clique_expectations(grp: CliqueGroup, acc: np.ndarray, M: np.ndarray,
+def clique_expectations(compiled: CompiledCliques, acc: np.ndarray, M: np.ndarray,
                         means: np.ndarray) -> np.ndarray:
-    """E[vote * task] for each source of ``grp``'s cliques, one row per
-    source: its accuracy, from ``acc`` per column. For two sources a third
-    row holds E[v_i v_j * task], which splits as E[v_i v_j] * E[Y] by the
-    even-parity independence of the pair product from the task; ``means[d]``
-    is E[Y_d]. Clipped to [-1, 1]."""
-    value = acc[grp.cols]
-    if grp.T.s == 2:
-        value = np.vstack([value, M[grp.cols[0], grp.cols[1]] * means[grp.tasks]])
-    return np.clip(value, -1.0, 1.0)
+    """E[vote * task] for every source, its accuracy read from ``acc`` per
+    column, then for every two-source clique (in ``compiled.pairs`` order)
+    E[v_i v_j * task], which splits as E[v_i v_j] * E[Y] by the even-parity
+    independence of the pair product from the task; ``means[d]`` is E[Y_d].
+    Clipped to [-1, 1]."""
+    value = acc[0::2]
+    if compiled.pairs:
+        i, j = compiled.pair_sources
+        value = np.concatenate((value, M[2 * i, 2 * j] * means[compiled.task[i]]))
+    return _clip(value, -1.0, 1.0)
 
 
-def clique_rhs(grp: CliqueGroup, acc: np.ndarray, moments: MomentEstimates,
+def clique_rhs(compiled: CompiledCliques, acc: np.ndarray, moments: MomentEstimates,
                cond: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """The right-hand sides r_C of ``grp``'s cliques before clamping, one
+    """The right-hand sides r_C of every source clique before clamping, as
+    the flat vector of ``CompiledCliques``: each group's block holds a
     column per clique.
 
     Unobservable entries decompose into clique expectations, abstain rates,
     the prior, and (for pairs) the accuracies ``cond`` conditioned on the
     partner abstaining, ordered as ``CompiledCliques.cond_pairs``;
-    everything else is read straight off the vote statistics.
+    everything else is read straight off the vote statistics. Each quantity
+    is computed once per source or pair, as a vector, and gathered.
     """
-    p_y = 0.5 * (1.0 + means[grp.tasks])
-    p_vote, z = moments.vote_marginals.T[:2, grp.cols // 2]   # P(+1), P(abstain)
-    zero = z                                                   # P(product = 0)
-    if grp.T.s == 2:
-        # (i's state, j's state, clique)
-        pair = np.array([moments.pair_tables[p] for p in grp.pairs]).transpose(1, 2, 0)
-        z_ij = pair[1, 1]
-        zero = np.vstack([z, z[0] + z[1] - z_ij])
-    # P(product * task = 1) for each source and, in row 2, the pair
-    p_one = 0.5 * (clique_expectations(grp, acc, moments.M, means) + 1.0 - zero)
-    rows = [np.ones_like(p_y), p_y, p_vote[0], p_one[0], z[0], z[0] * p_y]
-    if grp.T.s == 2:
-        e_j, e_i = cond.reshape(-1, 2).T                       # E[j Y | i = 0], E[i Y | j = 0]
-        rows += [
-            p_vote[1], p_one[1], pair[0, 0] + pair[2, 2], p_one[2],
-            pair[1, 0], 0.5 * (z[0] + e_j * z[0] - z_ij),      # P(i = 0, j = +1), ...
-            z[1], z[1] * p_y,
-            pair[0, 1], 0.5 * (z[1] + e_i * z[1] - z_ij),      # P(i = +1, j = 0), ...
-            z_ij, z_ij * p_y,
-        ]
-    return np.array(rows)
+    m = len(compiled.task)
+    p_y = (0.5 * (1.0 + means))[compiled.task]
+    p_vote, z = moments.vote_marginals.T[:2]                   # P(+1), P(abstain)
+    # P(product * task = 1) for each source, then each pair: from its
+    # expectation and P(product = 0), the abstain rate, or for a pair
+    # P(either abstains)
+    p_one = clique_expectations(compiled, acc, moments.M, means) + 1.0
+    p_one[:m] -= z
+    if compiled.pairs:
+        i, j = compiled.pair_sources
+        pair = np.array([moments.pair_tables[p] for p in compiled.pairs]).reshape(-1, 9)
+        z_i, z_j, z_ij = z[i], z[j], pair[:, 4]                # cell 3a + b: a = i's state
+        p_one[m:] -= z_i + z_j - z_ij
+    p_one *= 0.5
+    per_source = {"p_y": p_y, "p_vote": p_vote, "p_one": p_one[:m], "z": z, "z_p_y": z * p_y}
+    parts = [_ONE] + [per_source[name] for name in _SOURCE_COLUMNS]
+    if compiled.pairs:
+        e_j, e_i = cond[0::2], cond[1::2]                      # E[j Y | i = 0], E[i Y | j = 0]
+        per_pair = {
+            "agree": pair[:, 0] + pair[:, 8], "p_one": p_one[m:],
+            "z0_pos": pair[:, 3], "z0_cond": 0.5 * (z_i + e_j * z_i - z_ij),
+            "pos_z0": pair[:, 1], "cond_z0": 0.5 * (z_j + e_i * z_j - z_ij),
+            "z": z_ij, "z_p_y": z_ij * p_y[i],
+        }
+        parts += [per_pair[name] for name in _PAIR_COLUMNS]
+    return np.concatenate(parts).take(compiled.rhs_index)
 
 
 # ---------------------------------------------------------------------------
 # marginal solve
 # ---------------------------------------------------------------------------
 
-def solve_cliques(compiled: CompiledCliques, rhs) -> Tuple[
+def solve_cliques(compiled: CompiledCliques, rhs: np.ndarray) -> Tuple[
         Dict[VarSet, np.ndarray], Dict[str, float], Dict[str, float]]:
-    """Solve every source clique from its right-hand side, one matrix per
-    group of ``compiled`` with a column per clique: clamp r into [0, 1],
-    mu = A_s^{-1} r, clip negative entries and renormalise.
+    """Solve every source clique from the flat right-hand side ``rhs``: clamp
+    r into [0, 1], mu = A_s^{-1} r with one product per group, clip negative
+    entries and renormalise.
 
     Returns the tables, then the largest clip of each raw solution and the
     largest clamp of each r by clique label, all in tree order. Raises
     NumericalInstability naming the first clique in tree order whose raw
     solution leaves [-INSTABILITY, 1 + INSTABILITY] or has no mass.
     """
-    if not compiled.groups:
-        return {}, {}, {}
-    sols, lo, hi, total, clamp = [], [], [], [], []
-    for grp, R in zip(compiled.groups, rhs):
-        clamped = np.clip(R, 0.0, 1.0)
-        clamp.append(np.abs(R - clamped).max(axis=0))
-        mu = grp.T.A_inv @ clamped
-        lo.append(mu.min(axis=0))
-        hi.append(mu.max(axis=0))
-        np.maximum(mu, 0.0, out=mu)
-        total.append(mu.sum(axis=0))
-        sols.append(mu)
-    order = compiled.order
-    lo, hi, clamp = (np.concatenate(x)[order] for x in (lo, hi, clamp))
+    clamped = _clip(rhs, 0.0, 1.0)
+    excess = np.abs(rhs - clamped)
+    mu = np.empty_like(rhs)
+    # per clique, in group order: largest clamp, raw min, raw max, mass
+    summary = np.empty((4, len(compiled.cliques)))
+    for grp in compiled.groups:
+        shape = (len(grp.T.A), -1)
+        sol = mu[grp.span].reshape(shape)
+        np.matmul(grp.T.A_inv, clamped[grp.span].reshape(shape), out=sol)
+        excess[grp.span].reshape(shape).max(axis=0, out=summary[0, grp.cols])
+        sol.min(axis=0, out=summary[1, grp.cols])
+        sol.max(axis=0, out=summary[2, grp.cols])
+        np.maximum(sol, 0.0, out=sol)
+        sol.sum(axis=0, out=summary[3, grp.cols])
+    clamp, lo, hi, total = summary[:, compiled.order]
     in_range = (lo >= -INSTABILITY) & (hi <= 1.0 + INSTABILITY)
-    if not in_range.all() or min(t.min() for t in total) <= 0.0:
-        k = int(np.argmax(~in_range | (np.concatenate(total)[order] <= 0.0)))
+    bad = ~in_range | (total <= 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
         label = compiled.labels[k]
         what = ("has no mass" if in_range[k]
                 else f"solved to range [{lo[k]:.4f}, {hi[k]:.4f}]")
         raise NumericalInstability(f"marginal for {label} {what} (clique {label})")
-    tables = []
-    for grp, mu, t in zip(compiled.groups, sols, total):
-        mu /= t
-        tables.extend(mu_unflatten(mu.T, grp.T.s))
+    tables = mu.take(compiled.table_index)
+    tables /= total.take(compiled.owner)
     clip = np.maximum(0.0, np.maximum(-lo, hi - 1.0))
-    return ({c: tables[k] for c, k in zip(compiled.cliques, order.tolist())},
+    return ({c: tables[a:b].reshape(shape) for c, a, b, shape in compiled.tables},
             dict(zip(compiled.labels, clip.tolist())),
             dict(zip(compiled.labels, clamp.tolist())))
 
@@ -390,7 +465,7 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
 
     cond = _conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc, cfg, diag)
     means = np.array([prior.task_mean(d) for d in range(g.n_tasks)])
-    rhs = [clique_rhs(grp, acc.values, moments, cond, means) for grp in compiled.groups]
+    rhs = clique_rhs(compiled, acc.values, moments, cond, means)
     tables, diag.clip_magnitudes, diag.rhs_clamps = solve_cliques(compiled, rhs)
 
     cliques = {c: tables[c] if c.sources else prior.table(c.tasks) for c in jtree.cliques}

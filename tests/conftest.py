@@ -37,6 +37,28 @@ def reference_augment(votes, policy):
     return out
 
 
+def reference_log_joint(mu, jt, votes):
+    """The former per-factor log-joint loop (log tables, base-3 states and
+    broadcast shapes rebuilt on every call), kept as the reference for the
+    layout that ``inference.compile_factors`` caches on the tree."""
+    D = mu.graph.n_tasks
+    with np.errstate(divide="ignore"):
+        factors = [(vs, np.log(mu.cliques[vs])) for vs in jt.cliques]
+        for sep, deg in jt.separators:
+            tbl = mu.separators[sep]
+            factors.append((sep, np.where(tbl > 0, (1 - deg) * np.log(tbl), -np.inf)))
+    n = votes.shape[0]
+    out = np.zeros((2,) * D + (n,))
+    for vs, log_tbl in factors:
+        log_tbl = log_tbl.reshape(
+            tuple(2 if d in vs.tasks else 1 for d in range(D)) + (-1,))
+        state = np.zeros(1, dtype=np.intp)
+        for i in vs.sources:
+            state = 3 * state + (1 - votes[:, i])
+        out += np.take(log_tbl, state, axis=-1)
+    return out
+
+
 def _reference_expectation(clique, acc, M, prior):
     """E[prod of member votes * task]: a single source's accuracy, or
     E[v_i v_j] * E[Y] for a pair; clipped to [-1, 1]."""

@@ -6,7 +6,7 @@ import pytest
 
 from votefuse import inference
 from votefuse.config import RunConfig
-from votefuse.errors import AllZeroLikelihood, DegenerateClass, ShapeMismatch
+from votefuse.errors import AllZeroLikelihood, DegenerateClass, EstimationWarning, ShapeMismatch
 from votefuse.graph import (
     ClassPrior,
     LabelMatrix,
@@ -33,7 +33,7 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import recover_parameters
 
-from conftest import acceptance_grid, chain3, star, star_with_edges
+from conftest import acceptance_grid, chain3, reference_log_joint, star, star_with_edges
 
 
 def _single_source_params():
@@ -161,7 +161,9 @@ class TestPosterior:
         tbl[:, 0] = 0.0
         tbl /= tbl.sum()
         mu.cliques[VarSet((0,), (0,))] = tbl
-        with pytest.raises(AllZeroLikelihood):
+        # one vote vector has no row number to name
+        with pytest.raises(AllZeroLikelihood, match=r"^every task configuration has zero "
+                                                    r"probability for votes \(1,\)$"):
             posterior(mu, jt, ClassPrior.from_balance(0.5), [1])
 
 
@@ -228,6 +230,31 @@ class TestPredictProba:
         with mock.patch.object(inference, "BLOCK_ROWS", 3):
             with pytest.raises(AllZeroLikelihood, match=r"for row 7 \(votes \(-1,\)\)"):
                 predict_proba(LabelMatrix(votes), mu, jt, ClassPrior.from_balance(0.5))
+
+    @pytest.mark.parametrize("g, seed", [(star(4), 8), (star_with_edges(5, [(0, 1), (2, 3)]), 5),
+                                         (chain3(), 41)])
+    def test_compiled_layout_matches_per_factor_reference_bit_for_bit(self, g, seed):
+        j = enumerate_joint(random_model(g, seed=seed))
+        jt = build_junction_tree(g)
+        L, _ = sample(j, 400, seed=seed + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            fitted = recover_parameters(L, g, j.prior(), RunConfig(ratio_fallback=True))
+        zeroed = j.true_parameters(jt)
+        clique = jt.source_cliques()[0]
+        tbl = zeroed.cliques[clique].copy()
+        tbl[(0,) * tbl.ndim] = 0.0  # some rows lose a task configuration
+        zeroed.cliques[clique] = tbl / tbl.sum()
+        for mu in (j.true_parameters(jt), fitted, zeroed):
+            got = inference._log_joint(mu, jt, L.votes)
+            assert got.tobytes() == reference_log_joint(mu, jt, L.votes).tobytes()
+            post = predict_proba(L, mu, jt, j.prior())
+            rows = [posterior(mu, jt, j.prior(), v) for v in L.votes[:40]]
+            with mock.patch.object(inference, "_log_joint", reference_log_joint):
+                assert predict_proba(L, mu, jt, j.prior()).probs.tobytes() == post.probs.tobytes()
+                for v, row in zip(L.votes, rows):
+                    assert posterior(mu, jt, j.prior(), v).tobytes() == row.tobytes()
+        assert "_factors" in jt.__dict__
 
     def test_beats_majority_vote_on_heterogeneous_sources(self):
         accs = np.array([0.8, 0.1, 0.1, 0.1, 0.1])

@@ -1,17 +1,23 @@
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from votefuse import online, recovery
+import votefuse
+
+from votefuse import inference, online, recovery
 from votefuse.augment import AbstainPolicy, AugmentedGraph, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import ConfigError, EstimationWarning
-from votefuse.graph import ClassPrior, LabelMatrix
-from votefuse.moments import estimate_moments
+from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
+from votefuse.moments import RunningStats, estimate_moments
 from votefuse.online import RollingState, parameter_error, run_stream, step, sweep_window
 from votefuse.oracle import (
     CanonicalParameters,
@@ -25,12 +31,43 @@ from votefuse.recovery import recover_from_moments, recover_parameters
 from conftest import star, star_with_edges
 
 
+def _stream_model(m=8):
+    """The drifting stream of the benchmark: one task, m abstaining sources
+    and one source edge."""
+    g = DependencyGraph(n_tasks=1, n_sources=m, assignment=(0,) * m, source_edges=((0, 1),))
+    return CanonicalParameters(
+        graph=g, theta_task=(float(np.arctanh(0.3)),),
+        theta_acc=tuple(np.arctanh(np.linspace(0.55, 0.85, m))),
+        theta_abstain=tuple(np.linspace(-0.4, 0.2, m)),
+        theta_dep={(0, 1): 0.3}, abstaining=True)
+
+
 def _drift_model(m=5, balance_mean=0.3):
     g = star(m)
     targets = np.linspace(0.55, 0.85, m)
     return CanonicalParameters(graph=g, theta_task=(np.arctanh(balance_mean),),
                                theta_acc=tuple(np.arctanh(targets)),
                                abstaining=False)
+
+
+# Python frames entered in votefuse per post-warmup step of
+# test_call_budget_per_step: 127.6 before the per-tree inference layout, the
+# per-column abstain fill and the one-pass clique solve, 82.8 after them
+CALL_BUDGET = 85
+
+
+@st.composite
+def _window_run(draw):
+    """A graph with 0-2 source edges, a window of 1 to 12 rows, an abstain
+    policy and up to 40 vote rows (abstains common)."""
+    m = draw(st.integers(3, 6))
+    edges = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=2))
+    window = draw(st.integers(1, 12))
+    mode = draw(st.sampled_from(["alternating", "seeded-random"]))
+    rows = draw(st.lists(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=m, max_size=m),
+                         min_size=1, max_size=40))
+    return DependencyGraph(1, m, (0,) * m, source_edges=tuple(edges)), window, mode, rows
 
 
 class TestWindowedStatistics:
@@ -48,6 +85,34 @@ class TestWindowedStatistics:
         batch = recover_from_moments(me, state.graph, cfg)
         for vs in batch.cliques:
             np.testing.assert_array_equal(batch.cliques[vs], res.params.cliques[vs])
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=_window_run())
+    def test_window_statistics_equal_batch_statistics(self, run):
+        # after any sequence of steps the running sums equal the batch
+        # statistics of the buffered rows, int64 for int64
+        g, window, mode, rows = run
+        cfg = RunConfig(ratio_fallback=True, policy=AbstainPolicy(mode=mode, seed=7))
+        state = RollingState(g, cfg, window=window, warmup=window)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)  # tiny windows fit badly
+            for row in rows:
+                state.step(row, ClassPrior.from_balance(0.6))
+        got = state.stats
+        A = augment_matrix(LabelMatrix(state.window_rows()), state.window_policy())
+        want = RunningStats.from_matrix(A, got.tracked_pairs, got.cond_sources)
+        assert got.n == want.n == min(len(rows), window)
+        for name in ("second", "first", "vote_counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+        for name in ("pair_counts", "cond_second", "cond_first"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.keys() == b.keys()
+            for key in a:
+                assert a[key].dtype == b[key].dtype == np.int64
+                np.testing.assert_array_equal(a[key], b[key])
+        assert got.cond_n == want.cond_n
 
     def test_cumulative_equals_offline_fit(self):
         g = star(4)
@@ -142,6 +207,8 @@ class TestStep:
             "enumerate_triplets (online)": (online, "enumerate_triplets"),
             "compile_cliques (online)": (online, "compile_cliques"),
             "columns_dependent": (AugmentedGraph, "columns_dependent"),
+            "compile_factors": (inference, "compile_factors"),
+            "compile_factors (online)": (online, "compile_factors"),
         }
 
         def run(steps, state=None):
@@ -161,11 +228,58 @@ class TestStep:
 
         state, _, at_build = run(range(250))
         assert at_build["compile_cliques (online)"] == 1
+        assert at_build["compile_factors (online)"] == 1
         assert at_build["enumerate_triplets (online)"] == 1
         assert at_build["build_transform"] > 0
         _, fresh, per_step = run(range(250, 300), state)
         assert fresh > 0
         assert per_step == dict.fromkeys(counted, 0)
+
+    def test_call_budget_per_step(self):
+        # Python frames entered inside votefuse per post-warmup step of the
+        # benchmark's stream model; the compiled layouts keep a step to a
+        # fixed, small number of calls
+        ds = DriftStream(base=_stream_model(), n_steps=700, seed=1, flip_period=1000)
+        prior = ClassPrior.from_balance(0.65)
+        state = RollingState(ds.base.graph, RunConfig(sign_strategy="ratio-anchor"),
+                             window=500, warmup=200)
+        package = str(Path(votefuse.__file__).parent)
+        entered = 0
+
+        def count(frame, event, arg):
+            nonlocal entered
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                entered += 1
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            for row in ds.rows[:500]:
+                state.step(row, prior)
+            sys.setprofile(count)
+            try:
+                for row in ds.rows[500:]:
+                    state.step(row, prior)
+            finally:
+                sys.setprofile(None)
+        assert entered / 200 <= CALL_BUDGET
+
+    def test_stale_warning_names_the_stream_row(self):
+        # on this stream the fit at step 295 gives the step's own row zero
+        # likelihood; the warning names that row of the stream
+        ds = DriftStream(base=_stream_model(), n_steps=3000, seed=1, flip_period=1000)
+        prior = ClassPrior.from_balance(0.65)
+        state = RollingState(ds.base.graph, RunConfig(sign_strategy="ratio-anchor"),
+                             window=500, warmup=200)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always", EstimationWarning)
+            for row in ds.rows[:300]:
+                state.step(row, prior)
+        stale = [str(w.message) for w in seen if "window fit unusable" in str(w.message)]
+        votes = tuple(int(v) for v in ds.rows[294])
+        assert stale == [
+            f"window fit unusable at step 295 (stream row 294, counted from 0): every task "
+            f"configuration has zero probability for votes {votes}; degrading to stale "
+            f"parameters or the prior (warning once; see StepResult.stale)"]
 
     def test_warmup_returns_prior(self):
         g = star(3)

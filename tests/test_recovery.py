@@ -125,10 +125,8 @@ class TestTransformIdentity:
         np.testing.assert_array_equal(mu_unflatten(mu_flatten(tbl), 2), tbl)
 
 
-def _group(g, s):
-    """The compiled group of ``g``'s cliques with ``s`` sources."""
-    compiled = compile_cliques(build_junction_tree(validate_graph(g)))
-    return next(grp for grp in compiled.groups if grp.T.s == s)
+def _compiled(g):
+    return compile_cliques(build_junction_tree(validate_graph(g)))
 
 
 class TestCliqueExpectation:
@@ -139,17 +137,17 @@ class TestCliqueExpectation:
         me = j.moment_estimates()
         me.M[0, 2] = me.M[2, 0] = 0.42
         prior = ClassPrior.from_balance(0.6)  # E[Y] = 0.2
-        exp = clique_expectations(_group(g, 2), np.zeros(4), me.M,
+        exp = clique_expectations(_compiled(g), np.zeros(4), me.M,
                                   np.array([prior.task_mean(0)]))
-        assert exp[2, 0] == pytest.approx(0.084)
+        assert exp[2] == pytest.approx(0.084)  # after the two sources
 
     def test_single_source_passthrough(self):
         g = star(3)
         j = enumerate_joint(random_model(g, seed=1))
         me = j.moment_estimates()
         values = np.array([0.61, -0.61, 0.2, -0.2, 0.3, -0.3])
-        exp = clique_expectations(_group(g, 1), values, me.M, np.array([0.0]))
-        assert exp[0, 0] == 0.61
+        exp = clique_expectations(_compiled(g), values, me.M, np.array([0.0]))
+        assert exp[0] == 0.61
 
     def test_matches_enumerated_pair_expectation(self):
         g = star_with_edges(3, [(0, 1)])
@@ -159,9 +157,9 @@ class TestCliqueExpectation:
             p = j.p_full
             truth = float(np.dot(p, j.lambda_value(0) * j.lambda_value(1)
                                  * j.task_value(0)))
-            exp = clique_expectations(_group(g, 2), j.column_accuracies(), me.M,
+            exp = clique_expectations(_compiled(g), j.column_accuracies(), me.M,
                                       np.array([j.prior().task_mean(0)]))
-            assert exp[2, 0] == pytest.approx(truth, abs=1e-10)
+            assert exp[3] == pytest.approx(truth, abs=1e-10)  # after the three sources
 
     def test_three_sources_rejected(self):
         # a clique of three sources never reaches the recovery: the junction
@@ -177,8 +175,8 @@ class TestAssembleRhs:
                                  abstaining=False)
         me = enumerate_joint(th).moment_estimates()
         # a pinned accuracy of 0.6 for the frozen value, under E[Y] = 0
-        r = clique_rhs(_group(g, 1), np.array([0.6, -0.6]), me, np.empty(0),
-                       np.array([0.0]))[:, 0]
+        r = clique_rhs(_compiled(g), np.array([0.6, -0.6]), me, np.empty(0),
+                       np.array([0.0]))
         assert r[0] == 1.0
         assert r[1] == 0.5
         assert r[3] == pytest.approx(0.5 * (0.6 - 0.0 + 1.0))  # = 0.8
@@ -192,8 +190,8 @@ class TestAssembleRhs:
         from votefuse.moments import estimate_moments
         me = estimate_moments(augment_matrix(LabelMatrix(votes)),
                               ClassPrior.from_balance(0.5))
-        r = clique_rhs(_group(g, 1), np.zeros(2), me, np.empty(0),
-                       np.array([0.0]))[:, 0]
+        r = clique_rhs(_compiled(g), np.zeros(2), me, np.empty(0),
+                       np.array([0.0]))
         assert r[4] == 1.0                     # P(abstain) = 1
         assert r[3] == pytest.approx(0.0)      # P(lambda Y = 1) = 0
 
@@ -203,8 +201,8 @@ class TestAssembleRhs:
         for seed in range(5):
             j = enumerate_joint(random_model(g, seed=seed))
             cond = np.array([j.conditional_accuracy(t, c) for t, c in compiled.cond_pairs])
-            r = clique_rhs(compiled.groups[0], j.column_accuracies(), j.moment_estimates(),
-                           cond, np.array([j.prior().task_mean(0)]))[:, 0]
+            r = clique_rhs(compiled, j.column_accuracies(), j.moment_estimates(),
+                           cond, np.array([j.prior().task_mean(0)]))
             np.testing.assert_allclose(r, _r_direct(j, 0, (0, 1), 1), atol=1e-10)
 
 
@@ -214,13 +212,13 @@ class TestSolveMarginal:
         j = enumerate_joint(random_model(g, seed=4))
         vs = VarSet((0,), (0, 1))
         compiled = compile_cliques(build_junction_tree(g))
-        tables, clip, _ = solve_cliques(compiled, [_r_direct(j, 0, (0, 1), 1)[:, None]])
+        tables, clip, _ = solve_cliques(compiled, _r_direct(j, 0, (0, 1), 1))
         np.testing.assert_allclose(tables[vs], j.clique_table(vs), atol=1e-9)
         assert clip[vs.label()] == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_source(self):
         r = np.array([1.0, 0.5, 0.5, 1.0, 0.0, 0.0])
-        tables, _, _ = solve_cliques(_compiled_star1(), [r[:, None]])
+        tables, _, _ = solve_cliques(_compiled_star1(), r)
         table = tables[VarSet((0,), (0,))]
         assert table[0, 0] == pytest.approx(0.5)   # mu(Y=1, vote=1)
         assert table[1, 2] == pytest.approx(0.5)   # mu(Y=-1, vote=-1)
@@ -228,7 +226,7 @@ class TestSolveMarginal:
 
     def test_always_abstaining_source(self):
         r = np.array([1.0, 0.6, 0.0, 0.0, 1.0, 0.6])
-        tables, _, _ = solve_cliques(_compiled_star1(), [r[:, None]])
+        tables, _, _ = solve_cliques(_compiled_star1(), r)
         table = tables[VarSet((0,), (0,))]
         assert table[0, 1] == pytest.approx(0.6)   # mass only on abstain states
         assert table[1, 1] == pytest.approx(0.4)
@@ -237,18 +235,19 @@ class TestSolveMarginal:
     def test_instability_raises(self):
         r = np.array([1.0, 0.5, 0.9, 0.9, 0.4, 0.0])
         with pytest.raises(NumericalInstability, match=r"\{Y1,L1\} solved to range"):
-            solve_cliques(_compiled_star1(), [r[:, None]])
+            solve_cliques(_compiled_star1(), r)
 
     def test_instability_names_first_clique_in_tree_order(self):
-        # {Y1,L1,L2} precedes {Y1,L3} in the tree but is solved in the
-        # second group; with both unstable, the error names it
+        # {Y1,L1,L2} precedes {Y1,L3} in the tree but its right-hand side
+        # follows the single-source group's; with both unstable, the error
+        # names it
         compiled = compile_cliques(build_junction_tree(star_with_edges(3, [(0, 1)])))
         assert [c.label() for c in compiled.cliques] == ["{Y1,L1,L2}", "{Y1,L3}"]
         bad = np.array([1.0, 0.5, 0.9, 0.9, 0.4, 0.0])
         bad_pair = np.kron(np.array([1.0, 0.0, 0.0]), bad)
         with pytest.raises(NumericalInstability,
                            match=r"^marginal for \{Y1,L1,L2\} .* \(clique \{Y1,L1,L2\}\)$"):
-            solve_cliques(compiled, [bad[:, None], bad_pair[:, None]])
+            solve_cliques(compiled, np.concatenate([bad, bad_pair]))
 
 
 def _compiled_star1():
