@@ -2,14 +2,22 @@
 
 All indices in text files are 1-based; the in-memory API is 0-based.
 Parameter files round-trip bit-exactly (floats serialize via repr).
+
+Vote CSVs are read by a numpy byte tokenizer: each line-aligned chunk is
+classified byte by byte with vector compares, normalised to the canonical
+grammar ``-?[01](,-?[01])*\\n`` when it is not in it already, and the votes
+are compacted from the digit positions. A file it does not accept is read
+by the per-token loop ``_read_label_csv_loop``, the reference for every
+result and the only source of row/column error messages.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import warnings
-from typing import Dict, Optional, TextIO, Tuple
+import os
+import re
+from typing import BinaryIO, Dict, Iterator, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -64,32 +72,161 @@ def read_label_csv(path: str) -> np.ndarray:
     whitespace, a sign and leading zeros. A bad entry, a row of the wrong
     length or a file without data rows raises DataFormatError; the message
     names the row (counting data rows only) and, for an entry, the column.
+
+    The header and leading blank lines are found in text mode; the rest is
+    read in binary by a numpy byte tokenizer (``_read_votes``). Whatever it
+    does not accept, an error included, is read again by the per-token
+    loop, which is the reference for results and the only source of error
+    messages.
     """
-    # np.loadtxt parses a well-formed file in one C-level pass and is strict
-    # where the loop is lenient (whitespace-only lines, underscores, Unicode
-    # digits), so anything it rejects, or an entry out of range, goes to the
-    # loop, which gives the result or the row/column error. loadtxt reads
-    # the open handle, not the path, so it decodes lines exactly as the loop
-    # does; given a path, numpy would also decompress a name ending in .gz.
-    # Some numpy releases parse an entry such as "1.0", "nan" or "256" via
-    # float and cast it, with only a DeprecationWarning; raising that
-    # warning sends such a file to the loop whatever the numpy version.
     with open(path) as fh:
         skip = _data_start(fh)
-        if skip is not None:
-            fh.seek(0)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", DeprecationWarning)
-                    votes = np.loadtxt(fh, delimiter=",", dtype=np.int8,
-                                       comments=None, ndmin=2,
-                                       skiprows=skip)
-            except (ValueError, DeprecationWarning):
-                pass
-            else:
-                if not ((votes < -1) | (votes > 1)).any():
-                    return votes
+    if skip is not None:
+        with open(path, "rb") as fh:
+            votes = _read_votes(fh, skip)
+        if votes is not None:
+            return votes
     return _read_label_csv_loop(path)
+
+
+# Bytes per read of the tokenizer; every chunk ends at a line break. At
+# 64 KiB a chunk's temporaries stay near the cache and take ~2 MB at most.
+_CHUNK_BYTES = 1 << 16
+_EOL = re.compile(rb"\r\n?|\n")
+_TAB, _LF, _CR, _SPACE, _PLUS, _COMMA, _MINUS, _ONE = b"\t\n\r +,-1"
+
+
+def _skip_lines(fh: BinaryIO, count: int) -> bytes:
+    """Read past ``count`` physical lines of ``fh``, split as text mode
+    splits them (at \\n, \\r\\n or a lone \\r); return the bytes read
+    beyond them."""
+    buf, pos = b"", 0
+    while count:
+        m = _EOL.search(buf, pos)
+        # a \r at the end of what was read may be the first half of \r\n
+        if m is None or (m.end() == len(buf) and buf.endswith(b"\r")):
+            more = fh.read(_CHUNK_BYTES)
+            if more:
+                buf, pos = buf[pos:] + more, 0
+                continue
+            if m is None:
+                return b""
+        pos = m.end()
+        count -= 1
+    return buf[pos:]
+
+
+def _line_chunks(fh: BinaryIO, skip: int) -> Iterator[np.ndarray]:
+    """The bytes of ``fh`` after ``skip`` physical lines, as uint8 arrays of
+    whole lines; each ends with a line break (a missing last one is added)."""
+    buf = _skip_lines(fh, skip)
+    while True:
+        more = fh.read(_CHUNK_BYTES)
+        if not more:
+            break
+        buf += more
+        cut = max(buf.rfind(b"\n"), buf.rfind(b"\r")) + 1
+        if cut:
+            yield np.frombuffer(buf, np.uint8, cut)
+            buf = buf[cut:]
+    if buf:
+        if not buf.endswith((b"\n", b"\r")):
+            buf += b"\n"
+        yield np.frombuffer(buf, np.uint8)
+
+
+def _read_votes(fh: BinaryIO, skip: int) -> Optional[np.ndarray]:
+    """The byte tokenizer: the votes after ``skip`` physical lines of the
+    binary ``fh``, or None when a chunk is outside the grammar it takes."""
+    # every vote is a digit and the separator after it, so half the file
+    # bounds the votes; one buffer, shrunk at the end, leaves no heap holes
+    votes = np.empty((os.fstat(fh.fileno()).st_size + 1) // 2, np.int8)
+    n, width = 0, None
+    for chunk in _line_chunks(fh, skip):
+        parsed = _parse_chunk(chunk, width)
+        if parsed is None:
+            return None
+        signed, cols, width = parsed
+        if n + len(cols) > len(votes):  # the file grew while read
+            return None
+        signed.take(cols, out=votes[n:n + len(cols)])
+        n += len(cols)
+    if width is None:
+        return None
+    votes.resize((n // width, width), refcheck=False)
+    return votes
+
+
+def _parse_chunk(c: np.ndarray, width: Optional[int], normalised: bool = False
+                 ) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[int]]]:
+    """A chunk of whole lines in the canonical grammar
+    ``-?[01](,-?[01])*\\n``: its signed byte values, the positions of its
+    votes among them and the row width. None when a row is not ``width``
+    entries long. Any other chunk is normalised first, once."""
+    digit = (c | 1) == _ONE  # "0" or "1"
+    lf, minus = c == _LF, c == _MINUS
+    sep = lf | (c == _COMMA)
+    n_digit, n_sep, n_minus = map(np.count_nonzero, (digit, sep, minus))
+    # every byte is a digit, a separator or a minus; a separator follows
+    # every digit and there are as many of each, so a digit precedes every
+    # separator; a digit follows every minus
+    canonical = (
+        n_digit + n_sep + n_minus == len(c)
+        and n_digit == n_sep
+        and np.count_nonzero(digit[:-1] & sep[1:]) == n_digit
+        and np.count_nonzero(minus[:-1] & digit[1:]) == n_minus)
+    if not canonical:
+        if normalised:
+            return None
+        c = _normalise(c)
+        return None if c is None else _parse_chunk(c, width, True)
+    cols = np.flatnonzero(digit)
+    ends = np.flatnonzero(lf)
+    if len(ends):
+        done = np.searchsorted(cols, ends)  # votes before each line break
+        if width is None:
+            width = int(done[0])
+        if not np.array_equal(done, np.arange(width, len(cols) + 1, width)):
+            return None
+    one = c == _ONE
+    signed = one.view(np.int8)
+    negative = (minus[:-1] & one[1:]).view(np.int8)
+    negative <<= 1
+    signed[1:] -= negative
+    return signed, cols, width
+
+
+def _normalise(c: np.ndarray) -> Optional[np.ndarray]:
+    """A chunk of whole lines in the canonical grammar: without what int()
+    ignores in a valid entry (spaces and tabs around it, a plus sign,
+    leading zeros) and without blank lines; every \\r is a line break, as
+    in text mode. None when such a byte sits anywhere else, or the chunk
+    holds a byte no valid entry has."""
+    u = np.insert(c, 0, _LF)  # a break before the first line
+    u[u == _CR] = _LF  # \r\n then makes an empty line, dropped below
+    blank = (u == _SPACE) | (u == _TAB)
+    spaced = np.zeros(len(u) - 1, bool)  # spaces between u[i] and u[i + 1]
+    if blank.any():
+        kept = np.flatnonzero(~blank)
+        u = u.take(kept)
+        spaced = np.diff(kept) > 1
+    sep = (u == _LF) | (u == _COMMA)
+    sign = (u == _PLUS) | (u == _MINUS)
+    digit = (u | 1) == _ONE
+    if np.count_nonzero(sep | sign | digit) != len(u):
+        return None
+    inner = digit[:-1] & digit[1:]
+    if (np.any(spaced & ~sep[:-1] & ~sep[1:])  # a space inside an entry
+            or np.any(sign[1:] & ~sep[:-1])  # a sign not at an entry's start
+            or np.any(sign[:-1] & ~digit[1:])  # a sign without a digit
+            or np.any(inner & (u[:-1] == _ONE))):  # two digits, not "0" first
+        return None
+    lf = u == _LF
+    drop = u == _PLUS
+    drop[:-1] |= inner  # a leading zero
+    drop[1:] |= lf[:-1] & lf[1:]  # an empty line
+    drop[0] = True
+    return u[~drop]  # denser than the digits, so a mask beats flatnonzero
 
 
 def _read_label_csv_loop(path: str) -> np.ndarray:
@@ -306,11 +443,6 @@ def _varset_to_json(vs: VarSet) -> dict:
             "sources": [i + 1 for i in vs.sources]}
 
 
-def _varset_from_json(d: dict) -> VarSet:
-    return VarSet(tuple(t - 1 for t in d["tasks"]),
-                  tuple(s - 1 for s in d["sources"]))
-
-
 def save_parameters(path: str, mu: LabelModelParameters) -> None:
     """One record per clique/separator: members plus the row-major flattened
     table (axes: tasks ascending, then sources ascending)."""
@@ -340,34 +472,90 @@ def save_parameters(path: str, mu: LabelModelParameters) -> None:
         fh.write("\n")
 
 
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _json_list(value, item=lambda x: x) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [item(x) for x in value]
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _json_pair(value) -> Tuple[int, int]:
+    pair = _json_list(value, _json_int)
+    if len(pair) != 2:
+        raise ValueError(f"expected two indices, got {value!r}")
+    return pair[0] - 1, pair[1] - 1
+
+
 def load_parameters(path: str) -> LabelModelParameters:
+    """Read a file written by ``save_parameters``. Invalid JSON, a foreign
+    document or a missing or mistyped field raises DataFormatError; the
+    message names the file and the field."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if doc.get("format") != "votefuse-parameters-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "votefuse-parameters-v1":
         raise DataFormatError(f"{path}: not a votefuse parameter file")
-    gd = doc["graph"]
+
+    def checked(name: str, parse, value):
+        try:
+            return parse(value)
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: field {name!r}: {exc}") from exc
+
+    def field(obj: dict, where: str, key: str, parse):
+        name = f"{where}.{key}" if where else key
+        if key not in obj:
+            raise DataFormatError(f"{path}: missing field {name!r}")
+        return checked(name, parse, obj[key])
+
+    def indices(value) -> Tuple[int, ...]:
+        return tuple(i - 1 for i in _json_list(value, _json_int))
+
+    def pairs(value) -> Tuple[Tuple[int, int], ...]:
+        return tuple(_json_list(value, _json_pair))
+
+    def tables(key: str) -> Dict[VarSet, np.ndarray]:
+        out = {}
+        for k, rec in enumerate(field(doc, "", key, _json_list)):
+            where = f"{key}[{k}]"
+            rec = checked(where, _json_object, rec)
+            vs = VarSet(field(rec, where, "tasks", indices),
+                        field(rec, where, "sources", indices))
+            out[vs] = field(rec, where, "table", lambda v: np.asarray(
+                _json_list(v, _json_number), dtype=np.float64).reshape(
+                    clique_table_shape(vs)))
+        return out
+
+    gd = field(doc, "", "graph", _json_object)
     g = DependencyGraph(
-        n_tasks=gd["tasks"], n_sources=gd["sources"],
-        assignment=tuple(d - 1 for d in gd["assignment"]),
-        task_edges=tuple((a - 1, b - 1) for a, b in gd["task_edges"]),
-        source_edges=tuple((a - 1, b - 1) for a, b in gd["source_edges"]),
+        n_tasks=field(gd, "graph", "tasks", _json_int),
+        n_sources=field(gd, "graph", "sources", _json_int),
+        assignment=field(gd, "graph", "assignment", indices),
+        task_edges=field(gd, "graph", "task_edges", pairs),
+        source_edges=field(gd, "graph", "source_edges", pairs),
     )
     jtree = build_junction_tree(validate_graph(g))
-    cliques = {}
-    for rec in doc["cliques"]:
-        vs = _varset_from_json(rec)
-        cliques[vs] = np.asarray(rec["table"], dtype=np.float64).reshape(
-            clique_table_shape(vs))
-    separators = {}
-    for rec in doc["separators"]:
-        vs = _varset_from_json(rec)
-        separators[vs] = np.asarray(rec["table"], dtype=np.float64).reshape(
-            clique_table_shape(vs))
-    return LabelModelParameters(graph=g, jtree=jtree, cliques=cliques,
-                                separators=separators)
+    return LabelModelParameters(graph=g, jtree=jtree, cliques=tables("cliques"),
+                                separators=tables("separators"))
 
 
 # ---------------------------------------------------------------------------

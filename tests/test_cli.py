@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -78,6 +79,23 @@ def test_missing_input_is_a_data_error(workdir, capsys):
                "--out", str(workdir / "p.json")])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"format": "votefuse-parameters-v1"}, "'graph'"),
+    ([1, 2], "not a votefuse parameter file"),
+    ({"format": "votefuse-parameters-v1",
+      "graph": {"tasks": "1", "sources": 4}}, "'graph.tasks'"),
+])
+def test_malformed_parameter_file_is_a_data_error(workdir, capsys, doc, field):
+    params = workdir / "params.json"
+    params.write_text(json.dumps(doc))
+    rc = main(["predict", "--labels", str(workdir / "votes.csv"),
+               "--params", str(params), "--balance", "0.55",
+               "--out", str(workdir / "post.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(params) in err and field in err
 
 
 def test_stream_nonpositive_window_is_a_usage_error(workdir, capsys):

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -21,10 +22,10 @@ from conftest import star_with_edges
 
 
 _VALID = ["1", "0", "-1", "+1", "01", "-0", "-01"]
-# int() reads "0_0" and loadtxt refuses it; some numpy releases parse
-# "1.0", "0.5", "nan" and "256" via float and cast them to 1, 0, 0, 0
+# int() reads "0_0"; "- 1", "0 1", "1 -1" and "+ 1" hold a space the
+# tokenizer may drop only around an entry; NUL and "é" are outside its bytes
 _BAD = ["2", "-2", "127", "300", "-129", "256", "1.0", "0.5", "nan", "",
-        "x", "0_0"]
+        "x", "0_0", "- 1", "0 1", "1 -1", "+ 1", "--1", "\x00", "é"]
 _PADS = ["", " ", "\t", " \t"]
 _BLANKS = ["", " ", "\t "]
 _HEADERS = ["s1,s2", "votes", " id , s1", "a,1"]
@@ -33,11 +34,12 @@ _HEADERS = ["s1,s2", "votes", " id , s1", "a,1"]
 @st.composite
 def _vote_csvs(draw):
     """A small vote CSV text; its rows when every entry is valid and the
-    rows agree in length, else None; and whether np.loadtxt must take all
-    of it."""
+    rows agree in length, else None; and whether the byte tokenizer must
+    take all of it."""
     blanks = st.lists(st.sampled_from(_BLANKS), max_size=2)
     lines = draw(blanks)
-    if draw(st.booleans()):
+    leading, header = bool(lines), draw(st.booleans())
+    if header:
         lines += [draw(st.sampled_from(_HEADERS))] + draw(blanks)
     corrupt, ragged = draw(st.booleans()), draw(st.booleans())
     tokens = st.sampled_from(_VALID + _BAD if corrupt else _VALID)
@@ -57,10 +59,17 @@ def _vote_csvs(draw):
         valid = w == width and all(t in _VALID for t in toks)
         if rows is not None:
             rows = rows + [[int(t) for t in toks]] if valid else None
-        # loadtxt skips empty lines but refuses whitespace-only ones
-        clean = clean and valid and not any(gap)
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+        clean = clean and valid
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    if draw(st.booleans()):
+        # int() refuses a UTF-8 BOM, so the line it starts is a header
+        text = "\ufeff" + text
+        if leading and header:  # the drawn header becomes a data row
+            rows, clean = None, False
+        elif not leading and not header:  # the first row becomes the header
+            rows = None if rows is None else rows[1:]
+            clean = clean and n_rows > 1
     return text, rows, clean
 
 
@@ -149,18 +158,37 @@ class TestLabelCsv:
                                    match="row 2, column 1: not an integer"):
                     fileio.read_label_csv(path)
 
+    def test_read_peak_memory(self, tmp_path):
+        # the reader holds one int8 buffer of half the file's bytes (~6 MB
+        # here) and one chunk's temporaries
+        votes = np.random.default_rng(0).integers(-1, 2, size=(50_000, 100),
+                                                  dtype=np.int8)
+        path = tmp_path / "votes.csv"
+        fileio.write_label_csv(path, votes)
+        tracemalloc.start()
+        try:
+            got = fileio.read_label_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+        assert got.dtype == np.int8 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, votes)
+
     @settings(max_examples=400, deadline=None)
-    @given(_vote_csvs())
-    @example(("s1\n1\n2\n", None, False))  # int8 takes 2; the range check must not
-    def test_matches_token_loop(self, case):
+    @given(case=_vote_csvs(), chunk=st.integers(1, 16))
+    @example(case=("s1\n1\n2\n", None, False), chunk=16)  # int8 takes 2; the range check must not
+    def test_matches_token_loop(self, case, chunk):
+        # chunks of a few bytes split rows, and \r\n pairs, between reads
         text, rows, clean = case
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "votes.csv")
             with open(path, "w", newline="") as fh:
                 fh.write(text)
             want = _outcome(fileio._read_label_csv_loop, path)
-            with mock.patch.object(fileio, "_read_label_csv_loop",
-                                   wraps=fileio._read_label_csv_loop) as loop:
+            with mock.patch.object(fileio, "_CHUNK_BYTES", chunk), \
+                    mock.patch.object(fileio, "_read_label_csv_loop",
+                                      wraps=fileio._read_label_csv_loop) as loop:
                 got = _outcome(fileio.read_label_csv, path)
         assert got == want
         if rows == []:
