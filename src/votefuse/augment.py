@@ -186,9 +186,6 @@ class AugmentedGraph:
     def n_vertices(self) -> int:
         return self.n_tasks + self.n_columns
 
-    def source_of(self, col: int) -> int:
-        return col // 2
-
     def task_of(self, col: int) -> int:
         return self.graph.assignment[col // 2]
 
@@ -233,11 +230,6 @@ class AugmentedGraph:
             cached = tuple(find(i) for i in range(m))
             self.__dict__["_comp_cache"] = cached
         return cached
-
-    def dependent_sources(self, i: int) -> Tuple[int, ...]:
-        """All sources conditionally dependent on source i (including itself)."""
-        comp = self.source_components()
-        return tuple(s for s in range(self.graph.n_sources) if comp[s] == comp[i])
 
     def independent_columns(self) -> np.ndarray:
         """Read-only 2m x 2m mask of the observed column pairs that are

@@ -505,8 +505,9 @@ def _json_pair(value) -> Tuple[int, int]:
 
 def load_parameters(path: str) -> LabelModelParameters:
     """Read a file written by ``save_parameters``. Invalid JSON, a foreign
-    document or a missing or mistyped field raises DataFormatError; the
-    message names the file and the field."""
+    document, a missing or mistyped field, a missing, extra or repeated
+    table, or a negative or non-finite entry raises DataFormatError; the
+    message names the file and the field or table."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -533,6 +534,12 @@ def load_parameters(path: str) -> LabelModelParameters:
     def pairs(value) -> Tuple[Tuple[int, int], ...]:
         return tuple(_json_list(value, _json_pair))
 
+    def table(value, vs: VarSet) -> np.ndarray:
+        tbl = np.asarray(_json_list(value, _json_number), dtype=np.float64)
+        if not np.all((tbl >= 0) & (tbl < np.inf)):  # NaN fails both
+            raise ValueError(f"table for {vs.label()} has a negative or non-finite entry")
+        return tbl.reshape(clique_table_shape(vs))
+
     def tables(key: str) -> Dict[VarSet, np.ndarray]:
         out = {}
         for k, rec in enumerate(field(doc, "", key, _json_list)):
@@ -540,9 +547,9 @@ def load_parameters(path: str) -> LabelModelParameters:
             rec = checked(where, _json_object, rec)
             vs = VarSet(field(rec, where, "tasks", indices),
                         field(rec, where, "sources", indices))
-            out[vs] = field(rec, where, "table", lambda v: np.asarray(
-                _json_list(v, _json_number), dtype=np.float64).reshape(
-                    clique_table_shape(vs)))
+            if vs in out:
+                raise DataFormatError(f"{path}: {where}: a second table for {vs.label()}")
+            out[vs] = field(rec, where, "table", lambda v: table(v, vs))
         return out
 
     gd = field(doc, "", "graph", _json_object)
@@ -554,8 +561,10 @@ def load_parameters(path: str) -> LabelModelParameters:
         source_edges=field(gd, "graph", "source_edges", pairs),
     )
     jtree = build_junction_tree(validate_graph(g))
-    return LabelModelParameters(graph=g, jtree=jtree, cliques=tables("cliques"),
-                                separators=tables("separators"))
+    try:
+        return LabelModelParameters.from_tables(g, jtree, tables("cliques"), tables("separators"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

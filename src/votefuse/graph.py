@@ -9,12 +9,22 @@ Conventions used across the package:
   tracks the vote and ``2i+1`` mirrors it.
 * Probability tables over a clique use axes ``(task..., source...)`` with
   member indices ascending.
+
+The fitted parameters (``LabelModelParameters``) store every clique and
+separator table in one read-only float64 vector. Where each table lives is
+decided here only, by the ``TableLayout`` that ``compile_layout`` builds once
+per junction tree and caches on it (``jtree.layout``): recovery writes into
+the vector, inference takes its log, ``validate()`` checks it, and the
+``cliques``/``separators`` mappings are read-only views of it.
+``LabelModelParameters.from_tables`` is the way in for per-table arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+import math
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -210,9 +220,6 @@ class DependencyGraph:
             link(D + a, D + b)
         return adj
 
-    def sources_of_task(self, d: int) -> Tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.assignment) if t == d)
-
 
 # ---------------------------------------------------------------------------
 # chordality, triangulation, junction tree
@@ -327,11 +334,13 @@ class JunctionTree:
     edges: Tuple[Tuple[int, int, VarSet], ...]
     separators: Tuple[Tuple[VarSet, int], ...]
 
+    @property
+    def layout(self) -> "TableLayout":
+        """The tree's table layout, compiled on first use."""
+        return self.__dict__.get("_layout") or compile_layout(self)
+
     def source_cliques(self) -> Tuple[VarSet, ...]:
         return tuple(c for c in self.cliques if c.sources)
-
-    def task_cliques(self) -> Tuple[VarSet, ...]:
-        return tuple(c for c in self.cliques if not c.sources)
 
     def running_intersection_holds(self) -> bool:
         # For every pair of cliques, their intersection must be contained in
@@ -599,44 +608,172 @@ def clique_table_shape(vs: VarSet) -> Tuple[int, ...]:
     return (2,) * len(vs.tasks) + (3,) * len(vs.sources)
 
 
+@dataclass(frozen=True)
+class TableFactor:
+    """One clique (``degree`` 0) or separator table of the junction-tree
+    product: entries ``span`` of the parameter vector, row-major with
+    ``shape``. Inference reshapes its log table to ``bcast``, 2 or 1 per
+    task then one axis over the base-3 states of its sources; a row's state
+    is ``strides`` dotted with the vote states of ``sources``."""
+
+    vs: VarSet
+    degree: int
+    span: slice
+    shape: Tuple[int, ...]
+    bcast: Tuple[int, ...]
+    sources: np.ndarray
+    strides: np.ndarray
+
+
+@dataclass(frozen=True)
+class TableLayout:
+    """Where each table of a junction tree lives in the parameter vector:
+    ``factors``, the ``n_cliques`` cliques in tree order then the separators,
+    start at ``starts``; ``scale`` is each entry's exponent in the product.
+    Separator entries ``host`` are ``marginal`` summed over axis 1, a (k, 3)
+    gather from the first clique in tree order that contains them. Over
+    ``pairs``, each (clique, separator it contains) by separator then clique,
+    clique entry ``pair_entry[e]`` sums into slot ``pair_slot[e]``; slots
+    match separator entries ``pair_sep``, and pair p's start at
+    ``pair_starts[p]``."""
+
+    factors: Tuple[TableFactor, ...]
+    n_cliques: int
+    size: int
+    starts: np.ndarray
+    scale: np.ndarray
+    host: np.ndarray
+    marginal: np.ndarray
+    pairs: Tuple[Tuple[VarSet, VarSet], ...]
+    pair_entry: np.ndarray
+    pair_slot: np.ndarray
+    pair_sep: np.ndarray
+    pair_starts: np.ndarray
+
+    def views(self, table: np.ndarray) -> Tuple[Mapping[VarSet, np.ndarray], ...]:
+        """Read-only VarSet -> table mappings over ``table``: the cliques,
+        then the separators, in tree order."""
+        n = self.n_cliques
+        return (MappingProxyType({f.vs: table[f.span].reshape(f.shape) for f in self.factors[:n]}),
+                MappingProxyType({f.vs: table[f.span].reshape(f.shape) for f in self.factors[n:]}))
+
+
+def _entries(f: TableFactor) -> np.ndarray:
+    return np.arange(f.span.start, f.span.stop)
+
+
+def _concat(parts: list) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype=np.intp)] + parts)
+
+
+def _onto(clique: TableFactor, sep: TableFactor) -> np.ndarray:
+    """The entry of ``sep`` that each entry of ``clique`` marginalises onto."""
+    kept = [v in sep.vs.tasks for v in clique.vs.tasks] + [
+        v in sep.vs.sources for v in clique.vs.sources]
+    axes = [n if keep else 1 for n, keep in zip(clique.shape, kept)]
+    return np.broadcast_to(np.arange(math.prod(axes)).reshape(axes), clique.shape).ravel()
+
+
+def compile_layout(jt: JunctionTree) -> TableLayout:
+    """The table layout of ``jt``, cached on the tree as ``jt.layout``."""
+    n_tasks = 1 + max(d for c in jt.cliques for d in c.tasks)  # every table has a task
+    factors, size = [], 0
+    for vs, degree in [(c, 0) for c in jt.cliques] + list(jt.separators):
+        shape, s = clique_table_shape(vs), len(vs.sources)
+        factors.append(TableFactor(
+            vs, degree, slice(size, size + math.prod(shape)), shape,
+            tuple(2 if d in vs.tasks else 1 for d in range(n_tasks)) + (-1,),
+            np.array(vs.sources, dtype=np.intp), 3 ** np.arange(s - 1, -1, -1, dtype=np.intp)))
+        size = factors[-1].span.stop
+    cliques = factors[:len(jt.cliques)]
+    pairs = [(c, sep) for sep in factors[len(cliques):] for c in cliques if sep.vs <= c.vs]
+    onto = [_onto(c, sep) for c, sep in pairs]
+    offsets = np.cumsum([0] + [math.prod(sep.shape) for _, sep in pairs], dtype=np.intp)
+    hosts = {}
+    for k, (_, sep) in enumerate(pairs):
+        if sep.vs.sources:
+            hosts.setdefault(sep.vs, k)
+    layout = jt.__dict__["_layout"] = TableLayout(
+        factors=tuple(factors), n_cliques=len(cliques), size=size,
+        starts=np.array([f.span.start for f in factors], dtype=np.intp),
+        scale=np.repeat([1.0 - f.degree for f in factors],
+                        [f.span.stop - f.span.start for f in factors]),
+        host=_concat([_entries(pairs[k][1]) for k in hosts.values()]),
+        marginal=_concat([pairs[k][0].span.start + np.argsort(onto[k], kind="stable")
+                          for k in hosts.values()]).reshape(-1, 3),
+        pairs=tuple((c.vs, sep.vs) for c, sep in pairs),
+        pair_entry=_concat([_entries(c) for c, _ in pairs]),
+        pair_slot=_concat([start + o for start, o in zip(offsets.tolist(), onto)]),
+        pair_sep=_concat([_entries(sep) for _, sep in pairs]), pair_starts=offsets[:-1])
+    return layout
+
+
 @dataclass
 class LabelModelParameters:
-    """Marginal probability tables over every maximal clique and separator.
-
-    Tables follow the package axis convention: task axes first (states +1,-1),
-    then source axes (states +1,0,-1), member indices ascending.
-    """
+    """Marginal probability tables over every maximal clique and separator,
+    stored in ``table``, one read-only float64 vector laid out by
+    ``jtree.layout``. Each table is row-major with task axes first (states
+    +1,-1), then source axes (states +1,0,-1), member indices ascending.
+    ``cliques`` and ``separators`` map each VarSet to a read-only view of its
+    table, in tree order; ``from_tables`` builds parameters from such maps."""
 
     graph: DependencyGraph
     jtree: JunctionTree
-    cliques: Dict[VarSet, np.ndarray]
-    separators: Dict[VarSet, np.ndarray]
+    table: np.ndarray
     diagnostics: object = None
+    cliques: Mapping[VarSet, np.ndarray] = field(init=False, repr=False)
+    separators: Mapping[VarSet, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for store in (self.cliques, self.separators):
-            for vs, tbl in store.items():
-                tbl = np.asarray(tbl, dtype=np.float64)
-                if tbl.shape != clique_table_shape(vs):
+        layout = self.jtree.layout
+        self.table = np.asarray(self.table, dtype=np.float64)
+        if self.table.shape != (layout.size,):
+            raise ValueError(f"the tables take {layout.size} entries, not {self.table.shape}")
+        self.table.flags.writeable = False
+        self.cliques, self.separators = layout.views(self.table)
+
+    @classmethod
+    def from_tables(cls, graph: DependencyGraph, jtree: JunctionTree,
+                    cliques: Mapping[VarSet, np.ndarray],
+                    separators: Mapping[VarSet, np.ndarray]) -> "LabelModelParameters":
+        """Parameters from one table per clique and per separator of
+        ``jtree``; raises ValueError on a missing or extra table or a table
+        of the wrong shape."""
+        table = np.empty(jtree.layout.size)
+        for kind, given, slots in zip(("clique", "separator"), (cliques, separators),
+                                      jtree.layout.views(table)):
+            extra = [vs for vs in given if vs not in slots]
+            if extra:
+                raise ValueError(f"{extra[0].label()} is not a {kind} of the junction tree")
+            for vs, slot in slots.items():
+                if vs not in given:
+                    raise ValueError(f"no table for {kind} {vs.label()}")
+                tbl = np.asarray(given[vs], dtype=np.float64)
+                if tbl.shape != slot.shape:
                     raise ValueError(f"table for {vs.label()} has shape {tbl.shape}")
-                store[vs] = _freeze(tbl)
+                slot[...] = tbl
+        return cls(graph, jtree, table)
 
     def validate(self, tol_sum: float = 1e-9, tol_sep: float = 1e-6) -> None:
-        """Assert the probability-table invariants; raises ValueError on failure."""
-        for vs, tbl in list(self.cliques.items()) + list(self.separators.items()):
-            if np.any(tbl < 0):
-                raise ValueError(f"negative entry in table {vs.label()}")
-            if abs(float(tbl.sum()) - 1.0) > tol_sum:
-                raise ValueError(f"table {vs.label()} sums to {tbl.sum()}")
-        for sep, _deg in self.jtree.separators:
-            for cl in self.jtree.cliques:
-                if sep <= cl and cl in self.cliques and sep in self.separators:
-                    marg = marginalize_table(cl, self.cliques[cl], sep)
-                    if np.max(np.abs(marg - self.separators[sep])) > tol_sep:
-                        raise ValueError(
-                            f"clique {cl.label()} does not marginalize onto "
-                            f"separator {sep.label()}"
-                        )
+        """Assert the probability-table invariants; raises ValueError naming
+        the first table, in layout order, with a negative entry or a sum off
+        1 by more than ``tol_sum``, else the first pair of ``layout.pairs``
+        whose clique marginal is off the separator by more than ``tol_sep``."""
+        layout, table = self.jtree.layout, self.table
+        # the verdict sums in entry order; the message quotes the table's own sum
+        bad = np.logical_or.reduceat(table < 0, layout.starts) | (
+            np.abs(np.add.reduceat(table, layout.starts) - 1.0) > tol_sum)
+        if bad.any():
+            f = layout.factors[int(np.argmax(bad))]
+            tbl = table[f.span].reshape(f.shape)
+            raise ValueError(f"negative entry in table {f.vs.label()}" if np.any(tbl < 0)
+                             else f"table {f.vs.label()} sums to {tbl.sum()}")
+        onto = np.bincount(layout.pair_slot, weights=table[layout.pair_entry])
+        gap = np.maximum.reduceat(np.abs(onto - table[layout.pair_sep]), layout.pair_starts)
+        if np.any(gap > tol_sep):
+            cl, sep = layout.pairs[int(np.argmax(gap > tol_sep))]
+            raise ValueError(f"clique {cl.label()} does not marginalize onto "
+                             f"separator {sep.label()}")
 
 
 def marginalize_table(clique: VarSet, table: np.ndarray, target: VarSet) -> np.ndarray:

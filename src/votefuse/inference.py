@@ -5,17 +5,17 @@ multiplied together, divided by each separator marginal raised to one less
 than its adjacency degree. One kernel, ``_log_joint``, evaluates that product
 in log space for a block of vote rows and all 2^D task configurations at once:
 
-* each call turns every factor into a log table, ``log(clique)`` for a clique
-  and ``-(deg - 1) * log(separator)`` for a separator;
-* each factor's source axes are indexed by the rows' vote states
+* each call takes one log of the whole parameter vector, scaled per entry:
+  ``log(clique)`` for a clique and ``-(deg - 1) * log(separator)`` for a
+  separator;
+* each factor's slice of it is indexed by the rows' vote states
   (``1 - vote``, read from one contiguous sources x rows block), and the
   gathered values are added into a ``(2,) * D + (n,)`` log-joint, broadcast
   over the factor's task axes.
 
-The layout of the factors depends on the junction tree alone: each factor's
-broadcast shape, source indices and base-3 strides are built once per tree
-by ``compile_factors`` and cached on it, so per factor a call only takes the
-log, gathers and adds.
+The factors, their slices, broadcast shapes, source indices and base-3
+strides are the junction tree's ``graph.TableLayout``, compiled once per
+tree, so per factor a call only gathers and adds.
 
 Zero-factor rule: a zero entry in any clique or separator table makes the
 joint of the configurations it touches exactly zero (``-inf`` in log space;
@@ -30,7 +30,7 @@ at a time, so its working memory is bounded by the block, not by n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .graph import (
     LabelModelParameters,
     MAX_EXACT_TASKS,
     TASK_IDX,
-    VarSet,
 )
 
 
@@ -74,60 +73,27 @@ class PosteriorLabels:
         return np.where(self.probs >= 0.5, 1, -1).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One factor of the junction-tree product: clique or separator ``vs``
-    (``degree`` 0 for a clique, its adjacency degree for a separator). Its
-    log table is reshaped to ``shape``, 2 or 1 per task then one axis over
-    the base-3 states of its sources; a row's state is the sum over
-    ``sources`` of ``strides`` times the source's vote state."""
-
-    vs: VarSet
-    degree: int
-    shape: Tuple[int, ...]
-    sources: np.ndarray
-    strides: np.ndarray
-
-
-def compile_factors(jt: JunctionTree, n_tasks: int) -> Tuple[Factor, ...]:
-    """The layout of ``jt``'s factors for ``_log_joint``, cliques first, then
-    separators, cached on the tree."""
-    factors = []
-    for vs, degree in [(c, 0) for c in jt.cliques] + list(jt.separators):
-        s = len(vs.sources)
-        factors.append(Factor(
-            vs=vs, degree=degree,
-            shape=tuple(2 if d in vs.tasks else 1 for d in range(n_tasks)) + (-1,),
-            sources=np.array(vs.sources, dtype=np.intp),
-            strides=3 ** np.arange(s - 1, -1, -1, dtype=np.intp)))
-    factors = jt.__dict__["_factors"] = tuple(factors)
-    return factors
-
-
 def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
                votes: np.ndarray) -> np.ndarray:
     """log P(Y = y, votes = row) for every task configuration y and row of the
-    n x m int8 ``votes``, shape (2,)*D + (n,); zero joints read ``-inf``."""
+    n x m int8 ``votes``, shape (2,)*D + (n,); zero joints read ``-inf``.
+    ``jt`` is ``mu``'s tree, whose layout holds the tables."""
     D, m = mu.graph.n_tasks, mu.graph.n_sources
     if votes.shape[1] != m:
         raise ShapeMismatch(f"matrix has {votes.shape[1]} sources, model expects {m}")
     if D > MAX_EXACT_TASKS:
         raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
-    factors = jt.__dict__.get("_factors") or compile_factors(jt, D)
+    layout = mu.jtree.layout
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_table = np.where(mu.table > 0, layout.scale * np.log(mu.table), -np.inf)
     states = np.subtract(1, votes.T, order="C")  # per source and row: +1 -> 0, 0 -> 1, -1 -> 2
     out = np.zeros((2,) * D + (votes.shape[0],))
-    with np.errstate(divide="ignore"):
-        for f in factors:
-            if f.degree:
-                tbl = mu.separators[f.vs]
-                log_tbl = np.where(tbl > 0, (1 - f.degree) * np.log(tbl), -np.inf)
-            else:
-                log_tbl = np.log(mu.cliques[f.vs])
-            # one source's states are a row of the block; otherwise base 3
-            state = (states[f.sources[0]] if len(f.sources) == 1
-                     else f.strides @ states[f.sources])
-            # task axes broadcast into the log-joint
-            out += log_tbl.reshape(f.shape).take(state, axis=-1)
+    for f in layout.factors:
+        # one source's states are a row of the block; otherwise base 3
+        state = (states[f.sources[0]] if len(f.sources) == 1
+                 else f.strides @ states[f.sources])
+        # task axes broadcast into the log-joint
+        out += log_table[f.span].reshape(f.bcast).take(state, axis=-1)
     return out
 
 

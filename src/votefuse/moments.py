@@ -256,12 +256,6 @@ class MomentEstimates:
         tbl = self.pair_tables[key]
         return tbl if i <= j else tbl.T
 
-    def prior_task_mean(self, d: int) -> float:
-        return self.prior.task_mean(d)
-
-    def prior_pair_mean(self, d: int, e: int) -> float:
-        return self.prior.pair_mean(d, e)
-
 
 def estimate_moments(A: AugmentedLabelMatrix, prior: ClassPrior,
                      graph: Optional[AugmentedGraph] = None) -> MomentEstimates:

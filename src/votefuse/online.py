@@ -21,7 +21,7 @@ from .config import RunConfig
 from .errors import ConfigError, EstimationWarning, VoteFuseError
 from .graph import (AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelModelParameters,
                     build_junction_tree, validate_graph)
-from .inference import compile_factors, marginal_positives, posterior
+from .inference import marginal_positives, posterior
 from .moments import RunningStats, enumerate_triplets, tracked_statistics
 from .recovery import compile_cliques, recover_from_moments
 
@@ -59,8 +59,7 @@ class RollingState:
         if self.window is not None and self.warmup > self.window:
             self.warmup = self.window
         self.jtree = build_junction_tree(self.graph)
-        compile_cliques(self.jtree)
-        compile_factors(self.jtree, self.graph.n_tasks)
+        compile_cliques(self.jtree)  # and the tree's table layout
         self.aug_graph = augment_graph(self.graph)
         self.plan = enumerate_triplets(self.aug_graph, cfg)
         self.stats = RunningStats(m, *tracked_statistics(self.graph))
@@ -146,7 +145,7 @@ class RollingState:
                 continue
             if is_stale:
                 # a copy, so the snapshot returned fresh earlier stays fresh;
-                # it shares the frozen tables
+                # it shares the frozen parameter vector
                 self._note_stale(failure)
                 params = copy.copy(params)
                 params.diagnostics = replace(params.diagnostics, stale=True)
@@ -182,13 +181,11 @@ def step(state: RollingState, lam_t: Sequence[int], prior_t: ClassPrior) -> Step
 # ---------------------------------------------------------------------------
 
 def parameter_error(est: LabelModelParameters, truth: LabelModelParameters) -> float:
-    """l2 distance between two parameter sets over all clique and separator tables."""
-    diffs = []
-    for vs, tbl in est.cliques.items():
-        diffs.append((tbl - truth.cliques[vs]).reshape(-1))
-    for vs, tbl in est.separators.items():
-        diffs.append((tbl - truth.separators[vs]).reshape(-1))
-    return float(np.linalg.norm(np.concatenate(diffs)))
+    """l2 distance between two parameter sets over all clique and separator
+    tables; both must be laid out by equal junction trees."""
+    if est.jtree != truth.jtree:
+        raise ValueError("parameter sets over different junction trees")
+    return float(np.linalg.norm(est.table - truth.table))
 
 
 def run_stream(stream, window: Optional[int], cfg: RunConfig,

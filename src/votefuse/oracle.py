@@ -121,9 +121,6 @@ class ExactJoint:
 
     # -- raw value decoding over the full space --------------------------------
 
-    def _n_bits(self) -> int:
-        return self.D + (2 * self.m if self.params.abstaining else self.m)
-
     def full_value(self, var_bit: int) -> np.ndarray:
         """+/-1 value of one binary variable across all full configurations."""
         idx = np.arange(self.p_full.size, dtype=np.int64)
@@ -270,10 +267,9 @@ class ExactJoint:
     def true_parameters(self, jtree: Optional[JunctionTree] = None) -> LabelModelParameters:
         if jtree is None:
             jtree = build_junction_tree(self.graph)
-        cliques = {c: self.clique_table(c) for c in jtree.cliques}
-        separators = {s: self.clique_table(s) for s, _ in jtree.separators}
-        return LabelModelParameters(graph=self.graph, jtree=jtree,
-                                    cliques=cliques, separators=separators)
+        return LabelModelParameters.from_tables(
+            self.graph, jtree, {c: self.clique_table(c) for c in jtree.cliques},
+            {s: self.clique_table(s) for s, _ in jtree.separators})
 
     def posterior_table(self) -> np.ndarray:
         """P(Y config | lambda config): shape (3^m, 2^D); rows with zero vote

@@ -12,14 +12,14 @@ the marginal is a single solve.
 
 What depends on the junction tree alone is compiled once per tree by
 ``compile_cliques`` and cached on it: the source cliques grouped by source
-count, the source pairs whose abstain-conditioned accuracies they need, each
-separator's host clique, and two gather indices. A fit is then one pass over
-every clique size at once. ``clique_rhs`` computes each right-hand-side
-quantity once per source or source pair, as a vector, and gathers the flat
-right-hand side of all cliques from them in one step; ``solve_cliques``
-clamps it into [0, 1] at once, takes one product with A_s^{-1} per clique
-size, and gathers every renormalised table, in table axis order, from the
-solutions in one step. No Python runs per clique.
+count, the source pairs whose abstain-conditioned accuracies they need, and
+two gather indices. A fit is then one pass over every clique size at once.
+``clique_rhs`` computes each right-hand-side quantity once per source or
+source pair, as a vector, and gathers the flat right-hand side of all cliques
+from them in one step; ``solve_cliques`` clamps it into [0, 1] at once, takes
+one product with A_s^{-1} per clique size, and gathers every renormalised
+table into the parameter vector in one step, and one more gather sums the
+separators. No Python runs per clique.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .graph import (
     JunctionTree,
     LabelMatrix,
     LabelModelParameters,
+    TableLayout,
     VarSet,
     _clip,
     build_junction_tree,
-    marginalize_table,
     validate_graph,
 )
 from .moments import (
@@ -167,10 +167,8 @@ class CompiledCliques:
     abstain-conditioned accuracy they need, (j, i) then (i, j) for each.
     ``rhs_index`` gathers the flat right-hand side from the quantity vector
     of ``clique_rhs``; ``table_index`` gathers every clique's table, in tree
-    order and table axis order, from the flat solution, ``owner`` names the
-    clique of each gathered entry and ``tables`` the span and shape of each.
-    ``separators`` pairs every separator with the clique it is marginalised
-    from (None for task-only separators).
+    order and table axis order, from the flat solution, into the entries
+    ``slots`` of the tree's ``layout``; ``owner`` names each one's clique.
     """
 
     groups: Tuple[CliqueGroup, ...]
@@ -183,9 +181,9 @@ class CompiledCliques:
     cond_pairs: Tuple[Tuple[int, int], ...]
     rhs_index: np.ndarray
     table_index: np.ndarray
+    slots: np.ndarray
     owner: np.ndarray
-    tables: Tuple[Tuple[VarSet, int, int, Tuple[int, ...]], ...]
-    separators: Tuple[Tuple[VarSet, Optional[VarSet]], ...]
+    layout: TableLayout
 
 
 def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
@@ -226,8 +224,8 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
             position[c] = len(position)
             table_index[c] = size + row_of * k + p
         size += rows * k
-    sizes = [table_index[c].size for c in source]
-    ends = np.cumsum(sizes, dtype=np.intp).tolist()
+    layout = jtree.layout
+    spans = [f.span for f in layout.factors[:layout.n_cliques] if f.vs.sources]
     compiled = CompiledCliques(
         groups=tuple(groups),
         cliques=source,
@@ -240,13 +238,9 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
         rhs_index=np.array(rhs_index, dtype=np.intp),
         table_index=np.array([e for c in source for e in table_index[c].ravel().tolist()],
                              dtype=np.intp),
-        owner=np.repeat(np.arange(len(source)), sizes),
-        tables=tuple((c, end - size, end, table_index[c].shape)
-                     for c, size, end in zip(source, sizes, ends)),
-        separators=tuple(
-            (sep, next(c for c in jtree.cliques if sep <= c and c.sources)
-             if sep.sources else None)
-            for sep, _deg in jtree.separators),
+        slots=np.array([e for sp in spans for e in range(sp.start, sp.stop)], dtype=np.intp),
+        owner=np.repeat(np.arange(len(source)), [sp.stop - sp.start for sp in spans]),
+        layout=layout,
     )
     jtree.__dict__["_compiled_cliques"] = compiled
     return compiled
@@ -315,13 +309,14 @@ def clique_rhs(compiled: CompiledCliques, acc: np.ndarray, moments: MomentEstima
 # ---------------------------------------------------------------------------
 
 def solve_cliques(compiled: CompiledCliques, rhs: np.ndarray) -> Tuple[
-        Dict[VarSet, np.ndarray], Dict[str, float], Dict[str, float]]:
+        np.ndarray, Dict[str, float], Dict[str, float]]:
     """Solve every source clique from the flat right-hand side ``rhs``: clamp
     r into [0, 1], mu = A_s^{-1} r with one product per group, clip negative
     entries and renormalise.
 
-    Returns the tables, then the largest clip of each raw solution and the
-    largest clamp of each r by clique label, all in tree order. Raises
+    Returns a parameter vector holding the source tables (other entries
+    unset), then the largest clip of each raw solution and the largest clamp
+    of each r by clique label, in tree order. Raises
     NumericalInstability naming the first clique in tree order whose raw
     solution leaves [-INSTABILITY, 1 + INSTABILITY] or has no mass.
     """
@@ -348,11 +343,10 @@ def solve_cliques(compiled: CompiledCliques, rhs: np.ndarray) -> Tuple[
         what = ("has no mass" if in_range[k]
                 else f"solved to range [{lo[k]:.4f}, {hi[k]:.4f}]")
         raise NumericalInstability(f"marginal for {label} {what} (clique {label})")
-    tables = mu.take(compiled.table_index)
-    tables /= total.take(compiled.owner)
+    table = np.empty(compiled.layout.size)
+    table[compiled.slots] = mu.take(compiled.table_index) / total.take(compiled.owner)
     clip = np.maximum(0.0, np.maximum(-lo, hi - 1.0))
-    return ({c: tables[a:b].reshape(shape) for c, a, b, shape in compiled.tables},
-            dict(zip(compiled.labels, clip.tolist())),
+    return (table, dict(zip(compiled.labels, clip.tolist())),
             dict(zip(compiled.labels, clamp.tolist())))
 
 
@@ -466,14 +460,13 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
     cond = _conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc, cfg, diag)
     means = np.array([prior.task_mean(d) for d in range(g.n_tasks)])
     rhs = clique_rhs(compiled, acc.values, moments, cond, means)
-    tables, diag.clip_magnitudes, diag.rhs_clamps = solve_cliques(compiled, rhs)
-
-    cliques = {c: tables[c] if c.sources else prior.table(c.tasks) for c in jtree.cliques}
-    separators = {sep: prior.table(sep.tasks) if host is None
-                  else marginalize_table(host, cliques[host], sep)
-                  for sep, host in compiled.separators}
-    return LabelModelParameters(graph=g, jtree=jtree, cliques=cliques,
-                                separators=separators, diagnostics=diag)
+    table, diag.clip_magnitudes, diag.rhs_clamps = solve_cliques(compiled, rhs)
+    layout = compiled.layout
+    for f in layout.factors:
+        if not f.vs.sources:
+            table[f.span] = prior.table(f.vs.tasks).reshape(-1)
+    table[layout.host] = table[layout.marginal].sum(axis=1)
+    return LabelModelParameters(graph=g, jtree=jtree, table=table, diagnostics=diag)
 
 
 def recover_parameters(L: LabelMatrix, g: DependencyGraph, prior: ClassPrior,

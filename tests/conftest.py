@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from votefuse.errors import NumericalInstability
-from votefuse.graph import DependencyGraph, VarSet
+from votefuse.graph import DependencyGraph, VarSet, marginalize_table
 from votefuse.recovery import build_transform, mu_unflatten
 
 
@@ -40,7 +40,8 @@ def reference_augment(votes, policy):
 def reference_log_joint(mu, jt, votes):
     """The former per-factor log-joint loop (log tables, base-3 states and
     broadcast shapes rebuilt on every call), kept as the reference for the
-    layout that ``inference.compile_factors`` caches on the tree."""
+    parameter vector's one log and the layout ``graph.compile_layout``
+    caches on the tree."""
     D = mu.graph.n_tasks
     with np.errstate(divide="ignore"):
         factors = [(vs, np.log(mu.cliques[vs])) for vs in jt.cliques]
@@ -57,6 +58,24 @@ def reference_log_joint(mu, jt, votes):
             state = 3 * state + (1 - votes[:, i])
         out += np.take(log_tbl, state, axis=-1)
     return out
+
+
+def reference_validate(mu, tol_sum=1e-9, tol_sep=1e-6):
+    """The former per-table and per-(separator, clique) loops of
+    ``LabelModelParameters.validate``, kept as the reference for the
+    vectorised checks."""
+    for vs, tbl in list(mu.cliques.items()) + list(mu.separators.items()):
+        if np.any(tbl < 0):
+            raise ValueError(f"negative entry in table {vs.label()}")
+        if abs(float(tbl.sum()) - 1.0) > tol_sum:
+            raise ValueError(f"table {vs.label()} sums to {tbl.sum()}")
+    for sep, _deg in mu.jtree.separators:
+        for cl in mu.jtree.cliques:
+            if sep <= cl:
+                marg = marginalize_table(cl, mu.cliques[cl], sep)
+                if np.max(np.abs(marg - mu.separators[sep])) > tol_sep:
+                    raise ValueError(f"clique {cl.label()} does not marginalize onto "
+                                     f"separator {sep.label()}")
 
 
 def _reference_expectation(clique, acc, M, prior):

@@ -81,11 +81,44 @@ def test_missing_input_is_a_data_error(workdir, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _coupled_params(cliques=None, separators=None):
+    """A parameter document for the four voting sources with sources 1 and 2
+    coupled (uniform tables), with its clique or separator records replaced."""
+    def record(sources, size):
+        return {"tasks": [1], "sources": sources, "table": [1.0 / size] * size}
+
+    default = [record([1, 2], 18), record([3], 6), record([4], 6)]
+    return {"format": "votefuse-parameters-v1",
+            "graph": {"tasks": 1, "sources": 4, "assignment": [1, 1, 1, 1],
+                      "task_edges": [], "source_edges": [[1, 2]]},
+            "cliques": default if cliques is None else cliques(default),
+            "separators": [{**record([], 2), "degree": 3}] if separators is None else separators}
+
+
+def _negative(records):
+    records[1]["table"][0] = -0.1
+    return records
+
+
+def _not_a_number(records):
+    records[2]["table"][3] = float("nan")
+    return records
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"format": "votefuse-parameters-v1"}, "'graph'"),
     ([1, 2], "not a votefuse parameter file"),
     ({"format": "votefuse-parameters-v1",
       "graph": {"tasks": "1", "sources": 4}}, "'graph.tasks'"),
+    (_coupled_params(cliques=lambda r: r[1:]), "no table for clique {Y1,L1,L2}"),
+    (_coupled_params(separators=[]), "no table for separator {Y1}"),
+    (_coupled_params(cliques=lambda r: r + r[:1]),
+     "cliques[3]: a second table for {Y1,L1,L2}"),
+    (_coupled_params(cliques=lambda r: r + [{**r[1], "sources": [1]}]),
+     "{Y1,L1} is not a clique of the junction tree"),
+    (_coupled_params(cliques=_negative), "table for {Y1,L3} has a negative or non-finite entry"),
+    (_coupled_params(cliques=_not_a_number),
+     "table for {Y1,L4} has a negative or non-finite entry"),
 ])
 def test_malformed_parameter_file_is_a_data_error(workdir, capsys, doc, field):
     params = workdir / "params.json"
@@ -96,6 +129,14 @@ def test_malformed_parameter_file_is_a_data_error(workdir, capsys, doc, field):
     assert rc == 2
     err = capsys.readouterr().err
     assert "data error" in err and str(params) in err and field in err
+
+
+def test_coupled_parameter_document_is_well_formed(workdir):
+    params = workdir / "params.json"
+    params.write_text(json.dumps(_coupled_params()))
+    assert main(["predict", "--labels", str(workdir / "votes.csv"),
+                 "--params", str(params), "--balance", "0.55",
+                 "--out", str(workdir / "post.csv")]) == 0
 
 
 def test_stream_nonpositive_window_is_a_usage_error(workdir, capsys):

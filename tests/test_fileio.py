@@ -142,21 +142,14 @@ class TestLabelCsv:
                 fileio.read_label_csv(path)
 
     def test_float_parsed_entries_go_to_the_loop(self, tmp_path):
-        # a numpy that parses "1.0" via float returns 1 with only a
-        # DeprecationWarning, which Python hides outside tests
-        def float_loadtxt(*args, **kwargs):
-            warnings.warn("loadtxt(): Parsing an integer via a float is "
-                          "deprecated.", DeprecationWarning)
-            return np.ones((2, 1), dtype=np.int8)
-
         path = tmp_path / "votes.csv"
         path.write_text("1\n1.0\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with mock.patch.object(fileio.np, "loadtxt", float_loadtxt):
-                with pytest.raises(DataFormatError,
-                                   match="row 2, column 1: not an integer"):
-                    fileio.read_label_csv(path)
+        loop = mock.patch.object(fileio, "_read_label_csv_loop",
+                                 wraps=fileio._read_label_csv_loop)
+        with loop as spy, pytest.raises(DataFormatError,
+                                        match="row 2, column 1: not an integer"):
+            fileio.read_label_csv(path)
+        spy.assert_called_once()
 
     def test_read_peak_memory(self, tmp_path):
         # the reader holds one int8 buffer of half the file's bytes (~6 MB

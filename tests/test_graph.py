@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,13 +19,16 @@ from votefuse.graph import (
     ClassPrior,
     DependencyGraph,
     LabelMatrix,
+    LabelModelParameters,
     VarSet,
     build_junction_tree,
     marginalize_table,
     validate_graph,
 )
 
-from conftest import chain3, star, star_with_edges
+from votefuse.oracle import enumerate_joint, random_model
+
+from conftest import chain3, reference_validate, star, star_with_edges
 
 
 class TestLabelMatrix:
@@ -244,3 +248,86 @@ def test_marginalize_table_axes():
     onto = marginalize_table(vs, tbl, VarSet((0,), (4,)))
     assert onto.shape == (2, 3)
     np.testing.assert_allclose(onto, tbl.sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# label model parameters
+# ---------------------------------------------------------------------------
+
+def _exact_parameters(g, seed=3):
+    g = validate_graph(g)
+    return enumerate_joint(random_model(g, seed=seed)).true_parameters(build_junction_tree(g))
+
+
+def _shifted(mu, vs, moves):
+    """``mu`` with entries of clique ``vs`` moved by (index, delta) pairs."""
+    tbl = mu.cliques[vs].copy()
+    for idx, delta in moves:
+        tbl[idx] += delta
+    return LabelModelParameters.from_tables(mu.graph, mu.jtree, {**mu.cliques, vs: tbl},
+                                            mu.separators)
+
+
+# On star(4) with sources 1-2 and 2-3 coupled, whose cliques are {Y1,L1,L2},
+# {Y1,L2,L3} and {Y1,L4} and whose separators are {Y1} and {Y1,L2}: one
+# corruption per kind of validate() failure, and the message it gives.
+_CORRUPTIONS = {
+    "negative": ((VarSet((0,), (3,)), [((0, 0), -1.0)]),
+                 "negative entry in table {Y1,L4}"),
+    "sum": ((VarSet((0,), (3,)), [((0, 0), 1e-6)]), "table {Y1,L4} sums to 1.000001"),
+    # mass moved between L2's states: only the {Y1,L2} marginal changes
+    "source separator": ((VarSet((0,), (1, 2)), [((0, 0, 0), 1e-4), ((0, 1, 1), -1e-4)]),
+                         "clique {Y1,L2,L3} does not marginalize onto separator {Y1,L2}"),
+    # mass moved between the task's states
+    "task separator": ((VarSet((0,), (3,)), [((0, 0), 1e-4), ((1, 0), -1e-4)]),
+                       "clique {Y1,L4} does not marginalize onto separator {Y1}"),
+}
+
+
+class TestLabelModelParameters:
+    def test_exact_tables_validate(self):
+        for g in (star_with_edges(4, [(0, 1), (1, 2)]), chain3()):
+            mu = _exact_parameters(g)
+            mu.validate(tol_sum=1e-12, tol_sep=1e-12)
+            reference_validate(mu, tol_sum=1e-12, tol_sep=1e-12)
+
+    @pytest.mark.parametrize("kinds", [[k] for k in _CORRUPTIONS] + [
+        ["task separator", "source separator"], ["source separator", "sum"],
+        list(_CORRUPTIONS)])
+    def test_validate_failures_match_the_reference(self, kinds):
+        mu = _exact_parameters(star_with_edges(4, [(0, 1), (1, 2)]))
+        for kind in kinds:
+            mu = _shifted(mu, *_CORRUPTIONS[kind][0])
+        with pytest.raises(ValueError) as want:
+            reference_validate(mu)
+        if len(kinds) == 1:
+            assert str(want.value).startswith(_CORRUPTIONS[kinds[0]][1])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            mu.validate()
+
+    def test_tables_are_read_only(self):
+        mu = _exact_parameters(star_with_edges(3, [(0, 1)]))
+        clique, (sep, _deg) = mu.jtree.cliques[0], mu.jtree.separators[0]
+        with pytest.raises(TypeError):
+            mu.cliques[clique] = mu.cliques[clique] * 0.5
+        with pytest.raises(TypeError):
+            mu.separators[sep] = mu.separators[sep] * 0.5
+        for array in (mu.table, mu.cliques[clique], mu.separators[sep]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.5
+
+    def test_from_tables_takes_exactly_the_trees_tables(self):
+        mu = _exact_parameters(star(3))
+        vs = VarSet((0,), (0,))
+        others = {k: v for k, v in mu.cliques.items() if k != vs}
+        cases = [
+            (others, mu.separators, r"^no table for clique \{Y1,L1\}$"),
+            ({**mu.cliques, VarSet((0,), (0, 1)): np.zeros((2, 3, 3))}, mu.separators,
+             r"^\{Y1,L1,L2\} is not a clique of the junction tree$"),
+            ({**others, vs: np.zeros(6)}, mu.separators,
+             r"^table for \{Y1,L1\} has shape \(6,\)$"),
+            (mu.cliques, {}, r"^no table for separator \{Y1\}$"),
+        ]
+        for cliques, separators, message in cases:
+            with pytest.raises(ValueError, match=message):
+                LabelModelParameters.from_tables(mu.graph, mu.jtree, cliques, separators)

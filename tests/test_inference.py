@@ -43,8 +43,13 @@ def _single_source_params():
     tbl = np.array([[0.4, 0.05, 0.05],      # Y=+1: vote +1, 0, -1
                     [0.1, 0.05, 0.35]])     # Y=-1
     vs = VarSet((0,), (0,))
-    return LabelModelParameters(graph=g, jtree=jt, cliques={vs: tbl},
-                                separators={}), jt
+    return LabelModelParameters.from_tables(g, jt, {vs: tbl}, {}), jt
+
+
+def _with_clique(mu, vs, tbl):
+    """``mu`` with the table of clique ``vs`` replaced by ``tbl``."""
+    return LabelModelParameters.from_tables(mu.graph, mu.jtree, {**mu.cliques, vs: tbl},
+                                            mu.separators)
 
 
 class TestJointProbability:
@@ -59,10 +64,9 @@ class TestJointProbability:
         t1 = np.array([[0.3, 0.1, 0.1], [0.05, 0.15, 0.3]])
         t2 = np.array([[0.25, 0.2, 0.05], [0.1, 0.2, 0.2]])
         sep = np.array([0.5, 0.5])
-        mu = LabelModelParameters(
-            graph=g, jtree=jt,
-            cliques={VarSet((0,), (0,)): t1, VarSet((0,), (1,)): t2},
-            separators={VarSet((0,), ()): sep})
+        mu = LabelModelParameters.from_tables(
+            g, jt, {VarSet((0,), (0,)): t1, VarSet((0,), (1,)): t2},
+            {VarSet((0,), ()): sep})
         got = joint_probability(mu, jt, [1], [1, -1])
         assert got == pytest.approx(0.3 * 0.05 / 0.5)
 
@@ -93,10 +97,9 @@ class TestJointProbability:
         jt = build_junction_tree(g)
         t = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])
         sep = np.array([1.0, 0.0])  # P(Y=-1) = 0 while cliques carry mass there
-        mu = LabelModelParameters(
-            graph=g, jtree=jt,
-            cliques={VarSet((0,), (0,)): t, VarSet((0,), (1,)): t},
-            separators={VarSet((0,), ()): sep})
+        mu = LabelModelParameters.from_tables(
+            g, jt, {VarSet((0,), (0,)): t, VarSet((0,), (1,)): t},
+            {VarSet((0,), ()): sep})
         prior = ClassPrior.from_balance(1.0)
         assert joint_probability(mu, jt, [-1], [-1, -1]) == 0.0
         # the zero separator zeroes Y=-1 instead of dividing by zero
@@ -160,7 +163,7 @@ class TestPosterior:
         tbl = mu.cliques[VarSet((0,), (0,))].copy()
         tbl[:, 0] = 0.0
         tbl /= tbl.sum()
-        mu.cliques[VarSet((0,), (0,))] = tbl
+        mu = _with_clique(mu, VarSet((0,), (0,)), tbl)
         # one vote vector has no row number to name
         with pytest.raises(AllZeroLikelihood, match=r"^every task configuration has zero "
                                                     r"probability for votes \(1,\)$"):
@@ -223,7 +226,7 @@ class TestPredictProba:
         mu, jt = _single_source_params()
         tbl = mu.cliques[VarSet((0,), (0,))].copy()
         tbl[:, 2] = 0.0  # a -1 vote is impossible
-        mu.cliques[VarSet((0,), (0,))] = tbl / tbl.sum()
+        mu = _with_clique(mu, VarSet((0,), (0,)), tbl / tbl.sum())
         votes = np.ones((10, 1), dtype=np.int8)
         votes[3] = 0
         votes[7] = -1
@@ -240,11 +243,10 @@ class TestPredictProba:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
             fitted = recover_parameters(L, g, j.prior(), RunConfig(ratio_fallback=True))
-        zeroed = j.true_parameters(jt)
         clique = jt.source_cliques()[0]
-        tbl = zeroed.cliques[clique].copy()
+        tbl = j.true_parameters(jt).cliques[clique].copy()
         tbl[(0,) * tbl.ndim] = 0.0  # some rows lose a task configuration
-        zeroed.cliques[clique] = tbl / tbl.sum()
+        zeroed = _with_clique(j.true_parameters(jt), clique, tbl / tbl.sum())
         for mu in (j.true_parameters(jt), fitted, zeroed):
             got = inference._log_joint(mu, jt, L.votes)
             assert got.tobytes() == reference_log_joint(mu, jt, L.votes).tobytes()
@@ -254,7 +256,7 @@ class TestPredictProba:
                 assert predict_proba(L, mu, jt, j.prior()).probs.tobytes() == post.probs.tobytes()
                 for v, row in zip(L.votes, rows):
                     assert posterior(mu, jt, j.prior(), v).tobytes() == row.tobytes()
-        assert "_factors" in jt.__dict__
+        assert "_layout" in jt.__dict__
 
     def test_beats_majority_vote_on_heterogeneous_sources(self):
         accs = np.array([0.8, 0.1, 0.1, 0.1, 0.1])

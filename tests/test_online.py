@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import votefuse
 
-from votefuse import inference, online, recovery
+from votefuse import graph, online, recovery
 from votefuse.augment import AbstainPolicy, AugmentedGraph, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import ConfigError, EstimationWarning
@@ -52,8 +52,9 @@ def _drift_model(m=5, balance_mean=0.3):
 
 # Python frames entered in votefuse per post-warmup step of
 # test_call_budget_per_step: 127.6 before the per-tree inference layout, the
-# per-column abstain fill and the one-pass clique solve, 82.8 after them
-CALL_BUDGET = 85
+# per-column abstain fill and the one-pass clique solve, 82.8 after them, 68.8
+# with the tables in one parameter vector
+CALL_BUDGET = 70
 
 
 @st.composite
@@ -207,8 +208,7 @@ class TestStep:
             "enumerate_triplets (online)": (online, "enumerate_triplets"),
             "compile_cliques (online)": (online, "compile_cliques"),
             "columns_dependent": (AugmentedGraph, "columns_dependent"),
-            "compile_factors": (inference, "compile_factors"),
-            "compile_factors (online)": (online, "compile_factors"),
+            "compile_layout": (graph, "compile_layout"),
         }
 
         def run(steps, state=None):
@@ -228,7 +228,7 @@ class TestStep:
 
         state, _, at_build = run(range(250))
         assert at_build["compile_cliques (online)"] == 1
-        assert at_build["compile_factors (online)"] == 1
+        assert at_build["compile_layout"] == 1
         assert at_build["enumerate_triplets (online)"] == 1
         assert at_build["build_transform"] > 0
         _, fresh, per_step = run(range(250, 300), state)

@@ -212,13 +212,13 @@ class TestSolveMarginal:
         j = enumerate_joint(random_model(g, seed=4))
         vs = VarSet((0,), (0, 1))
         compiled = compile_cliques(build_junction_tree(g))
-        tables, clip, _ = solve_cliques(compiled, _r_direct(j, 0, (0, 1), 1))
+        tables, clip, _ = _solve(compiled, _r_direct(j, 0, (0, 1), 1))
         np.testing.assert_allclose(tables[vs], j.clique_table(vs), atol=1e-9)
         assert clip[vs.label()] == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_source(self):
         r = np.array([1.0, 0.5, 0.5, 1.0, 0.0, 0.0])
-        tables, _, _ = solve_cliques(_compiled_star1(), r)
+        tables, _, _ = _solve(_compiled_star1(), r)
         table = tables[VarSet((0,), (0,))]
         assert table[0, 0] == pytest.approx(0.5)   # mu(Y=1, vote=1)
         assert table[1, 2] == pytest.approx(0.5)   # mu(Y=-1, vote=-1)
@@ -226,7 +226,7 @@ class TestSolveMarginal:
 
     def test_always_abstaining_source(self):
         r = np.array([1.0, 0.6, 0.0, 0.0, 1.0, 0.6])
-        tables, _, _ = solve_cliques(_compiled_star1(), r)
+        tables, _, _ = _solve(_compiled_star1(), r)
         table = tables[VarSet((0,), (0,))]
         assert table[0, 1] == pytest.approx(0.6)   # mass only on abstain states
         assert table[1, 1] == pytest.approx(0.4)
@@ -248,6 +248,12 @@ class TestSolveMarginal:
         with pytest.raises(NumericalInstability,
                            match=r"^marginal for \{Y1,L1,L2\} .* \(clique \{Y1,L1,L2\}\)$"):
             solve_cliques(compiled, np.concatenate([bad, bad_pair]))
+
+
+def _solve(compiled, rhs):
+    """``solve_cliques`` with its parameter vector read as clique tables."""
+    table, clip, clamp = solve_cliques(compiled, rhs)
+    return compiled.layout.views(table)[0], clip, clamp
 
 
 def _compiled_star1():
@@ -398,6 +404,22 @@ class TestRecoverParameters:
         # sum/nonnegativity are exact by construction; separator agreement on
         # sampled data is only as tight as the clip-and-renormalize step
         mu.validate(tol_sum=1e-9, tol_sep=0.05)
+
+    def test_source_separators_are_their_host_marginals_bit_for_bit(self):
+        # {Y1,L1} is the first source of its host {Y1,L1,L2}, and {Y1,L6}
+        # the second of its host {Y1,L5,L6}
+        g = star_with_edges(8, [(0, 1), (0, 2), (4, 5), (5, 6)])
+        j = enumerate_joint(random_model(g, seed=3))
+        L, _ = sample(j, 5000, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            mu = recover_parameters(L, g, j.prior(), RunConfig())
+        hosted = [sep for sep, _deg in mu.jtree.separators if sep.sources]
+        assert [sep.label() for sep in hosted] == ["{Y1,L1}", "{Y1,L6}"]
+        for sep in hosted:
+            host = next(c for c in mu.jtree.cliques if sep <= c)
+            onto = marginalize_table(host, mu.cliques[host], sep)
+            assert mu.separators[sep].tobytes() == onto.tobytes()
 
     def test_separator_consistency_on_exact_moments(self):
         for g, seed, abstaining in (acceptance_grid()[0], acceptance_grid()[-1]):
