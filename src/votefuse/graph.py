@@ -726,7 +726,7 @@ class LabelModelParameters:
 
     def __post_init__(self):
         layout = self.jtree.layout
-        self.table = np.asarray(self.table, dtype=np.float64)
+        self.table = np.ascontiguousarray(self.table, dtype=np.float64)
         if self.table.shape != (layout.size,):
             raise ValueError(f"the tables take {layout.size} entries, not {self.table.shape}")
         self.table.flags.writeable = False
