@@ -114,6 +114,8 @@ def _parse_signs(text: str):
             src = int(parts[1])
         except ValueError:
             raise UsageError(f"bad --signs value {text!r}")
+        if src < 1:
+            raise UsageError(f"bad --signs value {text!r}: sources count from 1")
         return {"sign_strategy": "anchor", "anchor_source": src - 1,
                 "anchor_sign": 1 if parts[2] == "+" else -1}
     raise UsageError(f"bad --signs value {text!r}")

@@ -1,10 +1,11 @@
 """Observable moments and closed-form recovery of unobservable source accuracies.
 
 The moments come from one pass over the rows: ``RunningStats`` folds each
-block of pair-encoded rows, as ``augment`` encodes it, into one Gram of the
-block with a ones column, so pairwise products, first moments, vote counts
-and the row count cost one matrix product per block and the n x 2m matrix is
-never held.
+block of pair-encoded rows, as ``augment`` encodes it, into an int64 Gram of
+the rows with a ones column, so pairwise products, first moments, vote counts
+and the row count cost one matrix product per fixed-size float32 operand.
+Neither the n x 2m matrix nor a float copy of a whole block is held: the
+pass's memory is the int8 block, one operand and the Grams.
 
 The accuracy of observed column ``a`` is a_a = E[v_a Y(a)], the scaled
 correlation with its hidden task. For columns a, j, k that are pairwise
@@ -64,6 +65,14 @@ def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...],
 
 _PAIR_WEIGHTS = np.array([-3, 3, -1, 1])
 
+# Bytes of the float32 operand each Gram is taken of: ~2,600 rows at m=100.
+# Writing a Gram and folding it into the int64 totals costs O(m^2) per
+# operand, so an operand also holds at least _FOLD_ROWS rows per Gram column:
+# at m=1000, 262-row operands made the pass 3x slower and 4,002-row ones
+# (32 MB, the size of the int64 Gram) run as fast as whole blocks.
+_OPERAND_BYTES = 1 << 21
+_FOLD_ROWS = 2
+
 
 class RunningStats:
     """Integer-exact sufficient statistics over a set of augmented rows.
@@ -73,15 +82,18 @@ class RunningStats:
     cross-tabs for tracked source pairs, and abstain-restricted copies of the
     pairwise sums for tracked conditioning sources.
 
-    One kernel, ``_accumulate``, adds or subtracts a block of augmented rows
-    with one float32 Gram of the block with a ones column appended:
-    ``second``, ``first`` and ``n`` are views of that int64 sum. The vote
-    histograms follow from it exactly, so only the tracked pairs' cross-tabs
-    need a count, and each conditioning source takes one more Gram of its
-    abstaining rows. A stream adds and removes one row at a time and a batch
-    adds fixed-size row blocks, so a rolling window holds the same statistics
-    the batch path computes, bit for bit, and batch memory is bounded by the
-    block.
+    One kernel, ``_accumulate``, adds or subtracts augmented rows. It copies
+    them, a ones column appended, into a float32 operand and folds the
+    operand's Gram into an int64 sum: ``second``, ``first`` and ``n`` are
+    views of that sum. The vote histograms follow from it exactly, so only
+    the tracked pairs' cross-tabs need a count, and each conditioning source
+    takes one more Gram of the operand's rows where it abstains. Every
+    partial Gram is an integer matrix that float32 holds exactly. A stream
+    adds and removes one row at a time; a batch encodes fixed-size row
+    blocks and feeds each through one reused operand of fixed size, a slice
+    at a time. So a rolling window holds the same statistics the batch path
+    computes, int64 for int64, and batch memory is bounded by the block and
+    the operand, not by n or by m x block.
     """
 
     def __init__(self, m: int,
@@ -131,14 +143,22 @@ class RunningStats:
         pos = (n - abstain + (self.first[0::2] - self.first[1::2]) // 2) // 2
         return np.array([pos, abstain, n - abstain - pos]).T
 
-    def _accumulate(self, aug: np.ndarray, sign: int) -> None:
-        """Add (sign +1) or subtract (sign -1) the rows of an augmented block."""
+    def _accumulate(self, aug: np.ndarray, sign: int, xt: Optional[np.ndarray] = None) -> None:
+        """Add (sign +1) or subtract (sign -1) the rows of an augmented block.
+
+        The rows are copied into the float32 ``[aug | 1]`` operand ``xt``
+        (transposed, at least as wide as the block; a new one when None), and
+        its Gram is folded into the int64 totals, and so are the Grams of the
+        rows where a conditioning source abstains and the pair cross-tab
+        counts."""
         n, c = aug.shape
-        xt = np.empty((c + 1, n), dtype=np.float32)  # [aug | 1], transposed
-        xt[:c] = aug.T
-        xt[c] = 1
+        x = np.empty((c + 1, n), dtype=np.float32) if xt is None else xt[:, :n]
+        x[:c] = aug.T
+        x[c] = 1
         update = np.add if sign > 0 else np.subtract
-        gram = _exact_gram(xt)
+        # every entry is an integer no larger than the row count, at most
+        # ``BLOCK_ROWS`` < 2**24, so float32 holds the Gram exactly
+        gram = (x @ x.T).astype(np.int64)
         update(self._gram, gram, out=self._gram)
         if self.tracked_pairs:
             cells = aug.take(self._pair_cols, axis=1) @ _PAIR_WEIGHTS
@@ -153,9 +173,11 @@ class RunningStats:
             counts = abstains.sum(axis=1)
             for t in counts.nonzero()[0].tolist():
                 total = self._cond_gram[self.cond_sources[t]]
-                # a block where every row abstains reuses its Gram
-                update(total, gram if counts[t] == n else _exact_gram(xt[:, abstains[t]]),
-                       out=total)
+                if counts[t] == n:  # every row abstains: reuse the Gram
+                    update(total, gram, out=total)
+                else:
+                    sub = x[:, abstains[t]]
+                    update(total, (sub @ sub.T).astype(np.int64), out=total)
 
     def add(self, aug_row: np.ndarray) -> None:
         self._accumulate(aug_row.reshape(1, -1), 1)
@@ -166,10 +188,18 @@ class RunningStats:
     @classmethod
     def from_matrix(cls, A: AugmentedLabelMatrix,
                     tracked_pairs=(), cond_sources=()) -> "RunningStats":
+        """The statistics of every row of ``A``, encoded ``BLOCK_ROWS`` rows
+        at a time and folded through one reused operand of
+        ``_OPERAND_BYTES``, or of ``_FOLD_ROWS`` rows per column when that is
+        more."""
         st = cls(A.m, tracked_pairs, cond_sources)
+        c = 2 * A.m
+        step = max(_OPERAND_BYTES // (4 * (c + 1)), _FOLD_ROWS * (c + 1))  # rows per operand
         for block in A.blocks(BLOCK_ROWS):
-            st._accumulate(block, 1)
-            del block  # free it before the next block is encoded
+            xt = np.empty((c + 1, min(step, len(block))), dtype=np.float32)
+            for lo in range(0, len(block), step):
+                st._accumulate(block[lo:lo + step], 1, xt)
+            del block, xt  # free both before the next block is encoded
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
@@ -195,13 +225,6 @@ class RunningStats:
             pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
             conditional=conditional,
         )
-
-
-def _exact_gram(xt: np.ndarray) -> np.ndarray:
-    """xt @ xt.T as int64 for a transposed block of +/-1 entries. A block has
-    at most ``BLOCK_ROWS`` < 2**24 rows, so every partial sum is an integer
-    that float32 holds exactly."""
-    return (xt @ xt.T).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ class RollingState:
         if window is not None and window < 1:
             raise ConfigError(f"window must be positive, got {window}")
         self.graph = validate_graph(g)
+        cfg.check_sources(self.graph.n_sources)
         self.cfg = cfg
         self.window = window
         m = self.graph.n_sources

@@ -439,6 +439,7 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
     it empirical moments, the streaming estimator feeds it windowed moments,
     and the closure tests feed it exact enumerated moments.
     """
+    cfg.check_sources(g.n_sources)
     prior = moments.prior
     if jtree is None:
         jtree = build_junction_tree(g)
@@ -475,6 +476,7 @@ def recover_parameters(L: LabelMatrix, g: DependencyGraph, prior: ClassPrior,
     and solve every clique and separator marginal."""
     L.require_fit_shape(allow_small=cfg.ratio_fallback)
     g = validate_graph(g)
+    cfg.check_sources(g.n_sources)  # before the statistics pass
     jtree = build_junction_tree(g)
     G = augment_graph(g)
     A = augment_matrix(L, cfg.policy)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from votefuse.cli import main
+from votefuse.config import RunConfig
 
 from conftest import child_env
 
@@ -144,6 +145,43 @@ def test_stream_nonpositive_window_is_a_usage_error(workdir, capsys):
                "--window", "0"])
     assert rc == 1
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signs", ["anchor:0:+", "anchor:-1:-", "anchor:5:+", "anchor:99:+"])
+@pytest.mark.parametrize("command", ["fit-predict", "stream"])
+def test_out_of_range_sign_anchor_is_a_usage_error(workdir, capsys, signs, command):
+    # the model has four sources, numbered from 1
+    args = ["--graph", str(workdir / "model.txt"), "--balance", "0.55", "--signs", signs]
+    if command == "fit-predict":
+        args += ["--labels", str(workdir / "votes.csv"), "--out", str(workdir / "post.csv")]
+    assert main([command, *args]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (workdir / "post.csv").exists()
+
+
+def test_out_of_range_anchor_source_is_rejected_by_the_library(workdir):
+    from votefuse.errors import ConfigError
+    from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
+    from votefuse.online import RollingState
+    from votefuse.oracle import enumerate_joint, random_model
+    from votefuse.recovery import recover_from_moments, recover_parameters
+
+    with pytest.raises(ConfigError, match="anchor_source"):
+        RunConfig(sign_strategy="anchor", anchor_source=-1)
+    g = DependencyGraph(1, 4, (0,) * 4)
+    L = LabelMatrix(np.loadtxt(workdir / "votes.csv", delimiter=",", dtype=np.int8))
+    moments = enumerate_joint(random_model(g, seed=1)).moment_estimates()
+    for source in (4, 99):
+        cfg = RunConfig(sign_strategy="anchor", anchor_source=source)
+        with pytest.raises(ConfigError, match=f"anchor source {source + 1} "):
+            recover_parameters(L, g, ClassPrior.from_balance(0.55), cfg)
+        with pytest.raises(ConfigError, match=f"anchor source {source + 1} "):
+            recover_from_moments(moments, g, cfg)
+        with pytest.raises(ConfigError, match=f"anchor source {source + 1} "):
+            RollingState(g, cfg, window=50)
+    # the last source is in range
+    cfg = RunConfig(sign_strategy="anchor", anchor_source=3)
+    assert recover_parameters(L, g, ClassPrior.from_balance(0.55), cfg).graph == g
 
 
 def test_numerical_failure_exit_code(workdir, tmp_path, capsys):

@@ -149,22 +149,29 @@ def _stat_inputs(draw):
     return A, votes, reference_augment(votes, policy), tracked, cond
 
 
+def _operand_rows(m, rows):
+    """Size the statistics pass's float32 operand to ``rows`` rows of m
+    sources."""
+    return mock.patch.multiple(moments, _OPERAND_BYTES=4 * (2 * m + 1) * rows, _FOLD_ROWS=0)
+
+
 class TestRunningStatsKernel:
     """The block kernel against the former per-row update, which is kept here
     as the reference."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_stat_inputs(), st.integers(1, 45))
-    def test_from_matrix_matches_reference_for_any_block_size(self, inputs, block):
-        # the lazily encoded matrix is encoded block by block inside from_matrix
+    @given(_stat_inputs(), st.integers(1, 45), st.integers(1, 45))
+    def test_from_matrix_matches_reference_for_any_block_size(self, inputs, block, operand):
+        # the lazily encoded matrix is encoded block by block inside
+        # from_matrix, and each block is folded one operand of rows at a time
         A, votes, aug, tracked, cond = inputs
         ref = _reference_stats(A.m, sorted(tracked), cond,
                                [(aug[t], votes[t], 1) for t in range(A.n)])
-        with mock.patch.object(moments, "BLOCK_ROWS", block):
+        with mock.patch.object(moments, "BLOCK_ROWS", block), _operand_rows(A.m, operand):
             stats = RunningStats.from_matrix(A, tracked, cond)
         _assert_same_stats(stats, ref)
         # so are the entries of an explicit matrix
-        with mock.patch.object(moments, "BLOCK_ROWS", block):
+        with mock.patch.object(moments, "BLOCK_ROWS", block), _operand_rows(A.m, operand):
             stats = RunningStats.from_matrix(AugmentedLabelMatrix(aug), tracked, cond)
         _assert_same_stats(stats, ref)
 
@@ -194,6 +201,28 @@ class TestRunningStatsKernel:
         for row in A.data:
             stats.remove(row)
         _assert_same_stats(stats, _reference_stats(3, [(0, 2)], (0, 1), []))
+
+    def test_statistics_pass_memory_is_bounded_by_the_operand(self):
+        # two full blocks of 100 sources: the pass holds one int8 block and
+        # one fixed-size float32 operand (a float32 copy of a block would
+        # take 13 MB); two conditioning sources add their int64 totals and
+        # at most one operand's worth of abstaining rows, not a copy of the
+        # block
+        m, n = 100, 2 * moments.BLOCK_ROWS
+        rng = np.random.default_rng(0)
+        votes = rng.choice(np.array([-1, 0, 1], np.int8), size=(n, m))
+        A = augment_matrix(LabelMatrix(votes))
+        peaks = []
+        for tracked, cond in (((), ()), ([(0, 1)], [0, 1])):
+            tracemalloc.start()
+            try:
+                RunningStats.from_matrix(A, tracked, cond)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 8e6
+        cond_totals = 2 * (2 * m + 1) ** 2 * 8
+        assert peaks[1] < peaks[0] + cond_totals + moments._OPERAND_BYTES
 
     def test_fit_and_predict_never_hold_the_augmented_matrix(self):
         # six blocks of 40 sources at the benchmark's abstain rate: the fit
