@@ -54,11 +54,12 @@ class RunConfig:
     def __post_init__(self):
         if self.sign_strategy not in SIGN_STRATEGIES:
             raise ConfigError(f"unknown sign strategy {self.sign_strategy!r}")
-        if self.sign_strategy == "anchor" and self.anchor_source is None:
-            raise ConfigError("anchor strategy needs anchor_source")
-        if self.anchor_source is not None and self.anchor_source < 0:
-            raise ConfigError(f"anchor_source must be >= 0 (sources count from 0), "
-                              f"got {self.anchor_source}")
+        if self.sign_strategy == "anchor":
+            if self.anchor_source is None:
+                raise ConfigError("anchor strategy needs anchor_source")
+            if self.anchor_source < 0:
+                raise ConfigError(f"anchor_source must be >= 0 (sources count from 0), "
+                                  f"got {self.anchor_source}")
         if self.anchor_sign not in (-1, 1):
             raise ConfigError("anchor_sign must be +1 or -1")
         for name in ("eps_den", "eps_acc", "eps_prior"):
@@ -67,8 +68,8 @@ class RunConfig:
 
     def check_sources(self, n_sources: int) -> None:
         """Reject an anchor source that a graph of ``n_sources`` sources
-        does not have."""
-        if self.anchor_source is not None and self.anchor_source >= n_sources:
+        does not have. Only the anchor strategy reads ``anchor_source``."""
+        if self.sign_strategy == "anchor" and self.anchor_source >= n_sources:
             raise ConfigError(f"anchor source {self.anchor_source + 1} is not one of "
                               f"the graph's {n_sources} sources")
 

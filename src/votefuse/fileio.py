@@ -5,11 +5,10 @@ Parameter files round-trip bit-exactly (floats serialize via repr).
 
 Vote CSVs are read by a numpy byte tokenizer: each line-aligned chunk is
 classified byte by byte with vector compares, normalised to the canonical
-grammar ``-?[01](,-?[01])*\\n`` when it is in neither that grammar nor that
-grammar with blanks around its entries, and the votes are compacted from
-the digit positions. A file it does not accept is read by the per-token
-loop ``_read_label_csv_loop``, the reference for every result and the only
-source of row/column error messages.
+grammar ``-?[01](,-?[01])*\\n`` when it is not in it already, and the votes
+are compacted from the digit positions. A file it does not accept is read
+by the per-token loop ``_read_label_csv_loop``, the reference for every
+result and the only source of row/column error messages.
 """
 
 from __future__ import annotations
@@ -161,10 +160,9 @@ def _read_votes(fh: BinaryIO, skip: int) -> Optional[np.ndarray]:
 def _parse_chunk(c: np.ndarray, width: Optional[int], normalised: bool = False
                  ) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[int]]]:
     """A chunk of whole lines in the canonical grammar
-    ``-?[01](,-?[01])*\\n``, or in that grammar with blanks around its
-    entries: its signed byte values, the positions of its votes among them
-    and the row width. None when a row is not ``width`` entries long. Any
-    other chunk is normalised first, once."""
+    ``-?[01](,-?[01])*\\n``: its signed byte values, the positions of its
+    votes among them and the row width. None when a row is not ``width``
+    entries long. Any other chunk is normalised first, once."""
     digit = (c | 1) == _ONE  # "0" or "1"
     lf, minus = c == _LF, c == _MINUS
     sep = lf | (c == _COMMA)
@@ -177,7 +175,7 @@ def _parse_chunk(c: np.ndarray, width: Optional[int], normalised: bool = False
         and n_digit == n_sep
         and np.count_nonzero(digit[:-1] & sep[1:]) == n_digit
         and np.count_nonzero(minus[:-1] & digit[1:]) == n_minus)
-    if not canonical and not _blank_padded(c, digit, sep, minus, n_digit, n_sep, n_minus):
+    if not canonical:
         if normalised:
             return None
         c = _normalise(c)
@@ -196,34 +194,6 @@ def _parse_chunk(c: np.ndarray, width: Optional[int], normalised: bool = False
     negative <<= 1
     signed[1:] -= negative
     return signed, cols, width
-
-
-def _blank_padded(c: np.ndarray, digit: np.ndarray, sep: np.ndarray, minus: np.ndarray,
-                  n_digit: int, n_sep: int, n_minus: int) -> bool:
-    """Whether a chunk is in the canonical grammar but for spaces and tabs
-    around its entries, so its votes can be read where they lie, without
-    compacting it: every other byte is a digit, a separator or a minus, a
-    digit follows every minus, and the first byte after each digit that is
-    not blank is a separator. There are as many separators as digits, so
-    each field is then one digit, at most one minus right before it, and
-    blanks."""
-    blank = (c == _SPACE) | (c == _TAB)
-    if not (n_digit == n_sep
-            and n_digit + n_sep + n_minus + np.count_nonzero(blank) == len(c)
-            and np.count_nonzero(minus[:-1] & digit[1:]) == n_minus):
-        return False
-    # after the pass with shift s, after[i] says byte i is a digit or a blank
-    # less than 2s bytes past one with only blanks between, and run[i] that
-    # the 2s bytes up to i are blank; it stops when no run is that long
-    after, run, s = digit, blank, 1
-    while run.any():
-        reach = np.zeros_like(after)
-        reach[s:] = after[:-s] & run[s:]
-        after = after | reach
-        longer = np.zeros_like(run)
-        longer[s:] = run[:-s] & run[s:]
-        run, s = longer, 2 * s
-    return not np.any(after[:-1] & ~blank[1:] & ~sep[1:])
 
 
 def _normalise(c: np.ndarray) -> Optional[np.ndarray]:

@@ -66,12 +66,10 @@ def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...],
 _PAIR_WEIGHTS = np.array([-3, 3, -1, 1])
 
 # Bytes of the float32 operand each Gram is taken of: ~2,600 rows at m=100.
-# Writing a Gram and folding it into the int64 totals costs O(m^2) per
-# operand, so an operand also holds at least _FOLD_ROWS rows per Gram column:
-# at m=1000, 262-row operands made the pass 3x slower and 4,002-row ones
-# (32 MB, the size of the int64 Gram) run as fast as whole blocks.
+# Folding a Gram into the int64 totals costs O(m^2), so an operand is never
+# smaller than that Gram (2(2m+1) rows): at m=1000, 262-row operands made the
+# pass ~3x slower than whole 16,384-row blocks, 4,002-row ones about as fast.
 _OPERAND_BYTES = 1 << 21
-_FOLD_ROWS = 2
 
 
 class RunningStats:
@@ -90,10 +88,10 @@ class RunningStats:
     takes one more Gram of the operand's rows where it abstains. Every
     partial Gram is an integer matrix that float32 holds exactly. A stream
     adds and removes one row at a time; a batch encodes fixed-size row
-    blocks and feeds each through one reused operand of fixed size, a slice
-    at a time. So a rolling window holds the same statistics the batch path
+    blocks and adds each in slices of as many rows as a fixed-size operand
+    holds. So a rolling window holds the same statistics the batch path
     computes, int64 for int64, and batch memory is bounded by the block and
-    the operand, not by n or by m x block.
+    one operand, not by n or by m x block.
     """
 
     def __init__(self, m: int,
@@ -143,22 +141,14 @@ class RunningStats:
         pos = (n - abstain + (self.first[0::2] - self.first[1::2]) // 2) // 2
         return np.array([pos, abstain, n - abstain - pos]).T
 
-    def _accumulate(self, aug: np.ndarray, sign: int, xt: Optional[np.ndarray] = None) -> None:
-        """Add (sign +1) or subtract (sign -1) the rows of an augmented block.
-
-        The rows are copied into the float32 ``[aug | 1]`` operand ``xt``
-        (transposed, at least as wide as the block; a new one when None), and
-        its Gram is folded into the int64 totals, and so are the Grams of the
-        rows where a conditioning source abstains and the pair cross-tab
-        counts."""
+    def _accumulate(self, aug: np.ndarray, sign: int) -> None:
+        """Add (sign +1) or subtract (sign -1) the rows of an augmented block."""
         n, c = aug.shape
-        x = np.empty((c + 1, n), dtype=np.float32) if xt is None else xt[:, :n]
-        x[:c] = aug.T
-        x[c] = 1
+        xt = np.empty((c + 1, n), dtype=np.float32)  # [aug | 1], transposed
+        xt[:c] = aug.T
+        xt[c] = 1
         update = np.add if sign > 0 else np.subtract
-        # every entry is an integer no larger than the row count, at most
-        # ``BLOCK_ROWS`` < 2**24, so float32 holds the Gram exactly
-        gram = (x @ x.T).astype(np.int64)
+        gram = _exact_gram(xt)
         update(self._gram, gram, out=self._gram)
         if self.tracked_pairs:
             cells = aug.take(self._pair_cols, axis=1) @ _PAIR_WEIGHTS
@@ -173,11 +163,9 @@ class RunningStats:
             counts = abstains.sum(axis=1)
             for t in counts.nonzero()[0].tolist():
                 total = self._cond_gram[self.cond_sources[t]]
-                if counts[t] == n:  # every row abstains: reuse the Gram
-                    update(total, gram, out=total)
-                else:
-                    sub = x[:, abstains[t]]
-                    update(total, (sub @ sub.T).astype(np.int64), out=total)
+                # a block where every row abstains reuses its Gram
+                update(total, gram if counts[t] == n else _exact_gram(xt[:, abstains[t]]),
+                       out=total)
 
     def add(self, aug_row: np.ndarray) -> None:
         self._accumulate(aug_row.reshape(1, -1), 1)
@@ -188,18 +176,16 @@ class RunningStats:
     @classmethod
     def from_matrix(cls, A: AugmentedLabelMatrix,
                     tracked_pairs=(), cond_sources=()) -> "RunningStats":
-        """The statistics of every row of ``A``, encoded ``BLOCK_ROWS`` rows
-        at a time and folded through one reused operand of
-        ``_OPERAND_BYTES``, or of ``_FOLD_ROWS`` rows per column when that is
-        more."""
+        """The statistics of every row of ``A``: it is encoded ``BLOCK_ROWS``
+        rows at a time, and each block is folded one operand of rows at a
+        time, as many as ``_OPERAND_BYTES`` holds."""
         st = cls(A.m, tracked_pairs, cond_sources)
-        c = 2 * A.m
-        step = max(_OPERAND_BYTES // (4 * (c + 1)), _FOLD_ROWS * (c + 1))  # rows per operand
+        width = 2 * A.m + 1  # of the operand
+        rows = max(_OPERAND_BYTES, 8 * width * width) // (4 * width)
         for block in A.blocks(BLOCK_ROWS):
-            xt = np.empty((c + 1, min(step, len(block))), dtype=np.float32)
-            for lo in range(0, len(block), step):
-                st._accumulate(block[lo:lo + step], 1, xt)
-            del block, xt  # free both before the next block is encoded
+            for lo in range(0, len(block), rows):
+                st._accumulate(block[lo:lo + rows], 1)
+            del block  # free it before the next block is encoded
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
@@ -225,6 +211,13 @@ class RunningStats:
             pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
             conditional=conditional,
         )
+
+
+def _exact_gram(xt: np.ndarray) -> np.ndarray:
+    """xt @ xt.T as int64 for a transposed block of +/-1 entries. A block has
+    at most ``BLOCK_ROWS`` < 2**24 rows, so every partial sum is an integer
+    that float32 holds exactly."""
+    return (xt @ xt.T).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +456,17 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
     """
     diag = {"sign_ties": [], "ratio_anchor_fallbacks": []}
     signed: Dict[int, float] = {}
-    anchor_col = 2 * cfg.anchor_source if cfg.anchor_source is not None else None
+    anchor_col = None
+    if cfg.sign_strategy == "anchor":
+        cfg.check_sources(G.graph.n_sources)
+        anchor_col = 2 * cfg.anchor_source
     task = G.graph.assignment
     for d in range(G.n_tasks):
         group = [c for c in sorted(magnitudes) if c % 2 == 0 and task[c // 2] == d]
         if not group:
             continue
         components = _sign_components(group, M, G, cfg.eps_den)
-        anchored_task = (cfg.sign_strategy == "anchor" and anchor_col in group)
+        anchored_task = anchor_col in group
         if anchored_task and len(components) > 1:
             reachable = next(set(p) for p in components if anchor_col in p)
             missing = sorted(set(group) - reachable)

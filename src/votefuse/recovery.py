@@ -439,7 +439,6 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
     it empirical moments, the streaming estimator feeds it windowed moments,
     and the closure tests feed it exact enumerated moments.
     """
-    cfg.check_sources(g.n_sources)
     prior = moments.prior
     if jtree is None:
         jtree = build_junction_tree(g)

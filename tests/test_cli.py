@@ -184,6 +184,22 @@ def test_out_of_range_anchor_source_is_rejected_by_the_library(workdir):
     assert recover_parameters(L, g, ClassPrior.from_balance(0.55), cfg).graph == g
 
 
+def test_other_sign_strategies_ignore_the_anchor_source(workdir):
+    # only the anchor strategy reads anchor_source, so a stray one is no error
+    from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
+    from votefuse.online import RollingState
+    from votefuse.recovery import recover_parameters
+
+    g = DependencyGraph(1, 4, (0,) * 4)
+    L = LabelMatrix(np.loadtxt(workdir / "votes.csv", delimiter=",", dtype=np.int8))
+    prior = ClassPrior.from_balance(0.55)
+    plain = recover_parameters(L, g, prior, RunConfig())
+    for source in (-1, 7):
+        cfg = RunConfig.from_dict({"sign_strategy": "nonnegative-sum", "anchor_source": source})
+        np.testing.assert_array_equal(recover_parameters(L, g, prior, cfg).table, plain.table)
+        RollingState(g, cfg, window=50)
+
+
 def test_numerical_failure_exit_code(workdir, tmp_path, capsys):
     # fully dependent sources leave no valid triplet
     model = tmp_path / "dep.txt"

@@ -151,8 +151,8 @@ def _stat_inputs(draw):
 
 def _operand_rows(m, rows):
     """Size the statistics pass's float32 operand to ``rows`` rows of m
-    sources."""
-    return mock.patch.multiple(moments, _OPERAND_BYTES=4 * (2 * m + 1) * rows, _FOLD_ROWS=0)
+    sources; the pass lifts it to at least 2(2m+1) rows."""
+    return mock.patch.object(moments, "_OPERAND_BYTES", 4 * (2 * m + 1) * rows)
 
 
 class TestRunningStatsKernel:
@@ -176,12 +176,18 @@ class TestRunningStatsKernel:
         _assert_same_stats(stats, ref)
 
     @settings(max_examples=150, deadline=None)
-    @given(_stat_inputs(), st.lists(st.integers(0, 2 ** 16), max_size=60))
-    def test_add_remove_sequence_matches_reference(self, inputs, picks):
-        # each pick either adds the next row or removes a held one
+    @given(_stat_inputs(), st.lists(st.integers(0, 2 ** 16), max_size=60),
+           st.integers(0, 40), st.integers(1, 45))
+    def test_add_remove_sequence_matches_reference(self, inputs, picks, start, operand):
+        # the first rows come from the batch pass, folded one operand of rows
+        # at a time; then each pick either adds the next row or removes a
+        # held one
         A, votes, _aug, tracked, cond = inputs
-        stats = RunningStats(A.m, tracked, cond)
-        ops, held, nxt = [], [], 0
+        nxt = min(start, A.n)
+        with _operand_rows(A.m, operand):
+            stats = RunningStats.from_matrix(AugmentedLabelMatrix(A.data[:nxt]), tracked, cond)
+        ops = [(A.data[t], votes[t], 1) for t in range(nxt)]
+        held = list(range(nxt))
         for pick in picks:
             if nxt < A.n and (not held or pick % 3):
                 stats.add(A.data[nxt])
