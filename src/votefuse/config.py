@@ -18,24 +18,12 @@ class RunConfig:
 
     policy
         How abstain votes are pair-encoded (see ``AbstainPolicy``).
-    eps_den
-        Pairwise moments smaller than this carry no sign information. A
-        column's triplet fit is numerically degenerate, and the column goes
-        to the ratio fallback, when the squared partner moments it divides by
-        sum to less than ``eps_den**2``.
-    eps_acc
-        Floor for triplet-recovered accuracy magnitudes.
-    eps_prior
-        Minimum |E[Y]| for the first-moment ratio fallback.
     sign_strategy
         "nonnegative-sum" picks, per task, the sign flip making the accuracy
         sum nonnegative. "anchor" propagates a known sign (set ``anchor_source``
         and ``anchor_sign``). "ratio-anchor" derives the anchor sign from the
         observed first moments and the prior, which lets a windowed estimator
         track accuracy sign inversions when the class balance is not 50/50.
-    n_min_abstain
-        Fewest rows on which a source must abstain before accuracies
-        conditioned on its abstaining are estimated.
     ratio_fallback
         Allow accuracies to be estimated as E[v]/E[Y] for variables without a
         usable triplet (and permit m < 3 inputs).
@@ -45,10 +33,6 @@ class RunConfig:
     anchor_source: Optional[int] = None
     anchor_sign: int = 1
     policy: AbstainPolicy = field(default_factory=AbstainPolicy)
-    eps_den: float = 1e-4
-    eps_acc: float = 1e-3
-    eps_prior: float = 1e-2
-    n_min_abstain: int = 50
     ratio_fallback: bool = False
 
     def __post_init__(self):
@@ -62,9 +46,6 @@ class RunConfig:
                                   f"got {self.anchor_source}")
         if self.anchor_sign not in (-1, 1):
             raise ConfigError("anchor_sign must be +1 or -1")
-        for name in ("eps_den", "eps_acc", "eps_prior"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
 
     def check_sources(self, n_sources: int) -> None:
         """Reject an anchor source that a graph of ``n_sources`` sources

@@ -21,7 +21,7 @@ from typing import BinaryIO, Dict, Iterator, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .errors import AssignmentMissing, DataFormatError
+from .errors import AssignmentMissing, DataFormatError, GraphError
 from .graph import (
     BLOCK_ROWS,
     ClassPrior,
@@ -295,6 +295,14 @@ def _spec_lines(path: str):
                 yield ln_no, line.split()
 
 
+def _graph_from(path: str, **spec) -> DependencyGraph:
+    """``DependencyGraph(**spec)``; an error it raises names ``path``."""
+    try:
+        return DependencyGraph(**spec)
+    except (GraphError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def parse_graph_spec(path: str) -> DependencyGraph:
     """Whitespace-delimited, 1-indexed: ``tasks D``, ``sources m``,
     ``assign i d``, ``tedge d e``, ``sedge i j``."""
@@ -326,9 +334,8 @@ def parse_graph_spec(path: str) -> DependencyGraph:
     if missing:
         raise AssignmentMissing(f"{path}: sources {missing} lack 'assign' lines")
     assignment = tuple(assign[i] for i in range(n_sources))
-    return DependencyGraph(n_tasks=n_tasks, n_sources=n_sources,
-                           assignment=assignment, task_edges=tuple(tedges),
-                           source_edges=tuple(sedges))
+    return _graph_from(path, n_tasks=n_tasks, n_sources=n_sources, assignment=assignment,
+                       task_edges=tuple(tedges), source_edges=tuple(sedges))
 
 
 def write_graph_spec(path: str, g: DependencyGraph) -> None:
@@ -553,7 +560,8 @@ def load_parameters(path: str) -> LabelModelParameters:
         return out
 
     gd = field(doc, "", "graph", _json_object)
-    g = DependencyGraph(
+    g = _graph_from(
+        path,
         n_tasks=field(gd, "graph", "tasks", _json_int),
         n_sources=field(gd, "graph", "sources", _json_int),
         assignment=field(gd, "graph", "assignment", indices),

@@ -17,6 +17,12 @@ per junction tree and caches on it (``jtree.layout``): recovery writes into
 the vector, inference takes its log, ``validate()`` checks it, and the
 ``cliques``/``separators`` mappings are read-only views of it.
 ``LabelModelParameters.from_tables`` is the way in for per-table arrays.
+
+The graph layer is one maximum cardinality search (``_clique_forest``),
+linear in vertices plus edges: it tests chordality and, on a chordal graph,
+yields the maximal cliques and a clique forest joining them.
+``validate_graph`` and ``build_junction_tree`` both run it; only a graph that
+is not chordal also pays for the minimum-degree fill.
 """
 
 from __future__ import annotations
@@ -155,12 +161,12 @@ class AugmentedLabelMatrix:
 # dependency graph
 # ---------------------------------------------------------------------------
 
-def _norm_edges(edges, what: str) -> Tuple[Tuple[int, int], ...]:
+def _norm_edges(edges, what: str, name: str) -> Tuple[Tuple[int, int], ...]:
     out = set()
     for a, b in edges:
         a, b = int(a), int(b)
         if a == b:
-            raise SelfEdge(f"{what} edge ({a}, {b}) is a self-edge")
+            raise SelfEdge(f"{what} edge ({name}{a + 1}, {name}{b + 1}) is a self-edge")
         out.add((min(a, b), max(a, b)))
     return tuple(sorted(out))
 
@@ -181,8 +187,8 @@ class DependencyGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(int(t) for t in self.assignment))
-        object.__setattr__(self, "task_edges", _norm_edges(self.task_edges, "task"))
-        object.__setattr__(self, "source_edges", _norm_edges(self.source_edges, "source"))
+        object.__setattr__(self, "task_edges", _norm_edges(self.task_edges, "task", "Y"))
+        object.__setattr__(self, "source_edges", _norm_edges(self.source_edges, "source", "L"))
         if self.n_tasks < 1:
             raise ValueError("need at least one task")
         if len(self.assignment) != self.n_sources:
@@ -191,13 +197,13 @@ class DependencyGraph:
             )
         for i, t in enumerate(self.assignment):
             if not 0 <= t < self.n_tasks:
-                raise AssignmentMissing(f"source {i} assigned to unknown task {t}")
+                raise AssignmentMissing(f"source L{i + 1} assigned to unknown task Y{t + 1}")
         for a, b in self.task_edges:
             if not 0 <= a < self.n_tasks or not 0 <= b < self.n_tasks:
-                raise ValueError(f"task edge ({a},{b}) out of range")
+                raise ValueError(f"task edge (Y{a + 1}, Y{b + 1}) out of range")
         for a, b in self.source_edges:
             if not 0 <= a < self.n_sources or not 0 <= b < self.n_sources:
-                raise ValueError(f"source edge ({a},{b}) out of range")
+                raise ValueError(f"source edge (L{a + 1}, L{b + 1}) out of range")
 
     @property
     def n_vertices(self) -> int:
@@ -225,34 +231,55 @@ class DependencyGraph:
 # chordality, triangulation, junction tree
 # ---------------------------------------------------------------------------
 
-def _mcs_order(adj: Dict[int, set]) -> list:
-    """Maximum cardinality search order; ties broken by lowest vertex index."""
-    n = len(adj)
-    weight = {v: 0 for v in adj}
-    order, seen = [], set()
-    for _ in range(n):
-        v = max(sorted(weight), key=lambda u: weight[u])
-        # max() over the sorted keys keeps the lowest index among ties
-        order.append(v)
-        seen.add(v)
-        del weight[v]
+def _clique_forest(adj: Dict[int, set]) -> Optional[Tuple[list, list]]:
+    """One maximum cardinality search over ``adj``, in O(vertices + edges).
+
+    Returns None when the graph is not chordal: each vertex's visited
+    neighbours, bar the last one visited, must all be adjacent to that last
+    one (Tarjan & Yannakakis, 1984). Otherwise returns the maximal cliques,
+    sorted, and the ``(clique, clique, separator)`` edges of a clique forest
+    over them (Blair & Peyton, 1993): a vertex with no more visited
+    neighbours than the vertex before it starts a new clique, itself plus
+    those neighbours; the clique's parent is the clique of the last-visited
+    neighbour, and the neighbours are the separator.
+    """
+    visited: Dict[int, int] = {}  # vertex -> position in the search
+    clique_of: Dict[int, int] = {}
+    weight = dict.fromkeys(adj, 0)
+    # buckets[w] lists each vertex once per weight it reaches; a popped entry
+    # is stale when its vertex was visited or has moved to a heavier bucket
+    buckets = [sorted(adj, reverse=True)] + [[] for _ in adj]
+    top = prev = 0
+    cliques, links = [], []
+    for pos in range(len(adj)):
+        while True:
+            while not buckets[top]:
+                top -= 1
+            v = buckets[top].pop()
+            if v not in visited and weight[v] == top:
+                break
+        earlier = [u for u in adj[v] if u in visited]
+        if earlier:
+            last = max(earlier, key=visited.__getitem__)
+            if not all(u == last or u in adj[last] for u in earlier):
+                return None
+        if len(earlier) <= prev:
+            if earlier:
+                links.append((clique_of[last], len(cliques), frozenset(earlier)))
+            cliques.append(set(earlier))
+        cliques[-1].add(v)
+        clique_of[v] = len(cliques) - 1
+        visited[v] = pos
+        prev = len(earlier)
         for u in adj[v]:
-            if u not in seen:
+            if u not in visited:
                 weight[u] += 1
-    return order
-
-
-def _is_chordal(adj: Dict[int, set]) -> bool:
-    order = _mcs_order(adj)
-    pos = {v: k for k, v in enumerate(order)}
-    for v in order:
-        earlier = {u for u in adj[v] if pos[u] < pos[v]}
-        if not earlier:
-            continue
-        parent = max(earlier, key=lambda u: pos[u])
-        if not (earlier - {parent}) <= adj[parent]:
-            return False
-    return True
+                buckets[weight[u]].append(u)
+        top += 1  # a neighbour of v may now outweigh v by one
+    order = sorted(range(len(cliques)), key=lambda k: tuple(sorted(cliques[k])))
+    rank = {k: r for r, k in enumerate(order)}
+    return ([frozenset(cliques[k]) for k in order],
+            [(rank[a], rank[b], sep) for a, b, sep in links])
 
 
 def _min_degree_fill(adj: Dict[int, set]) -> set:
@@ -275,20 +302,6 @@ def _min_degree_fill(adj: Dict[int, set]) -> set:
         del work[v]
         remaining.remove(v)
     return fill
-
-
-def _chordal_maximal_cliques(adj: Dict[int, set]) -> list:
-    order = _mcs_order(adj)
-    pos = {v: k for k, v in enumerate(order)}
-    candidates = []
-    for v in order:
-        earlier = {u for u in adj[v] if pos[u] < pos[v]}
-        candidates.append(frozenset(earlier | {v}))
-    maximal = [
-        c for c in candidates
-        if not any(c < other for other in candidates)
-    ]
-    return sorted(set(maximal), key=lambda c: tuple(sorted(c)))
 
 
 @dataclass(frozen=True)
@@ -324,10 +337,12 @@ def _to_varset(vertices, n_tasks: int) -> VarSet:
 class JunctionTree:
     """Maximal cliques and separator sets of a triangulated dependency graph.
 
-    ``edges`` are (clique index, clique index, separator VarSet) triples of the
-    spanning forest; ``separators`` groups equal separator sets with their
+    ``edges`` are (clique index, clique index, separator VarSet) triples of a
+    clique forest; ``separators`` groups equal separator sets with their
     adjacency degree d(S) (number of adjacent maximal cliques, i.e. one more
-    than the number of forest edges carrying that separator).
+    than the number of forest edges carrying that separator). Every clique
+    forest of a chordal graph has the same separators, so only ``edges``
+    depends on which one the search builds.
     """
 
     cliques: Tuple[VarSet, ...]
@@ -407,15 +422,17 @@ def _check_clique_shapes(cliques, g: DependencyGraph) -> None:
 def validate_graph(g: DependencyGraph) -> DependencyGraph:
     """Check structure and return a triangulated copy of ``g``.
 
-    Already-chordal graphs are returned unchanged, so validation is
-    idempotent. Fill edges come from a minimum-degree elimination order with
-    ties broken by vertex index. Triangulations that would require a
-    task-source fill edge, or that create cliques beyond one task plus two
-    same-task sources, are rejected.
+    One maximum cardinality search (``_clique_forest``) tests chordality and
+    yields the maximal cliques. Already-chordal graphs are returned
+    unchanged, so validation is idempotent. Fill edges come from a
+    minimum-degree elimination order with ties broken by vertex index.
+    Triangulations that would require a task-source fill edge, or that create
+    cliques beyond one task plus two same-task sources, are rejected.
     """
     adj = g.adjacency()
-    if _is_chordal(adj):
-        _check_clique_shapes(_chordal_maximal_cliques(adj), g)
+    forest = _clique_forest(adj)
+    if forest is not None:
+        _check_clique_shapes(forest[0], g)
         return g
 
     fill = _min_degree_fill(adj)
@@ -439,46 +456,25 @@ def validate_graph(g: DependencyGraph) -> DependencyGraph:
         task_edges=tuple(task_edges),
         source_edges=tuple(source_edges),
     )
-    _check_clique_shapes(_chordal_maximal_cliques(out.adjacency()), out)
+    _check_clique_shapes(_clique_forest(out.adjacency())[0], out)
     return out
 
 
 def build_junction_tree(g: DependencyGraph) -> JunctionTree:
     """Clique/separator decomposition of a triangulated dependency graph.
 
-    The spanning forest over maximal cliques maximizes separator sizes
-    (Kruskal, deterministic tie-break by clique order), which guarantees the
-    running intersection property on chordal graphs.
+    The maximal cliques and the clique forest joining them both come from
+    the one maximum cardinality search that also tests chordality
+    (``_clique_forest``); a clique forest has the running intersection
+    property by construction.
     """
-    adj = g.adjacency()
-    if not _is_chordal(adj):
+    forest = _clique_forest(g.adjacency())
+    if forest is None:
         raise NotTriangulated("graph is not triangulated; run validate_graph first")
-    raw = _chordal_maximal_cliques(adj)
+    raw, links = forest
     _check_clique_shapes(raw, g)
     cliques = tuple(_to_varset(c, g.n_tasks) for c in raw)
-
-    cand = []
-    for a in range(len(raw)):
-        for b in range(a + 1, len(raw)):
-            w = len(raw[a] & raw[b])
-            if w > 0:
-                cand.append((-w, a, b))
-    cand.sort()
-
-    parent = list(range(len(raw)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for negw, a, b in cand:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            edges.append((a, b, _to_varset(raw[a] & raw[b], g.n_tasks)))
+    edges = tuple((a, b, _to_varset(sep, g.n_tasks)) for a, b, sep in links)
 
     counts: Dict[VarSet, int] = {}
     for _, _, sep in edges:
@@ -486,7 +482,7 @@ def build_junction_tree(g: DependencyGraph) -> JunctionTree:
     separators = tuple(
         (sep, c + 1) for sep, c in sorted(counts.items(), key=lambda kv: (kv[0].tasks, kv[0].sources))
     )
-    return JunctionTree(cliques=cliques, edges=tuple(edges), separators=separators)
+    return JunctionTree(cliques=cliques, edges=edges, separators=separators)
 
 
 # ---------------------------------------------------------------------------

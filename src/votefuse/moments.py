@@ -360,13 +360,26 @@ def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Tripl
 # the pooled magnitude kernel
 # ---------------------------------------------------------------------------
 
-def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, eps_den: float,
-                       eps_acc: float, columns=None) -> np.ndarray:
+# Pairwise moments smaller than EPS_DEN carry no sign information. A column's
+# triplet fit is numerically degenerate, and the column goes to the ratio
+# fallback, when the squared partner moments it divides by sum to less than
+# EPS_DEN**2.
+EPS_DEN = 1e-4
+# Floor for triplet-recovered accuracy magnitudes.
+EPS_ACC = 1e-3
+# Minimum |E[Y]| for the first-moment ratio fallback and the ratio-anchor sign.
+EPS_PRIOR = 1e-2
+# Fewest rows on which a source must abstain before accuracies conditioned on
+# its abstaining are estimated.
+N_MIN_ABSTAIN = 50
+
+
+def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, columns=None) -> np.ndarray:
     """Least-squares |a_a| per anchor over all its valid triplets, clamped to
-    [eps_acc, 1]: a_a^2 = sum M_aj M_ak M_jk / sum M_jk^2 over its partner
+    [EPS_ACC, 1]: a_a^2 = sum M_aj M_ak M_jk / sum M_jk^2 over its partner
     pairs, as two masked matrix products per task. NaN where the anchor has
     no estimate: not an anchor, not in ``columns`` (when given), or sum
-    M_jk^2 below eps_den^2."""
+    M_jk^2 below EPS_DEN^2."""
     out = np.full(plan.n_columns, np.nan)
     blocks = plan.blocks
     if columns is not None:
@@ -382,8 +395,8 @@ def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, eps_den: float,
         num = np.einsum("aj,aj->a", U @ (M * K), U)
         den = np.einsum("aj,aj->a", P @ (M * M * K), P)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mag = _clip(np.sqrt(np.maximum(num, 0.0) / den), eps_acc, 1.0)
-        out[anchors] = np.where(den >= eps_den ** 2, mag, np.nan)
+            mag = _clip(np.sqrt(np.maximum(num, 0.0) / den), EPS_ACC, 1.0)
+        out[anchors] = np.where(den >= EPS_DEN ** 2, mag, np.nan)
     return out
 
 
@@ -395,7 +408,7 @@ def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, eps_den: float,
 class Accuracies:
     """Signed accuracy per observed column; column 2i+1 mirrors column 2i.
 
-    Triplet-recovered magnitudes are clamped to [eps_acc, 1]; ratio-fallback
+    Triplet-recovered magnitudes are clamped to [EPS_ACC, 1]; ratio-fallback
     values may be any value in [-1, 1], including 0 for an uninformative
     source. ``method[c]`` records how column c was estimated.
     """
@@ -410,18 +423,17 @@ class Accuracies:
         return self.values[0::2]
 
 
-def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph,
-                     eps_den: float):
+def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph):
     """Connected components of the sign-constraint graph over one task group.
 
     Edges join independent column pairs (``G.independent_columns()``) whose
-    pairwise moment is usable, |M| >= eps_den, and constrain the sign product
+    pairwise moment is usable, |M| >= EPS_DEN, and constrain the sign product
     to sign(M). Returns one pattern per component, mapping its columns to
     relative signs with the lowest column set positive.
     """
     idx = np.asarray(group)
     sub = M.take(idx, axis=0).take(idx, axis=1)
-    edge = G.independent_columns().take(idx, axis=0).take(idx, axis=1) & (np.abs(sub) >= eps_den)
+    edge = G.independent_columns().take(idx, axis=0).take(idx, axis=1) & (np.abs(sub) >= EPS_DEN)
     # per column pair: 0 without an edge, else the sign product it imposes
     rel = (np.where(sub > 0, 1, -1) * edge).tolist()
     comps = []
@@ -465,7 +477,7 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
         group = [c for c in sorted(magnitudes) if c % 2 == 0 and task[c // 2] == d]
         if not group:
             continue
-        components = _sign_components(group, M, G, cfg.eps_den)
+        components = _sign_components(group, M, G)
         anchored_task = anchor_col in group
         if anchored_task and len(components) > 1:
             reachable = next(set(p) for p in components if anchor_col in p)
@@ -483,7 +495,7 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
                 flip = cfg.anchor_sign * pattern[anchor_col]
             elif cfg.sign_strategy == "ratio-anchor":
                 ey = prior.task_mean(d) if prior is not None else 0.0
-                if first_moments is not None and abs(ey) >= cfg.eps_prior:
+                if first_moments is not None and abs(ey) >= EPS_PRIOR:
                     score = float((weights * first_moments[cols]).sum())
                     if score != 0.0:
                         flip = 1 if score * ey > 0 else -1
@@ -511,17 +523,16 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
 # fallbacks
 # ---------------------------------------------------------------------------
 
-def ratio_accuracy(col: int, moments: MomentEstimates, G: AugmentedGraph,
-                   eps_prior: float = 1e-2) -> float:
+def ratio_accuracy(col: int, moments: MomentEstimates, G: AugmentedGraph) -> float:
     """First-moment fallback: a = E[v] / E[Y(col)], valid without triplets.
 
     Fails when the task mean is too close to zero and assumes no singleton
     potentials on the sources (a documented model assumption).
     """
     ey = moments.prior.task_mean(G.task_of(col))
-    if abs(ey) < eps_prior:
+    if abs(ey) < EPS_PRIOR:
         raise PriorNearZero(
-            f"ratio fallback for column {col} needs |E[Y]| >= {eps_prior}, "
+            f"ratio fallback for column {col} needs |E[Y]| >= {EPS_PRIOR}, "
             f"got {ey:.3g}"
         )
     return float(np.clip(moments.first_moments[col] / ey, -1.0, 1.0))
@@ -540,22 +551,22 @@ def conditional_accuracy_from_stats(target: int, cond: int,
     the task, so E[Y | lambda_cond = 0] is just the prior mean.
     """
     cs = moments.conditional.get(cond)
-    if cs is None or (cs.n_rows is not None and cs.n_rows < cfg.n_min_abstain):
+    if cs is None or (cs.n_rows is not None and cs.n_rows < N_MIN_ABSTAIN):
         have = 0 if cs is None else cs.n_rows
         raise TooFewAbstainRows(
-            f"source {cond + 1} abstains on {have} rows; need {cfg.n_min_abstain}"
+            f"source {cond + 1} abstains on {have} rows; need {N_MIN_ABSTAIN}"
         )
     col = 2 * target
 
     def ratio_or_raise(reason: str) -> float:
         ey = moments.prior.task_mean(G.task_of(col))
-        if cfg.ratio_fallback and abs(ey) >= cfg.eps_prior:
+        if cfg.ratio_fallback and abs(ey) >= EPS_PRIOR:
             return float(_clip(cs.first[col] / ey, -1.0, 1.0))
         raise NoUsableTriplet(reason)
 
     if col not in plan.partners:
         return ratio_or_raise(f"no triplets available for column {col}")
-    mag = _pooled_magnitudes(cs.M, plan, cfg.eps_den, cfg.eps_acc, columns=[col])[col]
+    mag = _pooled_magnitudes(cs.M, plan, columns=[col])[col]
     if np.isnan(mag):
         return ratio_or_raise(
             f"abstain-restricted triplets for source {target + 1} are all "
@@ -572,7 +583,7 @@ def conditional_accuracy_from_stats(target: int, cond: int,
 def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                         G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
     """Triplet magnitudes, sign resolution, and ratio fallback, in one pass."""
-    vals = _pooled_magnitudes(moments.M, plan, cfg.eps_den, cfg.eps_acc)
+    vals = _pooled_magnitudes(moments.M, plan)
     found = (~np.isnan(vals)).nonzero()[0]
     mags = dict(zip(found.tolist(), vals[found].tolist()))
     signed, sign_diag = resolve_signs(
@@ -587,7 +598,7 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
     for c, v in signed.items():
         values[c] = v
         method[c] = "triplet"
-        if abs(v) <= cfg.eps_acc:
+        if abs(v) <= EPS_ACC:
             floored.append(c)
 
     fallback_used = []
@@ -599,7 +610,7 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                 f"no triplet-recovered accuracy for column {c} and the ratio "
                 f"fallback is disabled"
             )
-        values[c] = ratio_accuracy(c, moments, G, cfg.eps_prior)
+        values[c] = ratio_accuracy(c, moments, G)
         method[c] = "ratio"
         fallback_used.append(c // 2)
 
@@ -608,7 +619,7 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
 
     if floored:
         warnings.warn(
-            f"accuracy magnitude clamped to the {cfg.eps_acc} floor for columns "
+            f"accuracy magnitude clamped to the {EPS_ACC} floor for columns "
             f"{floored}; these sources look uninformative",
             EstimationWarning,
         )

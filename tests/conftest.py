@@ -6,8 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from votefuse.errors import NumericalInstability
-from votefuse.graph import DependencyGraph, VarSet, marginalize_table
+from votefuse.errors import NotTriangulated, NumericalInstability, UnsupportedCliqueSize
+from votefuse.graph import (
+    DependencyGraph,
+    JunctionTree,
+    VarSet,
+    _check_clique_shapes,
+    _min_degree_fill,
+    _to_varset,
+    marginalize_table,
+)
 from votefuse.recovery import build_transform, mu_unflatten
 
 
@@ -76,6 +84,103 @@ def reference_validate(mu, tol_sum=1e-9, tol_sep=1e-6):
                 if np.max(np.abs(marg - mu.separators[sep])) > tol_sep:
                     raise ValueError(f"clique {cl.label()} does not marginalize onto "
                                      f"separator {sep.label()}")
+
+
+def _reference_mcs_order(adj):
+    """Maximum cardinality search order; ties broken by lowest vertex index."""
+    weight = {v: 0 for v in adj}
+    order, seen = [], set()
+    for _ in range(len(adj)):
+        v = max(sorted(weight), key=lambda u: weight[u])
+        order.append(v)
+        seen.add(v)
+        del weight[v]
+        for u in adj[v]:
+            if u not in seen:
+                weight[u] += 1
+    return order
+
+
+def reference_is_chordal(adj):
+    order = _reference_mcs_order(adj)
+    pos = {v: k for k, v in enumerate(order)}
+    for v in order:
+        earlier = {u for u in adj[v] if pos[u] < pos[v]}
+        if not earlier:
+            continue
+        parent = max(earlier, key=lambda u: pos[u])
+        if not (earlier - {parent}) <= adj[parent]:
+            return False
+    return True
+
+
+def _reference_maximal_cliques(adj):
+    order = _reference_mcs_order(adj)
+    pos = {v: k for k, v in enumerate(order)}
+    candidates = [frozenset({u for u in adj[v] if pos[u] < pos[v]} | {v}) for v in order]
+    maximal = [c for c in candidates if not any(c < other for other in candidates)]
+    return sorted(set(maximal), key=lambda c: tuple(sorted(c)))
+
+
+def reference_validate_graph(g):
+    """The former ``validate_graph``: separate chordality test and clique
+    search, each with its own quadratic maximum cardinality search, kept as
+    the reference for the one linear search ``graph._clique_forest``."""
+    adj = g.adjacency()
+    if reference_is_chordal(adj):
+        _check_clique_shapes(_reference_maximal_cliques(adj), g)
+        return g
+    D = g.n_tasks
+    task_edges, source_edges = list(g.task_edges), list(g.source_edges)
+    for a, b in sorted(_min_degree_fill(adj)):
+        if a < D and b < D:
+            task_edges.append((a, b))
+        elif a >= D and b >= D:
+            source_edges.append((a - D, b - D))
+        else:
+            raise UnsupportedCliqueSize(
+                f"triangulation requires a task-source edge "
+                f"(Y{a + 1}, L{b - D + 1}); restructure the dependency graph")
+    out = DependencyGraph(n_tasks=g.n_tasks, n_sources=g.n_sources,
+                          assignment=g.assignment, task_edges=tuple(task_edges),
+                          source_edges=tuple(source_edges))
+    _check_clique_shapes(_reference_maximal_cliques(out.adjacency()), out)
+    return out
+
+
+def reference_junction_tree(g):
+    """The former ``build_junction_tree``: the maximal cliques by an
+    all-pairs subset filter, joined by an all-pairs Kruskal spanning forest
+    of maximum separator size."""
+    adj = g.adjacency()
+    if not reference_is_chordal(adj):
+        raise NotTriangulated("graph is not triangulated; run validate_graph first")
+    raw = _reference_maximal_cliques(adj)
+    _check_clique_shapes(raw, g)
+    cand = sorted((-len(raw[a] & raw[b]), a, b)
+                  for a in range(len(raw)) for b in range(a + 1, len(raw))
+                  if raw[a] & raw[b])
+    parent = list(range(len(raw)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = []
+    for _, a, b in cand:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            edges.append((a, b, _to_varset(raw[a] & raw[b], g.n_tasks)))
+    counts = {}
+    for _, _, sep in edges:
+        counts[sep] = counts.get(sep, 0) + 1
+    separators = tuple((sep, c + 1) for sep, c in
+                       sorted(counts.items(), key=lambda kv: (kv[0].tasks, kv[0].sources)))
+    return JunctionTree(cliques=tuple(_to_varset(c, g.n_tasks) for c in raw),
+                        edges=tuple(edges), separators=separators)
 
 
 def _reference_expectation(clique, acc, M, prior):

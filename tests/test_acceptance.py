@@ -25,6 +25,8 @@ from votefuse.graph import (
 )
 from votefuse.inference import majority_vote, posterior, predict_proba
 from votefuse.moments import (
+    EPS_ACC,
+    EPS_DEN,
     enumerate_triplets,
     estimate_accuracies,
     estimate_moments,
@@ -283,13 +285,13 @@ def test_criterion_6a_abstain_ablation():
             f"every seed: {strictly_worse}")
 
 
-def _anchor_magnitudes(M, a, j, k, eps_den, eps_acc):
+def _anchor_magnitudes(M, a, j, k):
     """Clamped |a_a| = sqrt(|M_aj M_ak / M_jk|) from the single triplet
-    (a, j, k); NaN where a pairwise moment is below ``eps_den``."""
+    (a, j, k); NaN where a pairwise moment is below ``EPS_DEN``."""
     mij, mik, mjk = M[a, j], M[a, k], M[j, k]
-    ok = (np.abs(mij) >= eps_den) & (np.abs(mik) >= eps_den) & (np.abs(mjk) >= eps_den)
+    ok = (np.abs(mij) >= EPS_DEN) & (np.abs(mik) >= EPS_DEN) & (np.abs(mjk) >= EPS_DEN)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.clip(np.sqrt(np.abs(mij * mik / mjk)), eps_acc, 1.0)
+        vals = np.clip(np.sqrt(np.abs(mij * mik / mjk)), EPS_ACC, 1.0)
     return np.where(ok, vals, np.nan)
 
 
@@ -321,9 +323,9 @@ def test_criterion_6b_single_triplet_ablation():
             mags = {}
             for c, pairs in triplets.items():
                 j, k = pairs[rng.integers(len(pairs))]
-                val = _anchor_magnitudes(me.M, c, j, k, cfg.eps_den, cfg.eps_acc)
+                val = _anchor_magnitudes(me.M, c, j, k)
                 # a degenerate triplet counts as the accuracy floor
-                mags[c] = cfg.eps_acc if np.isnan(val) else float(val)
+                mags[c] = EPS_ACC if np.isnan(val) else float(val)
             signed, _ = resolve_signs(mags, me.M, G, cfg,
                                       me.first_moments, prior)
             values = np.zeros(10)

@@ -82,6 +82,21 @@ def test_missing_input_is_a_data_error(workdir, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("assign 4 2", "source L4 assigned to unknown task Y2"),
+    ("sedge 2 2", "source edge (L2, L2) is a self-edge"),
+    ("sedge 0 2", "source edge (L0, L2) out of range"),
+    ("tedge 1 3", "task edge (Y1, Y3) out of range"),
+])
+def test_graph_spec_error_names_the_file_and_one_based_vertices(workdir, capsys, line, message):
+    spec = workdir / "bad.spec"
+    spec.write_text(MODEL + line + "\n")
+    rc = main(["fit-predict", "--labels", str(workdir / "votes.csv"), "--graph", str(spec),
+               "--balance", "0.55", "--out", str(workdir / "post.csv")])
+    assert rc == 2
+    assert f"data error: {spec}: {message}" in capsys.readouterr().err
+
+
 def _coupled_params(cliques=None, separators=None):
     """A parameter document for the four voting sources with sources 1 and 2
     coupled (uniform tables), with its clique or separator records replaced."""
@@ -120,6 +135,8 @@ def _not_a_number(records):
     (_coupled_params(cliques=_negative), "table for {Y1,L3} has a negative or non-finite entry"),
     (_coupled_params(cliques=_not_a_number),
      "table for {Y1,L4} has a negative or non-finite entry"),
+    ({**_coupled_params(), "graph": {**_coupled_params()["graph"], "source_edges": [[2, 2]]}},
+     "source edge (L2, L2) is a self-edge"),
 ])
 def test_malformed_parameter_file_is_a_data_error(workdir, capsys, doc, field):
     params = workdir / "params.json"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from votefuse import graph
 from votefuse.errors import (
     AssignmentMissing,
+    GraphError,
     NotTriangulated,
     SelfEdge,
     UnsupportedCliqueSize,
@@ -28,7 +29,15 @@ from votefuse.graph import (
 
 from votefuse.oracle import enumerate_joint, random_model
 
-from conftest import chain3, reference_validate, star, star_with_edges
+from conftest import (
+    chain3,
+    reference_is_chordal,
+    reference_junction_tree,
+    reference_validate,
+    reference_validate_graph,
+    star,
+    star_with_edges,
+)
 
 
 class TestLabelMatrix:
@@ -211,6 +220,70 @@ def test_triangulation_idempotent_and_tree_consistent(g):
         assert any(a in c.tasks and b in c.tasks for c in jt.cliques)
     for a, b in v.source_edges:
         assert any(a in c.sources and b in c.sources for c in jt.cliques)
+
+
+@st.composite
+def any_graphs(draw):
+    """Any assignment and any task and source edges: cross-task source
+    edges, source cliques of three and more, and chordless cycles."""
+    D = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 9))
+    assignment = tuple(draw(st.integers(0, D - 1)) for _ in range(m))
+
+    def some(pairs, most):
+        return draw(st.sets(st.sampled_from(pairs), max_size=most)) if pairs else set()
+
+    task_edges = some([(a, b) for a in range(D) for b in range(a + 1, D)], 6)
+    if D == 4 and draw(st.booleans()):
+        # a chordless task 4-cycle triangulates into supported cliques;
+        # random edges seldom draw one
+        task_edges |= {(0, 1), (1, 2), (2, 3), (0, 3)}
+    return DependencyGraph(
+        n_tasks=D, n_sources=m, assignment=assignment, task_edges=tuple(task_edges),
+        source_edges=tuple(some([(a, b) for a in range(m) for b in range(a + 1, m)], 8)))
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g), None
+    except GraphError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _components(adj):
+    seen, count = set(), 0
+    for v in adj:
+        if v in seen:
+            continue
+        count += 1
+        stack = [v]
+        seen.add(v)
+        while stack:
+            for u in adj[stack.pop()] - seen:
+                seen.add(u)
+                stack.append(u)
+    return count
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_graphs())
+def test_one_search_matches_the_reference(g):
+    adj = g.adjacency()
+    assert (graph._clique_forest(adj) is not None) == reference_is_chordal(adj)
+    got, err = _outcome(validate_graph, g)
+    want, want_err = _outcome(reference_validate_graph, g)
+    assert err == want_err
+    assert got == want and (got is g) == (want is g)
+    for h in (g,) if want is None else (g, want):
+        jt, err = _outcome(build_junction_tree, h)
+        ref, ref_err = _outcome(reference_junction_tree, h)
+        assert err == ref_err
+        if ref is None:
+            continue
+        assert jt.cliques == ref.cliques
+        assert jt.separators == ref.separators
+        assert jt.running_intersection_holds()
+        assert len(jt.edges) == len(jt.cliques) - _components(h.adjacency())
 
 
 class TestClassPrior:

@@ -19,6 +19,8 @@ from votefuse.errors import (
 from votefuse.graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMatrix
 from votefuse.inference import predict_proba
 from votefuse.moments import (
+    EPS_ACC,
+    EPS_DEN,
     MomentEstimates,
     RunningStats,
     _pooled_magnitudes,
@@ -325,13 +327,13 @@ class TestEnumerateTriplets:
                 assert G.task_of(j) == d or G.task_of(k) == d
 
 
-def _solve(M3, eps_den=1e-4, eps_acc=1e-3):
+def _solve(M3):
     """(|a_0|, |a_1|, |a_2|) from the pooled kernel on a three-source star
     whose vote columns have pairwise moments ``M3``; each odd column mirrors
     its source's even one, so every triplet gives the same value."""
     M = np.kron(M3, [[1.0, -1.0], [-1.0, 1.0]])
     plan = enumerate_triplets(augment_graph(star(3)))
-    return tuple(_pooled_magnitudes(M, plan, eps_den, eps_acc)[0::2])
+    return tuple(_pooled_magnitudes(M, plan)[0::2])
 
 
 def _moments3(m01, m02, m12):
@@ -391,7 +393,7 @@ class TestAggregate:
         M[0, 3] = M[3, 0] = M[0, 5] = M[5, 0] = 0.8 * 0.5
         M[2, 4] = M[4, 2] = M[3, 5] = M[5, 3] = 0.25
         plan = enumerate_triplets(augment_graph(star(3)))
-        mags = _pooled_magnitudes(M, plan, 1e-4, 1e-3)
+        mags = _pooled_magnitudes(M, plan)
         assert mags[0] == pytest.approx(np.sqrt(0.5), rel=1e-14)
 
     def test_exact_moments_make_all_triplets_agree(self):
@@ -400,7 +402,7 @@ class TestAggregate:
         j = enumerate_joint(th)
         me = j.moment_estimates()
         plan = enumerate_triplets(augment_graph(g))
-        mags = _pooled_magnitudes(me.M, plan, 1e-4, 1e-3)
+        mags = _pooled_magnitudes(me.M, plan)
         truth = np.abs(j.column_accuracies())
         np.testing.assert_allclose(mags[0::2], truth[0::2], rtol=0, atol=1e-12)
         assert np.isnan(mags[1::2]).all()  # odd columns are mirrors, not anchors
@@ -431,9 +433,8 @@ def test_kernel_matches_per_triplet_reference(inputs):
     # the plan and the pooled kernel against a plain loop over every triplet
     # that the validity rule admits
     G, M = inputs
-    eps_den, eps_acc = 1e-4, 1e-3
     plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
-    got = _pooled_magnitudes(M, plan, eps_den, eps_acc)
+    got = _pooled_magnitudes(M, plan)
     n = G.n_columns
     for a in range(0, n, 2):
         apart = [j for j in range(n) if not G.columns_dependent(a, j)]
@@ -448,16 +449,16 @@ def test_kernel_matches_per_triplet_reference(inputs):
         assert plan.pairs[a] * 2 == len(valid)
         num = sum(M[a, j] * M[a, k] * M[j, k] for j, k in valid)
         den = sum(M[j, k] ** 2 for j, k in valid)
-        if den < eps_den ** 2:
+        if den < EPS_DEN ** 2:
             assert np.isnan(got[a])
         else:
-            want = min(1.0, max(eps_acc, np.sqrt(max(num, 0.0) / den)))
+            want = min(1.0, max(EPS_ACC, np.sqrt(max(num, 0.0) / den)))
             assert got[a] == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert np.isnan(got[1::2]).all()
     # a restricted call computes the same values (up to BLAS summation
     # order) for the named anchors only
     some = list(plan.partners)[::2]
-    part = _pooled_magnitudes(M, plan, eps_den, eps_acc, columns=some)
+    part = _pooled_magnitudes(M, plan, columns=some)
     np.testing.assert_allclose(part[some], got[some], rtol=1e-13, atol=0)
     assert np.isnan(np.delete(part, some)).all()
 
@@ -659,7 +660,7 @@ class TestPipelineProperties:
         G = augment_graph(g)
         plan = enumerate_triplets(G)
         cfg = RunConfig()
-        mags = _pooled_magnitudes(me.M, plan, cfg.eps_den, cfg.eps_acc)
+        mags = _pooled_magnitudes(me.M, plan)
         np.testing.assert_allclose(mags[0::2], np.abs(j.accuracies()), rtol=0, atol=1e-12)
         for a, b in g.source_edges:
             for target, cond in ((a, b), (b, a)):
