@@ -296,11 +296,14 @@ def _spec_lines(path: str):
 
 
 def _graph_from(path: str, **spec) -> DependencyGraph:
-    """``DependencyGraph(**spec)``; an error it raises names ``path``."""
+    """``DependencyGraph(**spec)``, as parsed, once ``validate_graph``
+    accepts its structure; an error either raises names ``path``."""
     try:
-        return DependencyGraph(**spec)
+        g = DependencyGraph(**spec)
+        validate_graph(g)
     except (GraphError, ValueError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    return g
 
 
 def parse_graph_spec(path: str) -> DependencyGraph:

@@ -28,7 +28,7 @@ is not chordal also pays for the minimum-degree fill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
@@ -555,6 +555,16 @@ class ClassPrior:
             return float(marg[0] - marg[1])
         return float(self.task_means[d])
 
+    @property
+    def means(self) -> np.ndarray:
+        """E[Y_d] of every task as one read-only vector, computed on first
+        use."""
+        means = self.__dict__.get("_means")
+        if means is None:
+            means = np.array([self.task_mean(d) for d in range(self.n_tasks)])
+            self.__dict__["_means"] = means = _freeze(means)
+        return means
+
     def p_pos(self, d: int) -> float:
         """P(Y_d = 1)."""
         return 0.5 * (1.0 + self.task_mean(d))
@@ -711,14 +721,13 @@ class LabelModelParameters:
     ``jtree.layout``. Each table is row-major with task axes first (states
     +1,-1), then source axes (states +1,0,-1), member indices ascending.
     ``cliques`` and ``separators`` map each VarSet to a read-only view of its
-    table, in tree order; ``from_tables`` builds parameters from such maps."""
+    table, in tree order; ``from_tables`` builds parameters from such maps.
+    The maps and ``log_table`` are built on first use."""
 
     graph: DependencyGraph
     jtree: JunctionTree
     table: np.ndarray
     diagnostics: object = None
-    cliques: Mapping[VarSet, np.ndarray] = field(init=False, repr=False)
-    separators: Mapping[VarSet, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         layout = self.jtree.layout
@@ -726,7 +735,35 @@ class LabelModelParameters:
         if self.table.shape != (layout.size,):
             raise ValueError(f"the tables take {layout.size} entries, not {self.table.shape}")
         self.table.flags.writeable = False
-        self.cliques, self.separators = layout.views(self.table)
+
+    def _views(self) -> Tuple[Mapping[VarSet, np.ndarray], Mapping[VarSet, np.ndarray]]:
+        views = self.__dict__.get("_view_maps")
+        if views is None:
+            views = self.__dict__["_view_maps"] = self.jtree.layout.views(self.table)
+        return views
+
+    @property
+    def cliques(self) -> Mapping[VarSet, np.ndarray]:
+        return self._views()[0]
+
+    @property
+    def separators(self) -> Mapping[VarSet, np.ndarray]:
+        return self._views()[1]
+
+    @property
+    def log_table(self) -> np.ndarray:
+        """Each entry's log times its exponent in the junction-tree product
+        (``layout.scale``): log(clique entry), -(deg - 1) * log(separator
+        entry); -inf where an entry is zero. Read-only."""
+        out = self.__dict__.get("_log_table")
+        if out is None:
+            positive = self.table > 0
+            out = np.empty(self.table.shape)
+            out.fill(-np.inf)
+            np.log(self.table, out=out, where=positive)
+            np.multiply(self.jtree.layout.scale, out, out=out, where=positive)
+            self.__dict__["_log_table"] = out = _freeze(out)
+        return out
 
     @classmethod
     def from_tables(cls, graph: DependencyGraph, jtree: JunctionTree,

@@ -5,9 +5,10 @@ multiplied together, divided by each separator marginal raised to one less
 than its adjacency degree. One kernel, ``_log_joint``, evaluates that product
 in log space for a block of vote rows and all 2^D task configurations at once:
 
-* each call takes one log of the whole parameter vector, scaled per entry:
-  ``log(clique)`` for a clique and ``-(deg - 1) * log(separator)`` for a
-  separator;
+* it reads the parameters' ``log_table``: one log of the whole parameter
+  vector, scaled per entry, ``log(clique)`` for a clique and
+  ``-(deg - 1) * log(separator)`` for a separator, taken once per parameter
+  set on first use;
 * each factor's slice of it is indexed by the rows' vote states
   (``1 - vote``, read from one contiguous sources x rows block), and the
   gathered values are added into a ``(2,) * D + (n,)`` log-joint, broadcast
@@ -83,17 +84,18 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
         raise ShapeMismatch(f"matrix has {votes.shape[1]} sources, model expects {m}")
     if D > MAX_EXACT_TASKS:
         raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
-    layout = mu.jtree.layout
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_table = np.where(mu.table > 0, layout.scale * np.log(mu.table), -np.inf)
+    log_table = mu.log_table
     states = np.subtract(1, votes.T, order="C")  # per source and row: +1 -> 0, 0 -> 1, -1 -> 2
     out = np.zeros((2,) * D + (votes.shape[0],))
-    for f in layout.factors:
-        # one source's states are a row of the block; otherwise base 3
-        state = (states[f.sources[0]] if len(f.sources) == 1
-                 else f.strides @ states[f.sources])
-        # task axes broadcast into the log-joint
-        out += log_table[f.span].reshape(f.bcast).take(state, axis=-1)
+    for f in mu.jtree.layout.factors:
+        term = log_table[f.span].reshape(f.bcast)
+        # one source's states are a row of the block; a pair's are base 3
+        if len(f.sources) == 1:
+            term = term.take(states[f.sources[0]], axis=-1)
+        elif len(f.sources):
+            term = term.take(f.strides @ states[f.sources], axis=-1)
+        # task axes, and a task-only table's one state, broadcast
+        out += term
     return out
 
 
@@ -107,9 +109,9 @@ def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
             f"prior covers {prior.n_tasks} tasks, model has {mu.graph.n_tasks}")
     log_joint = _log_joint(mu, jt, votes)
     flat = log_joint.reshape(2 ** mu.graph.n_tasks, votes.shape[0])
-    peak = flat.max(axis=0)
+    peak = np.maximum.reduce(flat, axis=0)
     alive = np.isfinite(peak)
-    if not alive.all():
+    if not np.logical_and.reduce(alive):
         r = int(np.argmin(alive))
         row = f"votes {tuple(int(v) for v in votes[r])}"
         raise AllZeroLikelihood(
@@ -124,7 +126,7 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=0), added in row order for any number of columns. numpy
     sums eight or more rows pairwise when ``a`` has one column, so a row's
     posterior would depend on the size of its block."""
-    return np.cumsum(a, axis=0)[-1]
+    return np.add.accumulate(a, axis=0)[-1]
 
 
 def _positives(w: np.ndarray) -> np.ndarray:
@@ -136,13 +138,19 @@ def _positives(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row(lam: Sequence[int]) -> np.ndarray:
-    return LabelMatrix(np.reshape(lam, (1, -1))).votes
+def _row(lam) -> np.ndarray:
+    """One vote row as a checked 1 x m block; a LabelMatrix is checked
+    already."""
+    L = lam if isinstance(lam, LabelMatrix) else LabelMatrix(np.reshape(lam, (1, -1)))
+    if L.n != 1:
+        raise ShapeMismatch(f"expected one vote row, got {L.n}")
+    return L.votes
 
 
 def joint_probability(mu: LabelModelParameters, jt: JunctionTree,
                       y: Sequence[int], lam: Sequence[int]) -> float:
-    """P(Y = y, votes = lam) via the junction-tree product.
+    """P(Y = y, votes = lam) via the junction-tree product; ``lam`` is one
+    vote row or a one-row LabelMatrix.
 
     Zero when any clique or separator factor of (y, lam) is zero.
     """
@@ -152,7 +160,8 @@ def joint_probability(mu: LabelModelParameters, jt: JunctionTree,
 
 def posterior(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
               lam: Sequence[int]) -> np.ndarray:
-    """P(Y | votes) over {-1,+1}^D, returned as a table with axes (2,)*D.
+    """P(Y | votes) over {-1,+1}^D, returned as a table with axes (2,)*D;
+    ``lam`` is one vote row or a one-row LabelMatrix.
 
     Exact enumeration over task configurations; the result sums to one. The
     prior argument is kept for interface symmetry (the tables already embed

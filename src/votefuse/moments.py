@@ -64,6 +64,10 @@ def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...],
 
 
 _PAIR_WEIGHTS = np.array([-3, 3, -1, 1])
+# four times a source's (+1, abstain, -1) counts from (d, e, o) and n; see
+# ``RunningStats.vote_counts``
+_VOTE_COUNTS = np.array([[-1, 1, -1], [2, 0, 0], [-1, -1, 1]])
+_VOTE_COUNTS_N = np.array([[1], [2], [1]])
 
 # Bytes of the float32 operand each Gram is taken of: ~2,600 rows at m=100.
 # Folding a Gram into the int64 totals costs O(m^2), so an operand is never
@@ -99,29 +103,41 @@ class RunningStats:
                  cond_sources: Iterable[int] = ()):
         self.m = m
         c = 2 * m
-        # [[second, first], [first, n]]: the Gram of the rows with a ones column
-        self._gram = np.zeros((c + 1, c + 1), dtype=np.int64)
+        self.cond_sources = tuple(sorted(set(cond_sources)))
+        # [[second, first], [first, n]]: the Gram of the rows with a ones
+        # column, then one per conditioning source over the rows where it
+        # abstains; one array, so each Gram's count sits at its [-1, -1]
+        self._grams = np.zeros((1 + len(self.cond_sources), c + 1, c + 1), dtype=np.int64)
+        self._gram = self._grams[0]
         self.second = self._gram[:c, :c]
         self.first = self._gram[c, :c]
+        # per source: the Gram entries its vote counts follow from
+        # (``vote_counts``), as flat indices
+        evens = np.arange(0, c, 2)
+        self._vote_cells = np.array([evens * (c + 1) + evens + 1,
+                                     c * (c + 1) + evens, c * (c + 1) + evens + 1])
         self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
         # the pair cross-tabs are views into one count vector, so a block
         # updates all of them with a single bincount
-        k = len(self.tracked_pairs)
+        k, kc = len(self.tracked_pairs), len(self.cond_sources)
         self._pair_cells = np.zeros(9 * k, dtype=np.int64)
         self.pair_counts = dict(zip(self.tracked_pairs, self._pair_cells.reshape(k, 3, 3)))
-        # a tracked pair (p, q) sits in cell 9k + 3 * state_p + state_q of
-        # its 3 x 3 block, with state 0, 1, 2 for +1, abstain, -1. A source's
-        # state is 1 - (even - odd) / 2 over its two columns, so the cell is
-        # 9k + 4 + (the pair's four columns . _PAIR_WEIGHTS) / 2.
-        self._pair_cols = 2 * np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)[
-            :, [0, 0, 1, 1]] + [0, 1, 0, 1]
-        self._pair_base = 9 * np.arange(k) + 4
-        self.cond_sources = tuple(sorted(set(cond_sources)))
-        # the two columns of each conditioning source
-        self._cond_cols = 2 * np.array(self.cond_sources, dtype=np.intp) + [[0], [1]]
-        self._cond_gram = {i: np.zeros((c + 1, c + 1), dtype=np.int64) for i in self.cond_sources}
-        self.cond_second = {i: g[:c, :c] for i, g in self._cond_gram.items()}
-        self.cond_first = {i: g[c, :c] for i, g in self._cond_gram.items()}
+        # One product with the operand [aug | 1] gives, per row, each tracked
+        # pair's cell and then each conditioning source's even minus odd
+        # column, 0 where it abstains. A pair (p, q) sits in cell
+        # 9k + 3 * state_p + state_q of its 3 x 3 block, with state 0, 1, 2
+        # for +1, abstain, -1. A source's state is 1 - (even - odd) / 2 over
+        # its two columns, so the cell is 9k + 4 + (the pair's four columns .
+        # _PAIR_WEIGHTS) / 2. Every entry is an integer float32 holds exactly.
+        self._row_map = np.zeros((k + kc, c + 1), dtype=np.float32)
+        cols = 2 * np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)[:, [0, 0, 1, 1]]
+        self._row_map[np.arange(k)[:, None], cols + [0, 1, 0, 1]] = _PAIR_WEIGHTS / 2
+        self._row_map[:k, c] = 9 * np.arange(k) + 4
+        cond = 2 * np.array(self.cond_sources, dtype=np.intp)
+        self._row_map[k + np.arange(kc), cond] = 1
+        self._row_map[k + np.arange(kc), cond + 1] = -1
+        self.cond_second = {i: g[:c, :c] for i, g in zip(self.cond_sources, self._grams[1:])}
+        self.cond_first = {i: g[c, :c] for i, g in zip(self.cond_sources, self._grams[1:])}
 
     @property
     def n(self) -> int:
@@ -129,17 +145,16 @@ class RunningStats:
 
     @property
     def cond_n(self) -> Dict[int, int]:
-        return {i: int(g[-1, -1]) for i, g in self._cond_gram.items()}
+        return dict(zip(self.cond_sources, self._grams[1:, -1, -1].tolist()))
 
     @property
     def vote_counts(self) -> np.ndarray:
         """(m, 3) counts of +1, abstain and -1 votes per source, read off the
-        Gram: a pair's product sums to abstains - votes, and the difference of
-        its column sums is twice (positives - negatives)."""
-        n = self.n
-        abstain = (n + self.second.diagonal(1)[0::2]) // 2
-        pos = (n - abstain + (self.first[0::2] - self.first[1::2]) // 2) // 2
-        return np.array([pos, abstain, n - abstain - pos]).T
+        Gram: a pair's product sums to d = abstains - votes and its column
+        sums differ by e - o = 2 (positives - negatives), so four times the
+        counts are (n - d + e - o, 2n + 2d, n - d - e + o)."""
+        return ((_VOTE_COUNTS @ self._gram.take(self._vote_cells)
+                 + self.n * _VOTE_COUNTS_N) >> 2).T
 
     def _accumulate(self, aug: np.ndarray, sign: int) -> None:
         """Add (sign +1) or subtract (sign -1) the rows of an augmented block."""
@@ -150,19 +165,17 @@ class RunningStats:
         update = np.add if sign > 0 else np.subtract
         gram = _exact_gram(xt)
         update(self._gram, gram, out=self._gram)
-        if self.tracked_pairs:
-            cells = aug.take(self._pair_cols, axis=1) @ _PAIR_WEIGHTS
-            cells >>= 1
-            cells += self._pair_base
-            update(self._pair_cells, np.bincount(cells.ravel(), minlength=self._pair_cells.size),
+        per_row = self._row_map @ xt
+        k = len(self.tracked_pairs)
+        if k:
+            cells = per_row[:k].astype(np.intp).ravel()
+            update(self._pair_cells, np.bincount(cells, minlength=self._pair_cells.size),
                    out=self._pair_cells)
         if self.cond_sources:
-            # rows where each conditioning source abstains: its pair agrees
-            even, odd = aug.T.take(self._cond_cols, axis=0)
-            abstains = even == odd
-            counts = abstains.sum(axis=1)
+            abstains = per_row[k:] == 0
+            counts = np.add.reduce(abstains, axis=1, dtype=np.intp)
             for t in counts.nonzero()[0].tolist():
-                total = self._cond_gram[self.cond_sources[t]]
+                total = self._grams[1 + t]
                 # a block where every row abstains reuses its Gram
                 update(total, gram if counts[t] == n else _exact_gram(xt[:, abstains[t]]),
                        out=total)
@@ -189,23 +202,24 @@ class RunningStats:
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
-        """The averages of the statistics; each int64 Gram is divided once and
-        the moments are views of the quotient."""
-        n = self.n
+        """The averages of the statistics; the Grams are divided by their
+        counts at once and the moments are views of the quotients."""
+        counts = self._grams[:, -1, -1]
+        n = int(counts[0])
         if n < 1:
             raise ValueError("no rows accumulated")
         c = 2 * self.m
-        conditional = {}
-        for i, cn in self.cond_n.items():
-            if cn > 0:
-                avg = self._cond_gram[i] / cn
-                conditional[i] = CondStats(n_rows=cn, M=avg[:c, :c], first=avg[c, :c])
-        avg = self._gram / n
+        per = np.maximum(counts, 1).reshape(-1, 1, 1)
+        # contiguous, so the elementwise work on them runs in one pass
+        M, first = self._grams[:, :c, :c] / per, self._grams[:, c, :c] / per[:, 0]
+        conditional = {i: CondStats(n_rows=cn, M=M[t], first=first[t])
+                       for t, (i, cn) in enumerate(zip(self.cond_sources, counts[1:].tolist()), 1)
+                       if cn > 0}
         k = len(self.tracked_pairs)
         return MomentEstimates(
             n=n,
-            M=avg[:c, :c],
-            first_moments=avg[c, :c],
+            M=M[0],
+            first_moments=first[0],
             vote_marginals=self.vote_counts / n,
             prior=prior,
             pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
@@ -310,8 +324,8 @@ class TripletPlan:
     one; ``fallback`` lists the even columns with none. ``blocks`` holds one
     (anchors, P, K) entry per task: P (anchors x columns) is 1 on each
     anchor's partner columns, and K (columns x columns) is 1 on the pairs in
-    distinct components with a member on the task. ``rows[a]`` is anchor a's
-    (block, row) in ``blocks``.
+    distinct components with a member on the task. ``single[a]`` is anchor
+    a's own block: its task's entry cut to a's row.
     """
 
     n_columns: int
@@ -319,7 +333,7 @@ class TripletPlan:
     pairs: Dict[int, int]
     fallback: Tuple[int, ...]
     blocks: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    rows: Dict[int, Tuple[int, int]]
+    single: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> TripletPlan:
@@ -352,8 +366,8 @@ def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Tripl
                        pairs=dict(zip(anchors.tolist(), counts.tolist())),
                        fallback=tuple(np.setdiff1d(evens, anchors).tolist()),
                        blocks=tuple(blocks),
-                       rows={a: (b, r) for b, (block, _P, _K) in enumerate(blocks)
-                             for r, a in enumerate(block.tolist())})
+                       single={a: (block[r:r + 1], P[r:r + 1], K) for block, P, K in blocks
+                               for r, a in enumerate(block.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +391,21 @@ N_MIN_ABSTAIN = 50
 def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, columns=None) -> np.ndarray:
     """Least-squares |a_a| per anchor over all its valid triplets, clamped to
     [EPS_ACC, 1]: a_a^2 = sum M_aj M_ak M_jk / sum M_jk^2 over its partner
-    pairs, as two masked matrix products per task. NaN where the anchor has
-    no estimate: not an anchor, not in ``columns`` (when given), or sum
-    M_jk^2 below EPS_DEN^2."""
-    out = np.full(plan.n_columns, np.nan)
-    blocks = plan.blocks
-    if columns is not None:
-        # the named anchors, in plan order, block by block
-        picked = sorted(plan.rows[c] for c in columns if c in plan.rows)
-        blocks = []
-        for b, (anchors, P, K) in enumerate(plan.blocks):
-            keep = [r for bb, r in picked if bb == b]
-            if keep:
-                blocks.append((anchors.take(keep), P.take(keep, axis=0), K))
+    pairs, as two masked matrix products per task, or per anchor in
+    ``columns`` (when given) on its ``plan.single`` block. NaN where the
+    anchor has no estimate: not an anchor, not in ``columns``, or sum M_jk^2
+    below EPS_DEN^2."""
+    out = np.empty(plan.n_columns)
+    out.fill(np.nan)
+    blocks = plan.blocks if columns is None else [
+        plan.single[c] for c in columns if c in plan.single]
     for anchors, P, K in blocks:
         U = M[anchors] * P
         num = np.einsum("aj,aj->a", U @ (M * K), U)
         den = np.einsum("aj,aj->a", P @ (M * M * K), P)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = _clip(np.sqrt(np.maximum(num, 0.0) / den), EPS_ACC, 1.0)
-        out[anchors] = np.where(den >= EPS_DEN ** 2, mag, np.nan)
+        # a degenerate anchor divides by NaN, which raises no warning
+        ratio = np.maximum(num, 0.0) / np.where(den >= EPS_DEN ** 2, den, np.nan)
+        out[anchors] = _clip(np.sqrt(ratio), EPS_ACC, 1.0)
     return out
 
 
@@ -423,33 +432,32 @@ class Accuracies:
         return self.values[0::2]
 
 
-def _sign_components(group: List[int], M: np.ndarray, G: AugmentedGraph):
+def _sign_components(group: List[int], rel: np.ndarray):
     """Connected components of the sign-constraint graph over one task group.
 
-    Edges join independent column pairs (``G.independent_columns()``) whose
-    pairwise moment is usable, |M| >= EPS_DEN, and constrain the sign product
-    to sign(M). Returns one pattern per component, mapping its columns to
-    relative signs with the lowest column set positive.
+    ``rel`` holds, per column pair, the sign product an edge imposes (+-1)
+    or no edge (+-0): edges join independent column pairs whose pairwise
+    moment is usable (``resolve_signs``). Returns one pattern per component,
+    mapping its columns to relative signs with the lowest column set
+    positive.
     """
     idx = np.asarray(group)
-    sub = M.take(idx, axis=0).take(idx, axis=1)
-    edge = G.independent_columns().take(idx, axis=0).take(idx, axis=1) & (np.abs(sub) >= EPS_DEN)
-    # per column pair: 0 without an edge, else the sign product it imposes
-    rel = (np.where(sub > 0, 1, -1) * edge).tolist()
+    rel = rel.take(idx, axis=0).take(idx, axis=1).tolist()
     comps = []
-    seen = set()
-    for c in range(len(group)):
-        if c in seen:
-            continue
+    left = list(range(len(group)))  # not yet reached, ascending
+    while left:
+        c = left.pop(0)
         pattern = {c: 1}
         stack = [c]
-        while stack:
+        while stack and left:
             u = stack.pop()
-            for w, sign in enumerate(rel[u]):  # neighbours in ascending order
-                if sign and w not in pattern:
-                    pattern[w] = pattern[u] * sign
-                    stack.append(w)
-        seen.update(pattern)
+            row = rel[u]
+            reached = [w for w in left if row[w]]  # new neighbours, ascending
+            if reached:
+                for w in reached:
+                    pattern[w] = pattern[u] * row[w]
+                stack += reached
+                left = [w for w in left if not row[w]]
         comps.append({group[k]: sign for k, sign in pattern.items()})
     return comps
 
@@ -473,11 +481,15 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
         cfg.check_sources(G.graph.n_sources)
         anchor_col = 2 * cfg.anchor_source
     task = G.graph.assignment
+    # the sign product of each independent column pair whose pairwise moment
+    # is usable, |M| >= EPS_DEN; +-0 for every other pair
+    rel = np.copysign(G.independent_columns() & (np.abs(M) >= EPS_DEN), M)
+    evens = [c for c in sorted(magnitudes) if c % 2 == 0]
     for d in range(G.n_tasks):
-        group = [c for c in sorted(magnitudes) if c % 2 == 0 and task[c // 2] == d]
+        group = [c for c in evens if task[c // 2] == d]
         if not group:
             continue
-        components = _sign_components(group, M, G)
+        components = _sign_components(group, rel)
         anchored_task = anchor_col in group
         if anchored_task and len(components) > 1:
             reachable = next(set(p) for p in components if anchor_col in p)
@@ -496,13 +508,13 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
             elif cfg.sign_strategy == "ratio-anchor":
                 ey = prior.task_mean(d) if prior is not None else 0.0
                 if first_moments is not None and abs(ey) >= EPS_PRIOR:
-                    score = float((weights * first_moments[cols]).sum())
+                    score = float(np.add.reduce(weights * first_moments.take(cols)))
                     if score != 0.0:
                         flip = 1 if score * ey > 0 else -1
                 if flip is None:
                     diag["ratio_anchor_fallbacks"].append(cols[0])
             if flip is None:  # nonnegative-sum
-                total = float(weights.sum())
+                total = float(np.add.reduce(weights))
                 if total == 0.0:
                     diag["sign_ties"].append(cols[0])
                     warnings.warn(
@@ -566,14 +578,14 @@ def conditional_accuracy_from_stats(target: int, cond: int,
 
     if col not in plan.partners:
         return ratio_or_raise(f"no triplets available for column {col}")
-    mag = _pooled_magnitudes(cs.M, plan, columns=[col])[col]
-    if np.isnan(mag):
+    mag = float(_pooled_magnitudes(cs.M, plan, columns=[col])[col])
+    if mag != mag:  # NaN
         return ratio_or_raise(
             f"abstain-restricted triplets for source {target + 1} are all "
             f"degenerate"
         )
     sign = 1.0 if sign_hint >= 0 else -1.0
-    return float(_clip(sign * mag, -1.0, 1.0))
+    return min(max(-1.0, sign * mag), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -583,38 +595,33 @@ def conditional_accuracy_from_stats(target: int, cond: int,
 def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                         G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
     """Triplet magnitudes, sign resolution, and ratio fallback, in one pass."""
-    vals = _pooled_magnitudes(moments.M, plan)
-    found = (~np.isnan(vals)).nonzero()[0]
-    mags = dict(zip(found.tolist(), vals[found].tolist()))
+    mags = {c: v for c, v in enumerate(_pooled_magnitudes(moments.M, plan).tolist())
+            if v == v}  # not NaN
     signed, sign_diag = resolve_signs(
         mags, moments.M, G, cfg,
         first_moments=moments.first_moments, prior=moments.prior,
     )
 
     n_cols = G.n_columns
-    values = np.zeros(n_cols)
+    values = [0.0] * n_cols
     method = ["unset"] * n_cols
-    floored = []
     for c, v in signed.items():
         values[c] = v
         method[c] = "triplet"
-        if abs(v) <= EPS_ACC:
-            floored.append(c)
+    floored = [c for c, v in signed.items() if abs(v) <= EPS_ACC]
 
     fallback_used = []
     for c in range(0, n_cols, 2):
-        if method[c] != "unset":
-            continue
-        if not cfg.ratio_fallback:
-            raise NoUsableTriplet(
-                f"no triplet-recovered accuracy for column {c} and the ratio "
-                f"fallback is disabled"
-            )
-        values[c] = ratio_accuracy(c, moments, G)
-        method[c] = "ratio"
-        fallback_used.append(c // 2)
-
-    values[1::2] = -values[0::2]
+        if method[c] == "unset":
+            if not cfg.ratio_fallback:
+                raise NoUsableTriplet(
+                    f"no triplet-recovered accuracy for column {c} and the ratio "
+                    f"fallback is disabled"
+                )
+            values[c] = ratio_accuracy(c, moments, G)
+            method[c] = "ratio"
+            fallback_used.append(c // 2)
+        values[c + 1] = -values[c]
     method[1::2] = ["mirror"] * (n_cols // 2)
 
     if floored:
@@ -630,4 +637,4 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
         "ratio_fallback_sources": fallback_used,
         "floored_columns": floored,
     }
-    return Accuracies(values=values, method=tuple(method), diagnostics=diag)
+    return Accuracies(values=np.array(values), method=tuple(method), diagnostics=diag)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from .augment import AbstainPolicy, augment_graph, augment_row
 from .config import RunConfig
 from .errors import ConfigError, EstimationWarning, VoteFuseError
-from .graph import (AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelModelParameters,
-                    build_junction_tree, validate_graph)
+from .graph import (AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMatrix,
+                    LabelModelParameters, build_junction_tree, validate_graph)
 from .inference import marginal_positives, posterior
 from .moments import RunningStats, enumerate_triplets, tracked_statistics
 from .recovery import compile_cliques, recover_from_moments
@@ -42,9 +42,14 @@ class RollingState:
     integer sums of every windowed statistic. ``window=None`` means
     cumulative estimation (never evict). The buffer grows by doubling up to
     W rows (without bound when cumulative). Everything that depends on the
-    graph alone is built at construction. Parameters recovered at each step
-    are immutable snapshots; on a failed window the last valid snapshot is
-    reused and the step is flagged stale.
+    graph alone is built at construction: the junction tree with its table
+    layout and compiled cliques (the prior-filled tables among them) and the
+    triplet plan (with each anchor's own block for the abstain-conditioned
+    fits), so a step only updates the window, fits it and scores its row,
+    with the row checked once. Parameters recovered at each step are
+    immutable snapshots; their per-table views and log table are built on
+    first use. On a failed window the last valid snapshot is reused and the
+    step is flagged stale.
     """
 
     def __init__(self, g: DependencyGraph, cfg: RunConfig = RunConfig(),
@@ -97,11 +102,13 @@ class RollingState:
         raw = np.asarray(lam_t)
         if raw.shape != (self.graph.n_sources,):
             raise ValueError(f"expected {self.graph.n_sources} votes, got {raw.shape}")
-        bad = np.flatnonzero((raw != -1) & (raw != 0) & (raw != 1))
-        if bad.size:
-            raise ValueError(f"vote {raw[bad[0]]} at position {bad[0]} is not -1, 0 or +1")
-        row = raw.astype(np.int8)
-        aug = augment_row(row, self.cfg.policy, self.abstain_ordinals)
+        try:
+            row = LabelMatrix(raw.reshape(1, -1))  # checked once, for posterior too
+        except ValueError:
+            bad = np.flatnonzero((raw != -1) & (raw != 0) & (raw != 1))
+            raise ValueError(
+                f"vote {raw[bad[0]]} at position {bad[0]} is not -1, 0 or +1") from None
+        aug = augment_row(row.votes[0], self.cfg.policy, self.abstain_ordinals)
         self.stats.add(aug)
         if self.t == len(self._rows) and self.t != self.window:  # grow; nothing evicted yet
             grown = min(2 * self.t, self.window or 2 * self.t)
@@ -112,10 +119,9 @@ class RollingState:
         self._rows[slot] = aug
         self.t += 1
 
-        prior_pos = np.array([prior_t.p_pos(d) for d in range(self.graph.n_tasks)])
         if self.t < self.warmup:
-            return StepResult(params=None, posterior_pos=prior_pos, warmup=True,
-                              stale=False, t=self.t)
+            return StepResult(params=None, posterior_pos=self._prior_pos(prior_t),
+                              warmup=True, stale=False, t=self.t)
 
         fresh = None
         failure = None
@@ -149,7 +155,8 @@ class RollingState:
                 # it shares the frozen parameter vector
                 self._note_stale(failure)
                 params = copy.copy(params)
-                params.diagnostics = replace(params.diagnostics, stale=True)
+                params.diagnostics = copy.copy(params.diagnostics)
+                params.diagnostics.stale = True
             else:
                 self.last_params = params
             return StepResult(params=params,
@@ -157,8 +164,11 @@ class RollingState:
                               warmup=False, stale=is_stale, t=self.t)
 
         self._note_stale(failure)
-        return StepResult(params=None, posterior_pos=prior_pos, warmup=False,
+        return StepResult(params=None, posterior_pos=self._prior_pos(prior_t), warmup=False,
                           stale=True, t=self.t)
+
+    def _prior_pos(self, prior: ClassPrior) -> np.ndarray:
+        return np.array([prior.p_pos(d) for d in range(self.graph.n_tasks)])
 
     def _note_stale(self, failure) -> None:
         self.stale_steps += 1

@@ -163,12 +163,17 @@ class CompiledCliques:
     ``labels`` list them in tree order, and ``order[k]`` is the position of
     the k-th of them in the groups' concatenation. ``task[i]`` is source i's
     task. ``pairs`` lists the two-source cliques' sources in group order
-    (``pair_sources`` as a 2 x k array) and ``cond_pairs`` the (target, conditioning source) pairs whose
+    (``pair_sources`` as a 2 x k array, ``pair_task`` their tasks and
+    ``pair_moments`` the flat index of each one's E[v_i v_j] in the 2m x 2m
+    moments) and ``cond_pairs`` the (target, conditioning source) pairs whose
     abstain-conditioned accuracy they need, (j, i) then (i, j) for each.
     ``rhs_index`` gathers the flat right-hand side from the quantity vector
     of ``clique_rhs``; ``table_index`` gathers every clique's table, in tree
     order and table axis order, from the flat solution, into the entries
-    ``slots`` of the tree's ``layout``; ``owner`` names each one's clique.
+    ``slots`` of the tree's ``layout``; ``owner`` names each one's clique,
+    and each clique's entries start at ``starts``.
+    ``priors`` lists the (span, tasks) of every table without sources: the
+    prior's marginal over those tasks.
     """
 
     groups: Tuple[CliqueGroup, ...]
@@ -178,11 +183,15 @@ class CompiledCliques:
     task: np.ndarray
     pairs: Tuple[Tuple[int, int], ...]
     pair_sources: np.ndarray
+    pair_task: np.ndarray
+    pair_moments: np.ndarray
     cond_pairs: Tuple[Tuple[int, int], ...]
     rhs_index: np.ndarray
     table_index: np.ndarray
     slots: np.ndarray
     owner: np.ndarray
+    starts: np.ndarray
+    priors: Tuple[Tuple[slice, Tuple[int, ...]], ...]
     layout: TableLayout
 
 
@@ -224,8 +233,10 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
             position[c] = len(position)
             table_index[c] = size + row_of * k + p
         size += rows * k
+    pair_sources = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     layout = jtree.layout
     spans = [f.span for f in layout.factors[:layout.n_cliques] if f.vs.sources]
+    sizes = [sp.stop - sp.start for sp in spans]
     compiled = CompiledCliques(
         groups=tuple(groups),
         cliques=source,
@@ -233,13 +244,17 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
         order=np.array([position[c] for c in source], dtype=np.intp),
         task=task,
         pairs=pairs,
-        pair_sources=np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
+        pair_sources=pair_sources,
+        pair_task=task.take(pair_sources[0]),
+        pair_moments=2 * pair_sources[0] * 2 * m + 2 * pair_sources[1],
         cond_pairs=tuple(p for i, j in pairs for p in ((j, i), (i, j))),
         rhs_index=np.array(rhs_index, dtype=np.intp),
         table_index=np.array([e for c in source for e in table_index[c].ravel().tolist()],
                              dtype=np.intp),
         slots=np.array([e for sp in spans for e in range(sp.start, sp.stop)], dtype=np.intp),
-        owner=np.repeat(np.arange(len(source)), [sp.stop - sp.start for sp in spans]),
+        owner=np.repeat(np.arange(len(source)), sizes),
+        starts=np.cumsum([0] + sizes, dtype=np.intp)[:-1],
+        priors=tuple((f.span, f.vs.tasks) for f in layout.factors if not f.vs.sources),
         layout=layout,
     )
     jtree.__dict__["_compiled_cliques"] = compiled
@@ -257,11 +272,8 @@ def clique_expectations(compiled: CompiledCliques, acc: np.ndarray, M: np.ndarra
     E[v_i v_j * task], which splits as E[v_i v_j] * E[Y] by the even-parity
     independence of the pair product from the task; ``means[d]`` is E[Y_d].
     Clipped to [-1, 1]."""
-    value = acc[0::2]
-    if compiled.pairs:
-        i, j = compiled.pair_sources
-        value = np.concatenate((value, M[2 * i, 2 * j] * means[compiled.task[i]]))
-    return _clip(value, -1.0, 1.0)
+    pair = M.take(compiled.pair_moments) * means.take(compiled.pair_task)
+    return _clip(np.concatenate((acc[0::2], pair)), -1.0, 1.0)
 
 
 def clique_rhs(compiled: CompiledCliques, acc: np.ndarray, moments: MomentEstimates,
@@ -279,29 +291,23 @@ def clique_rhs(compiled: CompiledCliques, acc: np.ndarray, moments: MomentEstima
     m = len(compiled.task)
     p_y = (0.5 * (1.0 + means))[compiled.task]
     p_vote, z = moments.vote_marginals.T[:2]                   # P(+1), P(abstain)
+    pair = np.array([moments.pair_tables[p] for p in compiled.pairs]).reshape(-1, 9)
+    z_pair, z_ij = z[compiled.pair_sources], pair[:, 4]        # cell 3a + b: a = i's state
     # P(product * task = 1) for each source, then each pair: from its
     # expectation and P(product = 0), the abstain rate, or for a pair
     # P(either abstains)
     p_one = clique_expectations(compiled, acc, moments.M, means) + 1.0
-    p_one[:m] -= z
-    if compiled.pairs:
-        i, j = compiled.pair_sources
-        pair = np.array([moments.pair_tables[p] for p in compiled.pairs]).reshape(-1, 9)
-        z_i, z_j, z_ij = z[i], z[j], pair[:, 4]                # cell 3a + b: a = i's state
-        p_one[m:] -= z_i + z_j - z_ij
+    p_one -= np.concatenate((z, z_pair[0] + z_pair[1] - z_ij))
     p_one *= 0.5
-    per_source = {"p_y": p_y, "p_vote": p_vote, "p_one": p_one[:m], "z": z, "z_p_y": z * p_y}
-    parts = [_ONE] + [per_source[name] for name in _SOURCE_COLUMNS]
-    if compiled.pairs:
-        e_j, e_i = cond[0::2], cond[1::2]                      # E[j Y | i = 0], E[i Y | j = 0]
-        per_pair = {
-            "agree": pair[:, 0] + pair[:, 8], "p_one": p_one[m:],
-            "z0_pos": pair[:, 3], "z0_cond": 0.5 * (z_i + e_j * z_i - z_ij),
-            "pos_z0": pair[:, 1], "cond_z0": 0.5 * (z_j + e_i * z_j - z_ij),
-            "z": z_ij, "z_p_y": z_ij * p_y[i],
-        }
-        parts += [per_pair[name] for name in _PAIR_COLUMNS]
-    return np.concatenate(parts).take(compiled.rhs_index)
+    # P(i = 0, j * Y = 1) and P(j = 0, i * Y = 1) per pair, from
+    # E[j Y | i = 0] and E[i Y | j = 0]
+    z0_cond, cond_z0 = 0.5 * (z_pair + cond.reshape(-1, 2).T * z_pair - z_ij)
+    # in _SOURCE_COLUMNS, then _PAIR_COLUMNS order
+    return np.concatenate((
+        _ONE, p_y, p_vote, p_one[:m], z, z * p_y,
+        pair[:, 0] + pair[:, 8], p_one[m:], pair[:, 3], z0_cond, pair[:, 1], cond_z0,
+        z_ij, z_ij * p_y[compiled.pair_sources[0]],
+    )).take(compiled.rhs_index)
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +327,29 @@ def solve_cliques(compiled: CompiledCliques, rhs: np.ndarray) -> Tuple[
     solution leaves [-INSTABILITY, 1 + INSTABILITY] or has no mass.
     """
     clamped = _clip(rhs, 0.0, 1.0)
-    excess = np.abs(rhs - clamped)
     mu = np.empty_like(rhs)
-    # per clique, in group order: largest clamp, raw min, raw max, mass
-    summary = np.empty((4, len(compiled.cliques)))
+    total = np.empty(len(compiled.cliques))  # in group order
     for grp in compiled.groups:
         shape = (len(grp.T.A), -1)
         sol = mu[grp.span].reshape(shape)
         np.matmul(grp.T.A_inv, clamped[grp.span].reshape(shape), out=sol)
-        excess[grp.span].reshape(shape).max(axis=0, out=summary[0, grp.cols])
-        sol.min(axis=0, out=summary[1, grp.cols])
-        sol.max(axis=0, out=summary[2, grp.cols])
-        np.maximum(sol, 0.0, out=sol)
-        sol.sum(axis=0, out=summary[3, grp.cols])
-    clamp, lo, hi, total = summary[:, compiled.order]
+        np.add.reduce(np.maximum(sol, 0.0), axis=0, out=total[grp.cols])
+    # per clique, in tree order: the raw solution's extremes, the largest clamp
+    raw = mu.take(compiled.table_index)
+    lo = np.minimum.reduceat(raw, compiled.starts)
+    hi = np.maximum.reduceat(raw, compiled.starts)
+    clamp = np.maximum.reduceat(np.abs(rhs - clamped).take(compiled.table_index), compiled.starts)
+    total = total.take(compiled.order)
     in_range = (lo >= -INSTABILITY) & (hi <= 1.0 + INSTABILITY)
     bad = ~in_range | (total <= 0.0)
-    if bad.any():
+    if np.logical_or.reduce(bad):
         k = int(np.argmax(bad))
         label = compiled.labels[k]
         what = ("has no mass" if in_range[k]
                 else f"solved to range [{lo[k]:.4f}, {hi[k]:.4f}]")
         raise NumericalInstability(f"marginal for {label} {what} (clique {label})")
     table = np.empty(compiled.layout.size)
-    table[compiled.slots] = mu.take(compiled.table_index) / total.take(compiled.owner)
+    table[compiled.slots] = np.maximum(raw, 0.0, out=raw) / total.take(compiled.owner)
     clip = np.maximum(0.0, np.maximum(-lo, hi - 1.0))
     return (table, dict(zip(compiled.labels, clip.tolist())),
             dict(zip(compiled.labels, clamp.tolist())))
@@ -403,13 +408,14 @@ def _conditional_accuracies(pairs: Tuple[Tuple[int, int], ...],
                             diag: RecoveryDiagnostics) -> np.ndarray:
     """E[lambda_t Y | lambda_c = 0] for every (t, c) in ``pairs``;
     substitutes the unconditional accuracy when the restricted estimate is
-    unavailable."""
+    unavailable, and records the substitution in ``diag``."""
     out = np.empty(len(pairs))
+    abstain_rates = moments.abstain_rates
     for k, (target, cond) in enumerate(pairs):
         hint = float(acc.values[2 * target])
-        if moments.abstain_rates[cond] == 0.0:
+        if abstain_rates[cond] == 0.0:
             # every entry using this value carries a P(cond abstains) = 0
-            # factor, so the substitution is exact and not worth a warning
+            # factor, so the substitution is exact and not worth recording
             out[k] = hint
             continue
         try:
@@ -419,11 +425,6 @@ def _conditional_accuracies(pairs: Tuple[Tuple[int, int], ...],
             out[k] = hint
             diag.conditional_substitutions.append(
                 {"target": target + 1, "cond": cond + 1, "reason": str(exc)})
-            warnings.warn(
-                f"substituting the unconditional accuracy of source "
-                f"{target + 1} for its abstain-conditioned value: {exc}",
-                EstimationWarning,
-            )
     return out
 
 
@@ -437,7 +438,10 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
 
     This is the shared back half of the pipeline: the batch entry point feeds
     it empirical moments, the streaming estimator feeds it windowed moments,
-    and the closure tests feed it exact enumerated moments.
+    and the closure tests feed it exact enumerated moments. Substituted
+    abstain-conditioned accuracies are recorded in the diagnostics
+    (``conditional_substitutions``); ``recover_parameters`` also warns of
+    each.
     """
     prior = moments.prior
     if jtree is None:
@@ -458,21 +462,20 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
     )
 
     cond = _conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc, cfg, diag)
-    means = np.array([prior.task_mean(d) for d in range(g.n_tasks)])
-    rhs = clique_rhs(compiled, acc.values, moments, cond, means)
+    rhs = clique_rhs(compiled, acc.values, moments, cond, prior.means)
     table, diag.clip_magnitudes, diag.rhs_clamps = solve_cliques(compiled, rhs)
+    for span, tasks in compiled.priors:
+        table[span] = prior.table(tasks).reshape(-1)
     layout = compiled.layout
-    for f in layout.factors:
-        if not f.vs.sources:
-            table[f.span] = prior.table(f.vs.tasks).reshape(-1)
-    table[layout.host] = table[layout.marginal].sum(axis=1)
+    table[layout.host] = np.add.reduce(table[layout.marginal], axis=1)
     return LabelModelParameters(graph=g, jtree=jtree, table=table, diagnostics=diag)
 
 
 def recover_parameters(L: LabelMatrix, g: DependencyGraph, prior: ClassPrior,
                        cfg: RunConfig = RunConfig()) -> LabelModelParameters:
     """End-to-end batch fit: augment, estimate moments, recover accuracies,
-    and solve every clique and separator marginal."""
+    and solve every clique and separator marginal. Warns (EstimationWarning)
+    of each abstain-conditioned accuracy it had to substitute."""
     L.require_fit_shape(allow_small=cfg.ratio_fallback)
     g = validate_graph(g)
     cfg.check_sources(g.n_sources)  # before the statistics pass
@@ -480,4 +483,11 @@ def recover_parameters(L: LabelMatrix, g: DependencyGraph, prior: ClassPrior,
     G = augment_graph(g)
     A = augment_matrix(L, cfg.policy)
     moments = estimate_moments(A, prior, G)
-    return recover_from_moments(moments, g, cfg, jtree=jtree, G=G)
+    mu = recover_from_moments(moments, g, cfg, jtree=jtree, G=G)
+    for sub in mu.diagnostics.conditional_substitutions:
+        warnings.warn(
+            f"substituting the unconditional accuracy of source {sub['target']} "
+            f"for its abstain-conditioned value: {sub['reason']}",
+            EstimationWarning,
+        )
+    return mu

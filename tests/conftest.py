@@ -16,6 +16,7 @@ from votefuse.graph import (
     _to_varset,
     marginalize_table,
 )
+from votefuse.moments import EPS_ACC, EPS_DEN
 from votefuse.recovery import build_transform, mu_unflatten
 
 
@@ -65,6 +66,26 @@ def reference_log_joint(mu, jt, votes):
         for i in vs.sources:
             state = 3 * state + (1 - votes[:, i])
         out += np.take(log_tbl, state, axis=-1)
+    return out
+
+
+def reference_pooled_magnitudes(M, plan, columns):
+    """The former per-call block selection of ``moments._pooled_magnitudes``
+    for named anchors (each call cut their rows out of their task's block of
+    ``plan.blocks``), kept as the reference for the one-anchor blocks
+    ``TripletPlan.single`` holds."""
+    out = np.full(plan.n_columns, np.nan)
+    for anchors, P, K in plan.blocks:
+        keep = [r for r, a in enumerate(anchors.tolist()) if a in columns]
+        if not keep:
+            continue
+        anchors, P = anchors.take(keep), P.take(keep, axis=0)
+        U = M[anchors] * P
+        num = np.einsum("aj,aj->a", U @ (M * K), U)
+        den = np.einsum("aj,aj->a", P @ (M * M * K), P)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag = np.clip(np.sqrt(np.maximum(num, 0.0) / den), EPS_ACC, 1.0)
+        out[anchors] = np.where(den >= EPS_DEN ** 2, mag, np.nan)
     return out
 
 

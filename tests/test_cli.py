@@ -97,6 +97,18 @@ def test_graph_spec_error_names_the_file_and_one_based_vertices(workdir, capsys,
     assert f"data error: {spec}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, out", [("fit", "params.json"), ("fit-predict", "post.csv")])
+def test_rejected_graph_structure_names_the_file(workdir, capsys, command, out):
+    # L1, L2 and L3 form a triangle: a clique of one task and three sources
+    spec = workdir / "triangle.spec"
+    spec.write_text(MODEL + "sedge 1 2\nsedge 1 3\nsedge 2 3\n")
+    rc = main([command, "--labels", str(workdir / "votes.csv"), "--graph", str(spec),
+               "--balance", "0.55", "--out", str(workdir / out)])
+    assert rc == 2
+    assert (f"data error: {spec}: clique {{Y1,L1,L2,L3}} is not one task with at most "
+            f"two sources") in capsys.readouterr().err
+
+
 def _coupled_params(cliques=None, separators=None):
     """A parameter document for the four voting sources with sources 1 and 2
     coupled (uniform tables), with its clique or separator records replaced."""

@@ -12,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votefuse import fileio
-from votefuse.errors import AssignmentMissing, DataFormatError
+from votefuse.errors import AssignmentMissing, DataFormatError, UnsupportedCliqueSize
 from votefuse.graph import DependencyGraph
 from votefuse.oracle import enumerate_joint, random_model, sample
 from votefuse.recovery import recover_parameters
 from votefuse.config import RunConfig
 
-from conftest import star_with_edges
+from conftest import star, star_with_edges
 
 
 _VALID = ["1", "0", "-1", "+1", "01", "-0", "-01"]
@@ -308,6 +308,20 @@ class TestParameterFile:
         path2 = tmp_path / "params2.json"
         fileio.save_parameters(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_rejected_graph_structure_names_the_file(self, tmp_path):
+        # the file's graph joins L1, L2 and L3 into one clique
+        g = star(4)
+        mu = enumerate_joint(random_model(g, seed=1)).true_parameters()
+        path = tmp_path / "params.json"
+        fileio.save_parameters(path, mu)
+        doc = json.loads(path.read_text())
+        doc["graph"]["source_edges"] = [[1, 2], [1, 3], [2, 3]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UnsupportedCliqueSize) as info:
+            fileio.load_parameters(path)
+        assert str(info.value) == (f"{path}: clique {{Y1,L1,L2,L3}} is not one task with "
+                                   f"at most two sources")
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "params.json"

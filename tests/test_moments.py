@@ -40,7 +40,8 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import recover_parameters
 
-from conftest import acceptance_grid, chain3, reference_augment, star, star_with_edges
+from conftest import (acceptance_grid, chain3, reference_augment, reference_pooled_magnitudes,
+                      star, star_with_edges)
 
 
 class TestEstimateMoments:
@@ -668,6 +669,42 @@ class TestPipelineProperties:
                 got = conditional_accuracy_from_stats(target, cond, me, plan, G, cfg,
                                                       sign_hint=truth)
                 assert got == pytest.approx(truth, abs=1e-12)
+
+    def test_conditional_fit_matches_per_call_block_selection(self):
+        # every tracked pair of the source-edge grid models and of a two-task
+        # model, on exact and on sampled moments: the one-anchor block the
+        # plan holds gives the former per-call selection's value bit for bit
+        two_task = DependencyGraph(2, 6, (0, 0, 0, 1, 1, 1), task_edges=((0, 1),),
+                                   source_edges=((0, 1), (3, 4)))
+        models = [(g, seed, abstaining) for g, seed, abstaining in acceptance_grid()
+                  if g.source_edges] + [(two_task, 51, True)]
+        cfg = RunConfig()
+        compared = 0
+        for g, seed, abstaining in models:
+            j = enumerate_joint(random_model(g, seed=seed, abstaining=abstaining))
+            G = augment_graph(g)
+            plan = enumerate_triplets(G)
+            L, _ = sample(j, 4_000, seed=seed)
+            for me in (j.moment_estimates(), estimate_moments(augment_matrix(L), j.prior(), G)):
+                for a, b in g.source_edges:
+                    for target, cond in ((a, b), (b, a)):
+                        cs = me.conditional.get(cond)
+                        if cs is None or (cs.n_rows is not None and cs.n_rows < 50):
+                            continue
+                        col = 2 * target
+                        want = reference_pooled_magnitudes(cs.M, plan, [col])[col]
+                        if np.isnan(want):
+                            with pytest.raises(NoUsableTriplet):
+                                conditional_accuracy_from_stats(target, cond, me, plan, G, cfg,
+                                                                sign_hint=0.3)
+                            continue
+                        for hint in (0.3, -0.3):
+                            got = conditional_accuracy_from_stats(target, cond, me, plan, G,
+                                                                  cfg, sign_hint=hint)
+                            sign = 1.0 if hint >= 0 else -1.0
+                            assert got == float(np.clip(sign * want, -1.0, 1.0))
+                        compared += 1
+        assert compared >= 20
 
     def test_cross_task_triples_stay_exact(self):
         # a task group with only two independent sources must borrow the third

@@ -15,8 +15,9 @@ import votefuse
 from votefuse import graph, online, recovery
 from votefuse.augment import AbstainPolicy, AugmentedGraph, augment_graph, augment_matrix
 from votefuse.config import RunConfig
-from votefuse.errors import ConfigError, EstimationWarning
+from votefuse.errors import ConfigError, EstimationWarning, VoteFuseError
 from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
+from votefuse.inference import marginal_positives, posterior
 from votefuse.moments import RunningStats, estimate_moments
 from votefuse.online import RollingState, parameter_error, run_stream, step, sweep_window
 from votefuse.oracle import (
@@ -53,8 +54,10 @@ def _drift_model(m=5, balance_mean=0.3):
 # Python frames entered in votefuse per post-warmup step of
 # test_call_budget_per_step: 127.6 before the per-tree inference layout, the
 # per-column abstain fill and the one-pass clique solve, 82.8 after them, 68.8
-# with the tables in one parameter vector
-CALL_BUDGET = 70
+# with the tables in one parameter vector, 65.9 once a step builds no table
+# views, checks its row once and reads graph-only work from the plan and the
+# compiled cliques
+CALL_BUDGET = 67
 
 
 @st.composite
@@ -209,6 +212,8 @@ class TestStep:
             "compile_cliques (online)": (online, "compile_cliques"),
             "columns_dependent": (AugmentedGraph, "columns_dependent"),
             "compile_layout": (graph, "compile_layout"),
+            # the step never reads a snapshot's per-table views
+            "TableLayout.views": (graph.TableLayout, "views"),
         }
 
         def run(steps, state=None):
@@ -262,6 +267,45 @@ class TestStep:
             finally:
                 sys.setprofile(None)
         assert entered / 200 <= CALL_BUDGET
+
+    def test_steps_match_a_reference_from_public_calls(self):
+        # the three kinds of step on this stream: both abstain-conditioned
+        # accuracies substituted, one of them computed (from step 1293 on),
+        # and stale; each StepResult is, bit for bit, the fit and posterior
+        # that the public calls give on the window's statistics, a stale one
+        # scored by the last fresh snapshot, or by the prior when that fails
+        ds = DriftStream(base=_stream_model(), n_steps=1400, seed=1, flip_period=1000)
+        prior = ClassPrior.from_balance(0.65)
+        cfg = RunConfig(sign_strategy="ratio-anchor")
+        state = RollingState(ds.base.graph, cfg, window=500, warmup=200)
+        last, kinds = None, set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            for row in ds.rows:
+                res = state.step(row, prior)
+                if res.warmup:
+                    continue
+                try:
+                    mu = recover_from_moments(state.stats.to_moments(prior), state.graph, cfg,
+                                              jtree=state.jtree, G=state.aug_graph,
+                                              plan=state.plan)
+                    pos = marginal_positives(posterior(mu, state.jtree, prior, row))
+                    kind = len(mu.diagnostics.conditional_substitutions)
+                    last = mu
+                except VoteFuseError:
+                    kind = "stale"
+                    try:
+                        mu = last
+                        pos = marginal_positives(posterior(mu, state.jtree, prior, row))
+                    except VoteFuseError:
+                        mu, pos = None, np.array([prior.p_pos(0)])
+                kinds.add(kind)
+                assert res.stale == (kind == "stale")
+                assert (res.params is None) == (mu is None)
+                if mu is not None:
+                    assert res.params.table.tobytes() == mu.table.tobytes()
+                assert res.posterior_pos.tobytes() == pos.tobytes()
+        assert kinds == {2, 1, "stale"}
 
     def test_stale_warning_names_the_stream_row(self):
         # on this stream the fit at step 295 gives the step's own row zero
