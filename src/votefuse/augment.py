@@ -5,15 +5,20 @@ to (-1, 1), and an abstain to (1, 1) or (-1, -1) with balanced frequency. The
 abstain fill-in is keyed per column by the abstain's ordinal position, so
 augmenting is deterministic, replayable, and order-independent across columns.
 
-One kernel, ``_encode``, pair-encodes a row block from per-column start
-ordinals: it writes the votes and their negations, then visits only the
-columns that hold abstains and fills each one's abstain rows with the next
-ordinals of that column, so its working memory is the block and its abstain
-mask, with no index array per abstain. ``augment_matrix`` returns the
-encoding of a whole label matrix without computing it: its rows are encoded
-block by block as the statistics pass reads them, so the n x 2m matrix
-exists only if a caller asks for ``.data``. ``augment_row`` runs the kernel
-on one stream row.
+A row's pair encoding is its votes v and its abstain fills w (the +/-1 fill
+where a source abstains, 0 where it votes): the pair of source i is
+(v_i + w_i, w_i - v_i). One kernel, ``_fills``, computes the fills of a row
+block from per-column start ordinals. Its abstain mask is padded to a
+multiple of 8 columns, so each mask row is whole uint64 words with one byte
+per source. An ``alternating`` fill depends on its ordinal's parity only, and
+one XOR scan down the rows of those words gives every byte the parity of its
+column's abstains so far; ``seeded-random`` visits only the columns that hold
+abstains and draws each one's coins for its next ordinals. The statistics
+pass reads the votes and their fills block by block (``vote_blocks``), so
+``augment_matrix`` never computes the n x 2m matrix unless a caller asks for
+``.data``, which ``_encode`` interleaves from v + w and w - v.
+``augment_row`` encodes one stream row, each of its abstains taking its
+column's next ordinal.
 """
 
 from __future__ import annotations
@@ -82,28 +87,53 @@ class AbstainPolicy:
         return _coin(self.seed, column, shifted)
 
 
+def _fills(votes: np.ndarray, policy: AbstainPolicy, ordinals: np.ndarray) -> np.ndarray:
+    """The abstain fills of a block of vote rows: the +/-1 value both pair
+    columns share where a source abstains, 0 where it votes, n x m int8.
+    Column j's abstains take the ordinals ``ordinals[j]``,
+    ``ordinals[j] + 1``, ... in row order; ``ordinals`` (int64) is advanced in
+    place past them, so the next block continues the sequence."""
+    n, m = votes.shape
+    mask = np.zeros((n, -(-m // 8) * 8), dtype=bool)
+    np.equal(votes, 0, out=mask[:, :m])
+    words = mask.view(np.uint64)  # one byte per column, 0 or 1
+    # each column's abstains: byte sums over at most 255 rows cannot carry
+    counts = np.add.reduceat(words, np.arange(0, n, 255), axis=0).view(np.uint8)
+    counts = counts.sum(axis=0, dtype=np.int64)[:m]
+    if policy.mode == "alternating":
+        # A byte of the XOR scan is the parity of its column's abstains up to
+        # and including the row; XOR the parity of the column's first ordinal
+        # and it is 1 exactly where the abstain's ordinal is even, fill +1.
+        start = np.zeros(mask.shape[1], dtype=np.uint8)
+        start[:m] = (ordinals if policy.phase is None else ordinals + policy.phase) & 1
+        scan = np.bitwise_xor.accumulate(words, axis=0)
+        scan ^= start.view(np.uint64)
+        scan &= words  # 1 where the fill is +1
+        words ^= scan  # 1 where it is -1
+        words *= 0xFF  # the int8 byte of -1; 255 per byte cannot carry
+        scan |= words
+        fills = scan.view(np.int8)[:, :m]
+    else:
+        fills = np.zeros((n, m), dtype=np.int8)
+        for j in counts.nonzero()[0].tolist():
+            first = ordinals[j]
+            fills[mask[:, j], j] = policy.fill_values(j, np.arange(first, first + counts[j]))
+    ordinals += counts
+    return fills
+
+
 def _encode(votes: np.ndarray, policy: AbstainPolicy, ordinals: np.ndarray) -> np.ndarray:
-    """Pair-encode a block of vote rows. Column j's abstains take the ordinals
-    ``ordinals[j]``, ``ordinals[j] + 1``, ... in row order; ``ordinals`` (int64)
-    is advanced in place past them, so the next block continues the sequence.
+    """Pair-encode a block of vote rows whose abstains take the ordinals
+    ``ordinals`` holds, advancing them as ``_fills`` does.
 
     The n x 2m result is the transpose of a C-contiguous 2m x n array, in
     which each column is one contiguous row.
     """
     n, m = votes.shape
+    fills = _fills(votes, policy, ordinals).T
     out = np.empty((2 * m, n), dtype=np.int8)
-    out[0::2] = votes.T
-    np.negative(out[0::2], out=out[1::2])
-    abstains = out[0::2] == 0
-    # only the columns that hold abstains: their rows, in row order, take
-    # the next ordinals of the column, one fill value for both pair columns
-    for j in abstains.any(axis=1).nonzero()[0].tolist():
-        rows = abstains[j].nonzero()[0]
-        first = ordinals[j]
-        vals = policy.fill_values(j, np.arange(first, first + rows.size))
-        out[2 * j][rows] = vals
-        out[2 * j + 1][rows] = vals
-        ordinals[j] = first + rows.size
+    np.add(votes.T, fills, out=out[0::2])
+    np.subtract(fills, votes.T, out=out[1::2])
     return out.T
 
 
@@ -111,9 +141,9 @@ class EncodedLabelMatrix(AugmentedLabelMatrix):
     """The pair encoding of a label matrix under an abstain policy, computed
     on demand.
 
-    It holds the votes and the policy. ``blocks`` encodes the rows block by
-    block, carrying each column's abstain ordinals across blocks, so the
-    result does not depend on the block size. ``data`` materialises the whole
+    It holds the votes and the policy. ``vote_blocks`` reads the rows block
+    by block, carrying each column's abstain ordinals across blocks, so the
+    fills do not depend on the block size. ``data`` materialises the whole
     matrix on first use.
     """
 
@@ -129,18 +159,21 @@ class EncodedLabelMatrix(AugmentedLabelMatrix):
     def m(self) -> int:
         return self.votes.shape[1]
 
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+    def vote_blocks(self, rows: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         ordinals = np.zeros(self.m, dtype=np.int64)
         for lo in range(0, self.n, rows):
-            yield _encode(self.votes[lo:lo + rows], self.policy, ordinals)
+            votes = self.votes[lo:lo + rows]
+            yield votes, _fills(votes, self.policy, ordinals)
 
     @property
     def data(self) -> np.ndarray:
         data = self.__dict__.get("_data")
         if data is None:
             data = np.empty((self.n, 2 * self.m), dtype=np.int8)
-            for lo, block in zip(range(0, self.n, BLOCK_ROWS), self.blocks(BLOCK_ROWS)):
-                data[lo:lo + BLOCK_ROWS] = block
+            ordinals = np.zeros(self.m, dtype=np.int64)
+            for lo in range(0, self.n, BLOCK_ROWS):
+                data[lo:lo + BLOCK_ROWS] = _encode(self.votes[lo:lo + BLOCK_ROWS],
+                                                   self.policy, ordinals)
             data = self.__dict__["_data"] = _freeze(data)
         return data
 
@@ -157,9 +190,18 @@ def augment_row(row: np.ndarray, policy: AbstainPolicy,
 
     ``abstain_counts[j]`` is the number of abstains already seen in column j;
     it is advanced in place so consecutive calls continue the per-column
-    ordinal sequence.
+    ordinal sequence. Each abstaining column takes its next ordinal, so the
+    row needs no scan.
     """
-    return _encode(np.asarray(row, dtype=np.int8).reshape(1, -1), policy, abstain_counts)[0]
+    votes = np.asarray(row, dtype=np.int8)
+    cols = np.flatnonzero(votes == 0)
+    fills = np.zeros_like(votes)
+    fills[cols] = policy.fill_values(cols, abstain_counts[cols])
+    abstain_counts[cols] += 1
+    out = np.empty(2 * votes.size, dtype=np.int8)
+    np.add(votes, fills, out=out[0::2])
+    np.subtract(fills, votes, out=out[1::2])
+    return out
 
 
 @dataclass(frozen=True)

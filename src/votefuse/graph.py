@@ -49,9 +49,8 @@ VOTE_STATES = (1, 0, -1)
 MAX_EXACT_TASKS = 20
 
 # Rows per call of the block kernels: validation here, pair encoding in
-# ``augment``, sufficient statistics in ``moments``, posteriors in
-# ``inference`` and the CSV writers in ``fileio``. Working memory scales with
-# the block, not with n.
+# ``augment``, posteriors in ``inference`` and the CSV writers in ``fileio``.
+# Working memory scales with the block, not with n.
 BLOCK_ROWS = 1 << 14
 
 
@@ -121,8 +120,8 @@ class AugmentedLabelMatrix:
     (1, 1) or (-1, -1), balanced by the abstain policy.
 
     Built from its entries, it checks and holds them. ``augment.augment_matrix``
-    returns a subclass that holds only the votes and the policy and encodes
-    rows as ``blocks`` asks for them.
+    returns a subclass that holds only the votes and the policy and computes
+    each block's abstain fills as ``vote_blocks`` reads it.
     """
 
     data: np.ndarray  # n x 2m, entries in {-1, +1}
@@ -144,17 +143,24 @@ class AugmentedLabelMatrix:
     def m(self) -> int:
         return self.data.shape[1] // 2
 
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """The matrix as consecutive blocks of at most ``rows`` rows."""
+    def vote_blocks(self, rows: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The rows as consecutive blocks of at most ``rows`` rows, each as
+        its votes and its abstain fills (``_split_pairs``)."""
         for lo in range(0, self.n, rows):
-            yield self.data[lo:lo + rows]
+            yield _split_pairs(self.data[lo:lo + rows])
 
     def collapse(self) -> LabelMatrix:
         """Invert the pair encoding back to ternary votes (exact round trip)."""
-        pri = self.data[:, 0::2].astype(np.int8)
-        mir = self.data[:, 1::2]
-        votes = np.where(pri == mir, 0, pri).astype(np.int8)
-        return LabelMatrix(votes)
+        return LabelMatrix(_split_pairs(self.data)[0])
+
+
+def _split_pairs(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The votes v and abstain fills w of pair-encoded int8 rows, whose pair
+    (x_2i, x_2i+1) is (v_i + w_i, w_i - v_i): v_i = (x_2i - x_2i+1) / 2 and
+    w_i = (x_2i + x_2i+1) / 2, the +/-1 fill where a source abstains and 0
+    where it votes."""
+    first, second = pairs[..., 0::2], pairs[..., 1::2]
+    return (first - second) >> 1, (first + second) >> 1
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +741,15 @@ class LabelModelParameters:
         if self.table.shape != (layout.size,):
             raise ValueError(f"the tables take {layout.size} entries, not {self.table.shape}")
         self.table.flags.writeable = False
+
+    def __getstate__(self) -> dict:
+        # the view maps (mapping proxies, which cannot be pickled) and the
+        # log table are rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_view_maps", "_log_table")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.table.flags.writeable = False  # a copied array is writeable
 
     def _views(self) -> Tuple[Mapping[VarSet, np.ndarray], Mapping[VarSet, np.ndarray]]:
         views = self.__dict__.get("_view_maps")

@@ -1,11 +1,15 @@
 """Observable moments and closed-form recovery of unobservable source accuracies.
 
-The moments come from one pass over the rows: ``RunningStats`` folds each
-block of pair-encoded rows, as ``augment`` encodes it, into an int64 Gram of
-the rows with a ones column, so pairwise products, first moments, vote counts
-and the row count cost one matrix product per fixed-size float32 operand.
-Neither the n x 2m matrix nor a float copy of a whole block is held: the
-pass's memory is the int8 block, one operand and the Grams.
+The moments come from one pass over the rows: ``RunningStats`` folds the
+rows [v | w | 1] (the votes, their abstain fills as ``augment`` computes
+them, and ones) into an int64 Gram, one matrix product per fixed-size float32
+operand, without pair-encoding them. A pair is (v_i + w_i, w_i - v_i), so a
+fixed 0/+-1 matrix P maps that Gram G to the Gram of the pair-encoded rows
+with a ones column, P.T @ G @ P: pairwise products, first moments and the row
+count. ``to_moments`` takes the product in float64, exact as every entry is
+an integer far below 2**53, just before its one division. The vote counts are
+entries of G. Neither the n x 2m matrix nor a block of it is held: the pass's
+memory is one operand, its abstain mask and the Grams.
 
 The accuracy of observed column ``a`` is a_a = E[v_a Y(a)], the scaled
 correlation with its hidden task. For columns a, j, k that are pairwise
@@ -48,7 +52,7 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import BLOCK_ROWS, AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip
+from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +67,14 @@ def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...],
     return edges, tuple(sorted({s for e in edges for s in e}))
 
 
-_PAIR_WEIGHTS = np.array([-3, 3, -1, 1])
-# four times a source's (+1, abstain, -1) counts from (d, e, o) and n; see
-# ``RunningStats.vote_counts``
-_VOTE_COUNTS = np.array([[-1, 1, -1], [2, 0, 0], [-1, -1, 1]])
-_VOTE_COUNTS_N = np.array([[1], [2], [1]])
+# twice a source's (+1, abstain, -1) counts from its Gram entries sum v^2
+# (votes), sum w^2 (abstains) and sum v (positives minus negatives)
+_VOTE_COUNTS = np.array([[1, 0, 1], [0, 2, 0], [1, 0, -1]])
 
 # Bytes of the float32 operand each Gram is taken of: ~2,600 rows at m=100.
 # Folding a Gram into the int64 totals costs O(m^2), so an operand is never
 # smaller than that Gram (2(2m+1) rows): at m=1000, 262-row operands made the
-# pass ~3x slower than whole 16,384-row blocks, 4,002-row ones about as fast.
+# pass ~3x slower than 16,384-row ones, 4,002-row ones about as fast.
 _OPERAND_BYTES = 1 << 21
 
 
@@ -84,134 +86,179 @@ class RunningStats:
     cross-tabs for tracked source pairs, and abstain-restricted copies of the
     pairwise sums for tracked conditioning sources.
 
-    One kernel, ``_accumulate``, adds or subtracts augmented rows. It copies
-    them, a ones column appended, into a float32 operand and folds the
-    operand's Gram into an int64 sum: ``second``, ``first`` and ``n`` are
-    views of that sum. The vote histograms follow from it exactly, so only
-    the tracked pairs' cross-tabs need a count, and each conditioning source
-    takes one more Gram of the operand's rows where it abstains. Every
-    partial Gram is an integer matrix that float32 holds exactly. A stream
-    adds and removes one row at a time; a batch encodes fixed-size row
-    blocks and adds each in slices of as many rows as a fixed-size operand
-    holds. So a rolling window holds the same statistics the batch path
-    computes, int64 for int64, and batch memory is bounded by the block and
-    one operand, not by n or by m x block.
+    The rows are held in the basis x = [v | w | 1]: the votes v, their
+    abstain fills w (``augment``) and a ones column. A row's pair encoding is
+    x_2i = v_i + w_i, x_2i+1 = w_i - v_i, so it is x @ P for a fixed matrix P
+    of 0 and +/-1, and the pair-encoded Gram is P.T @ G @ P for the Gram G
+    of x. One kernel, ``_accumulate``, adds or subtracts rows: it folds the
+    Gram x.T @ x of a float32 operand of them into an int64 sum, and each
+    conditioning source takes one more Gram of the operand's rows where it
+    abstains. Every partial Gram is an integer matrix that float32 holds
+    exactly. The vote histograms are entries of G (votes, abstains and vote
+    sums), and one product of the operand reads the tracked pairs' cross-tab
+    cells and the conditioning sources' abstain flags off the votes.
+    ``to_moments`` maps the Grams in float64, where every entry is an integer
+    far below 2**53, so the map is exact; ``second``, ``first`` and their
+    conditioned copies are its int64 values.
+
+    A stream adds and removes one pair-encoded row at a time, mapped into the
+    basis by P's inverse; a batch reads the votes and fills of as many rows
+    as a fixed-size operand holds at a time and casts them into it, with no
+    pair-encoded copy of the rows. So a rolling window holds the same
+    statistics the batch path computes, int64 for int64, and batch memory is
+    bounded by one operand and its abstain mask, not by n or by m x block.
     """
 
     def __init__(self, m: int,
                  tracked_pairs: Iterable[Tuple[int, int]] = (),
                  cond_sources: Iterable[int] = ()):
         self.m = m
-        c = 2 * m
+        width = 2 * m + 1
         self.cond_sources = tuple(sorted(set(cond_sources)))
-        # [[second, first], [first, n]]: the Gram of the rows with a ones
-        # column, then one per conditioning source over the rows where it
-        # abstains; one array, so each Gram's count sits at its [-1, -1]
-        self._grams = np.zeros((1 + len(self.cond_sources), c + 1, c + 1), dtype=np.int64)
-        self._gram = self._grams[0]
-        self.second = self._gram[:c, :c]
-        self.first = self._gram[c, :c]
-        # per source: the Gram entries its vote counts follow from
-        # (``vote_counts``), as flat indices
-        evens = np.arange(0, c, 2)
-        self._vote_cells = np.array([evens * (c + 1) + evens + 1,
-                                     c * (c + 1) + evens, c * (c + 1) + evens + 1])
+        # the Gram of the rows [v | w | 1], then one per conditioning source
+        # over the rows where it abstains; one array, so each Gram's count
+        # sits at its [-1, -1]. No attribute is a view of another, so a copy
+        # or a pickle holds the same statistics.
+        self._grams = np.zeros((1 + len(self.cond_sources), width, width), dtype=np.int64)
+        # x @ P is [pair encoding | 1]: columns 2i and 2i+1 of P take
+        # v_i + w_i and w_i - v_i, and the last one keeps the ones. P's
+        # columns are orthogonal with squared norm 2 (1 for the ones), so its
+        # inverse is P.T / 2 with the ones kept; a stream row is mapped with
+        # it into the operand it is folded from.
+        i = np.arange(m)
+        self._to_pairs = np.zeros((width, width))
+        self._to_pairs[i, 2 * i] = self._to_pairs[m + i, 2 * i] = self._to_pairs[m + i, 2 * i + 1] = 1
+        self._to_pairs[i, 2 * i + 1] = -1
+        self._to_pairs[-1, -1] = 1
+        self._from_pairs = (self._to_pairs.T / 2).astype(np.float32)
+        self._from_pairs[-1, -1] = 1
+        self._row = np.ones((1, width), dtype=np.float32)  # [pair-encoded row | 1]
+        # per source, as flat indices: the Gram entries sum v_i^2, sum w_i^2
+        # and sum v_i (``vote_counts``)
+        self._vote_cells = np.array([i * (width + 1), (m + i) * (width + 1), i * width + 2 * m])
         self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
-        # the pair cross-tabs are views into one count vector, so a block
-        # updates all of them with a single bincount
+        # the pair cross-tabs are one count vector, so a block updates all
+        # of them with a single bincount
         k, kc = len(self.tracked_pairs), len(self.cond_sources)
         self._pair_cells = np.zeros(9 * k, dtype=np.int64)
-        self.pair_counts = dict(zip(self.tracked_pairs, self._pair_cells.reshape(k, 3, 3)))
-        # One product with the operand [aug | 1] gives, per row, each tracked
-        # pair's cell and then each conditioning source's even minus odd
-        # column, 0 where it abstains. A pair (p, q) sits in cell
-        # 9k + 3 * state_p + state_q of its 3 x 3 block, with state 0, 1, 2
-        # for +1, abstain, -1. A source's state is 1 - (even - odd) / 2 over
-        # its two columns, so the cell is 9k + 4 + (the pair's four columns .
-        # _PAIR_WEIGHTS) / 2. Every entry is an integer float32 holds exactly.
-        self._row_map = np.zeros((k + kc, c + 1), dtype=np.float32)
-        cols = 2 * np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)[:, [0, 0, 1, 1]]
-        self._row_map[np.arange(k)[:, None], cols + [0, 1, 0, 1]] = _PAIR_WEIGHTS / 2
-        self._row_map[:k, c] = 9 * np.arange(k) + 4
-        cond = 2 * np.array(self.cond_sources, dtype=np.intp)
-        self._row_map[k + np.arange(kc), cond] = 1
-        self._row_map[k + np.arange(kc), cond + 1] = -1
-        self.cond_second = {i: g[:c, :c] for i, g in zip(self.cond_sources, self._grams[1:])}
-        self.cond_first = {i: g[c, :c] for i, g in zip(self.cond_sources, self._grams[1:])}
+        # One product with the operand gives, per row, each tracked pair's
+        # cell and then each conditioning source's vote, 0 where it abstains.
+        # A pair (p, q) sits in cell 9k + 3 * state_p + state_q of its 3 x 3
+        # block, with state 1 - v (0, 1, 2 for +1, abstain, -1): in cell
+        # 9k + 4 - 3 v_p - v_q. Every entry is an integer float32 holds exactly.
+        self._row_map = np.zeros((width, k + kc), dtype=np.float32)
+        pairs = np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)
+        self._row_map[pairs[:, 0], np.arange(k)] = -3
+        self._row_map[pairs[:, 1], np.arange(k)] = -1
+        self._row_map[-1, :k] = 9 * np.arange(k) + 4
+        self._row_map[list(self.cond_sources), k + np.arange(kc)] = 1
 
     @property
     def n(self) -> int:
-        return int(self._gram[-1, -1])
+        return int(self._grams[0, -1, -1])
 
     @property
     def cond_n(self) -> Dict[int, int]:
         return dict(zip(self.cond_sources, self._grams[1:, -1, -1].tolist()))
 
     @property
+    def pair_counts(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """The 3 x 3 vote cross-tab of each tracked pair, rows indexed by the
+        first source's state (+1, abstain, -1)."""
+        return dict(zip(self.tracked_pairs, self._pair_cells.reshape(-1, 3, 3)))
+
+    @property
     def vote_counts(self) -> np.ndarray:
         """(m, 3) counts of +1, abstain and -1 votes per source, read off the
-        Gram: a pair's product sums to d = abstains - votes and its column
-        sums differ by e - o = 2 (positives - negatives), so four times the
-        counts are (n - d + e - o, 2n + 2d, n - d - e + o)."""
-        return ((_VOTE_COUNTS @ self._gram.take(self._vote_cells)
-                 + self.n * _VOTE_COUNTS_N) >> 2).T
+        Gram (``_VOTE_COUNTS``)."""
+        return ((_VOTE_COUNTS @ self._grams[0].take(self._vote_cells)) >> 1).T
 
-    def _accumulate(self, aug: np.ndarray, sign: int) -> None:
-        """Add (sign +1) or subtract (sign -1) the rows of an augmented block."""
-        n, c = aug.shape
-        xt = np.empty((c + 1, n), dtype=np.float32)  # [aug | 1], transposed
-        xt[:c] = aug.T
-        xt[c] = 1
+    def _pair_grams(self) -> np.ndarray:
+        """The Grams of the pair-encoded rows with a ones column, P.T @ G @ P
+        per Gram, in float64: exact, as every partial sum is an integer far
+        below 2**53. Adding 0.0 turns a -0.0 that a BLAS may leave into the
+        +0.0 of the integer 0."""
+        out = self._to_pairs.T @ self._grams.astype(np.float64) @ self._to_pairs
+        out += 0.0
+        return out
+
+    @property
+    def second(self) -> np.ndarray:
+        return self._pair_grams()[0, :-1, :-1].astype(np.int64)
+
+    @property
+    def first(self) -> np.ndarray:
+        return self._pair_grams()[0, -1, :-1].astype(np.int64)
+
+    @property
+    def cond_second(self) -> Dict[int, np.ndarray]:
+        grams = self._pair_grams()[1:, :-1, :-1].astype(np.int64)
+        return dict(zip(self.cond_sources, grams))
+
+    @property
+    def cond_first(self) -> Dict[int, np.ndarray]:
+        grams = self._pair_grams()[1:, -1, :-1].astype(np.int64)
+        return dict(zip(self.cond_sources, grams))
+
+    def _accumulate(self, x: np.ndarray, sign: int) -> None:
+        """Add (sign +1) or subtract (sign -1) the rows of a float32 operand
+        [v | w | 1]."""
         update = np.add if sign > 0 else np.subtract
-        gram = _exact_gram(xt)
-        update(self._gram, gram, out=self._gram)
-        per_row = self._row_map @ xt
+        # every partial sum is an integer no larger than the operand's rows,
+        # fewer than 2**24 unless m is in the millions: float32 is exact
+        gram = (x.T @ x).astype(np.int64)
+        update(self._grams[0], gram, out=self._grams[0])
+        per_row = x @ self._row_map
         k = len(self.tracked_pairs)
         if k:
-            cells = per_row[:k].astype(np.intp).ravel()
+            cells = per_row[:, :k].astype(np.intp).ravel()
             update(self._pair_cells, np.bincount(cells, minlength=self._pair_cells.size),
                    out=self._pair_cells)
         if self.cond_sources:
-            abstains = per_row[k:] == 0
-            counts = np.add.reduce(abstains, axis=1, dtype=np.intp)
+            abstains = per_row[:, k:] == 0
+            counts = np.add.reduce(abstains, axis=0, dtype=np.intp)
             for t in counts.nonzero()[0].tolist():
+                # an operand where every row abstains reuses its Gram
+                rows = x if counts[t] == len(x) else x[abstains[:, t]]
                 total = self._grams[1 + t]
-                # a block where every row abstains reuses its Gram
-                update(total, gram if counts[t] == n else _exact_gram(xt[:, abstains[t]]),
-                       out=total)
+                update(total, gram if rows is x else (rows.T @ rows).astype(np.int64), out=total)
 
     def add(self, aug_row: np.ndarray) -> None:
-        self._accumulate(aug_row.reshape(1, -1), 1)
+        self._row[0, :-1] = aug_row
+        self._accumulate(self._row @ self._from_pairs, 1)
 
     def remove(self, aug_row: np.ndarray) -> None:
-        self._accumulate(aug_row.reshape(1, -1), -1)
+        self._row[0, :-1] = aug_row
+        self._accumulate(self._row @ self._from_pairs, -1)
 
     @classmethod
     def from_matrix(cls, A: AugmentedLabelMatrix,
                     tracked_pairs=(), cond_sources=()) -> "RunningStats":
-        """The statistics of every row of ``A``: it is encoded ``BLOCK_ROWS``
-        rows at a time, and each block is folded one operand of rows at a
-        time, as many as ``_OPERAND_BYTES`` holds."""
+        """The statistics of every row of ``A``, read one operand of rows at
+        a time, as many as ``_OPERAND_BYTES`` holds, as their votes and
+        fills (``A.vote_blocks``), which are cast into one reused operand."""
         st = cls(A.m, tracked_pairs, cond_sources)
-        width = 2 * A.m + 1  # of the operand
+        m, width = A.m, 2 * A.m + 1
         rows = max(_OPERAND_BYTES, 8 * width * width) // (4 * width)
-        for block in A.blocks(BLOCK_ROWS):
-            for lo in range(0, len(block), rows):
-                st._accumulate(block[lo:lo + rows], 1)
-            del block  # free it before the next block is encoded
+        operand = np.ones((min(rows, A.n), width), dtype=np.float32)
+        for votes, fills in A.vote_blocks(rows):
+            x = operand[:len(votes)]
+            x[:, :m] = votes
+            x[:, m:-1] = fills
+            st._accumulate(x, 1)
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
-        """The averages of the statistics; the Grams are divided by their
-        counts at once and the moments are views of the quotients."""
+        """The averages of the statistics; the pair-encoded Grams are divided
+        by their counts at once and the moments are views of the quotients."""
         counts = self._grams[:, -1, -1]
         n = int(counts[0])
         if n < 1:
             raise ValueError("no rows accumulated")
-        c = 2 * self.m
         per = np.maximum(counts, 1).reshape(-1, 1, 1)
+        grams = self._pair_grams()
         # contiguous, so the elementwise work on them runs in one pass
-        M, first = self._grams[:, :c, :c] / per, self._grams[:, c, :c] / per[:, 0]
+        M, first = grams[:, :-1, :-1] / per, grams[:, -1, :-1] / per[:, 0]
         conditional = {i: CondStats(n_rows=cn, M=M[t], first=first[t])
                        for t, (i, cn) in enumerate(zip(self.cond_sources, counts[1:].tolist()), 1)
                        if cn > 0}
@@ -225,13 +272,6 @@ class RunningStats:
             pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
             conditional=conditional,
         )
-
-
-def _exact_gram(xt: np.ndarray) -> np.ndarray:
-    """xt @ xt.T as int64 for a transposed block of +/-1 entries. A block has
-    at most ``BLOCK_ROWS`` < 2**24 rows, so every partial sum is an integer
-    that float32 holds exactly."""
-    return (xt @ xt.T).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +380,24 @@ def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Tripl
     """The partner masks of every even column, built once per graph."""
     n_cols = G.n_columns
     task = np.asarray(G.graph.assignment)[np.arange(n_cols) // 2]
+    comp = np.asarray(G.source_components(), dtype=np.intp)[np.arange(n_cols) // 2]
     apart = G.independent_columns()
     evens = np.arange(0, n_cols, 2)
+    # An anchor's partner pairs join columns of two distinct components
+    # other than its own, one of them on its task: with s_c columns in
+    # component c, u_c of them off the task, and S, U their sums over those
+    # components, there are (S^2 - sum s_c^2 - U^2 + sum u_c^2) / 2.
+    s = np.bincount(comp, minlength=n_cols)
     anchors, counts, blocks = [], [], []
     for d in range(G.n_tasks):
         on = task == d
         K = (apart & (on[:, None] | on[None, :])).astype(np.float64)
         cand = evens[task[evens] == d]
         P = apart[cand].astype(np.float64)
-        n_pairs = np.rint(np.einsum("aj,aj->a", P @ K, P) / 2).astype(np.int64)
+        u = np.bincount(comp[~on], minlength=n_cols)
+        own = comp[cand]
+        S, U = s.sum() - s[own], u.sum() - u[own]
+        n_pairs = (S * S - (s @ s - s[own] ** 2) - U * U + (u @ u - u[own] ** 2)) // 2
         ok = n_pairs > 0
         blocks.append((cand[ok], P[ok], K))
         anchors.append(cand[ok])

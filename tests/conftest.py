@@ -8,6 +8,7 @@ import pytest
 
 from votefuse.errors import NotTriangulated, NumericalInstability, UnsupportedCliqueSize
 from votefuse.graph import (
+    BLOCK_ROWS,
     DependencyGraph,
     JunctionTree,
     VarSet,
@@ -16,7 +17,7 @@ from votefuse.graph import (
     _to_varset,
     marginalize_table,
 )
-from votefuse.moments import EPS_ACC, EPS_DEN
+from votefuse.moments import EPS_ACC, EPS_DEN, CondStats, MomentEstimates
 from votefuse.recovery import build_transform, mu_unflatten
 
 
@@ -43,6 +44,141 @@ def reference_augment(votes, policy):
         vals = policy.fill_values(j, np.arange(rows.size, dtype=np.int64))
         out[rows, 2 * j] = vals
         out[rows, 2 * j + 1] = vals
+    return out
+
+
+def reference_encode(votes, policy, ordinals):
+    """The former block encoder: the votes and their negations interleaved,
+    then each column that holds abstains filled with its next ordinals in a
+    per-column loop; ``ordinals`` is advanced in place. Kept as the reference
+    for the parity scan of ``augment._fills``."""
+    n, m = votes.shape
+    out = np.empty((2 * m, n), dtype=np.int8)
+    out[0::2] = votes.T
+    np.negative(out[0::2], out=out[1::2])
+    abstains = out[0::2] == 0
+    for j in abstains.any(axis=1).nonzero()[0].tolist():
+        rows = abstains[j].nonzero()[0]
+        first = ordinals[j]
+        vals = policy.fill_values(j, np.arange(first, first + rows.size))
+        out[2 * j][rows] = vals
+        out[2 * j + 1][rows] = vals
+        ordinals[j] = first + rows.size
+    return out.T
+
+
+class ReferenceStats:
+    """The former statistics pass, kept as the reference for
+    ``moments.RunningStats``: it encodes ``BLOCK_ROWS`` rows at a time with
+    ``reference_encode``, copies each slice of ``rows`` of a block,
+    transposed and with a ones column, into float32, and folds the slice's
+    (2m+1) x (2m+1) Gram of pair-encoded rows into int64 totals. One more
+    product per slice gives each row's tracked pair cells and each
+    conditioning source's even minus odd column, 0 where it abstains."""
+
+    def __init__(self, m, tracked_pairs=(), cond_sources=()):
+        self.m = m
+        c = 2 * m
+        self.cond_sources = tuple(sorted(set(cond_sources)))
+        self._grams = np.zeros((1 + len(self.cond_sources), c + 1, c + 1), dtype=np.int64)
+        self.second = self._grams[0, :c, :c]
+        self.first = self._grams[0, c, :c]
+        self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
+        k, kc = len(self.tracked_pairs), len(self.cond_sources)
+        self._pair_cells = np.zeros(9 * k, dtype=np.int64)
+        self.pair_counts = dict(zip(self.tracked_pairs, self._pair_cells.reshape(k, 3, 3)))
+        self._row_map = np.zeros((k + kc, c + 1), dtype=np.float32)
+        cols = 2 * np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)[:, [0, 0, 1, 1]]
+        self._row_map[np.arange(k)[:, None], cols + [0, 1, 0, 1]] = np.array([-3, 3, -1, 1]) / 2
+        self._row_map[:k, c] = 9 * np.arange(k) + 4
+        cond = 2 * np.array(self.cond_sources, dtype=np.intp)
+        self._row_map[k + np.arange(kc), cond] = 1
+        self._row_map[k + np.arange(kc), cond + 1] = -1
+        self.cond_second = {i: g[:c, :c] for i, g in zip(self.cond_sources, self._grams[1:])}
+        self.cond_first = {i: g[c, :c] for i, g in zip(self.cond_sources, self._grams[1:])}
+
+    @property
+    def n(self):
+        return int(self._grams[0, -1, -1])
+
+    @property
+    def cond_n(self):
+        return dict(zip(self.cond_sources, self._grams[1:, -1, -1].tolist()))
+
+    @property
+    def vote_counts(self):
+        """From the pair columns' products d, column sums e and o, and n:
+        four times the counts are (n - d + e - o, 2n + 2d, n - d - e + o)."""
+        g, evens = self._grams[0], np.arange(0, 2 * self.m, 2)
+        d, e, o = g[evens, evens + 1], g[-1, evens], g[-1, evens + 1]
+        return np.stack([self.n - d + e - o, 2 * self.n + 2 * d, self.n - d - e + o]).T >> 2
+
+    def _accumulate(self, aug, sign):
+        n, c = aug.shape
+        xt = np.empty((c + 1, n), dtype=np.float32)
+        xt[:c] = aug.T
+        xt[c] = 1
+        update = np.add if sign > 0 else np.subtract
+        gram = (xt @ xt.T).astype(np.int64)
+        update(self._grams[0], gram, out=self._grams[0])
+        per_row = self._row_map @ xt
+        k = len(self.tracked_pairs)
+        if k:
+            cells = per_row[:k].astype(np.intp).ravel()
+            update(self._pair_cells, np.bincount(cells, minlength=self._pair_cells.size),
+                   out=self._pair_cells)
+        for t, abstains in enumerate(per_row[k:] == 0):
+            if abstains.any():
+                sub = xt[:, abstains]
+                update(self._grams[1 + t], (sub @ sub.T).astype(np.int64), out=self._grams[1 + t])
+
+    def add(self, aug_row):
+        self._accumulate(aug_row.reshape(1, -1), 1)
+
+    def remove(self, aug_row):
+        self._accumulate(aug_row.reshape(1, -1), -1)
+
+    @classmethod
+    def from_matrix(cls, votes, policy, rows, tracked_pairs=(), cond_sources=()):
+        st = cls(votes.shape[1], tracked_pairs, cond_sources)
+        ordinals = np.zeros(votes.shape[1], dtype=np.int64)
+        for lo in range(0, votes.shape[0], BLOCK_ROWS):
+            block = reference_encode(votes[lo:lo + BLOCK_ROWS], policy, ordinals)
+            for start in range(0, len(block), rows):
+                st._accumulate(block[start:start + rows], 1)
+        return st
+
+    def to_moments(self, prior):
+        counts = self._grams[:, -1, -1]
+        n, c = int(counts[0]), 2 * self.m
+        per = np.maximum(counts, 1).reshape(-1, 1, 1)
+        M, first = self._grams[:, :c, :c] / per, self._grams[:, c, :c] / per[:, 0]
+        k = len(self.tracked_pairs)
+        return MomentEstimates(
+            n=n, M=M[0], first_moments=first[0], vote_marginals=self.vote_counts / n,
+            prior=prior,
+            pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
+            conditional={i: CondStats(n_rows=cn, M=M[t], first=first[t]) for t, (i, cn)
+                         in enumerate(zip(self.cond_sources, counts[1:].tolist()), 1) if cn > 0})
+
+
+def reference_partner_pairs(G):
+    """The former count of each anchor's valid partner pairs: per task, half
+    the diagonal of P K P^T for the dense anchor-by-column partner mask P and
+    the column-by-column mask K of the pairs in distinct components with a
+    member on the task. Kept as the reference for the per-component counts
+    of ``moments.enumerate_triplets``; the anchors with none are left out."""
+    n_cols = G.n_columns
+    task = np.asarray(G.graph.assignment)[np.arange(n_cols) // 2]
+    apart = G.independent_columns()
+    out = {}
+    for d in range(G.n_tasks):
+        on = task == d
+        K = (apart & (on[:, None] | on[None, :])).astype(np.float64)
+        cand = np.arange(0, n_cols, 2)[task[0::2] == d]
+        P = apart[cand].astype(np.float64)
+        counts = np.rint(np.einsum("aj,aj->a", P @ K, P) / 2).astype(np.int64)
+        out.update((a, c) for a, c in zip(cand.tolist(), counts.tolist()) if c > 0)
     return out
 
 

@@ -10,7 +10,7 @@ from votefuse import augment
 from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix, augment_row
 from votefuse.graph import LabelMatrix
 
-from conftest import reference_augment, star, star_with_edges
+from conftest import reference_augment, reference_encode, star, star_with_edges
 
 
 class TestPairEncoding:
@@ -158,6 +158,23 @@ def test_encode_blocks_match_reference_encoding(case):
     np.testing.assert_array_equal(np.concatenate(blocks), reference_augment(votes, policy))
     np.testing.assert_array_equal(ordinals, (votes == 0).sum(axis=0))
     assert all(b.dtype == np.int8 and b.T.flags.c_contiguous for b in blocks)
+
+
+def test_encode_counts_abstain_runs_longer_than_a_byte():
+    # 1,000-row blocks whose columns abstain on every row, on most rows and
+    # never: the byte-lane counts of the abstain mask must not carry, so the
+    # ordinals and the next block's fills match the per-column loop
+    rng = np.random.default_rng(1)
+    votes = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(2_000, 11), p=[0.05, 0.9, 0.05])
+    votes[:, 3] = 0
+    votes[:, 7] = 1
+    for mode in ("alternating", "seeded-random"):
+        policy = AbstainPolicy(mode=mode, seed=5, phase=tuple(range(11)))
+        ordinals, want = np.zeros(11, dtype=np.int64), np.zeros(11, dtype=np.int64)
+        for block in (votes[:1_000], votes[1_000:]):
+            np.testing.assert_array_equal(augment._encode(block, policy, ordinals),
+                                          reference_encode(block, policy, want))
+            np.testing.assert_array_equal(ordinals, want)
 
 
 def test_encode_block_memory_is_bounded_by_the_block():

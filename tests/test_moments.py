@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votefuse import moments
+from votefuse import augment, moments
 from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import (
@@ -16,7 +16,7 @@ from votefuse.errors import (
     PriorNearZero,
     TooFewAbstainRows,
 )
-from votefuse.graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMatrix
+from votefuse.graph import BLOCK_ROWS, AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMatrix
 from votefuse.inference import predict_proba
 from votefuse.moments import (
     EPS_ACC,
@@ -40,7 +40,8 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import recover_parameters
 
-from conftest import (acceptance_grid, chain3, reference_augment, reference_pooled_magnitudes,
+from conftest import (ReferenceStats, acceptance_grid, chain3, reference_augment,
+                      reference_encode, reference_partner_pairs, reference_pooled_magnitudes,
                       star, star_with_edges)
 
 
@@ -163,18 +164,18 @@ class TestRunningStatsKernel:
     as the reference."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_stat_inputs(), st.integers(1, 45), st.integers(1, 45))
-    def test_from_matrix_matches_reference_for_any_block_size(self, inputs, block, operand):
-        # the lazily encoded matrix is encoded block by block inside
-        # from_matrix, and each block is folded one operand of rows at a time
+    @given(_stat_inputs(), st.integers(1, 45))
+    def test_from_matrix_matches_reference_for_any_block_size(self, inputs, operand):
+        # the lazily encoded matrix's votes and fills are read inside
+        # from_matrix one operand of rows at a time, and folded as read
         A, votes, aug, tracked, cond = inputs
         ref = _reference_stats(A.m, sorted(tracked), cond,
                                [(aug[t], votes[t], 1) for t in range(A.n)])
-        with mock.patch.object(moments, "BLOCK_ROWS", block), _operand_rows(A.m, operand):
+        with _operand_rows(A.m, operand):
             stats = RunningStats.from_matrix(A, tracked, cond)
         _assert_same_stats(stats, ref)
         # so are the entries of an explicit matrix
-        with mock.patch.object(moments, "BLOCK_ROWS", block), _operand_rows(A.m, operand):
+        with _operand_rows(A.m, operand):
             stats = RunningStats.from_matrix(AugmentedLabelMatrix(aug), tracked, cond)
         _assert_same_stats(stats, ref)
 
@@ -212,12 +213,12 @@ class TestRunningStatsKernel:
         _assert_same_stats(stats, _reference_stats(3, [(0, 2)], (0, 1), []))
 
     def test_statistics_pass_memory_is_bounded_by_the_operand(self):
-        # two full blocks of 100 sources: the pass holds one int8 block and
-        # one fixed-size float32 operand (a float32 copy of a block would
-        # take 13 MB); two conditioning sources add their int64 totals and
-        # at most one operand's worth of abstaining rows, not a copy of the
-        # block
-        m, n = 100, 2 * moments.BLOCK_ROWS
+        # two full blocks of 100 sources: the pass holds one fixed-size
+        # float32 operand and its abstain mask and scan, 3.8 MB in all (6.2
+        # MB with an int8 block encoded besides; a float32 copy of a block
+        # would take 13 MB); two conditioning sources add their int64 totals
+        # and at most one operand's worth of abstaining rows
+        m, n = 100, 2 * BLOCK_ROWS
         rng = np.random.default_rng(0)
         votes = rng.choice(np.array([-1, 0, 1], np.int8), size=(n, m))
         A = augment_matrix(LabelMatrix(votes))
@@ -229,7 +230,7 @@ class TestRunningStatsKernel:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 8e6
+        assert peaks[0] < 4.5e6
         cond_totals = 2 * (2 * m + 1) ** 2 * 8
         assert peaks[1] < peaks[0] + cond_totals + moments._OPERAND_BYTES
 
@@ -237,7 +238,7 @@ class TestRunningStatsKernel:
         # six blocks of 40 sources at the benchmark's abstain rate: the fit
         # encodes and accumulates one block at a time and the posterior pass
         # is blocked too, so neither allocates the n x 2m int8 matrix
-        m, n = 40, 6 * moments.BLOCK_ROWS
+        m, n = 40, 6 * BLOCK_ROWS
         L, _ = sample_symmetric_star(np.full(m, 0.5), np.full(m, 0.3), 0.6, n, seed=0)
         prior = ClassPrior.from_balance(0.6)
         tracemalloc.start()
@@ -248,6 +249,97 @@ class TestRunningStatsKernel:
         finally:
             tracemalloc.stop()
         assert peak < n * 2 * m
+
+
+@st.composite
+def _pass_inputs(draw):
+    """Votes whose columns never, always or sometimes abstain, for 1 to 19
+    sources (8 and 16 among them), a policy of either mode with or without
+    phases, random tracked pairs and conditioning sources, and an operand
+    of 1 to 45 rows."""
+    m = draw(st.integers(1, 19))
+    n = draw(st.integers(0, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    votes = rng.choice(np.array([-1, 1], np.int8), size=(n, m))
+    kinds = rng.choice(3, size=m)  # 0 never, 1 always, 2 sometimes abstains
+    votes[:, kinds == 1] = 0
+    votes[(rng.random((n, m)) < draw(st.sampled_from([0.3, 0.9]))) & (kinds == 2)] = 0
+    phase = draw(st.none() | st.lists(st.integers(0, 10 ** 6), min_size=m, max_size=m))
+    policy = AbstainPolicy(mode=draw(st.sampled_from(["alternating", "seeded-random"])),
+                           seed=draw(st.integers(0, 2 ** 32)), phase=phase)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    tracked = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))) if pairs else ()
+    cond = tuple(sorted(draw(st.sets(st.integers(0, m - 1), max_size=4))))
+    return votes, policy, tracked, cond, draw(st.integers(1, 45))
+
+
+def _assert_same_moments(got, want):
+    assert got.n == want.n
+    for name in ("M", "first_moments", "vote_marginals"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.pair_tables.keys() == want.pair_tables.keys()
+    for key in got.pair_tables:
+        assert got.pair_tables[key].tobytes() == want.pair_tables[key].tobytes()
+    assert got.conditional.keys() == want.conditional.keys()
+    for key, cs in got.conditional.items():
+        assert cs.n_rows == want.conditional[key].n_rows
+        assert cs.M.tobytes() == want.conditional[key].M.tobytes()
+        assert cs.first.tobytes() == want.conditional[key].first.tobytes()
+
+
+def _assert_stats_equal(got, want):
+    assert got.n == want.n and got.cond_n == want.cond_n
+    for name in ("second", "first", "vote_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+    for name in ("pair_counts", "cond_second", "cond_first"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].dtype == np.int64
+            np.testing.assert_array_equal(a[key], b[key])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pass_inputs(), st.lists(st.integers(0, 2 ** 16), max_size=40))
+def test_statistics_pass_matches_the_former_pass(inputs, picks):
+    # the Gram of [votes | fills | 1] mapped to the pair encoding, against
+    # the former (2m+1)^2 fold of interleaved blocks: int64 for int64, and
+    # the moments byte for byte, for the batch pass and for a stream of
+    # adds and removes after it
+    votes, policy, tracked, cond, operand = inputs
+    n, m = votes.shape
+    prior = ClassPrior.from_balance(0.6)
+    ordinals, want_ordinals = np.zeros(m, np.int64), np.zeros(m, np.int64)
+    for lo in range(0, n, operand):
+        block = votes[lo:lo + operand]
+        enc = augment._encode(block, policy, ordinals)
+        np.testing.assert_array_equal(enc, reference_encode(block, policy, want_ordinals))
+        np.testing.assert_array_equal(ordinals, want_ordinals)
+    start = n // 2
+    with _operand_rows(m, operand):
+        got = RunningStats.from_matrix(augment_matrix(LabelMatrix(votes[:start]), policy),
+                                       tracked, cond)
+    want = ReferenceStats.from_matrix(votes[:start], policy, operand, tracked, cond)
+    _assert_stats_equal(got, want)
+    if start:
+        _assert_same_moments(got.to_moments(prior), want.to_moments(prior))
+    aug = augment_matrix(LabelMatrix(votes), policy).data
+    nxt, held = start, list(range(start))
+    for pick in picks:
+        if nxt < n and (not held or pick % 3):
+            got.add(aug[nxt])
+            want.add(aug[nxt])
+            held.append(nxt)
+            nxt += 1
+        elif held:
+            row = aug[held.pop(pick % len(held))]
+            got.remove(row)
+            want.remove(row)
+    _assert_stats_equal(got, want)
+    if got.n:
+        _assert_same_moments(got.to_moments(prior), want.to_moments(prior))
 
 
 class TestEnumerateTriplets:
@@ -317,6 +409,19 @@ class TestEnumerateTriplets:
         for _anchors, _P, K in plan.blocks:
             for j, k in zip(*np.nonzero(K)):
                 assert not connected(j, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 40), st.data())
+    def test_partner_pair_counts_match_the_dense_product(self, n_tasks, m, data):
+        # the per-component counts against the former dense P K P^T count on
+        # random multi-task graphs with source edges
+        assignment = data.draw(st.lists(st.integers(0, n_tasks - 1), min_size=m, max_size=m))
+        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=m))
+        G = augment_graph(DependencyGraph(n_tasks, m, tuple(assignment),
+                                          source_edges=tuple(edges)))
+        plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
+        assert plan.pairs == reference_partner_pairs(G)
 
     def test_multi_task_triples_keep_an_on_task_partner(self):
         G = augment_graph(chain3())

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import time
 import tracemalloc
@@ -404,6 +406,34 @@ class TestStep:
         for before, after in zip(arrays, arrays_after):
             np.testing.assert_array_equal(before, after)
         assert scalars == scalars_after
+
+    def test_state_and_snapshots_survive_deepcopy_and_pickle(self):
+        # a 5-source star whose snapshot has built its table views and log
+        # table: both copy and pickle, the copies rebuild them read-only,
+        # and a copied state steps on exactly as the original does
+        g = star(5)
+        j = enumerate_joint(random_model(g, seed=2))
+        L, _ = sample(j, 160, seed=3)
+        prior = j.prior()
+        state = RollingState(g, RunConfig(), window=100, warmup=100)
+        for row in L.votes[:120]:
+            mu = state.step(row, prior).params
+        cliques, separators, log_table = dict(mu.cliques), dict(mu.separators), mu.log_table
+        states = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        for got in [copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))] + [
+                s.last_params for s in states]:
+            assert got.table.tobytes() == mu.table.tobytes()
+            assert not got.table.flags.writeable
+            for want, have in ((cliques, got.cliques), (separators, got.separators)):
+                assert have.keys() == want.keys()
+                for vs in want:
+                    assert not have[vs].flags.writeable
+                    np.testing.assert_array_equal(have[vs], want[vs])
+            assert not got.log_table.flags.writeable
+            assert got.log_table.tobytes() == log_table.tobytes()
+        for row in L.votes[120:]:
+            want = state.step(row, prior).params.table.tobytes()
+            assert all(s.step(row, prior).params.table.tobytes() == want for s in states)
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_nonpositive_window_is_a_config_error(self, window):
