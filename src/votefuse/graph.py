@@ -53,6 +53,10 @@ MAX_EXACT_TASKS = 20
 # Working memory scales with the block, not with n.
 BLOCK_ROWS = 1 << 14
 
+# Most sources in one ``FactorGroup``: a row's base-3 state over them,
+# below 3^5 = 243, fits a uint8.
+GROUP_SOURCES = 5
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -407,9 +411,8 @@ class JunctionTree:
         return True
 
 
-def _check_clique_shapes(cliques, g: DependencyGraph) -> None:
-    for c in cliques:
-        vs = _to_varset(c, g.n_tasks)
+def _check_clique_shapes(cliques: Tuple[VarSet, ...], g: DependencyGraph) -> None:
+    for vs in cliques:
         if not vs.sources:
             continue  # all-task cliques are handled by the prior
         if len(vs.tasks) != 1 or len(vs.sources) > 2:
@@ -438,7 +441,7 @@ def validate_graph(g: DependencyGraph) -> DependencyGraph:
     adj = g.adjacency()
     forest = _clique_forest(adj)
     if forest is not None:
-        _check_clique_shapes(forest[0], g)
+        _check_clique_shapes(tuple(_to_varset(c, g.n_tasks) for c in forest[0]), g)
         return g
 
     fill = _min_degree_fill(adj)
@@ -462,7 +465,8 @@ def validate_graph(g: DependencyGraph) -> DependencyGraph:
         task_edges=tuple(task_edges),
         source_edges=tuple(source_edges),
     )
-    _check_clique_shapes(_clique_forest(out.adjacency())[0], out)
+    _check_clique_shapes(
+        tuple(_to_varset(c, D) for c in _clique_forest(out.adjacency())[0]), out)
     return out
 
 
@@ -478,8 +482,8 @@ def build_junction_tree(g: DependencyGraph) -> JunctionTree:
     if forest is None:
         raise NotTriangulated("graph is not triangulated; run validate_graph first")
     raw, links = forest
-    _check_clique_shapes(raw, g)
     cliques = tuple(_to_varset(c, g.n_tasks) for c in raw)
+    _check_clique_shapes(cliques, g)
     edges = tuple((a, b, _to_varset(sep, g.n_tasks)) for a, b, sep in links)
 
     counts: Dict[VarSet, int] = {}
@@ -638,6 +642,44 @@ class TableFactor:
 
 
 @dataclass(frozen=True)
+class FactorGroup:
+    """A run of consecutive factors of a ``TableLayout`` over at most
+    ``GROUP_SOURCES`` distinct ``sources``, first seen first. A row's group
+    state is its vote states over ``sources`` read as base-3 digits, the
+    first the most significant; ``cells[f]`` holds factor f's state at each
+    of the 3^len(sources) group states."""
+
+    factors: Tuple[TableFactor, ...]
+    sources: Tuple[int, ...]
+    cells: Tuple[np.ndarray, ...]
+
+
+def _factor_groups(factors) -> Tuple[FactorGroup, ...]:
+    """``factors`` cut, in order, into the longest runs over at most
+    ``GROUP_SOURCES`` sources; a task-only table joins the current run."""
+    runs, run, sources = [], [], []
+    for f in factors:
+        new = [i for i in f.vs.sources if i not in sources]
+        if len(sources) + len(new) > GROUP_SOURCES:
+            runs.append((run, sources))
+            run, sources, new = [], [], list(f.vs.sources)
+        run.append(f)
+        sources += new
+    runs.append((run, sources))
+    # the digits of every group state, one row per source, for each k
+    digits = [np.indices((3,) * k, dtype=np.intp).reshape(k, 3 ** k)
+              for k in range(GROUP_SOURCES + 1)]
+    groups = []
+    for run, sources in runs:
+        weights = np.zeros((len(run), len(sources)), dtype=np.intp)
+        for r, f in enumerate(run):
+            for i, stride in zip(f.vs.sources, f.strides.tolist()):
+                weights[r, sources.index(i)] = stride
+        groups.append(FactorGroup(tuple(run), tuple(sources), tuple(weights @ digits[len(sources)])))
+    return tuple(groups)
+
+
+@dataclass(frozen=True)
 class TableLayout:
     """Where each table of a junction tree lives in the parameter vector:
     ``factors``, the ``n_cliques`` cliques in tree order then the separators,
@@ -647,7 +689,8 @@ class TableLayout:
     ``pairs``, each (clique, separator it contains) by separator then clique,
     clique entry ``pair_entry[e]`` sums into slot ``pair_slot[e]``; slots
     match separator entries ``pair_sep``, and pair p's start at
-    ``pair_starts[p]``."""
+    ``pair_starts[p]``. ``groups`` cuts ``factors`` into the runs that
+    inference sums before it gathers."""
 
     factors: Tuple[TableFactor, ...]
     n_cliques: int
@@ -661,6 +704,7 @@ class TableLayout:
     pair_slot: np.ndarray
     pair_sep: np.ndarray
     pair_starts: np.ndarray
+    groups: Tuple[FactorGroup, ...]
 
     def views(self, table: np.ndarray) -> Tuple[Mapping[VarSet, np.ndarray], ...]:
         """Read-only VarSet -> table mappings over ``table``: the cliques,
@@ -716,7 +760,8 @@ def compile_layout(jt: JunctionTree) -> TableLayout:
         pairs=tuple((c.vs, sep.vs) for c, sep in pairs),
         pair_entry=_concat([_entries(c) for c, _ in pairs]),
         pair_slot=_concat([start + o for start, o in zip(offsets.tolist(), onto)]),
-        pair_sep=_concat([_entries(sep) for _, sep in pairs]), pair_starts=offsets[:-1])
+        pair_sep=_concat([_entries(sep) for _, sep in pairs]), pair_starts=offsets[:-1],
+        groups=_factor_groups(factors))
     return layout
 
 

@@ -9,14 +9,20 @@ in log space for a block of vote rows and all 2^D task configurations at once:
   vector, scaled per entry, ``log(clique)`` for a clique and
   ``-(deg - 1) * log(separator)`` for a separator, taken once per parameter
   set on first use;
-* each factor's slice of it is indexed by the rows' vote states
-  (``1 - vote``, read from one contiguous sources x rows block), and the
-  gathered values are added into a ``(2,) * D + (n,)`` log-joint, broadcast
-  over the factor's task axes.
+* the factors are summed a group at a time (``graph.FactorGroup``: a run of
+  consecutive factors over k <= 5 sources). Each factor's slice of the log
+  table is indexed by vote states (``1 - vote``) and added into the group's
+  sum, broadcast over the factor's task axes; the group's sum is then added
+  into a ``(2,) * D + (n,)`` log-joint;
+* a block of at least 3^k rows sums a group on its 3^k states, then gathers
+  that table once, at each row's base-3 state, computed in uint8 from one
+  contiguous sources x rows block; a shorter block sums it on its rows. The
+  additions are the same either way, so a row's value does not depend on
+  its block.
 
-The factors, their slices, broadcast shapes, source indices and base-3
-strides are the junction tree's ``graph.TableLayout``, compiled once per
-tree, so per factor a call only gathers and adds.
+The factors, their slices, broadcast shapes, source indices, base-3 strides
+and groups are the junction tree's ``graph.TableLayout``, compiled once per
+tree, so a call only gathers and adds.
 
 Zero-factor rule: a zero entry in any clique or separator table makes the
 joint of the configurations it touches exactly zero (``-inf`` in log space;
@@ -50,6 +56,7 @@ from .graph import (
     LabelModelParameters,
     MAX_EXACT_TASKS,
     TASK_IDX,
+    TASK_STATES,
 )
 
 
@@ -85,17 +92,35 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
     if D > MAX_EXACT_TASKS:
         raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
     log_table = mu.log_table
-    states = np.subtract(1, votes.T, order="C")  # per source and row: +1 -> 0, 0 -> 1, -1 -> 2
-    out = np.zeros((2,) * D + (votes.shape[0],))
-    for f in mu.jtree.layout.factors:
-        term = log_table[f.span].reshape(f.bcast)
-        # one source's states are a row of the block; a pair's are base 3
-        if len(f.sources) == 1:
-            term = term.take(states[f.sources[0]], axis=-1)
-        elif len(f.sources):
-            term = term.take(f.strides @ states[f.sources], axis=-1)
-        # task axes, and a task-only table's one state, broadcast
-        out += term
+    n = votes.shape[0]
+    # per source and row: +1 -> 0, 0 -> 1, -1 -> 2 (a transposing copy, then
+    # the subtraction in place, is faster than one ufunc on the transpose)
+    states = votes.T.copy()
+    states = np.subtract(1, states, out=states).view(np.uint8)
+    out = np.zeros((2,) * D + (n,))
+    for group in mu.jtree.layout.groups:
+        # the group's sum is the same either way: on its 3^k states when the
+        # block has as many rows, then gathered once; else on the rows
+        on_grid = n >= 3 ** len(group.sources)
+        acc = None
+        for f, cells in zip(group.factors, group.cells):
+            term = log_table[f.span].reshape(f.bcast)
+            # task axes, and a task-only table's one state, broadcast
+            if on_grid:
+                if len(f.sources):
+                    term = term.take(cells, axis=-1)
+            elif len(f.sources) == 1:
+                term = term.take(states[f.sources[0]], axis=-1)
+            elif len(f.sources):
+                term = term.take(f.strides @ states[f.sources], axis=-1)
+            acc = term if acc is None else acc + term
+        if on_grid and group.sources:
+            index = states[group.sources[0]].copy()  # uint8: 3^5 - 1 fits
+            for i in group.sources[1:]:
+                index *= 3
+                index += states[i]
+            acc = acc.take(index, axis=-1)
+        out += acc
     return out
 
 
@@ -152,8 +177,14 @@ def joint_probability(mu: LabelModelParameters, jt: JunctionTree,
     """P(Y = y, votes = lam) via the junction-tree product; ``lam`` is one
     vote row or a one-row LabelMatrix.
 
-    Zero when any clique or separator factor of (y, lam) is zero.
+    Zero when any clique or separator factor of (y, lam) is zero. ``y``
+    holds one +1 or -1 per task.
     """
+    D, y = mu.graph.n_tasks, np.asarray(y)
+    if y.shape != (D,):
+        raise ShapeMismatch(f"y has shape {y.shape}, the model has {D} tasks")
+    if not np.isin(y, TASK_STATES).all():
+        raise ValueError(f"task states are +1 or -1, got y = {y.tolist()}")
     y_idx = tuple(TASK_IDX[int(v)] for v in y)
     return float(np.exp(_log_joint(mu, jt, _row(lam))[y_idx + (0,)]))
 
@@ -180,9 +211,10 @@ def predict_proba(L: LabelMatrix, mu: LabelModelParameters, jt: JunctionTree,
     """Row-wise posterior marginals P(Y_d = 1 | row); deterministic.
 
     One kernel pass per block of ``BLOCK_ROWS`` rows: cost scales with the
-    number of cliques and separators times 2^D * n, with no per-row Python
-    work, and working memory with the block. Each row's arithmetic does not
-    depend on the block, so the result is the same for any block size.
+    number of factor groups times 2^D * n, plus 3^k states per group of k
+    sources, with no per-row Python work, and working memory with the block.
+    Each row's arithmetic does not depend on the block, so the result is the
+    same for any block size.
     """
     probs = np.empty((L.n, mu.graph.n_tasks))
     # an empty matrix still takes one (empty) pass, which checks its shape

@@ -182,11 +182,12 @@ def reference_partner_pairs(G):
     return out
 
 
-def reference_log_joint(mu, jt, votes):
+def reference_log_joint(mu, jt, votes, absolute=False):
     """The former per-factor log-joint loop (log tables, base-3 states and
     broadcast shapes rebuilt on every call), kept as the reference for the
-    parameter vector's one log and the layout ``graph.compile_layout``
-    caches on the tree."""
+    parameter vector's one log and the grouped kernel over the layout
+    ``graph.compile_layout`` caches on the tree. With ``absolute`` it sums
+    the factors' absolute values (the scale of a summation error bound)."""
     D = mu.graph.n_tasks
     with np.errstate(divide="ignore"):
         factors = [(vs, np.log(mu.cliques[vs])) for vs in jt.cliques]
@@ -201,7 +202,8 @@ def reference_log_joint(mu, jt, votes):
         state = np.zeros(1, dtype=np.intp)
         for i in vs.sources:
             state = 3 * state + (1 - votes[:, i])
-        out += np.take(log_tbl, state, axis=-1)
+        term = np.take(log_tbl, state, axis=-1)
+        out += np.abs(term) if absolute else term
     return out
 
 
@@ -283,11 +285,10 @@ def reference_validate_graph(g):
     """The former ``validate_graph``: separate chordality test and clique
     search, each with its own quadratic maximum cardinality search, kept as
     the reference for the one linear search ``graph._clique_forest``."""
-    adj = g.adjacency()
+    adj, D = g.adjacency(), g.n_tasks
     if reference_is_chordal(adj):
-        _check_clique_shapes(_reference_maximal_cliques(adj), g)
+        _check_clique_shapes([_to_varset(c, D) for c in _reference_maximal_cliques(adj)], g)
         return g
-    D = g.n_tasks
     task_edges, source_edges = list(g.task_edges), list(g.source_edges)
     for a, b in sorted(_min_degree_fill(adj)):
         if a < D and b < D:
@@ -301,7 +302,8 @@ def reference_validate_graph(g):
     out = DependencyGraph(n_tasks=g.n_tasks, n_sources=g.n_sources,
                           assignment=g.assignment, task_edges=tuple(task_edges),
                           source_edges=tuple(source_edges))
-    _check_clique_shapes(_reference_maximal_cliques(out.adjacency()), out)
+    _check_clique_shapes(
+        [_to_varset(c, D) for c in _reference_maximal_cliques(out.adjacency())], out)
     return out
 
 
@@ -313,7 +315,7 @@ def reference_junction_tree(g):
     if not reference_is_chordal(adj):
         raise NotTriangulated("graph is not triangulated; run validate_graph first")
     raw = _reference_maximal_cliques(adj)
-    _check_clique_shapes(raw, g)
+    _check_clique_shapes([_to_varset(c, g.n_tasks) for c in raw], g)
     cand = sorted((-len(raw[a] & raw[b]), a, b)
                   for a in range(len(raw)) for b in range(a + 1, len(raw))
                   if raw[a] & raw[b])

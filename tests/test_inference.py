@@ -92,6 +92,18 @@ class TestJointProbability:
             assert worst < 1e-9
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("y, error", [((1,), ShapeMismatch), ((1, -1), ShapeMismatch),
+                                          ((1, -1, 1, -1), ShapeMismatch),
+                                          ((1, 0, -1), ValueError), ((1, -1, 2), ValueError)])
+    def test_task_configuration_is_checked(self, y, error):
+        g = chain3()
+        jt = build_junction_tree(g)
+        mu = enumerate_joint(random_model(g, seed=41)).true_parameters(jt)
+        lam = [1, 0, -1] * 3
+        assert joint_probability(mu, jt, (1, -1, 1), lam) > 0.0
+        with pytest.raises(error):
+            joint_probability(mu, jt, y, lam)
+
     def test_zero_separator_diagnostic(self):
         g = star(2)
         jt = build_junction_tree(g)
@@ -211,13 +223,17 @@ class TestPredictProba:
                                          (chain3(), 41)])
     def test_blocks_equal_per_row_posterior_bit_for_bit(self, g, seed):
         # chain3 has eight task configurations, which numpy would sum in
-        # another order for a one-row block than for a longer one
+        # another order for a one-row block than for a longer one; its
+        # factor groups span 5 and 4 sources, the others' 4, so blocks of 81
+        # rows and more sum a group on its 3^4 states, of 243 and more on its
+        # 3^5, and shorter ones on the rows
         j = enumerate_joint(random_model(g, seed=seed))
         jt = build_junction_tree(g)
         mu = j.true_parameters(jt)
-        L, _ = sample(j, 50, seed=6)
+        assert {len(group.cells[0]) for group in jt.layout.groups} <= {81, 243}
+        L, _ = sample(j, 300, seed=6)
         rows = np.stack([marginal_positives(posterior(mu, jt, j.prior(), v)) for v in L.votes])
-        for block in (1, 7, 50, 64):
+        for block in (1, 7, 64, 80, 81, 82, 242, 243, 244, 300):
             with mock.patch.object(inference, "BLOCK_ROWS", block):
                 post = predict_proba(L, mu, jt, j.prior())
             assert post.probs.tobytes() == rows.tobytes()
@@ -234,6 +250,49 @@ class TestPredictProba:
             with pytest.raises(AllZeroLikelihood, match=r"for row 7 \(votes \(-1,\)\)"):
                 predict_proba(LabelMatrix(votes), mu, jt, ClassPrior.from_balance(0.5))
 
+    def test_zero_entry_in_a_grid_group_names_its_row_past_the_first_block(self):
+        g = star(3)
+        j = enumerate_joint(random_model(g, seed=4))
+        jt = build_junction_tree(g)
+        clique = VarSet((0,), (1,))
+        tbl = j.true_parameters(jt).cliques[clique].copy()
+        tbl[:, 2] = 0.0  # L2 never votes -1
+        mu = _with_clique(j.true_parameters(jt), clique, tbl / tbl.sum())
+        (group,) = jt.layout.groups  # three sources: 27 group states
+        assert len(group.factors) == 4 and len(group.cells[0]) == 27
+        votes = np.ones((90, 3), dtype=np.int8)
+        votes[5, 1] = 0
+        votes[61, 1] = -1
+        # blocks of 30 rows sum the group on its 27 states, then gather
+        with mock.patch.object(inference, "BLOCK_ROWS", 30):
+            with pytest.raises(AllZeroLikelihood, match=r"for row 61 \(votes \(1, -1, 1\)\)"):
+                predict_proba(LabelMatrix(votes), mu, jt, j.prior())
+        post = predict_proba(LabelMatrix(votes[:61]), mu, jt, j.prior())
+        assert np.isfinite(post.probs).all()
+
+    @pytest.mark.parametrize("g", [star(1), star(12), star_with_edges(7, [(0, 1), (2, 3), (5, 6)]),
+                                   chain3(), star_with_edges(5, [(0, 1), (1, 2)]),
+                                   # a cut between two cliques that share L5
+                                   star_with_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])])
+    def test_factor_groups_cover_the_layout_in_order(self, g):
+        layout = build_junction_tree(validate_graph(g)).layout
+        # every factor once, in layout order; each group's sources are its
+        # factors' sources, first seen first, at most five, and the next
+        # group's first factor would take it past five
+        assert [f for group in layout.groups for f in group.factors] == list(layout.factors)
+        for group, after in zip(layout.groups, layout.groups[1:] + (None,)):
+            seen = list(dict.fromkeys(i for f in group.factors for i in f.vs.sources))
+            assert list(group.sources) == seen and len(seen) <= 5
+            if after is not None:
+                assert len(set(seen) | set(after.factors[0].vs.sources)) > 5
+            # each factor's state at each group state, read off its digits
+            states = np.indices((3,) * len(seen)).reshape(len(seen), -1)
+            for f, cells in zip(group.factors, group.cells):
+                want = np.zeros(states.shape[1], dtype=np.intp)
+                for i in f.vs.sources:
+                    want = 3 * want + states[seen.index(i)]
+                np.testing.assert_array_equal(cells, want)
+
     @pytest.mark.parametrize("g, seed", [(star(4), 8), (star_with_edges(5, [(0, 1), (2, 3)]), 5),
                                          (chain3(), 41)])
     def test_compiled_layout_matches_per_factor_reference_bit_for_bit(self, g, seed):
@@ -247,15 +306,25 @@ class TestPredictProba:
         tbl = j.true_parameters(jt).cliques[clique].copy()
         tbl[(0,) * tbl.ndim] = 0.0  # some rows lose a task configuration
         zeroed = _with_clique(j.true_parameters(jt), clique, tbl / tbl.sum())
+        # the kernel sums each factor group before it adds the group in, the
+        # reference adds factor by factor: two orders of summing F terms,
+        # each within (F - 1) * 2^-53 * sum_f |term_f| of the exact sum
+        F = len(jt.layout.factors)
         for mu in (j.true_parameters(jt), fitted, zeroed):
             got = inference._log_joint(mu, jt, L.votes)
-            assert got.tobytes() == reference_log_joint(mu, jt, L.votes).tobytes()
+            want = reference_log_joint(mu, jt, L.votes)
+            alive = np.isfinite(want)
+            assert (np.isfinite(got) == alive).all() and (got[~alive] == -np.inf).all()
+            bound = 2 * (F - 1) * 2.0 ** -53 * reference_log_joint(mu, jt, L.votes, absolute=True)
+            assert (np.abs(got[alive] - want[alive]) <= bound[alive]).all()
             post = predict_proba(L, mu, jt, j.prior())
             rows = [posterior(mu, jt, j.prior(), v) for v in L.votes[:40]]
             with mock.patch.object(inference, "_log_joint", reference_log_joint):
-                assert predict_proba(L, mu, jt, j.prior()).probs.tobytes() == post.probs.tobytes()
+                np.testing.assert_allclose(predict_proba(L, mu, jt, j.prior()).probs,
+                                           post.probs, rtol=0, atol=1e-12)
                 for v, row in zip(L.votes, rows):
-                    assert posterior(mu, jt, j.prior(), v).tobytes() == row.tobytes()
+                    np.testing.assert_allclose(posterior(mu, jt, j.prior(), v), row,
+                                               rtol=0, atol=1e-12)
         assert "_layout" in jt.__dict__
 
     def test_beats_majority_vote_on_heterogeneous_sources(self):
