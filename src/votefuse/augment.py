@@ -190,14 +190,14 @@ def augment_row(row: np.ndarray, policy: AbstainPolicy,
 
     ``abstain_counts[j]`` is the number of abstains already seen in column j;
     it is advanced in place so consecutive calls continue the per-column
-    ordinal sequence. Each abstaining column takes its next ordinal, so the
-    row needs no scan.
+    ordinal sequence. Every column's fill at its next ordinal is kept where
+    the row abstains, so the row needs no index arrays.
     """
     votes = np.asarray(row, dtype=np.int8)
-    cols = np.flatnonzero(votes == 0)
-    fills = np.zeros_like(votes)
-    fills[cols] = policy.fill_values(cols, abstain_counts[cols])
-    abstain_counts[cols] += 1
+    abstains = votes == 0
+    fills = policy.fill_values(np.arange(votes.size), abstain_counts)
+    fills *= abstains
+    abstain_counts += abstains
     out = np.empty(2 * votes.size, dtype=np.int8)
     np.add(votes, fills, out=out[0::2])
     np.subtract(fills, votes, out=out[1::2])
@@ -281,6 +281,17 @@ class AugmentedGraph:
         if cached is None:
             comp = np.asarray(self.source_components())[np.arange(self.n_columns) // 2]
             cached = self.__dict__["_indep_cache"] = _freeze(comp[:, None] != comp[None, :])
+        return cached
+
+    def task_anchors(self) -> Tuple[np.ndarray, ...]:
+        """Per task, the vote-tracking (even) columns of its sources,
+        ascending, as read-only arrays. Built once per graph."""
+        cached = self.__dict__.get("_anchor_cache")
+        if cached is None:
+            evens = np.arange(0, self.n_columns, 2)
+            task = np.asarray(self.graph.assignment, dtype=np.intp)
+            cached = self.__dict__["_anchor_cache"] = tuple(
+                _freeze(evens[task == d]) for d in range(self.n_tasks))
         return cached
 
     def columns_dependent(self, a: int, b: int) -> bool:

@@ -57,6 +57,10 @@ BLOCK_ROWS = 1 << 14
 # below 3^5 = 243, fits a uint8.
 GROUP_SOURCES = 5
 
+# Most entries of a ``TableLayout.row_base``, the factors times the task
+# configurations (8 x 2 on the benchmark stream, 102 x 2 at m = 100).
+ROW_INDEX_ENTRIES = 1 << 16
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -92,7 +96,8 @@ class LabelMatrix:
             raise ValueError("votes must be a 2-d array")
         # check the given values before narrowing, so 257 or 1.7 cannot wrap
         # or truncate into range; an integer array needs only its extremes
-        if raw.size and not (raw.dtype.kind in "biu" and raw.min() >= -1 and raw.max() <= 1):
+        if raw.size and not (raw.dtype.kind in "biu" and np.minimum.reduce(raw, axis=None) >= -1
+                             and np.maximum.reduce(raw, axis=None) <= 1):
             bad = np.argwhere((raw != -1) & (raw != 0) & (raw != 1))
             if bad.size:
                 r, c = bad[0]
@@ -647,11 +652,13 @@ class FactorGroup:
     ``GROUP_SOURCES`` distinct ``sources``, first seen first. A row's group
     state is its vote states over ``sources`` read as base-3 digits, the
     first the most significant; ``cells[f]`` holds factor f's state at each
-    of the 3^len(sources) group states."""
+    of the 3^len(sources) group states. ``span`` is the factors' slice of
+    the layout's."""
 
     factors: Tuple[TableFactor, ...]
     sources: Tuple[int, ...]
     cells: Tuple[np.ndarray, ...]
+    span: slice
 
 
 def _factor_groups(factors) -> Tuple[FactorGroup, ...]:
@@ -669,13 +676,15 @@ def _factor_groups(factors) -> Tuple[FactorGroup, ...]:
     # the digits of every group state, one row per source, for each k
     digits = [np.indices((3,) * k, dtype=np.intp).reshape(k, 3 ** k)
               for k in range(GROUP_SOURCES + 1)]
-    groups = []
+    groups, lo = [], 0
     for run, sources in runs:
         weights = np.zeros((len(run), len(sources)), dtype=np.intp)
         for r, f in enumerate(run):
             for i, stride in zip(f.vs.sources, f.strides.tolist()):
                 weights[r, sources.index(i)] = stride
-        groups.append(FactorGroup(tuple(run), tuple(sources), tuple(weights @ digits[len(sources)])))
+        groups.append(FactorGroup(tuple(run), tuple(sources), tuple(weights @ digits[len(sources)]),
+                                  slice(lo, lo + len(run))))
+        lo += len(run)
     return tuple(groups)
 
 
@@ -690,7 +699,14 @@ class TableLayout:
     clique entry ``pair_entry[e]`` sums into slot ``pair_slot[e]``; slots
     match separator entries ``pair_sep``, and pair p's start at
     ``pair_starts[p]``. ``groups`` cuts ``factors`` into the runs that
-    inference sums before it gathers."""
+    inference sums before it gathers.
+
+    ``row_base`` and ``row_sources``/``row_strides`` index every factor's
+    log table at every task configuration for any vote row at once: factor
+    f's entry for configuration y (C order over (2,)*D) and a row with vote
+    states s is ``row_base[f, y] + sum_k row_strides[f, k] *
+    s[row_sources[f, k]]`` (unused slots have stride 0). ``row_base`` is None
+    when it would hold more than ``ROW_INDEX_ENTRIES`` entries."""
 
     factors: Tuple[TableFactor, ...]
     n_cliques: int
@@ -705,6 +721,9 @@ class TableLayout:
     pair_sep: np.ndarray
     pair_starts: np.ndarray
     groups: Tuple[FactorGroup, ...]
+    row_base: Optional[np.ndarray]
+    row_sources: np.ndarray
+    row_strides: np.ndarray
 
     def views(self, table: np.ndarray) -> Tuple[Mapping[VarSet, np.ndarray], ...]:
         """Read-only VarSet -> table mappings over ``table``: the cliques,
@@ -761,8 +780,36 @@ def compile_layout(jt: JunctionTree) -> TableLayout:
         pair_entry=_concat([_entries(c) for c, _ in pairs]),
         pair_slot=_concat([start + o for start, o in zip(offsets.tolist(), onto)]),
         pair_sep=_concat([_entries(sep) for _, sep in pairs]), pair_starts=offsets[:-1],
-        groups=_factor_groups(factors))
+        groups=_factor_groups(factors), row_base=_row_base(factors, n_tasks),
+        row_sources=_row_slots(factors, "sources"), row_strides=_row_slots(factors, "strides"))
     return layout
+
+
+def _row_base(factors, n_tasks: int) -> Optional[np.ndarray]:
+    """Per factor, the entry of its table at each task configuration (C
+    order over (2,)*n_tasks) and the sources' state 0; None when it would
+    hold more than ``ROW_INDEX_ENTRIES`` entries."""
+    if len(factors) << n_tasks > ROW_INDEX_ENTRIES:
+        return None
+    # the entry of a configuration is its index over the factor's own task
+    # axes, scaled by the 3^s source states each task state spans
+    weights = np.zeros((len(factors), n_tasks), dtype=np.intp)
+    for r, f in enumerate(factors):
+        s = len(f.vs.sources)
+        for k, d in enumerate(f.vs.tasks):
+            weights[r, d] = 3 ** s << (len(f.vs.tasks) - 1 - k)
+    configs = np.indices((2,) * n_tasks, dtype=np.intp).reshape(n_tasks, -1)
+    starts = np.array([f.span.start for f in factors], dtype=np.intp)
+    return _freeze(starts[:, None] + weights @ configs)
+
+
+def _row_slots(factors, name: str) -> np.ndarray:
+    """Each factor's ``sources`` or ``strides`` (``name``) as the rows of
+    one array, padded with 0."""
+    out = np.zeros((len(factors), max(len(f.sources) for f in factors)), dtype=np.intp)
+    for r, f in enumerate(factors):
+        out[r, :len(f.sources)] = getattr(f, name)
+    return _freeze(out)
 
 
 @dataclass
@@ -773,7 +820,7 @@ class LabelModelParameters:
     +1,-1), then source axes (states +1,0,-1), member indices ascending.
     ``cliques`` and ``separators`` map each VarSet to a read-only view of its
     table, in tree order; ``from_tables`` builds parameters from such maps.
-    The maps and ``log_table`` are built on first use."""
+    The maps, ``log_table`` and ``group_tables`` are built on first use."""
 
     graph: DependencyGraph
     jtree: JunctionTree
@@ -788,9 +835,10 @@ class LabelModelParameters:
         self.table.flags.writeable = False
 
     def __getstate__(self) -> dict:
-        # the view maps (mapping proxies, which cannot be pickled) and the
-        # log table are rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("_view_maps", "_log_table")}
+        # the view maps (mapping proxies, which cannot be pickled), the log
+        # table and the group tables are rebuilt on first use
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_view_maps", "_log_table", "_group_tables")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -823,6 +871,26 @@ class LabelModelParameters:
             np.log(self.table, out=out, where=positive)
             np.multiply(self.jtree.layout.scale, out, out=out, where=positive)
             self.__dict__["_log_table"] = out = _freeze(out)
+        return out
+
+    @property
+    def group_tables(self) -> Tuple[np.ndarray, ...]:
+        """Per ``FactorGroup`` of the layout, its factors' ``log_table``
+        entries summed, in factor order, at each of its 3^k group states: an
+        array with the factors' broadcast task axes and one axis of 3^k
+        states (1 when the group has no sources). Read-only."""
+        out = self.__dict__.get("_group_tables")
+        if out is None:
+            log_table, tables = self.log_table, []
+            for group in self.jtree.layout.groups:
+                acc = None
+                for f, cells in zip(group.factors, group.cells):
+                    term = log_table[f.span].reshape(f.bcast)
+                    if len(f.sources):
+                        term = term.take(cells, axis=-1)
+                    acc = term if acc is None else acc + term
+                tables.append(_freeze(acc))
+            self.__dict__["_group_tables"] = out = tuple(tables)
         return out
 
     @classmethod

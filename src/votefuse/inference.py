@@ -10,19 +10,22 @@ in log space for a block of vote rows and all 2^D task configurations at once:
   ``-(deg - 1) * log(separator)`` for a separator, taken once per parameter
   set on first use;
 * the factors are summed a group at a time (``graph.FactorGroup``: a run of
-  consecutive factors over k <= 5 sources). Each factor's slice of the log
-  table is indexed by vote states (``1 - vote``) and added into the group's
-  sum, broadcast over the factor's task axes; the group's sum is then added
+  consecutive factors over k <= 5 sources), in factor order, each broadcast
+  over the task configurations; the groups' sums are then added, in order,
   into a ``(2,) * D + (n,)`` log-joint;
-* a block of at least 3^k rows sums a group on its 3^k states, then gathers
-  that table once, at each row's base-3 state, computed in uint8 from one
-  contiguous sources x rows block; a shorter block sums it on its rows. The
-  additions are the same either way, so a row's value does not depend on
-  its block.
+* a short block (the stream's one row) takes every factor's entry at every
+  task configuration and row in one gather, at the layout's ``row_base``
+  plus its strides times the rows' vote states (``1 - vote``), then sums
+  each group's run of them; a longer block reads the parameters'
+  ``group_tables``, each group's sum on its 3^k states, built once per
+  parameter set, at each row's base-3 state, computed in uint8 from one
+  contiguous sources x rows block. The additions are the same either way,
+  so a row's value does not depend on its block.
 
-The factors, their slices, broadcast shapes, source indices, base-3 strides
-and groups are the junction tree's ``graph.TableLayout``, compiled once per
-tree, so a call only gathers and adds.
+The factors, their slices, broadcast shapes, source indices, base-3 strides,
+groups and the one-gather index are the junction tree's
+``graph.TableLayout``, compiled once per tree, so a call only gathers and
+adds.
 
 Zero-factor rule: a zero entry in any clique or separator table makes the
 joint of the configurations it touches exactly zero (``-inf`` in log space;
@@ -55,6 +58,7 @@ from .graph import (
     LabelMatrix,
     LabelModelParameters,
     MAX_EXACT_TASKS,
+    ROW_INDEX_ENTRIES,
     TASK_IDX,
     TASK_STATES,
 )
@@ -91,36 +95,32 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
         raise ShapeMismatch(f"matrix has {votes.shape[1]} sources, model expects {m}")
     if D > MAX_EXACT_TASKS:
         raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
-    log_table = mu.log_table
+    layout = mu.jtree.layout
     n = votes.shape[0]
+    if layout.row_base is not None and n * layout.row_base.size <= ROW_INDEX_ENTRIES:
+        # every factor at every configuration and row in one gather, then
+        # each group's sum and the sum of the groups, in order
+        states = np.subtract(1, votes.T, dtype=np.intp)  # +1 -> 0, 0 -> 1, -1 -> 2
+        at = np.add.reduce(states.take(layout.row_sources, axis=0)
+                           * layout.row_strides[..., np.newaxis], axis=1)
+        terms = mu.log_table.take(layout.row_base[..., np.newaxis] + at[:, np.newaxis])
+        out = np.zeros(terms.shape[1:])
+        for group in layout.groups:
+            out += np.add.accumulate(terms[group.span], axis=0)[-1]
+        return out.reshape((2,) * D + (n,))
     # per source and row: +1 -> 0, 0 -> 1, -1 -> 2 (a transposing copy, then
     # the subtraction in place, is faster than one ufunc on the transpose)
     states = votes.T.copy()
     states = np.subtract(1, states, out=states).view(np.uint8)
     out = np.zeros((2,) * D + (n,))
-    for group in mu.jtree.layout.groups:
-        # the group's sum is the same either way: on its 3^k states when the
-        # block has as many rows, then gathered once; else on the rows
-        on_grid = n >= 3 ** len(group.sources)
-        acc = None
-        for f, cells in zip(group.factors, group.cells):
-            term = log_table[f.span].reshape(f.bcast)
-            # task axes, and a task-only table's one state, broadcast
-            if on_grid:
-                if len(f.sources):
-                    term = term.take(cells, axis=-1)
-            elif len(f.sources) == 1:
-                term = term.take(states[f.sources[0]], axis=-1)
-            elif len(f.sources):
-                term = term.take(f.strides @ states[f.sources], axis=-1)
-            acc = term if acc is None else acc + term
-        if on_grid and group.sources:
+    for group, table in zip(layout.groups, mu.group_tables):
+        if group.sources:
             index = states[group.sources[0]].copy()  # uint8: 3^5 - 1 fits
             for i in group.sources[1:]:
                 index *= 3
                 index += states[i]
-            acc = acc.take(index, axis=-1)
-        out += acc
+            table = table.take(index, axis=-1)
+        out += table
     return out
 
 

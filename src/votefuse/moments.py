@@ -9,7 +9,10 @@ with a ones column, P.T @ G @ P: pairwise products, first moments and the row
 count. ``to_moments`` takes the product in float64, exact as every entry is
 an integer far below 2**53, just before its one division. The vote counts are
 entries of G. Neither the n x 2m matrix nor a block of it is held: the pass's
-memory is one operand, its abstain mask and the Grams.
+memory is one operand, its abstain mask and the Grams. The moments are
+fixed-shape arrays: the tracked pairs' cross-tabs as one stack, and the
+abstain-restricted moments as stacks with their row counts, of which only
+those over enough rows for a fit to read are mapped.
 
 The accuracy of observed column ``a`` is a_a = E[v_a Y(a)], the scaled
 correlation with its hidden task. For columns a, j, k that are pairwise
@@ -52,7 +55,7 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip
+from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip, _freeze
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +93,8 @@ class RunningStats:
     abstain fills w (``augment``) and a ones column. A row's pair encoding is
     x_2i = v_i + w_i, x_2i+1 = w_i - v_i, so it is x @ P for a fixed matrix P
     of 0 and +/-1, and the pair-encoded Gram is P.T @ G @ P for the Gram G
-    of x. One kernel, ``_accumulate``, adds or subtracts rows: it folds the
-    Gram x.T @ x of a float32 operand of them into an int64 sum, and each
+    of x. One kernel, ``_accumulate``, adds or subtracts blocks of rows: it
+    folds the Gram x.T @ x of a float32 operand of them into an int64 sum, and each
     conditioning source takes one more Gram of the operand's rows where it
     abstains. Every partial Gram is an integer matrix that float32 holds
     exactly. The vote histograms are entries of G (votes, abstains and vote
@@ -102,7 +105,8 @@ class RunningStats:
     conditioned copies are its int64 values.
 
     A stream adds and removes one pair-encoded row at a time, mapped into the
-    basis by P's inverse; a batch reads the votes and fills of as many rows
+    basis by P's inverse, through ``_fold_row``: the same sums for one row
+    without the per-block work; a batch reads the votes and fills of as many rows
     as a fixed-size operand holds at a time and casts them into it, with no
     pair-encoded copy of the rows. So a rolling window holds the same
     statistics the batch path computes, int64 for int64, and batch memory is
@@ -132,10 +136,11 @@ class RunningStats:
         self._to_pairs[-1, -1] = 1
         self._from_pairs = (self._to_pairs.T / 2).astype(np.float32)
         self._from_pairs[-1, -1] = 1
-        self._row = np.ones((1, width), dtype=np.float32)  # [pair-encoded row | 1]
+        self._row = np.ones(width, dtype=np.float32)  # [pair-encoded row | 1]
         # per source, as flat indices: the Gram entries sum v_i^2, sum w_i^2
         # and sum v_i (``vote_counts``)
-        self._vote_cells = np.array([i * (width + 1), (m + i) * (width + 1), i * width + 2 * m])
+        self._vote_cells = np.stack([i * (width + 1), (m + i) * (width + 1), i * width + 2 * m],
+                                    axis=1)
         self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
         # the pair cross-tabs are one count vector, so a block updates all
         # of them with a single bincount
@@ -152,6 +157,10 @@ class RunningStats:
         self._row_map[pairs[:, 1], np.arange(k)] = -1
         self._row_map[-1, :k] = 9 * np.arange(k) + 4
         self._row_map[list(self.cond_sources), k + np.arange(kc)] = 1
+        # the restricted moments of a source with too few abstain rows for a
+        # fit to read them: NaN, shared by every ``to_moments`` that maps none
+        c = 2 * m
+        self._unread = (_freeze(np.full((kc, c, c), np.nan)), _freeze(np.full((kc, c), np.nan)))
 
     @property
     def n(self) -> int:
@@ -171,16 +180,26 @@ class RunningStats:
     def vote_counts(self) -> np.ndarray:
         """(m, 3) counts of +1, abstain and -1 votes per source, read off the
         Gram (``_VOTE_COUNTS``)."""
-        return ((_VOTE_COUNTS @ self._grams[0].take(self._vote_cells)) >> 1).T
+        return (self._grams[0].take(self._vote_cells) @ _VOTE_COUNTS.T) >> 1
 
-    def _pair_grams(self) -> np.ndarray:
+    def _pair_grams(self, grams: Optional[np.ndarray] = None) -> np.ndarray:
         """The Grams of the pair-encoded rows with a ones column, P.T @ G @ P
-        per Gram, in float64: exact, as every partial sum is an integer far
-        below 2**53. Adding 0.0 turns a -0.0 that a BLAS may leave into the
-        +0.0 of the integer 0."""
-        out = self._to_pairs.T @ self._grams.astype(np.float64) @ self._to_pairs
+        per Gram of ``grams`` (all of them by default), in float64: exact, as
+        every partial sum is an integer far below 2**53. Adding 0.0 turns a
+        -0.0 that a BLAS may leave into the +0.0 of the integer 0."""
+        grams = self._grams if grams is None else grams
+        out = self._to_pairs.T @ grams.astype(np.float64) @ self._to_pairs
         out += 0.0
         return out
+
+    def _averages(self, t: int, M=None, first=None) -> Tuple[np.ndarray, np.ndarray]:
+        """The second and first moments of Gram t (0 the main one), its
+        pair-encoded Gram divided by its count, its own last entry, into
+        ``M`` and ``first`` when given; each is contiguous, so the
+        elementwise work on it runs in one pass."""
+        gram = self._pair_grams(self._grams[t])
+        return (np.divide(gram[:-1, :-1], gram[-1, -1], out=M),
+                np.divide(gram[-1, :-1], gram[-1, -1], out=first))
 
     @property
     def second(self) -> np.ndarray:
@@ -223,13 +242,33 @@ class RunningStats:
                 total = self._grams[1 + t]
                 update(total, gram if rows is x else (rows.T @ rows).astype(np.int64), out=total)
 
+    def _fold_row(self, aug_row: np.ndarray, sign: int) -> None:
+        """``_accumulate`` on one pair-encoded row, without its per-block
+        work: the row's basis row x folds the outer product x x^T into the
+        main Gram and into the Gram of every conditioning source it abstains
+        on, and moves one cell of each tracked pair's cross-tab."""
+        update = np.add if sign > 0 else np.subtract
+        row = self._row
+        row[:-1] = aug_row
+        x = row @ self._from_pairs
+        gram = np.multiply.outer(x, x).astype(np.int64)
+        grams = self._grams
+        main = grams[0]
+        update(main, gram, out=main)
+        per_row = (x @ self._row_map).tolist()
+        k = len(self.tracked_pairs)
+        for t, vote in enumerate(per_row[k:], 1):
+            if vote == 0:
+                update(grams[t], gram, out=grams[t])
+        cells = self._pair_cells
+        for cell in per_row[:k]:
+            cells[int(cell)] += sign
+
     def add(self, aug_row: np.ndarray) -> None:
-        self._row[0, :-1] = aug_row
-        self._accumulate(self._row @ self._from_pairs, 1)
+        self._fold_row(aug_row, 1)
 
     def remove(self, aug_row: np.ndarray) -> None:
-        self._row[0, :-1] = aug_row
-        self._accumulate(self._row @ self._from_pairs, -1)
+        self._fold_row(aug_row, -1)
 
     @classmethod
     def from_matrix(cls, A: AugmentedLabelMatrix,
@@ -249,28 +288,34 @@ class RunningStats:
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
-        """The averages of the statistics; the pair-encoded Grams are divided
-        by their counts at once and the moments are views of the quotients."""
-        counts = self._grams[:, -1, -1]
-        n = int(counts[0])
+        """The averages of the statistics. Only the main Gram and each
+        conditioning Gram over at least ``N_MIN_ABSTAIN`` rows (the ones a
+        fit reads) are mapped (``_averages``); the other restricted moments
+        read NaN."""
+        counts = self._grams[:, -1, -1].tolist()
+        n = counts[0]
         if n < 1:
             raise ValueError("no rows accumulated")
-        per = np.maximum(counts, 1).reshape(-1, 1, 1)
-        grams = self._pair_grams()
-        # contiguous, so the elementwise work on them runs in one pass
-        M, first = grams[:, :-1, :-1] / per, grams[:, -1, :-1] / per[:, 0]
-        conditional = {i: CondStats(n_rows=cn, M=M[t], first=first[t])
-                       for t, (i, cn) in enumerate(zip(self.cond_sources, counts[1:].tolist()), 1)
-                       if cn > 0}
+        M, first = self._averages(0)
+        cond_M, cond_first = self._unread
+        read = [t for t, cn in enumerate(counts) if t and cn >= N_MIN_ABSTAIN]
+        if read:
+            cond_M, cond_first = cond_M.copy(), cond_first.copy()
+            for t in read:
+                self._averages(t, cond_M[t - 1], cond_first[t - 1])
         k = len(self.tracked_pairs)
         return MomentEstimates(
             n=n,
-            M=M[0],
-            first_moments=first[0],
+            M=M,
+            first_moments=first,
             vote_marginals=self.vote_counts / n,
             prior=prior,
-            pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
-            conditional=conditional,
+            pairs=self.tracked_pairs,
+            pair_cells=(self._pair_cells / n).reshape(k, 3, 3),
+            cond_sources=self.cond_sources,
+            cond_n=tuple(counts[1:]),
+            cond_M=cond_M,
+            cond_first=cond_first,
         )
 
 
@@ -297,6 +342,15 @@ class MomentEstimates:
     ``M`` is the 2m x 2m matrix of pairwise products E[v_a v_b]; it is
     symmetric with unit diagonal. ``n`` is None for exact (enumerated)
     moments.
+
+    Each tracked source pair ``pairs[q]`` = (i, j), i < j, ascending, has
+    its 3 x 3 vote cross-tab P(lambda_i = a, lambda_j = b) in
+    ``pair_cells[q]``, rows indexed by i's state (+1, abstain, -1). Each
+    conditioning source ``cond_sources[t]`` has the moments restricted to
+    the rows where it abstains in ``cond_M[t]`` and ``cond_first[t]``, over
+    ``cond_n[t]`` rows (``cond_n`` is None when they are exact); sampled
+    ones over fewer than ``N_MIN_ABSTAIN`` rows, which no fit reads, are
+    NaN.
     """
 
     M: np.ndarray
@@ -304,8 +358,12 @@ class MomentEstimates:
     vote_marginals: np.ndarray
     prior: ClassPrior
     n: Optional[int] = None
-    pair_tables: Dict[Tuple[int, int], np.ndarray] = field(default_factory=dict)
-    conditional: Dict[int, CondStats] = field(default_factory=dict)
+    pairs: Tuple[Tuple[int, int], ...] = ()
+    pair_cells: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3)))
+    cond_sources: Tuple[int, ...] = ()
+    cond_n: Optional[Tuple[int, ...]] = None
+    cond_M: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
+    cond_first: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     @property
     def n_columns(self) -> int:
@@ -323,8 +381,19 @@ class MomentEstimates:
     def pair_table(self, i: int, j: int) -> np.ndarray:
         """3x3 cross-tab P(lambda_i = a, lambda_j = b), rows indexed by i's state."""
         key = (min(i, j), max(i, j))
-        tbl = self.pair_tables[key]
+        if key not in self.pairs:
+            raise KeyError(key)
+        tbl = self.pair_cells[self.pairs.index(key)]
         return tbl if i <= j else tbl.T
+
+    def conditional(self, i: int) -> Optional[CondStats]:
+        """The moments restricted to the rows where source ``i`` abstains, as
+        views of the stacked arrays; None when they are not held."""
+        if i not in self.cond_sources:
+            return None
+        t = self.cond_sources.index(i)
+        return CondStats(M=self.cond_M[t], first=self.cond_first[t],
+                         n_rows=None if self.cond_n is None else self.cond_n[t])
 
 
 def estimate_moments(A: AugmentedLabelMatrix, prior: ClassPrior,
@@ -437,24 +506,30 @@ EPS_PRIOR = 1e-2
 N_MIN_ABSTAIN = 50
 
 
-def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan, columns=None) -> np.ndarray:
-    """Least-squares |a_a| per anchor over all its valid triplets, clamped to
-    [EPS_ACC, 1]: a_a^2 = sum M_aj M_ak M_jk / sum M_jk^2 over its partner
-    pairs, as two masked matrix products per task, or per anchor in
-    ``columns`` (when given) on its ``plan.single`` block. NaN where the
-    anchor has no estimate: not an anchor, not in ``columns``, or sum M_jk^2
-    below EPS_DEN^2."""
+def _block_magnitudes(M: np.ndarray, anchors: np.ndarray, P: np.ndarray,
+                      K: np.ndarray) -> np.ndarray:
+    """Least-squares |a_a| of each anchor of one (anchors, P, K) block of the
+    plan over all its valid triplets, clamped to [EPS_ACC, 1]: a_a^2 = sum
+    M_aj M_ak M_jk / sum M_jk^2 over its partner pairs, as two masked matrix
+    products. NaN where sum M_jk^2 is below EPS_DEN^2."""
+    U = M.take(anchors, axis=0) * P
+    MK = M * K
+    num = np.einsum("aj,aj->a", U @ MK, U)
+    # K is 0 or 1, so MK * M is M * M * K bit for bit (+0.0 where K is 0)
+    den = np.einsum("aj,aj->a", P @ (MK * M), P)
+    # a degenerate anchor divides by NaN, which raises no warning
+    ratio = np.maximum(num, 0.0) / np.where(den >= EPS_DEN ** 2, den, np.nan)
+    return _clip(np.sqrt(ratio), EPS_ACC, 1.0)
+
+
+def _pooled_magnitudes(M: np.ndarray, plan: TripletPlan) -> np.ndarray:
+    """``_block_magnitudes`` of every anchor, one block per task, as one
+    vector over the columns; NaN where a column has no estimate (not an
+    anchor, or degenerate)."""
     out = np.empty(plan.n_columns)
     out.fill(np.nan)
-    blocks = plan.blocks if columns is None else [
-        plan.single[c] for c in columns if c in plan.single]
-    for anchors, P, K in blocks:
-        U = M[anchors] * P
-        num = np.einsum("aj,aj->a", U @ (M * K), U)
-        den = np.einsum("aj,aj->a", P @ (M * M * K), P)
-        # a degenerate anchor divides by NaN, which raises no warning
-        ratio = np.maximum(num, 0.0) / np.where(den >= EPS_DEN ** 2, den, np.nan)
-        out[anchors] = _clip(np.sqrt(ratio), EPS_ACC, 1.0)
+    for anchors, P, K in plan.blocks:
+        out[anchors] = _block_magnitudes(M, anchors, P, K)
     return out
 
 
@@ -481,22 +556,22 @@ class Accuracies:
         return self.values[0::2]
 
 
-def _sign_components(group: List[int], rel: np.ndarray):
+def _sign_components(group: np.ndarray, rel: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
     """Connected components of the sign-constraint graph over one task group.
 
     ``rel`` holds, per column pair, the sign product an edge imposes (+-1)
     or no edge (+-0): edges join independent column pairs whose pairwise
-    moment is usable (``resolve_signs``). Returns one pattern per component,
-    mapping its columns to relative signs with the lowest column set
-    positive.
+    moment is usable (``resolve_signs``). Returns the components, each as
+    ascending positions in ``group``, and the relative sign of every
+    position, the lowest of each component positive.
     """
-    idx = np.asarray(group)
-    rel = rel.take(idx, axis=0).take(idx, axis=1).tolist()
+    rel = rel.take(group, axis=0).take(group, axis=1).tolist()
+    sign = [1.0] * len(group)
     comps = []
     left = list(range(len(group)))  # not yet reached, ascending
     while left:
         c = left.pop(0)
-        pattern = {c: 1}
+        members = [c]
         stack = [c]
         while stack and left:
             u = stack.pop()
@@ -504,11 +579,85 @@ def _sign_components(group: List[int], rel: np.ndarray):
             reached = [w for w in left if row[w]]  # new neighbours, ascending
             if reached:
                 for w in reached:
-                    pattern[w] = pattern[u] * row[w]
+                    sign[w] = sign[u] * row[w]
                 stack += reached
+                members += reached
                 left = [w for w in left if not row[w]]
-        comps.append({group[k]: sign for k, sign in pattern.items()})
-    return comps
+        members.sort()
+        comps.append(members)
+    return comps, np.array(sign)
+
+
+def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunConfig,
+                   first_moments: Optional[np.ndarray],
+                   prior: Optional[ClassPrior]) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """``resolve_signs`` on a vector of magnitudes, NaN where a column has
+    none. Returns the signed values (NaN where no magnitude), the signed
+    columns in the order they were resolved (per task, per component,
+    ascending) and the diagnostics."""
+    diag = {"sign_ties": [], "ratio_anchor_fallbacks": []}
+    anchor_col = None
+    if cfg.sign_strategy == "anchor":
+        cfg.check_sources(G.graph.n_sources)
+        anchor_col = 2 * cfg.anchor_source
+    # the sign product of each independent column pair whose pairwise moment
+    # is usable, |M| >= EPS_DEN; +-0 for every other pair
+    rel = np.copysign(G.independent_columns() & (np.abs(M) >= EPS_DEN), M)
+    signed = np.empty(len(mags))
+    signed.fill(np.nan)
+    resolved = []
+    for d, group in enumerate(G.task_anchors()):
+        vals = mags.take(group)
+        have = vals == vals  # not NaN
+        if not np.logical_and.reduce(have):
+            group, vals = group[have], vals[have]
+        if not group.size:
+            continue
+        components, sign = _sign_components(group, rel)
+        anchor = None
+        if anchor_col is not None and anchor_col in group.tolist():
+            anchor = group.tolist().index(anchor_col)
+        if anchor is not None and len(components) > 1:
+            reachable = next(p for p in components if anchor in p)
+            missing = sorted(set(group.tolist()) - set(group[reachable].tolist()))
+            raise AnchorUnreachable(
+                f"sign propagation from source {cfg.anchor_source + 1} cannot "
+                f"reach columns {missing}"
+            )
+        for members in components:
+            cols, weights = group, sign * vals
+            if len(members) < len(group):
+                cols, weights = cols[members], weights[members]
+
+            flip = None
+            if anchor is not None:  # in the task's one component
+                flip = cfg.anchor_sign * sign[anchor]
+            elif cfg.sign_strategy == "ratio-anchor":
+                ey = float(prior.means[d]) if prior is not None else 0.0
+                if first_moments is not None and abs(ey) >= EPS_PRIOR:
+                    score = float(np.add.reduce(weights * first_moments.take(cols)))
+                    if score != 0.0:
+                        flip = 1 if score * ey > 0 else -1
+                if flip is None:
+                    diag["ratio_anchor_fallbacks"].append(int(cols[0]))
+            if flip is None:  # nonnegative-sum
+                total = float(np.add.reduce(weights))
+                if total == 0.0:
+                    diag["sign_ties"].append(int(cols[0]))
+                    warnings.warn(
+                        f"sign tie for task {d + 1}: accuracy sum is zero under "
+                        f"both flips; defaulting to positive",
+                        EstimationWarning,
+                    )
+                    flip = 1
+                else:
+                    flip = 1 if total > 0 else -1
+
+            signed[cols] = flip * weights
+            resolved.append(cols)
+    order = np.concatenate(resolved) if len(resolved) > 1 else (
+        resolved[0] if resolved else np.empty(0, dtype=np.intp))
+    return signed, order, diag
 
 
 def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
@@ -523,61 +672,12 @@ def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
     the remaining global flip per component is fixed by the configured
     strategy.
     """
-    diag = {"sign_ties": [], "ratio_anchor_fallbacks": []}
-    signed: Dict[int, float] = {}
-    anchor_col = None
-    if cfg.sign_strategy == "anchor":
-        cfg.check_sources(G.graph.n_sources)
-        anchor_col = 2 * cfg.anchor_source
-    task = G.graph.assignment
-    # the sign product of each independent column pair whose pairwise moment
-    # is usable, |M| >= EPS_DEN; +-0 for every other pair
-    rel = np.copysign(G.independent_columns() & (np.abs(M) >= EPS_DEN), M)
-    evens = [c for c in sorted(magnitudes) if c % 2 == 0]
-    for d in range(G.n_tasks):
-        group = [c for c in evens if task[c // 2] == d]
-        if not group:
-            continue
-        components = _sign_components(group, rel)
-        anchored_task = anchor_col in group
-        if anchored_task and len(components) > 1:
-            reachable = next(set(p) for p in components if anchor_col in p)
-            missing = sorted(set(group) - reachable)
-            raise AnchorUnreachable(
-                f"sign propagation from source {cfg.anchor_source + 1} cannot "
-                f"reach columns {missing}"
-            )
-        for pattern in components:
-            cols = sorted(pattern)
-            weights = np.array([pattern[c] * magnitudes[c] for c in cols])
-
-            flip = None
-            if anchored_task and anchor_col in pattern:
-                flip = cfg.anchor_sign * pattern[anchor_col]
-            elif cfg.sign_strategy == "ratio-anchor":
-                ey = prior.task_mean(d) if prior is not None else 0.0
-                if first_moments is not None and abs(ey) >= EPS_PRIOR:
-                    score = float(np.add.reduce(weights * first_moments.take(cols)))
-                    if score != 0.0:
-                        flip = 1 if score * ey > 0 else -1
-                if flip is None:
-                    diag["ratio_anchor_fallbacks"].append(cols[0])
-            if flip is None:  # nonnegative-sum
-                total = float(np.add.reduce(weights))
-                if total == 0.0:
-                    diag["sign_ties"].append(cols[0])
-                    warnings.warn(
-                        f"sign tie for task {d + 1}: accuracy sum is zero under "
-                        f"both flips; defaulting to positive",
-                        EstimationWarning,
-                    )
-                    flip = 1
-                else:
-                    flip = 1 if total > 0 else -1
-
-            for c in cols:
-                signed[c] = flip * pattern[c] * magnitudes[c]
-    return signed, diag
+    mags = np.empty(G.n_columns)
+    mags.fill(np.nan)
+    evens = [c for c in magnitudes if c % 2 == 0]
+    mags[evens] = [magnitudes[c] for c in evens]
+    signed, order, diag = _resolve_signs(mags, M, G, cfg, first_moments, prior)
+    return dict(zip(order.tolist(), signed[order].tolist())), diag
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +704,15 @@ def conditional_accuracy_from_stats(target: int, cond: int,
                                     G: AugmentedGraph, cfg: RunConfig,
                                     sign_hint: float) -> float:
     """E[lambda_target Y | lambda_cond = 0]: the pooled triplet fit on the
-    moments restricted to the rows where ``cond`` abstains. ``cond`` shares
-    the target's component, so its columns are never partners.
+    moments restricted to the rows where ``cond`` abstains, on the target's
+    own block of the plan. ``cond`` shares the target's component, so its
+    columns are never partners.
 
     Sources without a usable restricted triplet fall back (when enabled) to
     the restricted first-moment ratio: the abstain indicator is independent of
     the task, so E[Y | lambda_cond = 0] is just the prior mean.
     """
-    cs = moments.conditional.get(cond)
+    cs = moments.conditional(cond)
     if cs is None or (cs.n_rows is not None and cs.n_rows < N_MIN_ABSTAIN):
         have = 0 if cs is None else cs.n_rows
         raise TooFewAbstainRows(
@@ -625,9 +726,10 @@ def conditional_accuracy_from_stats(target: int, cond: int,
             return float(_clip(cs.first[col] / ey, -1.0, 1.0))
         raise NoUsableTriplet(reason)
 
-    if col not in plan.partners:
+    block = plan.single.get(col)
+    if block is None:
         return ratio_or_raise(f"no triplets available for column {col}")
-    mag = float(_pooled_magnitudes(cs.M, plan, columns=[col])[col])
+    mag = float(_block_magnitudes(cs.M, *block)[0])
     if mag != mag:  # NaN
         return ratio_or_raise(
             f"abstain-restricted triplets for source {target + 1} are all "
@@ -644,24 +746,20 @@ def conditional_accuracy_from_stats(target: int, cond: int,
 def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                         G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
     """Triplet magnitudes, sign resolution, and ratio fallback, in one pass."""
-    mags = {c: v for c, v in enumerate(_pooled_magnitudes(moments.M, plan).tolist())
-            if v == v}  # not NaN
-    signed, sign_diag = resolve_signs(
-        mags, moments.M, G, cfg,
-        first_moments=moments.first_moments, prior=moments.prior,
-    )
+    mags = _pooled_magnitudes(moments.M, plan)
+    values, order, sign_diag = _resolve_signs(
+        mags, moments.M, G, cfg, moments.first_moments, moments.prior)
+    # a signed magnitude is clamped to [EPS_ACC, 1], so it is floored when
+    # its magnitude is (fmin skips NaN)
+    floored = ([c for c in order.tolist() if mags[c] <= EPS_ACC]
+               if mags.size and np.fmin.reduce(mags) <= EPS_ACC else [])
 
     n_cols = G.n_columns
-    values = [0.0] * n_cols
-    method = ["unset"] * n_cols
-    for c, v in signed.items():
-        values[c] = v
-        method[c] = "triplet"
-    floored = [c for c, v in signed.items() if abs(v) <= EPS_ACC]
-
+    method = ("triplet", "mirror") * (n_cols // 2)
     fallback_used = []
-    for c in range(0, n_cols, 2):
-        if method[c] == "unset":
+    if len(order) < n_cols // 2:  # some even column has no signed magnitude
+        method = list(method)
+        for c in (np.flatnonzero(np.isnan(values[0::2])) * 2).tolist():
             if not cfg.ratio_fallback:
                 raise NoUsableTriplet(
                     f"no triplet-recovered accuracy for column {c} and the ratio "
@@ -670,8 +768,8 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
             values[c] = ratio_accuracy(c, moments, G)
             method[c] = "ratio"
             fallback_used.append(c // 2)
-        values[c + 1] = -values[c]
-    method[1::2] = ["mirror"] * (n_cols // 2)
+        method = tuple(method)
+    np.negative(values[0::2], out=values[1::2])
 
     if floored:
         warnings.warn(
@@ -681,9 +779,9 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
         )
 
     diag = {
-        "partner_pairs": dict(plan.pairs),
+        "partner_pairs": plan.pairs,
         "sign": sign_diag,
         "ratio_fallback_sources": fallback_used,
         "floored_columns": floored,
     }
-    return Accuracies(values=np.array(values), method=tuple(method), diagnostics=diag)
+    return Accuracies(values=values, method=method, diagnostics=diag)

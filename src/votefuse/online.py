@@ -10,6 +10,7 @@ does not grow with the stream length.
 from __future__ import annotations
 
 import copy
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -54,8 +55,13 @@ class RollingState:
 
     def __init__(self, g: DependencyGraph, cfg: RunConfig = RunConfig(),
                  window: Optional[int] = None, warmup: Optional[int] = None):
-        if window is not None and window < 1:
-            raise ConfigError(f"window must be positive, got {window}")
+        for name, rows in (("window", window), ("warmup", warmup)):
+            if rows is None:
+                continue
+            if isinstance(rows, bool) or not isinstance(rows, numbers.Integral):
+                raise ConfigError(f"{name} must be a whole number of rows, got {rows!r}")
+            if rows < 1:
+                raise ConfigError(f"{name} must be positive, got {rows}")
         self.graph = validate_graph(g)
         cfg.check_sources(self.graph.n_sources)
         self.cfg = cfg

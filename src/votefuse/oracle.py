@@ -238,25 +238,29 @@ class ExactJoint:
         p = self._flat()
         M, first = self._moment_arrays(p)
         marg = self.vote_marginals()
-        pair_tables = {}
-        conditional = {}
+        pairs, cond = (), ()
         if track_graph:
-            for (i, j) in self.graph.source_edges:
-                axes = tuple(a for a in range(self.collapsed.ndim)
-                             if a not in (self.D + i, self.D + j))
-                pair_tables[(i, j)] = self.collapsed.sum(axis=axes)
-            for s in sorted({x for e in self.graph.source_edges for x in e}):
-                if float(marg[s, 1]) <= 0.0:
-                    continue
-                conditional[s] = self.restricted_moments(s)
+            pairs = self.graph.source_edges
+            cond = tuple(s for s in sorted({x for e in pairs for x in e})
+                         if float(marg[s, 1]) > 0.0)
+        cells = []
+        for (i, j) in pairs:
+            axes = tuple(a for a in range(self.collapsed.ndim)
+                         if a not in (self.D + i, self.D + j))
+            cells.append(self.collapsed.sum(axis=axes))
+        restricted = [self.restricted_moments(s) for s in cond]
+        c = M.shape[0]
         return MomentEstimates(
             M=M,
             first_moments=first,
             vote_marginals=marg,
             prior=self.prior(),
             n=None,
-            pair_tables=pair_tables,
-            conditional=conditional,
+            pairs=pairs,
+            pair_cells=np.array(cells).reshape(len(pairs), 3, 3),
+            cond_sources=cond,
+            cond_M=np.array([r.M for r in restricted]).reshape(len(cond), c, c),
+            cond_first=np.array([r.first for r in restricted]).reshape(len(cond), c),
         )
 
     def clique_table(self, vs: VarSet) -> np.ndarray:

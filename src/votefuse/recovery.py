@@ -163,10 +163,12 @@ class CompiledCliques:
     ``labels`` list them in tree order, and ``order[k]`` is the position of
     the k-th of them in the groups' concatenation. ``task[i]`` is source i's
     task. ``pairs`` lists the two-source cliques' sources in group order
-    (``pair_sources`` as a 2 x k array, ``pair_task`` their tasks and
+    (``pair_sources`` as a 2 x k array, ``pair_task`` their tasks,
     ``pair_moments`` the flat index of each one's E[v_i v_j] in the 2m x 2m
-    moments) and ``cond_pairs`` the (target, conditioning source) pairs whose
-    abstain-conditioned accuracy they need, (j, i) then (i, j) for each.
+    moments, and ``pair_rank`` each one's position in ``tracked``, the same
+    pairs ascending, as the moments hold their cross-tabs) and ``cond_pairs``
+    the (target, conditioning source) pairs whose abstain-conditioned
+    accuracy they need, (j, i) then (i, j) for each.
     ``rhs_index`` gathers the flat right-hand side from the quantity vector
     of ``clique_rhs``; ``table_index`` gathers every clique's table, in tree
     order and table axis order, from the flat solution, into the entries
@@ -185,6 +187,8 @@ class CompiledCliques:
     pair_sources: np.ndarray
     pair_task: np.ndarray
     pair_moments: np.ndarray
+    tracked: Tuple[Tuple[int, int], ...]
+    pair_rank: np.ndarray
     cond_pairs: Tuple[Tuple[int, int], ...]
     rhs_index: np.ndarray
     table_index: np.ndarray
@@ -247,6 +251,8 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
         pair_sources=pair_sources,
         pair_task=task.take(pair_sources[0]),
         pair_moments=2 * pair_sources[0] * 2 * m + 2 * pair_sources[1],
+        tracked=tuple(sorted(pairs)),
+        pair_rank=np.array([sorted(pairs).index(p) for p in pairs], dtype=np.intp),
         cond_pairs=tuple(p for i, j in pairs for p in ((j, i), (i, j))),
         rhs_index=np.array(rhs_index, dtype=np.intp),
         table_index=np.array([e for c in source for e in table_index[c].ravel().tolist()],
@@ -291,7 +297,9 @@ def clique_rhs(compiled: CompiledCliques, acc: np.ndarray, moments: MomentEstima
     m = len(compiled.task)
     p_y = (0.5 * (1.0 + means))[compiled.task]
     p_vote, z = moments.vote_marginals.T[:2]                   # P(+1), P(abstain)
-    pair = np.array([moments.pair_tables[p] for p in compiled.pairs]).reshape(-1, 9)
+    rank = compiled.pair_rank if moments.pairs == compiled.tracked else [
+        moments.pairs.index(p) for p in compiled.pairs]
+    pair = moments.pair_cells.reshape(-1, 9).take(rank, axis=0)
     z_pair, z_ij = z[compiled.pair_sources], pair[:, 4]        # cell 3a + b: a = i's state
     # P(product * task = 1) for each source, then each pair: from its
     # expectation and P(product = 0), the abstain rate, or for a pair
@@ -340,10 +348,11 @@ def solve_cliques(compiled: CompiledCliques, rhs: np.ndarray) -> Tuple[
     hi = np.maximum.reduceat(raw, compiled.starts)
     clamp = np.maximum.reduceat(np.abs(rhs - clamped).take(compiled.table_index), compiled.starts)
     total = total.take(compiled.order)
+    # a NaN total comes with NaN extremes, so a clique with either fails
     in_range = (lo >= -INSTABILITY) & (hi <= 1.0 + INSTABILITY)
-    bad = ~in_range | (total <= 0.0)
-    if np.logical_or.reduce(bad):
-        k = int(np.argmax(bad))
+    good = in_range & (total > 0.0)
+    if not np.logical_and.reduce(good):
+        k = int(np.argmin(good))
         label = compiled.labels[k]
         what = ("has no mass" if in_range[k]
                 else f"solved to range [{lo[k]:.4f}, {hi[k]:.4f}]")

@@ -2,6 +2,7 @@
 
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from votefuse.graph import (
     _to_varset,
     marginalize_table,
 )
-from votefuse.moments import EPS_ACC, EPS_DEN, CondStats, MomentEstimates
+from votefuse.moments import EPS_ACC, EPS_DEN, CondStats
 from votefuse.recovery import build_transform, mu_unflatten
 
 
@@ -149,17 +150,65 @@ class ReferenceStats:
         return st
 
     def to_moments(self, prior):
+        """The moments in the former dict form (``reference_to_moments``)."""
         counts = self._grams[:, -1, -1]
         n, c = int(counts[0]), 2 * self.m
         per = np.maximum(counts, 1).reshape(-1, 1, 1)
         M, first = self._grams[:, :c, :c] / per, self._grams[:, c, :c] / per[:, 0]
         k = len(self.tracked_pairs)
-        return MomentEstimates(
+        return SimpleNamespace(
             n=n, M=M[0], first_moments=first[0], vote_marginals=self.vote_counts / n,
             prior=prior,
             pair_tables=dict(zip(self.tracked_pairs, (self._pair_cells / n).reshape(k, 3, 3))),
             conditional={i: CondStats(n_rows=cn, M=M[t], first=first[t]) for t, (i, cn)
                          in enumerate(zip(self.cond_sources, counts[1:].tolist()), 1) if cn > 0})
+
+
+def reference_to_moments(stats, prior):
+    """The former dict form of ``moments.RunningStats.to_moments``: every
+    Gram of the stack mapped to the pair encoding and divided by its count,
+    the tracked pairs' cross-tabs as a dict and a ``CondStats`` for each
+    conditioning source with at least one row. Kept as the reference for the
+    array form, which maps only the Grams a fit reads."""
+    counts = stats._grams[:, -1, -1]
+    n = int(counts[0])
+    per = np.maximum(counts, 1).reshape(-1, 1, 1)
+    grams = stats._to_pairs.T @ stats._grams.astype(np.float64) @ stats._to_pairs
+    grams += 0.0
+    M, first = grams[:, :-1, :-1] / per, grams[:, -1, :-1] / per[:, 0]
+    k = len(stats.tracked_pairs)
+    vote_counts = ((np.array([[1, 0, 1], [0, 2, 0], [1, 0, -1]])
+                    @ stats._grams[0].take(stats._vote_cells.T)) >> 1).T
+    return SimpleNamespace(
+        n=n, M=M[0], first_moments=first[0], vote_marginals=vote_counts / n, prior=prior,
+        pair_tables=dict(zip(stats.tracked_pairs, (stats._pair_cells / n).reshape(k, 3, 3))),
+        conditional={i: CondStats(n_rows=cn, M=M[t], first=first[t]) for t, (i, cn)
+                     in enumerate(zip(stats.cond_sources, counts[1:].tolist()), 1) if cn > 0})
+
+
+def assert_moments_match_dict_form(got, want):
+    """``got`` (a ``MomentEstimates``) holds the moments of ``want`` (the dict
+    form of ``reference_to_moments``) byte for byte: every restricted moment
+    over at least ``moments.N_MIN_ABSTAIN`` rows, the row count and NaN for
+    the others."""
+    from votefuse import moments
+
+    assert got.n == want.n
+    for name in ("M", "first_moments", "vote_marginals"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.pairs == tuple(want.pair_tables)
+    for (i, j), tbl in want.pair_tables.items():
+        assert got.pair_table(i, j).tobytes() == tbl.tobytes()
+        assert got.pair_table(j, i).tobytes() == tbl.T.tobytes()
+    for i in got.cond_sources:
+        cs, ref = got.conditional(i), want.conditional.get(i)
+        assert cs.n_rows == (0 if ref is None else ref.n_rows)
+        if ref is not None and ref.n_rows >= moments.N_MIN_ABSTAIN:
+            assert cs.M.tobytes() == ref.M.tobytes()
+            assert cs.first.tobytes() == ref.first.tobytes()
+        else:
+            assert np.isnan(cs.M).all() and np.isnan(cs.first).all()
+    assert set(want.conditional) <= set(got.cond_sources)
 
 
 def reference_partner_pairs(G):

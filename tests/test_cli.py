@@ -176,6 +176,17 @@ def test_stream_nonpositive_window_is_a_usage_error(workdir, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("warmup", ["0", "-7"])
+def test_stream_nonpositive_warmup_is_a_usage_error(workdir, capsys, warmup):
+    # it used to announce prior-only posteriors for the first -1 (or -8) rows
+    rc = main(["stream", "--graph", str(workdir / "model.txt"), "--balance", "0.55",
+               "--warmup", warmup])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "warmup" in err
+    assert "prior-only" not in err
+
+
 @pytest.mark.parametrize("signs", ["anchor:0:+", "anchor:-1:-", "anchor:5:+", "anchor:99:+"])
 @pytest.mark.parametrize("command", ["fit-predict", "stream"])
 def test_out_of_range_sign_anchor_is_a_usage_error(workdir, capsys, signs, command):

@@ -9,6 +9,7 @@ from votefuse.config import RunConfig
 from votefuse.errors import AllZeroLikelihood, DegenerateClass, EstimationWarning, ShapeMismatch
 from votefuse.graph import (
     ClassPrior,
+    DependencyGraph,
     LabelMatrix,
     VarSet,
     build_junction_tree,
@@ -224,9 +225,9 @@ class TestPredictProba:
     def test_blocks_equal_per_row_posterior_bit_for_bit(self, g, seed):
         # chain3 has eight task configurations, which numpy would sum in
         # another order for a one-row block than for a longer one; its
-        # factor groups span 5 and 4 sources, the others' 4, so blocks of 81
-        # rows and more sum a group on its 3^4 states, of 243 and more on its
-        # 3^5, and shorter ones on the rows
+        # factor groups span 5 and 4 sources, the others' 4. Here blocks of
+        # up to 80 rows gather every factor at once, longer ones read the
+        # group tables on 3^4 and 3^5 states
         j = enumerate_joint(random_model(g, seed=seed))
         jt = build_junction_tree(g)
         mu = j.true_parameters(jt)
@@ -234,7 +235,8 @@ class TestPredictProba:
         L, _ = sample(j, 300, seed=6)
         rows = np.stack([marginal_positives(posterior(mu, jt, j.prior(), v)) for v in L.votes])
         for block in (1, 7, 64, 80, 81, 82, 242, 243, 244, 300):
-            with mock.patch.object(inference, "BLOCK_ROWS", block):
+            with mock.patch.object(inference, "BLOCK_ROWS", block), mock.patch.object(
+                    inference, "ROW_INDEX_ENTRIES", 80 * jt.layout.row_base.size):
                 post = predict_proba(L, mu, jt, j.prior())
             assert post.probs.tobytes() == rows.tobytes()
 
@@ -269,6 +271,36 @@ class TestPredictProba:
                 predict_proba(LabelMatrix(votes), mu, jt, j.prior())
         post = predict_proba(LabelMatrix(votes[:61]), mu, jt, j.prior())
         assert np.isfinite(post.probs).all()
+
+    @pytest.mark.parametrize("g, seed", [
+        (chain3(), 41),
+        (DependencyGraph(2, 7, (0, 0, 0, 0, 1, 1, 1), task_edges=((0, 1),),
+                         source_edges=((0, 1), (4, 5))), 7),
+        (star_with_edges(8, [(0, 1), (5, 6)]), 3)])
+    def test_one_gather_equals_the_grid_bit_for_bit(self, g, seed):
+        # multi-task graphs with task edges, separators of degree > 1 and
+        # zero entries: the gather of every factor at once and the grid's
+        # group tables give the same log-joint, bit for bit, on blocks around
+        # 3^4 and 3^5 rows
+        j = enumerate_joint(random_model(g, seed=seed))
+        jt = build_junction_tree(g)
+        layout = jt.layout
+        assert any(f.degree > 1 for f in layout.factors)
+        clique = jt.source_cliques()[0]
+        tbl = j.true_parameters(jt).cliques[clique].copy()
+        tbl[(0,) * tbl.ndim] = 0.0  # some rows lose a task configuration
+        mu = _with_clique(j.true_parameters(jt), clique, tbl / tbl.sum())
+        L, _ = sample(j, 250, seed=seed + 1)
+        for n in (80, 81, 82, 242, 243, 244):
+            with mock.patch.object(inference, "ROW_INDEX_ENTRIES", 1 << 40):
+                gathered = inference._log_joint(mu, jt, L.votes[:n])
+            assert "_group_tables" not in mu.__dict__
+            with mock.patch.object(inference, "ROW_INDEX_ENTRIES", 0):
+                grid = inference._log_joint(mu, jt, L.votes[:n])
+            assert "_group_tables" in mu.__dict__
+            assert np.isneginf(grid).any() and np.isfinite(grid).any()
+            assert gathered.tobytes() == grid.tobytes()
+            mu = _with_clique(mu, clique, mu.cliques[clique])  # fresh caches
 
     @pytest.mark.parametrize("g", [star(1), star(12), star_with_edges(7, [(0, 1), (2, 3), (5, 6)]),
                                    chain3(), star_with_edges(5, [(0, 1), (1, 2)]),

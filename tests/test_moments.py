@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -23,6 +24,7 @@ from votefuse.moments import (
     EPS_DEN,
     MomentEstimates,
     RunningStats,
+    _block_magnitudes,
     _pooled_magnitudes,
     conditional_accuracy_from_stats,
     enumerate_triplets,
@@ -40,9 +42,9 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import recover_parameters
 
-from conftest import (ReferenceStats, acceptance_grid, chain3, reference_augment,
-                      reference_encode, reference_partner_pairs, reference_pooled_magnitudes,
-                      star, star_with_edges)
+from conftest import (ReferenceStats, acceptance_grid, assert_moments_match_dict_form, chain3,
+                      reference_augment, reference_encode, reference_partner_pairs,
+                      reference_pooled_magnitudes, star, star_with_edges)
 
 
 class TestEstimateMoments:
@@ -273,20 +275,6 @@ def _pass_inputs(draw):
     return votes, policy, tracked, cond, draw(st.integers(1, 45))
 
 
-def _assert_same_moments(got, want):
-    assert got.n == want.n
-    for name in ("M", "first_moments", "vote_marginals"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.pair_tables.keys() == want.pair_tables.keys()
-    for key in got.pair_tables:
-        assert got.pair_tables[key].tobytes() == want.pair_tables[key].tobytes()
-    assert got.conditional.keys() == want.conditional.keys()
-    for key, cs in got.conditional.items():
-        assert cs.n_rows == want.conditional[key].n_rows
-        assert cs.M.tobytes() == want.conditional[key].M.tobytes()
-        assert cs.first.tobytes() == want.conditional[key].first.tobytes()
-
-
 def _assert_stats_equal(got, want):
     assert got.n == want.n and got.cond_n == want.cond_n
     for name in ("second", "first", "vote_counts"):
@@ -324,7 +312,7 @@ def test_statistics_pass_matches_the_former_pass(inputs, picks):
     want = ReferenceStats.from_matrix(votes[:start], policy, operand, tracked, cond)
     _assert_stats_equal(got, want)
     if start:
-        _assert_same_moments(got.to_moments(prior), want.to_moments(prior))
+        assert_moments_match_dict_form(got.to_moments(prior), want.to_moments(prior))
     aug = augment_matrix(LabelMatrix(votes), policy).data
     nxt, held = start, list(range(start))
     for pick in picks:
@@ -339,7 +327,7 @@ def test_statistics_pass_matches_the_former_pass(inputs, picks):
             want.remove(row)
     _assert_stats_equal(got, want)
     if got.n:
-        _assert_same_moments(got.to_moments(prior), want.to_moments(prior))
+        assert_moments_match_dict_form(got.to_moments(prior), want.to_moments(prior))
 
 
 class TestEnumerateTriplets:
@@ -561,12 +549,12 @@ def test_kernel_matches_per_triplet_reference(inputs):
             want = min(1.0, max(EPS_ACC, np.sqrt(max(num, 0.0) / den)))
             assert got[a] == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert np.isnan(got[1::2]).all()
-    # a restricted call computes the same values (up to BLAS summation
-    # order) for the named anchors only
-    some = list(plan.partners)[::2]
-    part = _pooled_magnitudes(M, plan, columns=some)
-    np.testing.assert_allclose(part[some], got[some], rtol=1e-13, atol=0)
-    assert np.isnan(np.delete(part, some)).all()
+    # an anchor's own block computes the same value (up to BLAS summation
+    # order)
+    for a in list(plan.partners)[::2]:
+        part = _block_magnitudes(M, *plan.single[a])
+        assert part.shape == (1,)
+        np.testing.assert_allclose(part[0], got[a], rtol=1e-13, atol=0)
 
 
 class TestResolveSigns:
@@ -680,8 +668,9 @@ class TestConditionalAccuracy:
         g = star(4)
         th = random_model(g, seed=5)
         j = enumerate_joint(th)
-        me = j.moment_estimates()
-        me.conditional[0] = j.restricted_moments(0)
+        cs = j.restricted_moments(0)
+        me = dataclasses.replace(j.moment_estimates(), cond_sources=(0,),
+                                 cond_M=cs.M[np.newaxis], cond_first=cs.first[np.newaxis])
         plan = enumerate_triplets(augment_graph(g))
         truth = j.accuracies()
         got = conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
@@ -793,7 +782,7 @@ class TestPipelineProperties:
             for me in (j.moment_estimates(), estimate_moments(augment_matrix(L), j.prior(), G)):
                 for a, b in g.source_edges:
                     for target, cond in ((a, b), (b, a)):
-                        cs = me.conditional.get(cond)
+                        cs = me.conditional(cond)
                         if cs is None or (cs.n_rows is not None and cs.n_rows < 50):
                             continue
                         col = 2 * target

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import votefuse
 
-from votefuse import graph, online, recovery
+from votefuse import graph, moments, online, recovery
 from votefuse.augment import AbstainPolicy, AugmentedGraph, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import ConfigError, EstimationWarning, VoteFuseError
@@ -31,7 +31,7 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import recover_from_moments, recover_parameters
 
-from conftest import star, star_with_edges
+from conftest import assert_moments_match_dict_form, reference_to_moments, star, star_with_edges
 
 
 def _stream_model(m=8):
@@ -58,8 +58,9 @@ def _drift_model(m=5, balance_mean=0.3):
 # per-column abstain fill and the one-pass clique solve, 82.8 after them, 68.8
 # with the tables in one parameter vector, 65.9 once a step builds no table
 # views, checks its row once and reads graph-only work from the plan and the
-# compiled cliques
-CALL_BUDGET = 67
+# compiled cliques, 62.4 at the parent of the array-form moments, the
+# one-gather row posterior and the one-row window update, 58.4 after them
+CALL_BUDGET = 59
 
 
 @st.composite
@@ -119,6 +120,25 @@ class TestWindowedStatistics:
                 assert a[key].dtype == b[key].dtype == np.int64
                 np.testing.assert_array_equal(a[key], b[key])
         assert got.cond_n == want.cond_n
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=_window_run(), n_min=st.integers(1, 8))
+    def test_window_moments_equal_the_dict_form(self, run, n_min):
+        # after every step the array-form moments hold the former dict
+        # form's byte for byte: with a lowered N_MIN_ABSTAIN some restricted
+        # Grams are read and mapped, the others read NaN
+        g, window, mode, rows = run
+        cfg = RunConfig(ratio_fallback=True, policy=AbstainPolicy(mode=mode, seed=7))
+        state = RollingState(g, cfg, window=window, warmup=window)
+        prior = ClassPrior.from_balance(0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)  # tiny windows fit badly
+            for row in rows:
+                state.step(row, prior)
+                with mock.patch.object(moments, "N_MIN_ABSTAIN", n_min):
+                    got = state.stats.to_moments(prior)
+                    assert_moments_match_dict_form(got, reference_to_moments(state.stats, prior))
+                assert got.pairs == tuple(g.source_edges)
 
     def test_cumulative_equals_offline_fit(self):
         g = star(4)
@@ -408,8 +428,9 @@ class TestStep:
         assert scalars == scalars_after
 
     def test_state_and_snapshots_survive_deepcopy_and_pickle(self):
-        # a 5-source star whose snapshot has built its table views and log
-        # table: both copy and pickle, the copies rebuild them read-only,
+        # a 5-source star whose snapshot has built its table views, log
+        # table and group tables: both copy and pickle, the copies rebuild
+        # them read-only,
         # and a copied state steps on exactly as the original does
         g = star(5)
         j = enumerate_joint(random_model(g, seed=2))
@@ -419,6 +440,7 @@ class TestStep:
         for row in L.votes[:120]:
             mu = state.step(row, prior).params
         cliques, separators, log_table = dict(mu.cliques), dict(mu.separators), mu.log_table
+        group_tables = mu.group_tables
         states = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
         for got in [copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))] + [
                 s.last_params for s in states]:
@@ -431,6 +453,9 @@ class TestStep:
                     np.testing.assert_array_equal(have[vs], want[vs])
             assert not got.log_table.flags.writeable
             assert got.log_table.tobytes() == log_table.tobytes()
+            assert "_group_tables" not in got.__dict__ or got is mu
+            assert [t.tobytes() for t in got.group_tables] == [t.tobytes() for t in group_tables]
+            assert not any(t.flags.writeable for t in got.group_tables)
         for row in L.votes[120:]:
             want = state.step(row, prior).params.table.tobytes()
             assert all(s.step(row, prior).params.table.tobytes() == want for s in states)
@@ -439,6 +464,26 @@ class TestStep:
     def test_nonpositive_window_is_a_config_error(self, window):
         with pytest.raises(ConfigError, match="window"):
             RollingState(star(3), RunConfig(), window=window)
+
+    @pytest.mark.parametrize("window, warmup, name", [
+        (None, 0, "warmup"), (10, -7, "warmup"), (2.5, None, "window"),
+        (True, None, "window"), (np.float64(500.0), None, "window"), (None, 1.5, "warmup"),
+        (50, False, "warmup")])
+    def test_bad_window_or_warmup_is_a_config_error(self, window, warmup, name):
+        # each used to pass construction: a warmup below 1 promised prior-only
+        # posteriors for a negative number of rows, a fractional or boolean
+        # window failed on the first step with a numpy TypeError
+        with pytest.raises(ConfigError, match=name):
+            RollingState(star(3), RunConfig(), window=window, warmup=warmup)
+
+    def test_integer_window_and_warmup_of_any_integer_type(self):
+        state = RollingState(star(3), RunConfig(), window=np.int64(5), warmup=np.int32(1))
+        prior = ClassPrior.from_balance(0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)  # five rows fit badly
+            for row in ([1, 0, -1], [0, 1, 1]) * 4:
+                state.step(row, prior)
+        assert state.buffered == 5 and state.warmup == 1
 
 
 class TestDriftBehavior:

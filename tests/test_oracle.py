@@ -154,7 +154,7 @@ class TestExactStatistics:
         g, th = random_models(1)[0]
         j = enumerate_joint(th)
         me = j.moment_estimates()
-        cs = me.conditional[0]
+        cs = me.conditional(0)
         # E[lambda_1 Y | lambda_0 = 0] equals the restricted moment of column 2
         direct = j.conditional_accuracy(target=1, cond=0)
         p = j.p_full
