@@ -57,10 +57,6 @@ BLOCK_ROWS = 1 << 14
 # below 3^5 = 243, fits a uint8.
 GROUP_SOURCES = 5
 
-# Most entries of a ``TableLayout.row_base``, the factors times the task
-# configurations (8 x 2 on the benchmark stream, 102 x 2 at m = 100).
-ROW_INDEX_ENTRIES = 1 << 16
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -705,8 +701,11 @@ class TableLayout:
     log table at every task configuration for any vote row at once: factor
     f's entry for configuration y (C order over (2,)*D) and a row with vote
     states s is ``row_base[f, y] + sum_k row_strides[f, k] *
-    s[row_sources[f, k]]`` (unused slots have stride 0). ``row_base`` is None
-    when it would hold more than ``ROW_INDEX_ENTRIES`` entries."""
+    s[row_sources[f, k]]`` (unused slots have stride 0). Inference takes
+    that gather for a block of at most ``gather_rows`` rows, whose F x 2^D
+    terms per row then number no more than the groups' tables on their 3^k
+    states, which a longer block reads instead. ``row_base`` is None when
+    ``gather_rows`` is 0."""
 
     factors: Tuple[TableFactor, ...]
     n_cliques: int
@@ -721,6 +720,7 @@ class TableLayout:
     pair_sep: np.ndarray
     pair_starts: np.ndarray
     groups: Tuple[FactorGroup, ...]
+    gather_rows: int
     row_base: Optional[np.ndarray]
     row_sources: np.ndarray
     row_strides: np.ndarray
@@ -768,6 +768,11 @@ def compile_layout(jt: JunctionTree) -> TableLayout:
     for k, (_, sep) in enumerate(pairs):
         if sep.vs.sources:
             hosts.setdefault(sep.vs, k)
+    groups = _factor_groups(factors)
+    # the entries of the group tables: each group's task axes by its 3^k states
+    grid = sum(math.prod(np.broadcast_shapes(*(f.bcast[:-1] for f in group.factors)))
+               * 3 ** len(group.sources) for group in groups)
+    gather_rows = grid // (len(factors) << n_tasks)
     layout = jt.__dict__["_layout"] = TableLayout(
         factors=tuple(factors), n_cliques=len(cliques), size=size,
         starts=np.array([f.span.start for f in factors], dtype=np.intp),
@@ -780,17 +785,15 @@ def compile_layout(jt: JunctionTree) -> TableLayout:
         pair_entry=_concat([_entries(c) for c, _ in pairs]),
         pair_slot=_concat([start + o for start, o in zip(offsets.tolist(), onto)]),
         pair_sep=_concat([_entries(sep) for _, sep in pairs]), pair_starts=offsets[:-1],
-        groups=_factor_groups(factors), row_base=_row_base(factors, n_tasks),
+        groups=groups, gather_rows=gather_rows,
+        row_base=_row_base(factors, n_tasks) if gather_rows else None,
         row_sources=_row_slots(factors, "sources"), row_strides=_row_slots(factors, "strides"))
     return layout
 
 
-def _row_base(factors, n_tasks: int) -> Optional[np.ndarray]:
+def _row_base(factors, n_tasks: int) -> np.ndarray:
     """Per factor, the entry of its table at each task configuration (C
-    order over (2,)*n_tasks) and the sources' state 0; None when it would
-    hold more than ``ROW_INDEX_ENTRIES`` entries."""
-    if len(factors) << n_tasks > ROW_INDEX_ENTRIES:
-        return None
+    order over (2,)*n_tasks) and the sources' state 0."""
     # the entry of a configuration is its index over the factor's own task
     # axes, scaled by the 3^s source states each task state spans
     weights = np.zeros((len(factors), n_tasks), dtype=np.intp)

@@ -19,8 +19,10 @@ in log space for a block of vote rows and all 2^D task configurations at once:
   each group's run of them; a longer block reads the parameters'
   ``group_tables``, each group's sum on its 3^k states, built once per
   parameter set, at each row's base-3 state, computed in uint8 from one
-  contiguous sources x rows block. The additions are the same either way,
-  so a row's value does not depend on its block.
+  contiguous sources x rows block. A block is short when its gathered
+  terms, factors x 2^D x rows, number no more than the group tables'
+  entries (``TableLayout.gather_rows``). The additions are the same either
+  way, so a row's value does not depend on its block.
 
 The factors, their slices, broadcast shapes, source indices, base-3 strides,
 groups and the one-gather index are the junction tree's
@@ -58,7 +60,6 @@ from .graph import (
     LabelMatrix,
     LabelModelParameters,
     MAX_EXACT_TASKS,
-    ROW_INDEX_ENTRIES,
     TASK_IDX,
     TASK_STATES,
 )
@@ -97,7 +98,7 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
         raise ShapeMismatch(f"exact enumeration caps at {MAX_EXACT_TASKS} tasks")
     layout = mu.jtree.layout
     n = votes.shape[0]
-    if layout.row_base is not None and n * layout.row_base.size <= ROW_INDEX_ENTRIES:
+    if n <= layout.gather_rows:
         # every factor at every configuration and row in one gather, then
         # each group's sum and the sum of the groups, in order
         states = np.subtract(1, votes.T, dtype=np.intp)  # +1 -> 0, 0 -> 1, -1 -> 2

@@ -779,7 +779,7 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
         )
 
     diag = {
-        "partner_pairs": plan.pairs,
+        "partner_pairs": dict(plan.pairs),
         "sign": sign_diag,
         "ratio_fallback_sources": fallback_used,
         "floored_columns": floored,

@@ -163,12 +163,10 @@ class CompiledCliques:
     ``labels`` list them in tree order, and ``order[k]`` is the position of
     the k-th of them in the groups' concatenation. ``task[i]`` is source i's
     task. ``pairs`` lists the two-source cliques' sources in group order
-    (``pair_sources`` as a 2 x k array, ``pair_task`` their tasks,
+    (``pair_sources`` as a 2 x k array, ``pair_task`` their tasks and
     ``pair_moments`` the flat index of each one's E[v_i v_j] in the 2m x 2m
-    moments, and ``pair_rank`` each one's position in ``tracked``, the same
-    pairs ascending, as the moments hold their cross-tabs) and ``cond_pairs``
-    the (target, conditioning source) pairs whose abstain-conditioned
-    accuracy they need, (j, i) then (i, j) for each.
+    moments) and ``cond_pairs`` the (target, conditioning source) pairs whose
+    abstain-conditioned accuracy they need, (j, i) then (i, j) for each.
     ``rhs_index`` gathers the flat right-hand side from the quantity vector
     of ``clique_rhs``; ``table_index`` gathers every clique's table, in tree
     order and table axis order, from the flat solution, into the entries
@@ -187,8 +185,6 @@ class CompiledCliques:
     pair_sources: np.ndarray
     pair_task: np.ndarray
     pair_moments: np.ndarray
-    tracked: Tuple[Tuple[int, int], ...]
-    pair_rank: np.ndarray
     cond_pairs: Tuple[Tuple[int, int], ...]
     rhs_index: np.ndarray
     table_index: np.ndarray
@@ -251,8 +247,6 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
         pair_sources=pair_sources,
         pair_task=task.take(pair_sources[0]),
         pair_moments=2 * pair_sources[0] * 2 * m + 2 * pair_sources[1],
-        tracked=tuple(sorted(pairs)),
-        pair_rank=np.array([sorted(pairs).index(p) for p in pairs], dtype=np.intp),
         cond_pairs=tuple(p for i, j in pairs for p in ((j, i), (i, j))),
         rhs_index=np.array(rhs_index, dtype=np.intp),
         table_index=np.array([e for c in source for e in table_index[c].ravel().tolist()],
@@ -297,9 +291,10 @@ def clique_rhs(compiled: CompiledCliques, acc: np.ndarray, moments: MomentEstima
     m = len(compiled.task)
     p_y = (0.5 * (1.0 + means))[compiled.task]
     p_vote, z = moments.vote_marginals.T[:2]                   # P(+1), P(abstain)
-    rank = compiled.pair_rank if moments.pairs == compiled.tracked else [
-        moments.pairs.index(p) for p in compiled.pairs]
-    pair = moments.pair_cells.reshape(-1, 9).take(rank, axis=0)
+    # each pair's cross-tab; a pair the moments do not track is a KeyError
+    row = dict(zip(moments.pairs, range(len(moments.pairs))))
+    pair = moments.pair_cells.reshape(-1, 9).take(list(map(row.__getitem__, compiled.pairs)),
+                                                  axis=0)
     z_pair, z_ij = z[compiled.pair_sources], pair[:, 4]        # cell 3a + b: a = i's state
     # P(product * task = 1) for each source, then each pair: from its
     # expectation and P(product = 0), the abstain rate, or for a pair

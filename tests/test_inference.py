@@ -1,10 +1,11 @@
+import dataclasses
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from votefuse import inference
+from votefuse import graph, inference
 from votefuse.config import RunConfig
 from votefuse.errors import AllZeroLikelihood, DegenerateClass, EstimationWarning, ShapeMismatch
 from votefuse.graph import (
@@ -35,6 +36,15 @@ from votefuse.oracle import (
 from votefuse.recovery import recover_parameters
 
 from conftest import acceptance_grid, chain3, reference_log_joint, star, star_with_edges
+
+
+def _short_blocks(jt, rows):
+    """Give ``jt`` a copy of its layout under which blocks of up to ``rows``
+    rows take the one gather."""
+    layout = jt.layout
+    n_tasks = 1 + max(d for c in jt.cliques for d in c.tasks)
+    return mock.patch.dict(jt.__dict__, {"_layout": dataclasses.replace(
+        layout, gather_rows=rows, row_base=graph._row_base(layout.factors, n_tasks))})
 
 
 def _single_source_params():
@@ -225,18 +235,19 @@ class TestPredictProba:
     def test_blocks_equal_per_row_posterior_bit_for_bit(self, g, seed):
         # chain3 has eight task configurations, which numpy would sum in
         # another order for a one-row block than for a longer one; its
-        # factor groups span 5 and 4 sources, the others' 4. Here blocks of
-        # up to 80 rows gather every factor at once, longer ones read the
+        # factor groups span 5 and 4 sources, the others' 4. Blocks of up to
+        # gather_rows rows gather every factor at once, longer ones read the
         # group tables on 3^4 and 3^5 states
         j = enumerate_joint(random_model(g, seed=seed))
         jt = build_junction_tree(g)
         mu = j.true_parameters(jt)
         assert {len(group.cells[0]) for group in jt.layout.groups} <= {81, 243}
+        short = jt.layout.gather_rows
+        assert 1 < short < 64
         L, _ = sample(j, 300, seed=6)
         rows = np.stack([marginal_positives(posterior(mu, jt, j.prior(), v)) for v in L.votes])
-        for block in (1, 7, 64, 80, 81, 82, 242, 243, 244, 300):
-            with mock.patch.object(inference, "BLOCK_ROWS", block), mock.patch.object(
-                    inference, "ROW_INDEX_ENTRIES", 80 * jt.layout.row_base.size):
+        for block in (1, 7, short, short + 1, 64, 81, 82, 242, 243, 244, 300):
+            with mock.patch.object(inference, "BLOCK_ROWS", block):
                 post = predict_proba(L, mu, jt, j.prior())
             assert post.probs.tobytes() == rows.tobytes()
 
@@ -292,15 +303,41 @@ class TestPredictProba:
         mu = _with_clique(j.true_parameters(jt), clique, tbl / tbl.sum())
         L, _ = sample(j, 250, seed=seed + 1)
         for n in (80, 81, 82, 242, 243, 244):
-            with mock.patch.object(inference, "ROW_INDEX_ENTRIES", 1 << 40):
+            with _short_blocks(jt, n):
                 gathered = inference._log_joint(mu, jt, L.votes[:n])
             assert "_group_tables" not in mu.__dict__
-            with mock.patch.object(inference, "ROW_INDEX_ENTRIES", 0):
+            with _short_blocks(jt, 0):
                 grid = inference._log_joint(mu, jt, L.votes[:n])
             assert "_group_tables" in mu.__dict__
             assert np.isneginf(grid).any() and np.isfinite(grid).any()
             assert gathered.tobytes() == grid.tobytes()
             mu = _with_clique(mu, clique, mu.cliques[clique])  # fresh caches
+
+    @pytest.mark.parametrize("g", [
+        star(4), chain3(), star(100), DependencyGraph(10, 10, tuple(range(10))),
+        DependencyGraph(12, 12, tuple(range(12))),
+        DependencyGraph(12, 12, tuple(range(12)), task_edges=tuple((d, d + 1) for d in range(11)))])
+    def test_short_blocks_are_those_the_grid_tables_outnumber(self, g):
+        # a block gathers when its factors x 2^D x n terms number no more
+        # than the group tables' entries. With twelve tasks no block does:
+        # there is no one-gather index, and a single row reads the group
+        # tables, equal bit for bit to a gather at an index built here
+        jt = build_junction_tree(validate_graph(g))
+        layout = jt.layout
+        rng = np.random.default_rng(len(layout.factors))
+        table = rng.uniform(0.05, 1.0, layout.size)
+        grid = sum(t.size for t in LabelModelParameters(g, jt, table).group_tables)
+        short, D = layout.gather_rows, g.n_tasks
+        assert short == grid // (len(layout.factors) << D)
+        assert (layout.row_base is None) == (short == 0) == (D == 12)
+        votes = rng.integers(-1, 2, size=(short + 1, g.n_sources)).astype(np.int8)
+        mu = LabelModelParameters(g, jt, table)
+        for n in sorted({1, short, short + 1} - {0}):
+            got = inference._log_joint(mu, jt, votes[:n])
+            assert ("_group_tables" in mu.__dict__) == (n > short)
+            with _short_blocks(jt, n):
+                gathered = inference._log_joint(mu, jt, votes[:n])
+            assert got.tobytes() == gathered.tobytes()
 
     @pytest.mark.parametrize("g", [star(1), star(12), star_with_edges(7, [(0, 1), (2, 3), (5, 6)]),
                                    chain3(), star_with_edges(5, [(0, 1), (1, 2)]),

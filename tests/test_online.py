@@ -427,6 +427,22 @@ class TestStep:
             np.testing.assert_array_equal(before, after)
         assert scalars == scalars_after
 
+    def test_snapshots_hold_their_own_partner_pair_counts(self):
+        # every fit's diagnostics copy the plan's counts: editing one
+        # snapshot's leaves the plan and the other snapshots as they were
+        g = star(5)
+        j = enumerate_joint(random_model(g, seed=2))
+        L, _ = sample(j, 140, seed=3)
+        state = RollingState(g, RunConfig(), window=100, warmup=100)
+        fits = [state.step(row, j.prior()) for row in L.votes]
+        first, last = (res.params.diagnostics.partner_pairs for res in fits[-40::39])
+        want = dict(state.plan.pairs)
+        assert first == last == want and first is not last
+        first[0] = -1
+        last.clear()
+        assert state.plan.pairs == want
+        assert fits[-20].params.diagnostics.partner_pairs == want
+
     def test_state_and_snapshots_survive_deepcopy_and_pickle(self):
         # a 5-source star whose snapshot has built its table views, log
         # table and group tables: both copy and pickle, the copies rebuild

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -204,6 +205,27 @@ class TestAssembleRhs:
             r = clique_rhs(compiled, j.column_accuracies(), j.moment_estimates(),
                            cond, np.array([j.prior().task_mean(0)]))
             np.testing.assert_allclose(r, _r_direct(j, 0, (0, 1), 1), atol=1e-10)
+
+    def test_reads_each_pair_by_its_sources(self):
+        # the cross-tabs are found by source pair, in whatever order the
+        # moments hold them and among untracked extras; a pair the moments
+        # lack is a KeyError naming it
+        g = star_with_edges(4, [(0, 1), (2, 3)])
+        compiled = compile_cliques(build_junction_tree(g))
+        j = enumerate_joint(random_model(g, seed=3))
+        me = j.moment_estimates()
+        assert me.pairs == ((0, 1), (2, 3))
+        cond = np.array([j.conditional_accuracy(t, c) for t, c in compiled.cond_pairs])
+        means = np.array([j.prior().task_mean(0)])
+        want = clique_rhs(compiled, j.column_accuracies(), me, cond, means)
+        cells = me.pair_cells
+        shuffled = dataclasses.replace(me, pairs=((2, 3), (0, 2), (0, 1)),
+                                       pair_cells=np.stack([cells[1], cells[0] * 0.5, cells[0]]))
+        got = clique_rhs(compiled, j.column_accuracies(), shuffled, cond, means)
+        assert got.tobytes() == want.tobytes()
+        short = dataclasses.replace(me, pairs=((0, 1),), pair_cells=cells[:1])
+        with pytest.raises(KeyError, match=r"\(2, 3\)"):
+            clique_rhs(compiled, j.column_accuracies(), short, cond, means)
 
 
 class TestSolveMarginal:
