@@ -1,9 +1,9 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 usage/configuration, 2 data format or an
-unreadable file, 3 numerical failure. ``--threads`` is honored by setting
-the BLAS thread environment before numeric modules load, so it must be
-handled prior to any imports.
+Exit codes: 0 success, 1 usage/configuration (a count below 1, an empty
+``--windows`` or a ``--balance`` outside [0, 1] included), 2 data format or
+an unreadable file, 3 numerical failure. ``--threads`` sets the BLAS thread
+environment once the arguments parse, before any numeric module loads.
 """
 
 from __future__ import annotations
@@ -22,17 +22,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _apply_threads_early(argv) -> None:
-    threads = None
-    for k, tok in enumerate(argv):
-        if tok == "--threads" and k + 1 < len(argv):
-            threads = argv[k + 1]
-        elif tok.startswith("--threads="):
-            threads = tok.split("=", 1)[1]
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(threads)
+def _count(text: str) -> int:
+    """A whole number of at least 1 (an argparse ``type``)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -51,7 +46,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--abstain", default="alt", help="alt | rand:SEED")
         sp.add_argument("--ratio-fallback", action="store_true",
                         help="allow the E[v]/E[Y] fallback for untripletable sources")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=_count, default=None)
 
     def common(sp, labels=True, out=True):
         if labels:
@@ -70,7 +65,7 @@ def _build_parser() -> _Parser:
     pred.add_argument("--params", required=True, help="parameter file from fit")
     prior_flags(pred)
     pred.add_argument("--out", required=True)
-    pred.add_argument("--threads", type=int, default=None)
+    pred.add_argument("--threads", type=_count, default=None)
 
     fp = sub.add_parser("fit-predict", help="fit and write posteriors in one run")
     common(fp)
@@ -90,8 +85,8 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="window-size error sweep on a drifting stream")
     sw.add_argument("--model", required=True)
-    sw.add_argument("--flip-period", type=int, default=None)
-    sw.add_argument("--steps", type=int, required=True)
+    sw.add_argument("--flip-period", type=_count, default=None)
+    sw.add_argument("--steps", type=_count, required=True)
     sw.add_argument("--windows", required=True, help="comma-separated window sizes")
     sw.add_argument("--seed", type=int, default=0)
     prior_flags(sw)
@@ -150,7 +145,10 @@ def _load_prior(args, n_tasks: int):
     if getattr(args, "balance", None) is not None:
         if n_tasks != 1:
             raise UsageError("--balance only applies to single-task graphs")
-        return ClassPrior.from_balance(args.balance)
+        try:
+            return ClassPrior.from_balance(args.balance)
+        except ValueError as exc:
+            raise UsageError(f"bad --balance {args.balance}: {exc}") from None
     if getattr(args, "prior", None):
         return parse_prior_file(args.prior, n_tasks)
     return ClassPrior.uniform(n_tasks)
@@ -254,6 +252,8 @@ def _cmd_sweep(args) -> int:
         windows = [int(w) for w in args.windows.split(",") if w]
     except ValueError as exc:
         raise UsageError(f"bad --windows: {exc}")
+    if not windows:
+        raise UsageError("--windows names no window size")
     cfg = _make_config(args)
     stream = DriftStream(base=theta, n_steps=args.steps, seed=args.seed,
                          flip_period=args.flip_period)
@@ -278,12 +278,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads_early(argv)
     try:
         args = _build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    if getattr(args, "threads", None):  # checked, and before numpy loads
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ[var] = str(args.threads)
 
     from .errors import (
         ConfigError,

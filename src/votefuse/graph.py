@@ -595,8 +595,14 @@ class ClassPrior:
         return float(self.pair_means[key])
 
     def table(self, tasks: Tuple[int, ...]) -> np.ndarray:
-        """Marginal joint over the given tasks, axes in ascending task order."""
+        """Marginal joint over the given tasks (axes ascending), read-only."""
         tasks = tuple(sorted(tasks))
+        tables = self.__dict__.setdefault("_tables", {})
+        if tasks not in tables:
+            tables[tasks] = _freeze(self._table(tasks))
+        return tables[tasks]
+
+    def _table(self, tasks: Tuple[int, ...]) -> np.ndarray:
         if self.joint is not None:
             axes = tuple(a for a in range(self.n_tasks) if a not in tasks)
             return self.joint.sum(axis=axes) if axes else self.joint.copy()
@@ -697,11 +703,12 @@ class TableLayout:
     ``pair_starts[p]``. ``groups`` cuts ``factors`` into the runs that
     inference sums before it gathers.
 
-    ``row_base`` and ``row_sources``/``row_strides`` index every factor's
-    log table at every task configuration for any vote row at once: factor
-    f's entry for configuration y (C order over (2,)*D) and a row with vote
-    states s is ``row_base[f, y] + sum_k row_strides[f, k] *
-    s[row_sources[f, k]]`` (unused slots have stride 0). Inference takes
+    ``row_base`` and ``row_weights`` index every factor's log table at
+    every task configuration for any vote row at once: factor f's entry for
+    configuration y (C order over (2,)*D) and a row of votes v is
+    ``row_base[f, y] - row_weights[f] @ v``, its entry where every source
+    abstains moved by each source's stride (0 off the factor) per vote,
+    as a vote v has state 1 - v. Inference takes
     that gather for a block of at most ``gather_rows`` rows, whose F x 2^D
     terms per row then number no more than the groups' tables on their 3^k
     states, which a longer block reads instead. ``row_base`` is None when
@@ -722,8 +729,7 @@ class TableLayout:
     groups: Tuple[FactorGroup, ...]
     gather_rows: int
     row_base: Optional[np.ndarray]
-    row_sources: np.ndarray
-    row_strides: np.ndarray
+    row_weights: np.ndarray
 
     def views(self, table: np.ndarray) -> Tuple[Mapping[VarSet, np.ndarray], ...]:
         """Read-only VarSet -> table mappings over ``table``: the cliques,
@@ -787,13 +793,13 @@ def compile_layout(jt: JunctionTree) -> TableLayout:
         pair_sep=_concat([_entries(sep) for _, sep in pairs]), pair_starts=offsets[:-1],
         groups=groups, gather_rows=gather_rows,
         row_base=_row_base(factors, n_tasks) if gather_rows else None,
-        row_sources=_row_slots(factors, "sources"), row_strides=_row_slots(factors, "strides"))
+        row_weights=_row_weights(factors))
     return layout
 
 
 def _row_base(factors, n_tasks: int) -> np.ndarray:
     """Per factor, the entry of its table at each task configuration (C
-    order over (2,)*n_tasks) and the sources' state 0."""
+    order over (2,)*n_tasks) where every source abstains (state 1)."""
     # the entry of a configuration is its index over the factor's own task
     # axes, scaled by the 3^s source states each task state spans
     weights = np.zeros((len(factors), n_tasks), dtype=np.intp)
@@ -802,16 +808,17 @@ def _row_base(factors, n_tasks: int) -> np.ndarray:
         for k, d in enumerate(f.vs.tasks):
             weights[r, d] = 3 ** s << (len(f.vs.tasks) - 1 - k)
     configs = np.indices((2,) * n_tasks, dtype=np.intp).reshape(n_tasks, -1)
-    starts = np.array([f.span.start for f in factors], dtype=np.intp)
+    starts = np.array([f.span.start + int(f.strides.sum()) for f in factors], dtype=np.intp)
     return _freeze(starts[:, None] + weights @ configs)
 
 
-def _row_slots(factors, name: str) -> np.ndarray:
-    """Each factor's ``sources`` or ``strides`` (``name``) as the rows of
-    one array, padded with 0."""
-    out = np.zeros((len(factors), max(len(f.sources) for f in factors)), dtype=np.intp)
+def _row_weights(factors) -> np.ndarray:
+    """Each factor's source strides as a row over all sources, 0 elsewhere;
+    int8, as a table's at most two sources shift a row's entry by at most 4."""
+    m = 1 + max((int(f.sources.max()) for f in factors if f.sources.size), default=-1)
+    out = np.zeros((len(factors), m), dtype=np.int8)
     for r, f in enumerate(factors):
-        out[r, :len(f.sources)] = getattr(f, name)
+        out[r, f.sources] = f.strides
     return _freeze(out)
 
 

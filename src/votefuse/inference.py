@@ -15,7 +15,7 @@ in log space for a block of vote rows and all 2^D task configurations at once:
   into a ``(2,) * D + (n,)`` log-joint;
 * a short block (the stream's one row) takes every factor's entry at every
   task configuration and row in one gather, at the layout's ``row_base``
-  plus its strides times the rows' vote states (``1 - vote``), then sums
+  (every source abstaining) less its strides times the rows' votes, then sums
   each group's run of them; a longer block reads the parameters'
   ``group_tables``, each group's sum on its 3^k states, built once per
   parameter set, at each row's base-3 state, computed in uint8 from one
@@ -101,10 +101,8 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
     if n <= layout.gather_rows:
         # every factor at every configuration and row in one gather, then
         # each group's sum and the sum of the groups, in order
-        states = np.subtract(1, votes.T, dtype=np.intp)  # +1 -> 0, 0 -> 1, -1 -> 2
-        at = np.add.reduce(states.take(layout.row_sources, axis=0)
-                           * layout.row_strides[..., np.newaxis], axis=1)
-        terms = mu.log_table.take(layout.row_base[..., np.newaxis] + at[:, np.newaxis])
+        shift = layout.row_weights @ votes.T  # exact integer products
+        terms = mu.log_table.take(layout.row_base[..., np.newaxis] - shift[:, np.newaxis])
         out = np.zeros(terms.shape[1:])
         for group in layout.groups:
             out += np.add.accumulate(terms[group.span], axis=0)[-1]
@@ -136,9 +134,9 @@ def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
     log_joint = _log_joint(mu, jt, votes)
     flat = log_joint.reshape(2 ** mu.graph.n_tasks, votes.shape[0])
     peak = np.maximum.reduce(flat, axis=0)
-    alive = np.isfinite(peak)
-    if not np.logical_and.reduce(alive):
-        r = int(np.argmin(alive))
+    # a log-joint entry is finite or -inf
+    if np.count_nonzero(peak == -np.inf):
+        r = int(np.argmin(peak))
         row = f"votes {tuple(int(v) for v in votes[r])}"
         raise AllZeroLikelihood(
             "every task configuration has zero probability for "

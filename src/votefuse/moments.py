@@ -4,15 +4,14 @@ The moments come from one pass over the rows: ``RunningStats`` folds the
 rows [v | w | 1] (the votes, their abstain fills as ``augment`` computes
 them, and ones) into an int64 Gram, one matrix product per fixed-size float32
 operand, without pair-encoding them. A pair is (v_i + w_i, w_i - v_i), so a
-fixed 0/+-1 matrix P maps that Gram G to the Gram of the pair-encoded rows
-with a ones column, P.T @ G @ P: pairwise products, first moments and the row
-count. ``to_moments`` takes the product in float64, exact as every entry is
-an integer far below 2**53, just before its one division. The vote counts are
-entries of G. Neither the n x 2m matrix nor a block of it is held: the pass's
-memory is one operand, its abstain mask and the Grams. The moments are
-fixed-shape arrays: the tracked pairs' cross-tabs as one stack, and the
-abstain-restricted moments as stacks with their row counts, of which only
-those over enough rows for a fit to read are mapped.
+fixed 0/+-1 matrix P maps that Gram G, once, to the Gram of the pair-encoded
+rows with a ones column, P.T @ G @ P: pairwise products, first moments, the
+vote counts and the row count, which ``to_moments`` divides by the count.
+Neither the n x 2m matrix nor a block of it is held: the pass's memory is
+one operand, its abstain mask and the Grams. The moments are fixed-shape
+arrays: the tracked pairs' cross-tabs as one stack, and the
+abstain-restricted moments as stacks with their row counts, NaN where too
+few rows for a fit to read them.
 
 The accuracy of observed column ``a`` is a_a = E[v_a Y(a)], the scaled
 correlation with its hidden task. For columns a, j, k that are pairwise
@@ -39,9 +38,10 @@ pairwise products, or by agreeing with the first moments E[v] = a * E[Y].
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -70,9 +70,8 @@ def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...],
     return edges, tuple(sorted({s for e in edges for s in e}))
 
 
-# twice a source's (+1, abstain, -1) counts from its Gram entries sum v^2
-# (votes), sum w^2 (abstains) and sum v (positives minus negatives)
-_VOTE_COUNTS = np.array([[1, 0, 1], [0, 2, 0], [1, 0, -1]])
+# four times a source's (+1, abstain, -1) counts from its Gram entries n, d, e, o
+_VOTE_COUNTS = np.array([[1, -1, 1, -1], [2, 2, 0, 0], [1, -1, -1, 1]])
 
 # Bytes of the float32 operand each Gram is taken of: ~2,600 rows at m=100.
 # Folding a Gram into the int64 totals costs O(m^2), so an operand is never
@@ -89,26 +88,16 @@ class RunningStats:
     cross-tabs for tracked source pairs, and abstain-restricted copies of the
     pairwise sums for tracked conditioning sources.
 
-    The rows are held in the basis x = [v | w | 1]: the votes v, their
-    abstain fills w (``augment``) and a ones column. A row's pair encoding is
-    x_2i = v_i + w_i, x_2i+1 = w_i - v_i, so it is x @ P for a fixed matrix P
-    of 0 and +/-1, and the pair-encoded Gram is P.T @ G @ P for the Gram G
-    of x. One kernel, ``_accumulate``, adds or subtracts blocks of rows: it
-    folds the Gram x.T @ x of a float32 operand of them into an int64 sum, and each
-    conditioning source takes one more Gram of the operand's rows where it
-    abstains. Every partial Gram is an integer matrix that float32 holds
-    exactly. The vote histograms are entries of G (votes, abstains and vote
-    sums), and one product of the operand reads the tracked pairs' cross-tab
-    cells and the conditioning sources' abstain flags off the votes.
-    ``to_moments`` maps the Grams in float64, where every entry is an integer
-    far below 2**53, so the map is exact; ``second``, ``first`` and their
-    conditioned copies are its int64 values.
-
-    A stream adds and removes one pair-encoded row at a time, mapped into the
-    basis by P's inverse, through ``_fold_row``: the same sums for one row
-    without the per-block work; a batch reads the votes and fills of as many rows
-    as a fixed-size operand holds at a time and casts them into it, with no
-    pair-encoded copy of the rows. So a rolling window holds the same
+    The statistics are int64 Grams of the pair-encoded rows with a ones
+    column, one per conditioning source over the rows where it abstains. A
+    stream adds and removes one such row at a time (``_fold_row``). A batch
+    (``from_matrix``) casts the votes v and fills w of as many rows as a
+    float32 operand [v | w | 1] holds into it and folds the operand's Gram
+    through ``_accumulate``, a partial Gram being an integer matrix float32
+    holds exactly; the pass ends by mapping each Gram G to P.T @ G @ P, in
+    float64, exact as every entry is an integer far below 2**53. One product
+    of a row reads the tracked pairs' cross-tab cells and the conditioning
+    sources' abstain flags off its votes. So a rolling window holds the same
     statistics the batch path computes, int64 for int64, and batch memory is
     bounded by one operand and its abstain mask, not by n or by m x block.
     """
@@ -119,37 +108,36 @@ class RunningStats:
         self.m = m
         width = 2 * m + 1
         self.cond_sources = tuple(sorted(set(cond_sources)))
-        # the Gram of the rows [v | w | 1], then one per conditioning source
-        # over the rows where it abstains; one array, so each Gram's count
-        # sits at its [-1, -1]. No attribute is a view of another, so a copy
-        # or a pickle holds the same statistics.
+        # the Gram of the rows [pair encoding | 1], then one per conditioning
+        # source over the rows where it abstains; one array, so each Gram's
+        # count sits at its [-1, -1]. No attribute is a view of another, so a
+        # copy or a pickle holds the same statistics.
         self._grams = np.zeros((1 + len(self.cond_sources), width, width), dtype=np.int64)
         # x @ P is [pair encoding | 1]: columns 2i and 2i+1 of P take
         # v_i + w_i and w_i - v_i, and the last one keeps the ones. P's
         # columns are orthogonal with squared norm 2 (1 for the ones), so its
-        # inverse is P.T / 2 with the ones kept; a stream row is mapped with
-        # it into the operand it is folded from.
+        # inverse is P.T / 2 with the ones kept.
         i = np.arange(m)
         self._to_pairs = np.zeros((width, width))
         self._to_pairs[i, 2 * i] = self._to_pairs[m + i, 2 * i] = self._to_pairs[m + i, 2 * i + 1] = 1
         self._to_pairs[i, 2 * i + 1] = -1
         self._to_pairs[-1, -1] = 1
-        self._from_pairs = (self._to_pairs.T / 2).astype(np.float32)
-        self._from_pairs[-1, -1] = 1
-        self._row = np.ones(width, dtype=np.float32)  # [pair-encoded row | 1]
-        # per source, as flat indices: the Gram entries sum v_i^2, sum w_i^2
-        # and sum v_i (``vote_counts``)
-        self._vote_cells = np.stack([i * (width + 1), (m + i) * (width + 1), i * width + 2 * m],
-                                    axis=1)
+        from_pairs = self._to_pairs.T / 2
+        from_pairs[-1, -1] = 1
+        self._row = np.ones(width, dtype=np.int64)  # [pair-encoded row | 1]
+        # per source, the flat indices of the Gram entries n (rows),
+        # d = sum x_2i x_2i+1 (abstains - votes), e = sum x_2i, o = sum x_2i+1
+        self._vote_cells = np.stack([np.full(m, width * width - 1), 2 * i * (width + 1) + 1,
+                                     2 * m * width + 2 * i, 2 * m * width + 2 * i + 1], axis=1)
         self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
         # the pair cross-tabs are one count vector, so a block updates all
         # of them with a single bincount
         k, kc = len(self.tracked_pairs), len(self.cond_sources)
         self._pair_cells = np.zeros(9 * k, dtype=np.int64)
-        # One product with the operand gives, per row, each tracked pair's
-        # cell and then each conditioning source's vote, 0 where it abstains.
-        # A pair (p, q) sits in cell 9k + 3 * state_p + state_q of its 3 x 3
-        # block, with state 1 - v (0, 1, 2 for +1, abstain, -1): in cell
+        # One product with an operand row [v | w | 1] gives each tracked
+        # pair's cell and then each conditioning source's vote, 0 where it
+        # abstains. A pair (p, q) sits in cell 9k + 3 * state_p + state_q of its
+        # 3 x 3 block, with state 1 - v (0, 1, 2 for +1, abstain, -1): in cell
         # 9k + 4 - 3 v_p - v_q. Every entry is an integer float32 holds exactly.
         self._row_map = np.zeros((width, k + kc), dtype=np.float32)
         pairs = np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)
@@ -157,10 +145,8 @@ class RunningStats:
         self._row_map[pairs[:, 1], np.arange(k)] = -1
         self._row_map[-1, :k] = 9 * np.arange(k) + 4
         self._row_map[list(self.cond_sources), k + np.arange(kc)] = 1
-        # the restricted moments of a source with too few abstain rows for a
-        # fit to read them: NaN, shared by every ``to_moments`` that maps none
-        c = 2 * m
-        self._unread = (_freeze(np.full((kc, c, c), np.nan)), _freeze(np.full((kc, c), np.nan)))
+        # twice that for a pair-encoded row, through P's inverse: integers
+        self._pair_row_map = (2 * from_pairs @ self._row_map).astype(np.int64)
 
     @property
     def n(self) -> int:
@@ -180,58 +166,36 @@ class RunningStats:
     def vote_counts(self) -> np.ndarray:
         """(m, 3) counts of +1, abstain and -1 votes per source, read off the
         Gram (``_VOTE_COUNTS``)."""
-        return (self._grams[0].take(self._vote_cells) @ _VOTE_COUNTS.T) >> 1
-
-    def _pair_grams(self, grams: Optional[np.ndarray] = None) -> np.ndarray:
-        """The Grams of the pair-encoded rows with a ones column, P.T @ G @ P
-        per Gram of ``grams`` (all of them by default), in float64: exact, as
-        every partial sum is an integer far below 2**53. Adding 0.0 turns a
-        -0.0 that a BLAS may leave into the +0.0 of the integer 0."""
-        grams = self._grams if grams is None else grams
-        out = self._to_pairs.T @ grams.astype(np.float64) @ self._to_pairs
-        out += 0.0
-        return out
-
-    def _averages(self, t: int, M=None, first=None) -> Tuple[np.ndarray, np.ndarray]:
-        """The second and first moments of Gram t (0 the main one), its
-        pair-encoded Gram divided by its count, its own last entry, into
-        ``M`` and ``first`` when given; each is contiguous, so the
-        elementwise work on it runs in one pass."""
-        gram = self._pair_grams(self._grams[t])
-        return (np.divide(gram[:-1, :-1], gram[-1, -1], out=M),
-                np.divide(gram[-1, :-1], gram[-1, -1], out=first))
+        return (self._grams[0].take(self._vote_cells) @ _VOTE_COUNTS.T) >> 2
 
     @property
     def second(self) -> np.ndarray:
-        return self._pair_grams()[0, :-1, :-1].astype(np.int64)
+        return self._grams[0, :-1, :-1].copy()
 
     @property
     def first(self) -> np.ndarray:
-        return self._pair_grams()[0, -1, :-1].astype(np.int64)
+        return self._grams[0, -1, :-1].copy()
 
     @property
     def cond_second(self) -> Dict[int, np.ndarray]:
-        grams = self._pair_grams()[1:, :-1, :-1].astype(np.int64)
-        return dict(zip(self.cond_sources, grams))
+        return dict(zip(self.cond_sources, self._grams[1:, :-1, :-1].copy()))
 
     @property
     def cond_first(self) -> Dict[int, np.ndarray]:
-        grams = self._pair_grams()[1:, -1, :-1].astype(np.int64)
-        return dict(zip(self.cond_sources, grams))
+        return dict(zip(self.cond_sources, self._grams[1:, -1, :-1].copy()))
 
-    def _accumulate(self, x: np.ndarray, sign: int) -> None:
-        """Add (sign +1) or subtract (sign -1) the rows of a float32 operand
-        [v | w | 1]."""
-        update = np.add if sign > 0 else np.subtract
+    def _accumulate(self, x: np.ndarray) -> None:
+        """Add the rows of a float32 operand [v | w | 1] to Grams of such
+        rows, which ``from_matrix`` maps to the pair encoding at its end."""
         # every partial sum is an integer no larger than the operand's rows,
         # fewer than 2**24 unless m is in the millions: float32 is exact
         gram = (x.T @ x).astype(np.int64)
-        update(self._grams[0], gram, out=self._grams[0])
+        np.add(self._grams[0], gram, out=self._grams[0])
         per_row = x @ self._row_map
         k = len(self.tracked_pairs)
         if k:
             cells = per_row[:, :k].astype(np.intp).ravel()
-            update(self._pair_cells, np.bincount(cells, minlength=self._pair_cells.size),
+            np.add(self._pair_cells, np.bincount(cells, minlength=self._pair_cells.size),
                    out=self._pair_cells)
         if self.cond_sources:
             abstains = per_row[:, k:] == 0
@@ -240,29 +204,25 @@ class RunningStats:
                 # an operand where every row abstains reuses its Gram
                 rows = x if counts[t] == len(x) else x[abstains[:, t]]
                 total = self._grams[1 + t]
-                update(total, gram if rows is x else (rows.T @ rows).astype(np.int64), out=total)
+                np.add(total, gram if rows is x else (rows.T @ rows).astype(np.int64), out=total)
 
     def _fold_row(self, aug_row: np.ndarray, sign: int) -> None:
-        """``_accumulate`` on one pair-encoded row, without its per-block
-        work: the row's basis row x folds the outer product x x^T into the
-        main Gram and into the Gram of every conditioning source it abstains
-        on, and moves one cell of each tracked pair's cross-tab."""
+        """Add (sign +1) or subtract (sign -1) one pair-encoded row's outer
+        product, with the ones, to the Grams it counts in, and its cells."""
         update = np.add if sign > 0 else np.subtract
         row = self._row
         row[:-1] = aug_row
-        x = row @ self._from_pairs
-        gram = np.multiply.outer(x, x).astype(np.int64)
+        gram = np.multiply.outer(row, row)
         grams = self._grams
-        main = grams[0]
-        update(main, gram, out=main)
-        per_row = (x @ self._row_map).tolist()
+        update(grams[0], gram, out=grams[0])
+        per_row = (row @ self._pair_row_map).tolist()  # doubled
         k = len(self.tracked_pairs)
         for t, vote in enumerate(per_row[k:], 1):
             if vote == 0:
                 update(grams[t], gram, out=grams[t])
         cells = self._pair_cells
         for cell in per_row[:k]:
-            cells[int(cell)] += sign
+            cells[cell >> 1] += sign
 
     def add(self, aug_row: np.ndarray) -> None:
         self._fold_row(aug_row, 1)
@@ -284,38 +244,36 @@ class RunningStats:
             x = operand[:len(votes)]
             x[:, :m] = votes
             x[:, m:-1] = fills
-            st._accumulate(x, 1)
+            st._accumulate(x)
+        pairs = st._to_pairs  # to the pair encoding
+        st._grams = (pairs.T @ st._grams.astype(np.float64) @ pairs).astype(np.int64)
         return st
 
     def to_moments(self, prior: ClassPrior) -> "MomentEstimates":
-        """The averages of the statistics. Only the main Gram and each
-        conditioning Gram over at least ``N_MIN_ABSTAIN`` rows (the ones a
-        fit reads) are mapped (``_averages``); the other restricted moments
-        read NaN."""
+        """The averages of the statistics: each Gram divided by its count, or
+        by NaN for a conditioning Gram over fewer than ``N_MIN_ABSTAIN`` rows,
+        which no fit reads."""
         counts = self._grams[:, -1, -1].tolist()
         n = counts[0]
         if n < 1:
             raise ValueError("no rows accumulated")
-        M, first = self._averages(0)
-        cond_M, cond_first = self._unread
-        read = [t for t, cn in enumerate(counts) if t and cn >= N_MIN_ABSTAIN]
-        if read:
-            cond_M, cond_first = cond_M.copy(), cond_first.copy()
-            for t in read:
-                self._averages(t, cond_M[t - 1], cond_first[t - 1])
-        k = len(self.tracked_pairs)
+        per = self._grams[:, -1:, -1:].astype(np.float64)
+        for t, cn in enumerate(counts):
+            if t and cn < N_MIN_ABSTAIN:
+                per[t] = np.nan
+        avg = self._grams[:, :, :-1] / per
         return MomentEstimates(
             n=n,
-            M=M,
-            first_moments=first,
+            M=avg[0, :-1],
+            first_moments=avg[0, -1],
             vote_marginals=self.vote_counts / n,
             prior=prior,
             pairs=self.tracked_pairs,
-            pair_cells=(self._pair_cells / n).reshape(k, 3, 3),
+            pair_cells=(self._pair_cells / n).reshape(-1, 3, 3),
             cond_sources=self.cond_sources,
             cond_n=tuple(counts[1:]),
-            cond_M=cond_M,
-            cond_first=cond_first,
+            cond_M=avg[1:, :-1],
+            cond_first=avg[1:, -1],  # row 2m of each average: first moments
         )
 
 
@@ -514,9 +472,10 @@ def _block_magnitudes(M: np.ndarray, anchors: np.ndarray, P: np.ndarray,
     products. NaN where sum M_jk^2 is below EPS_DEN^2."""
     U = M.take(anchors, axis=0) * P
     MK = M * K
-    num = np.einsum("aj,aj->a", U @ MK, U)
+    einsum = np.einsum.__wrapped__  # without array-function dispatch: ndarrays only
+    num = einsum("aj,aj->a", U @ MK, U)
     # K is 0 or 1, so MK * M is M * M * K bit for bit (+0.0 where K is 0)
-    den = np.einsum("aj,aj->a", P @ (MK * M), P)
+    den = einsum("aj,aj->a", P @ (MK * M), P)
     # a degenerate anchor divides by NaN, which raises no warning
     ratio = np.maximum(num, 0.0) / np.where(den >= EPS_DEN ** 2, den, np.nan)
     return _clip(np.sqrt(ratio), EPS_ACC, 1.0)
@@ -556,19 +515,19 @@ class Accuracies:
         return self.values[0::2]
 
 
-def _sign_components(group: np.ndarray, rel: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
-    """Connected components of the sign-constraint graph over one task group.
-
-    ``rel`` holds, per column pair, the sign product an edge imposes (+-1)
-    or no edge (+-0): edges join independent column pairs whose pairwise
-    moment is usable (``resolve_signs``). Returns the components, each as
-    ascending positions in ``group``, and the relative sign of every
-    position, the lowest of each component positive.
-    """
-    rel = rel.take(group, axis=0).take(group, axis=1).tolist()
-    sign = [1.0] * len(group)
+@functools.lru_cache(maxsize=256)
+def _sign_components(rel: bytes, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], np.ndarray]:
+    """Connected components of the sign-constraint graph over a task group of
+    n columns (memoized: a window's rarely change between steps). ``rel`` is
+    the float64 bytes of the n x n block of sign products an edge imposes
+    (+-1), or no edge (+-0): edges join independent column pairs whose
+    moment is usable (``resolve_signs``). Returns the components, as
+    ascending positions in the group, and the relative sign of every
+    position, the lowest of each component positive; both read-only."""
+    rel = np.frombuffer(rel).reshape(n, n).tolist()
+    sign = [1.0] * n
     comps = []
-    left = list(range(len(group)))  # not yet reached, ascending
+    left = list(range(n))  # not yet reached, ascending
     while left:
         c = left.pop(0)
         members = [c]
@@ -583,9 +542,8 @@ def _sign_components(group: np.ndarray, rel: np.ndarray) -> Tuple[List[List[int]
                 stack += reached
                 members += reached
                 left = [w for w in left if not row[w]]
-        members.sort()
-        comps.append(members)
-    return comps, np.array(sign)
+        comps.append(tuple(sorted(members)))
+    return tuple(comps), _freeze(np.array(sign))
 
 
 def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunConfig,
@@ -609,17 +567,18 @@ def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunC
     for d, group in enumerate(G.task_anchors()):
         vals = mags.take(group)
         have = vals == vals  # not NaN
-        if not np.logical_and.reduce(have):
+        if np.count_nonzero(have) < len(have):
             group, vals = group[have], vals[have]
         if not group.size:
             continue
-        components, sign = _sign_components(group, rel)
+        block = rel.take(group, axis=0).take(group, axis=1)
+        components, sign = _sign_components(block.tobytes(), len(group))
         anchor = None
         if anchor_col is not None and anchor_col in group.tolist():
             anchor = group.tolist().index(anchor_col)
         if anchor is not None and len(components) > 1:
             reachable = next(p for p in components if anchor in p)
-            missing = sorted(set(group.tolist()) - set(group[reachable].tolist()))
+            missing = sorted(set(group.tolist()) - set(group.take(reachable).tolist()))
             raise AnchorUnreachable(
                 f"sign propagation from source {cfg.anchor_source + 1} cannot "
                 f"reach columns {missing}"
@@ -627,7 +586,7 @@ def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunC
         for members in components:
             cols, weights = group, sign * vals
             if len(members) < len(group):
-                cols, weights = cols[members], weights[members]
+                cols, weights = cols.take(members), weights.take(members)
 
             flip = None
             if anchor is not None:  # in the task's one component
@@ -699,6 +658,17 @@ def ratio_accuracy(col: int, moments: MomentEstimates, G: AugmentedGraph) -> flo
     return float(np.clip(moments.first_moments[col] / ey, -1.0, 1.0))
 
 
+def abstain_shortfall(cond: int, moments: MomentEstimates) -> Optional[str]:
+    """Why no accuracy is fitted on the rows where source ``cond`` abstains
+    (fewer than ``N_MIN_ABSTAIN`` of them, or none), or None."""
+    held = cond in moments.cond_sources
+    if held and moments.cond_n is None:
+        return None
+    have = moments.cond_n[moments.cond_sources.index(cond)] if held else 0
+    return (None if have >= N_MIN_ABSTAIN else
+            f"source {cond + 1} abstains on {have} rows; need {N_MIN_ABSTAIN}")
+
+
 def conditional_accuracy_from_stats(target: int, cond: int,
                                     moments: MomentEstimates, plan: TripletPlan,
                                     G: AugmentedGraph, cfg: RunConfig,
@@ -706,37 +676,31 @@ def conditional_accuracy_from_stats(target: int, cond: int,
     """E[lambda_target Y | lambda_cond = 0]: the pooled triplet fit on the
     moments restricted to the rows where ``cond`` abstains, on the target's
     own block of the plan. ``cond`` shares the target's component, so its
-    columns are never partners.
+    columns are never partners. Raises TooFewAbstainRows with the reason of
+    ``abstain_shortfall``.
 
     Sources without a usable restricted triplet fall back (when enabled) to
     the restricted first-moment ratio: the abstain indicator is independent of
     the task, so E[Y | lambda_cond = 0] is just the prior mean.
     """
-    cs = moments.conditional(cond)
-    if cs is None or (cs.n_rows is not None and cs.n_rows < N_MIN_ABSTAIN):
-        have = 0 if cs is None else cs.n_rows
-        raise TooFewAbstainRows(
-            f"source {cond + 1} abstains on {have} rows; need {N_MIN_ABSTAIN}"
-        )
+    short = abstain_shortfall(cond, moments)
+    if short is not None:
+        raise TooFewAbstainRows(short)
+    t = moments.cond_sources.index(cond)
     col = 2 * target
-
-    def ratio_or_raise(reason: str) -> float:
-        ey = moments.prior.task_mean(G.task_of(col))
-        if cfg.ratio_fallback and abs(ey) >= EPS_PRIOR:
-            return float(_clip(cs.first[col] / ey, -1.0, 1.0))
-        raise NoUsableTriplet(reason)
-
     block = plan.single.get(col)
-    if block is None:
-        return ratio_or_raise(f"no triplets available for column {col}")
-    mag = float(_block_magnitudes(cs.M, *block)[0])
-    if mag != mag:  # NaN
-        return ratio_or_raise(
-            f"abstain-restricted triplets for source {target + 1} are all "
-            f"degenerate"
-        )
-    sign = 1.0 if sign_hint >= 0 else -1.0
-    return min(max(-1.0, sign * mag), 1.0)
+    if block is not None:
+        mag = float(_block_magnitudes(moments.cond_M[t], *block)[0])
+        if mag == mag:  # not NaN
+            sign = 1.0 if sign_hint >= 0 else -1.0
+            return min(max(-1.0, sign * mag), 1.0)
+        reason = f"abstain-restricted triplets for source {target + 1} are all degenerate"
+    else:
+        reason = f"no triplets available for column {col}"
+    ey = moments.prior.task_mean(G.task_of(col))
+    if cfg.ratio_fallback and abs(ey) >= EPS_PRIOR:
+        return float(_clip(moments.cond_first[t, col] / ey, -1.0, 1.0))
+    raise NoUsableTriplet(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +714,9 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
     values, order, sign_diag = _resolve_signs(
         mags, moments.M, G, cfg, moments.first_moments, moments.prior)
     # a signed magnitude is clamped to [EPS_ACC, 1], so it is floored when
-    # its magnitude is (fmin skips NaN)
+    # its magnitude is (NaN compares false)
     floored = ([c for c in order.tolist() if mags[c] <= EPS_ACC]
-               if mags.size and np.fmin.reduce(mags) <= EPS_ACC else [])
+               if np.count_nonzero(mags <= EPS_ACC) else [])
 
     n_cols = G.n_columns
     method = ("triplet", "mirror") * (n_cols // 2)

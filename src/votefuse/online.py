@@ -9,10 +9,9 @@ does not grow with the stream length.
 
 from __future__ import annotations
 
-import copy
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,9 +159,8 @@ class RollingState:
                 # a copy, so the snapshot returned fresh earlier stays fresh;
                 # it shares the frozen parameter vector
                 self._note_stale(failure)
-                params = copy.copy(params)
-                params.diagnostics = copy.copy(params.diagnostics)
-                params.diagnostics.stale = True
+                params = LabelModelParameters(params.graph, params.jtree, params.table,
+                                              replace(params.diagnostics, stale=True))
             else:
                 self.last_params = params
             return StepResult(params=params,

@@ -457,6 +457,8 @@ class DriftStream:
     flip_period: Optional[int] = None
 
     def __post_init__(self):
+        if self.n_steps < 0 or (self.flip_period is not None and self.flip_period < 1):
+            raise ValueError(f"bad n_steps={self.n_steps} or flip_period={self.flip_period}")
         flipped = CanonicalParameters(
             graph=self.base.graph,
             theta_task=self.base.theta_task,

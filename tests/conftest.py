@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from votefuse.errors import NotTriangulated, NumericalInstability, UnsupportedCliqueSize
+from votefuse.errors import (NoUsableTriplet, NotTriangulated, NumericalInstability,
+                             TooFewAbstainRows, UnsupportedCliqueSize)
 from votefuse.graph import (
     BLOCK_ROWS,
     DependencyGraph,
@@ -165,25 +166,20 @@ class ReferenceStats:
 
 
 def reference_to_moments(stats, prior):
-    """The former dict form of ``moments.RunningStats.to_moments``: every
-    Gram of the stack mapped to the pair encoding and divided by its count,
-    the tracked pairs' cross-tabs as a dict and a ``CondStats`` for each
-    conditioning source with at least one row. Kept as the reference for the
-    array form, which maps only the Grams a fit reads."""
-    counts = stats._grams[:, -1, -1]
-    n = int(counts[0])
-    per = np.maximum(counts, 1).reshape(-1, 1, 1)
-    grams = stats._to_pairs.T @ stats._grams.astype(np.float64) @ stats._to_pairs
-    grams += 0.0
-    M, first = grams[:, :-1, :-1] / per, grams[:, -1, :-1] / per[:, 0]
-    k = len(stats.tracked_pairs)
-    vote_counts = ((np.array([[1, 0, 1], [0, 2, 0], [1, 0, -1]])
-                    @ stats._grams[0].take(stats._vote_cells.T)) >> 1).T
+    """The former dict form of ``moments.RunningStats.to_moments``, from the
+    integer statistics: every Gram divided by its count, the tracked pairs'
+    cross-tabs as a dict and a ``CondStats`` for each conditioning source
+    with at least one row. Kept as the reference for the array form, which
+    divides only the Grams a fit reads by their counts."""
+    n = stats.n
+    vote_counts = stats.vote_counts
     return SimpleNamespace(
-        n=n, M=M[0], first_moments=first[0], vote_marginals=vote_counts / n, prior=prior,
-        pair_tables=dict(zip(stats.tracked_pairs, (stats._pair_cells / n).reshape(k, 3, 3))),
-        conditional={i: CondStats(n_rows=cn, M=M[t], first=first[t]) for t, (i, cn)
-                     in enumerate(zip(stats.cond_sources, counts[1:].tolist()), 1) if cn > 0})
+        n=n, M=stats.second / n, first_moments=stats.first / n,
+        vote_marginals=vote_counts / n, prior=prior,
+        pair_tables={p: cells / n for p, cells in stats.pair_counts.items()},
+        conditional={i: CondStats(n_rows=cn, M=stats.cond_second[i] / cn,
+                                  first=stats.cond_first[i] / cn)
+                     for i, cn in stats.cond_n.items() if cn > 0})
 
 
 def assert_moments_match_dict_form(got, want):
@@ -274,6 +270,45 @@ def reference_pooled_magnitudes(M, plan, columns):
             mag = np.clip(np.sqrt(np.maximum(num, 0.0) / den), EPS_ACC, 1.0)
         out[anchors] = np.where(den >= EPS_DEN ** 2, mag, np.nan)
     return out
+
+
+def reference_conditional_accuracies(pairs, moments, plan, G, acc, cfg):
+    """The former raise-and-catch form of ``recovery._conditional_accuracies``:
+    each (target, cond) pair's fit raised TooFewAbstainRows (too few rows on
+    which ``cond`` abstains) or NoUsableTriplet, and the unconditional
+    accuracy stood in, recorded with the exception's text. Returns the values
+    and the records; kept as the reference for the substitutions decided by
+    count."""
+    from votefuse import moments as mod
+
+    out, records = [], []
+    for target, cond in pairs:
+        hint = float(acc.values[2 * target])
+        if moments.abstain_rates[cond] == 0.0:
+            out.append(hint)
+            continue
+        col = 2 * target
+        try:
+            cs = moments.conditional(cond)
+            if cs is None or (cs.n_rows is not None and cs.n_rows < mod.N_MIN_ABSTAIN):
+                have = 0 if cs is None else cs.n_rows
+                raise TooFewAbstainRows(
+                    f"source {cond + 1} abstains on {have} rows; need {mod.N_MIN_ABSTAIN}")
+            mag = reference_pooled_magnitudes(cs.M, plan, [col])[col] if col in plan.pairs else None
+            if mag is not None and mag == mag:
+                sign = 1.0 if hint >= 0 else -1.0
+                out.append(min(max(-1.0, sign * float(mag)), 1.0))
+                continue
+            ey = moments.prior.task_mean(G.task_of(col))
+            if not (cfg.ratio_fallback and abs(ey) >= mod.EPS_PRIOR):
+                raise NoUsableTriplet(
+                    f"no triplets available for column {col}" if mag is None else
+                    f"abstain-restricted triplets for source {target + 1} are all degenerate")
+            out.append(float(np.clip(cs.first[col] / ey, -1.0, 1.0)))
+        except (TooFewAbstainRows, NoUsableTriplet) as exc:
+            out.append(hint)
+            records.append({"target": target + 1, "cond": cond + 1, "reason": str(exc)})
+    return np.array(out), records
 
 
 def reference_validate(mu, tol_sum=1e-9, tol_sep=1e-6):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -185,6 +186,49 @@ def test_stream_nonpositive_warmup_is_a_usage_error(workdir, capsys, warmup):
     err = capsys.readouterr().err
     assert "usage error" in err and "warmup" in err
     assert "prior-only" not in err
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_bad_thread_count_is_a_usage_error_before_the_environment(workdir, capsys,
+                                                                  monkeypatch, threads):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    rc = main(["fit-predict", "--labels", str(workdir / "votes.csv"),
+               "--graph", str(workdir / "model.txt"), "--balance", "0.55",
+               "--out", str(workdir / "post.csv"), "--threads", threads])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert all(os.environ[var] == "1" for var in _THREAD_VARS)
+    assert not (workdir / "post.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-5"),
+                                         ("--flip-period", "0"), ("--flip-period", "-3"),
+                                         ("--windows", ""), ("--windows", ","),
+                                         ("--balance", "1.5"), ("--balance", "nan")])
+def test_bad_sweep_argument_is_a_usage_error(workdir, capsys, flag, value):
+    args = {"--model": str(workdir / "model.txt"), "--flip-period": "200", "--steps": "300",
+            "--windows": "60,100", "--balance": "0.55", "--out": str(workdir / "curve.csv")}
+    args[flag] = value
+    rc = main(["sweep", *[tok for item in args.items() for tok in item]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "usage error" in captured.err
+    assert "best window" not in captured.out
+    assert not (workdir / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("balance", ["1.5", "-0.1", "nan"])
+def test_bad_balance_is_a_usage_error(workdir, capsys, balance):
+    rc = main(["fit", "--labels", str(workdir / "votes.csv"), "--graph",
+               str(workdir / "model.txt"), "--balance", balance,
+               "--out", str(workdir / "params.json")])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("signs", ["anchor:0:+", "anchor:-1:-", "anchor:5:+", "anchor:99:+"])

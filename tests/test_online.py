@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import votefuse
@@ -31,7 +31,8 @@ from votefuse.oracle import (
 )
 from votefuse.recovery import recover_from_moments, recover_parameters
 
-from conftest import assert_moments_match_dict_form, reference_to_moments, star, star_with_edges
+from conftest import (assert_moments_match_dict_form, reference_conditional_accuracies,
+                      reference_to_moments, star, star_with_edges)
 
 
 def _stream_model(m=8):
@@ -59,8 +60,17 @@ def _drift_model(m=5, balance_mean=0.3):
 # with the tables in one parameter vector, 65.9 once a step builds no table
 # views, checks its row once and reads graph-only work from the plan and the
 # compiled cliques, 62.4 at the parent of the array-form moments, the
-# one-gather row posterior and the one-row window update, 58.4 after them
-CALL_BUDGET = 59
+# one-gather row posterior and the one-row window update, 58.4 after them,
+# 47.4 once substitutions are decided by count, the window keeps
+# pair-encoded Grams and the sign components are memoized
+CALL_BUDGET = 48
+# (first step, end) -> (Python frames, C-level calls) per step: steps 500-699
+# substitute both abstain-conditioned accuracies (some are stale), steps
+# 1293-1392 compute one. C-level calls are the sys.setprofile "c_call" events
+# of votefuse frames (builtins and array methods; a ufunc call is none);
+# before the substitutions by count and the pair-encoded window they were
+# 128.1 and 134.0 (frames 58.4 and 62.0), after them 108.1 and 113.0
+STEP_BUDGETS = {(500, 700): (CALL_BUDGET, 109), (1293, 1393): (51, 113)}
 
 
 @st.composite
@@ -263,32 +273,78 @@ class TestStep:
         assert per_step == dict.fromkeys(counted, 0)
 
     def test_call_budget_per_step(self):
-        # Python frames entered inside votefuse per post-warmup step of the
-        # benchmark's stream model; the compiled layouts keep a step to a
-        # fixed, small number of calls
-        ds = DriftStream(base=_stream_model(), n_steps=700, seed=1, flip_period=1000)
+        # Python frames entered inside votefuse, and C-level calls, per
+        # post-warmup step of the benchmark's stream model; the compiled
+        # layouts keep a step to a fixed, small number of calls
+        self._check_call_budget(500, 700)
+
+    def test_call_budget_per_step_computing_one_conditional_accuracy(self):
+        self._check_call_budget(1293, 1393)
+
+    @staticmethod
+    def _check_call_budget(lo, hi):
+        ds = DriftStream(base=_stream_model(), n_steps=hi, seed=1, flip_period=1000)
         prior = ClassPrior.from_balance(0.65)
         state = RollingState(ds.base.graph, RunConfig(sign_strategy="ratio-anchor"),
                              window=500, warmup=200)
         package = str(Path(votefuse.__file__).parent)
-        entered = 0
+        entered = c_calls = 0
 
         def count(frame, event, arg):
-            nonlocal entered
-            if event == "call" and frame.f_code.co_filename.startswith(package):
-                entered += 1
+            nonlocal entered, c_calls
+            if frame.f_code.co_filename.startswith(package):
+                entered += event == "call"
+                c_calls += event == "c_call"
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimationWarning)
-            for row in ds.rows[:500]:
+            for row in ds.rows[:lo]:
                 state.step(row, prior)
             sys.setprofile(count)
             try:
-                for row in ds.rows[500:]:
+                for row in ds.rows[lo:]:
                     state.step(row, prior)
             finally:
                 sys.setprofile(None)
-        assert entered / 200 <= CALL_BUDGET
+        frames, calls = STEP_BUDGETS[lo, hi]
+        assert entered / (hi - lo) <= frames
+        assert c_calls / (hi - lo) <= calls
+
+    @settings(max_examples=80, deadline=None)
+    @given(run=_window_run(), n_min=st.integers(1, 8), fallback=st.booleans())
+    def test_substitutions_decided_by_count_match_the_raising_reference(self, run, n_min,
+                                                                        fallback):
+        # each abstain-conditioned accuracy is substituted on the count of
+        # rows its conditioning source abstains on, before any fit; on every
+        # window the values and the records (target, cond, reason text) are
+        # those of the former raise-and-catch path. A lowered N_MIN_ABSTAIN
+        # puts windows on both sides of the count
+        g, window, mode, rows = run
+        cfg = RunConfig(ratio_fallback=fallback, policy=AbstainPolicy(mode=mode, seed=7))
+        try:
+            state = RollingState(g, cfg, window=window, warmup=window)
+        except VoteFuseError:  # no triplet without the ratio fallback
+            assume(False)
+        prior = ClassPrior.from_balance(0.6)
+        pairs = recovery.compile_cliques(state.jtree).cond_pairs
+        with mock.patch.object(moments, "N_MIN_ABSTAIN", n_min), warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimationWarning)
+            for row in rows:
+                state.step(np.array(row, dtype=np.int8), prior)
+                me = state.stats.to_moments(prior)
+                try:
+                    acc = moments.estimate_accuracies(me, state.plan, state.aug_graph, cfg)
+                except VoteFuseError:
+                    continue
+                diag = recovery.RecoveryDiagnostics()
+                got = recovery._conditional_accuracies(pairs, me, state.plan, state.aug_graph,
+                                                       acc, cfg, diag)
+                want, records = reference_conditional_accuracies(
+                    pairs, me, state.plan, state.aug_graph, acc, cfg)
+                assert got.tobytes() == want.tobytes()
+                assert diag.conditional_substitutions == records
+                for n in me.cond_n:
+                    event("fitted" if n >= n_min else "too few abstain rows")
 
     def test_steps_match_a_reference_from_public_calls(self):
         # the three kinds of step on this stream: both abstain-conditioned

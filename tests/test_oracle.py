@@ -6,6 +6,7 @@ from votefuse.errors import TooLarge
 from votefuse.graph import DependencyGraph
 from votefuse.oracle import (
     CanonicalParameters,
+    DriftStream,
     enumerate_joint,
     exact_statistics,
     random_model,
@@ -217,3 +218,15 @@ def test_chain_model_statistics():
     me = j.moment_estimates()
     assert me.M.shape == (18, 18)
     np.testing.assert_allclose(np.diag(me.M), 1.0)
+
+
+@pytest.mark.parametrize("kwargs, name", [({"flip_period": 0}, "flip_period"),
+                                          ({"flip_period": -4}, "flip_period"),
+                                          ({"n_steps": -1}, "n_steps")])
+def test_drift_stream_rejects_bad_counts(kwargs, name):
+    # a flip period of 0 used to floor-divide by zero (a RuntimeWarning, and
+    # otherwise a stationary stream); a negative length failed in numpy
+    args = dict(base=random_model(star(3), seed=0), n_steps=10, seed=1)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=name):
+        DriftStream(**args)
