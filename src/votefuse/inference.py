@@ -134,9 +134,9 @@ def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
     log_joint = _log_joint(mu, jt, votes)
     flat = log_joint.reshape(2 ** mu.graph.n_tasks, votes.shape[0])
     peak = np.maximum.reduce(flat, axis=0)
-    # a log-joint entry is finite or -inf
-    if np.count_nonzero(peak == -np.inf):
-        r = int(np.argmin(peak))
+    alive = np.isfinite(peak)
+    if np.count_nonzero(alive) < alive.size:
+        r = int(np.argmin(alive))
         row = f"votes {tuple(int(v) for v in votes[r])}"
         raise AllZeroLikelihood(
             "every task configuration has zero probability for "

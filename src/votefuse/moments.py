@@ -38,10 +38,9 @@ pairwise products, or by agreeing with the first moments E[v] = a * E[Y].
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip, _freeze
+from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +514,19 @@ class Accuracies:
         return self.values[0::2]
 
 
-@functools.lru_cache(maxsize=256)
-def _sign_components(rel: bytes, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], np.ndarray]:
-    """Connected components of the sign-constraint graph over a task group of
-    n columns (memoized: a window's rarely change between steps). ``rel`` is
-    the float64 bytes of the n x n block of sign products an edge imposes
-    (+-1), or no edge (+-0): edges join independent column pairs whose
-    moment is usable (``resolve_signs``). Returns the components, as
-    ascending positions in the group, and the relative sign of every
-    position, the lowest of each component positive; both read-only."""
-    rel = np.frombuffer(rel).reshape(n, n).tolist()
-    sign = [1.0] * n
+def _sign_components(group: np.ndarray, rel: np.ndarray) -> Tuple[List[List[int]], np.ndarray]:
+    """Connected components of the sign-constraint graph over one task group.
+
+    ``rel`` holds, per column pair, the sign product an edge imposes (+-1)
+    or no edge (+-0): edges join independent column pairs whose pairwise
+    moment is usable (``resolve_signs``). Returns the components, each as
+    ascending positions in ``group``, and the relative sign of every
+    position, the lowest of each component positive.
+    """
+    rel = rel.take(group, axis=0).take(group, axis=1).tolist()
+    sign = [1.0] * len(group)
     comps = []
-    left = list(range(n))  # not yet reached, ascending
+    left = list(range(len(group)))  # not yet reached, ascending
     while left:
         c = left.pop(0)
         members = [c]
@@ -542,8 +541,9 @@ def _sign_components(rel: bytes, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], n
                 stack += reached
                 members += reached
                 left = [w for w in left if not row[w]]
-        comps.append(tuple(sorted(members)))
-    return tuple(comps), _freeze(np.array(sign))
+        members.sort()
+        comps.append(members)
+    return comps, np.array(sign)
 
 
 def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunConfig,
@@ -571,8 +571,7 @@ def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunC
             group, vals = group[have], vals[have]
         if not group.size:
             continue
-        block = rel.take(group, axis=0).take(group, axis=1)
-        components, sign = _sign_components(block.tobytes(), len(group))
+        components, sign = _sign_components(group, rel)
         anchor = None
         if anchor_col is not None and anchor_col in group.tolist():
             anchor = group.tolist().index(anchor_col)

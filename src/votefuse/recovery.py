@@ -125,12 +125,16 @@ def mu_unflatten(flat: np.ndarray, s: int) -> np.ndarray:
 INSTABILITY = 0.05
 
 # Every right-hand-side entry is read from one vector of per-source and
-# per-pair quantities (``clique_rhs``). Per source i: P(Y = 1), P(i = +1),
-# P(i * Y = 1), P(i = 0) and P(i = 0) * P(Y = 1); per pair (i, j):
-# P(i = j != 0), P(i * j * Y = 1), P(i = 0, j = +1), P(i = 0, j * Y = 1),
-# P(i = +1, j = 0), P(j = 0, i * Y = 1), P(i = j = 0) and
-# P(i = j = 0) * P(Y = 1).
-# r_C per clique size: entry "1", or (member, name) with member 0 or 1 the
+# per-pair quantities: a leading 1, then one block of m entries per
+# _SOURCE_COLUMNS name, then one block per _PAIR_COLUMNS name with an entry
+# per two-source clique. Per source i: P(Y = 1), P(i = +1), P(i * Y = 1),
+# P(i = 0) and P(i = 0) * P(Y = 1); per pair (i, j): P(i = j != 0),
+# P(i * j * Y = 1), P(i = 0, j = +1), P(i = 0, j * Y = 1), P(i = +1, j = 0),
+# P(j = 0, i * Y = 1), P(i = j = 0) and P(i = j = 0) * P(Y = 1).
+_SOURCE_COLUMNS = ("p_y", "p_vote", "p_one", "z", "z_p_y")
+_PAIR_COLUMNS = ("agree", "p_one", "z0_pos", "z0_cond", "pos_z0", "cond_z0",
+                 "z", "z_p_y")
+# r_C per clique size: entry "1", or (member, column) with member 0 or 1 the
 # clique's first or second source and "pair" its pair entry
 _RHS_ROWS = {
     1: ("1", (0, "p_y"), (0, "p_vote"), (0, "p_one"), (0, "z"), (0, "z_p_y")),
@@ -160,16 +164,17 @@ class CompiledCliques:
 
     ``groups`` holds the source cliques by source count; ``cliques`` and
     ``labels`` list them in tree order, and ``order[k]`` is the position of
-    the k-th of them in the groups' concatenation. ``pairs`` lists the
-    two-source cliques' sources in group order (``pair_task`` their tasks and
+    the k-th of them in the groups' concatenation. ``task[i]`` is source i's
+    task. ``pairs`` lists the two-source cliques' sources in group order
+    (``pair_sources`` as a 2 x k array, ``pair_task`` their tasks and
     ``pair_moments`` the flat index of each one's E[v_i v_j] in the 2m x 2m
     moments) and ``cond_pairs`` the (target, conditioning source) pairs whose
     abstain-conditioned accuracy they need, (j, i) then (i, j) for each.
-    ``rhs_operands`` and ``rhs_index`` are the gathers of ``clique_rhs``;
-    ``table_index`` gathers every clique's table, in tree order and table axis
-    order, from the flat solution, into the entries ``slots`` of the tree's
-    ``layout``; ``owner`` names each one's clique by its position in the
-    groups, and each clique's entries start at ``starts``.
+    ``rhs_index`` gathers the flat right-hand side from the quantity vector
+    of ``clique_rhs``; ``table_index`` gathers every clique's table, in tree
+    order and table axis order, from the flat solution, into the entries
+    ``slots`` of the tree's ``layout``; ``owner`` names each one's clique by
+    its position in the groups, and each clique's entries start at ``starts``.
     ``priors`` lists the (span, tasks) of every table without sources: the
     prior's marginal over those tasks.
     """
@@ -178,11 +183,12 @@ class CompiledCliques:
     cliques: Tuple[VarSet, ...]
     labels: Tuple[str, ...]
     order: Tuple[int, ...]
+    task: np.ndarray
     pairs: Tuple[Tuple[int, int], ...]
+    pair_sources: np.ndarray
     pair_task: np.ndarray
     pair_moments: np.ndarray
     cond_pairs: Tuple[Tuple[int, int], ...]
-    rhs_operands: np.ndarray
     rhs_index: np.ndarray
     table_index: np.ndarray
     slots: np.ndarray
@@ -204,22 +210,15 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
     members = {s: tuple(c for c in source if len(c.sources) == s) for s in (1, 2)}
     pairs = tuple(c.sources for c in members[2])
     pair_row = {p: q for q, p in enumerate(pairs)}
-    # where clique_rhs's s, p_y, p_one, zc, zpy and inputs put each name: (start, stride)
-    k = len(pairs)
-    p_y, p_one, zc, zpy, one = np.cumsum([m + 3 * k, m + k, m + k, 2 * k, m + k]).tolist()
-    cells = one + 1 + 3 * m + 2 * k
-    at = {"p_y": (p_y, 1), "p_vote": (one + 1, 3), "p_one": (p_one, 1), "z": (one + 2, 3),
-          "z_p_y": (zpy, 1)}
-    pair_at = {"agree": (m + 2 * k, 1), "p_one": (p_one + m, 1), "z0_pos": (cells + 3, 9),
-               "z0_cond": (zc, 2), "pos_z0": (cells + 1, 9), "cond_z0": (zc + 1, 2),
-               "z": (cells + 4, 9), "z_p_y": (zpy + m, 1)}
 
     def entry(clique, spec):
         if spec == "1":
-            return one
-        who, name = spec
-        start, stride = (pair_at if who == "pair" else at)[name]
-        return start + stride * (pair_row[clique.sources] if who == "pair" else clique.sources[who])
+            return 0
+        who, column = spec
+        if who == "pair":
+            return (1 + len(_SOURCE_COLUMNS) * m
+                    + len(pairs) * _PAIR_COLUMNS.index(column) + pair_row[clique.sources])
+        return 1 + m * _SOURCE_COLUMNS.index(column) + clique.sources[who]
 
     groups, rhs_index, position, table_index = [], [], {}, {}
     size = 0
@@ -246,11 +245,12 @@ def compile_cliques(jtree: JunctionTree) -> CompiledCliques:
         cliques=source,
         labels=tuple(c.label() for c in source),
         order=tuple(position[c] for c in source),
+        task=task,
         pairs=pairs,
+        pair_sources=pair_sources,
         pair_task=task.take(pair_sources[0]),
         pair_moments=2 * pair_sources[0] * 2 * m + 2 * pair_sources[1],
         cond_pairs=tuple(p for i, j in pairs for p in ((j, i), (i, j))),
-        rhs_operands=_rhs_operands(task, pair_sources),
         rhs_index=np.array(rhs_index, dtype=np.intp),
         table_index=np.array([e for c in source for e in table_index[c].ravel().tolist()],
                              dtype=np.intp),
@@ -279,21 +279,6 @@ def clique_expectations(compiled: CompiledCliques, acc: np.ndarray, M: np.ndarra
     return _clip(np.concatenate((acc[0::2], pair)), -1.0, 1.0)
 
 
-def _rhs_operands(task: np.ndarray, pair_sources: np.ndarray) -> np.ndarray:
-    """The operands of ``clique_rhs``, five rows over m + 3k columns of
-    indices into its inputs; unused slots read the leading 1."""
-    m, k = len(task), pair_sources.shape[1]
-    cells = 1 + 3 * m + 2 * k + 9 * np.arange(k)
-    z, mean = 2 + 3 * pair_sources, 1 + 3 * m + 11 * k
-    out = np.zeros((5, m + 3 * k), dtype=np.intp)
-    out[0, m + k:] = np.concatenate((z[0], cells))
-    out[1] = np.concatenate((mean + task, mean + task.take(pair_sources[0]), z[1], cells + 8))
-    out[2] = np.concatenate((2 + 3 * np.arange(m), cells + 4, np.repeat(cells + 4, 2)))
-    out[3, m + k:] = z.T.ravel()
-    out[4, m + k:] = 1 + 3 * m + np.arange(2 * k)
-    return _freeze(out)
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_cells(tracked: Tuple[Tuple[int, int], ...], wanted: Tuple[Tuple[int, int], ...]):
     """The flat index of each ``wanted`` pair's nine cross-tab cells among
@@ -313,32 +298,29 @@ def clique_rhs(compiled: CompiledCliques, acc: np.ndarray, moments: MomentEstima
     the prior, and (for pairs) the accuracies ``cond`` conditioned on the
     partner abstaining, ordered as ``CompiledCliques.cond_pairs``;
     everything else is read straight off the vote statistics. Each quantity
-    is computed once per source or pair, its operands gathered at once
-    (``_rhs_operands``), and the entries are one more gather.
+    is computed once per source or pair, as a vector, and gathered.
     """
-    m, k = len(acc) // 2, len(compiled.pairs)
-    # x + y: 1 + E[Y] per source and pair, then z_i + z_j and P(i = j != 0)
-    # per pair; w: P(i = 0) per source, P(i = j = 0) per pair and per
-    # conditional accuracy, whose conditioning source's P(abstain) is u
-    cells = moments.pair_cells.take(_pair_cells(moments.pairs, compiled.pairs))
-    inputs = np.concatenate((_ONE, moments.vote_marginals, cond, cells, means), axis=None)
-    x, y, w, u, c = inputs.take(compiled.rhs_operands)
-    s = x + y
-    p_y = 0.5 * s[:m + k]
+    m = len(compiled.task)
+    p_y = (0.5 * (1.0 + means))[compiled.task]
+    p_vote, z = moments.vote_marginals.T[:2]                   # P(+1), P(abstain)
+    # each pair's cross-tab; a pair the moments do not track is a KeyError
+    pair = moments.pair_cells.take(_pair_cells(moments.pairs, compiled.pairs))
+    z_pair, z_ij = z[compiled.pair_sources], pair[:, 4]        # cell 3a + b: a = i's state
     # P(product * task = 1) for each source, then each pair: from its
     # expectation and P(product = 0), the abstain rate, or for a pair
     # P(either abstains)
-    p_one = clique_expectations(compiled, acc, moments.M, means)
-    p_one += 1.0
-    p_one[:m] -= w[:m]
-    p_one[m:] -= s[m + k:m + 2 * k] - w[m:m + k]
+    p_one = clique_expectations(compiled, acc, moments.M, means) + 1.0
+    p_one -= np.concatenate((z, z_pair[0] + z_pair[1] - z_ij))
     p_one *= 0.5
     # P(i = 0, j * Y = 1) and P(j = 0, i * Y = 1) per pair, from
     # E[j Y | i = 0] and E[i Y | j = 0]
-    zc = u[m + k:] + c[m + k:] * u[m + k:]
-    zc -= w[m + k:]
-    zc *= 0.5
-    return np.concatenate((s, p_y, p_one, zc, w[:m + k] * p_y, inputs)).take(compiled.rhs_index)
+    z0_cond, cond_z0 = 0.5 * (z_pair + cond.reshape(-1, 2).T * z_pair - z_ij)
+    # in _SOURCE_COLUMNS, then _PAIR_COLUMNS order
+    return np.concatenate((
+        _ONE, p_y, p_vote, p_one[:m], z, z * p_y,
+        pair[:, 0] + pair[:, 8], p_one[m:], pair[:, 3], z0_cond, pair[:, 1], cond_z0,
+        z_ij, z_ij * p_y[compiled.pair_sources[0]],
+    )).take(compiled.rhs_index)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +472,12 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
         acc = estimate_accuracies(moments, plan, G, cfg)
     compiled = jtree.__dict__.get("_compiled_cliques") or compile_cliques(jtree)
 
-    diag = RecoveryDiagnostics(**acc.diagnostics)  # the accuracy fit's records
+    diag = RecoveryDiagnostics(
+        partner_pairs=acc.diagnostics.get("partner_pairs", {}),
+        sign=acc.diagnostics.get("sign", {}),
+        ratio_fallback_sources=acc.diagnostics.get("ratio_fallback_sources", []),
+        floored_columns=acc.diagnostics.get("floored_columns", []),
+    )
 
     cond = _conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc, cfg, diag)
     rhs = clique_rhs(compiled, acc.values, moments, cond, prior.means)

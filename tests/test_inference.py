@@ -263,6 +263,23 @@ class TestPredictProba:
             with pytest.raises(AllZeroLikelihood, match=r"for row 7 \(votes \(-1,\)\)"):
                 predict_proba(LabelMatrix(votes), mu, jt, ClassPrior.from_balance(0.5))
 
+    def test_infinite_entry_fails_its_row(self):
+        # a row whose log-joint peak is not finite (here +inf, from an entry
+        # that is no probability) fails, on the one-row gather and on a
+        # block, as a row of zero likelihood does
+        mu, jt = _single_source_params()
+        tbl = mu.cliques[VarSet((0,), (0,))].copy()
+        tbl[:, 2] = np.inf
+        mu = _with_clique(mu, VarSet((0,), (0,)), tbl)
+        votes = np.ones((10, 1), dtype=np.int8)
+        votes[7] = -1
+        prior = ClassPrior.from_balance(0.5)
+        with pytest.raises(AllZeroLikelihood, match=r"for votes \(-1,\)"):
+            posterior(mu, jt, prior, votes[7])
+        with mock.patch.object(inference, "BLOCK_ROWS", 3):
+            with pytest.raises(AllZeroLikelihood, match=r"for row 7 \(votes \(-1,\)\)"):
+                predict_proba(LabelMatrix(votes), mu, jt, prior)
+
     def test_zero_entry_in_a_grid_group_names_its_row_past_the_first_block(self):
         g = star(3)
         j = enumerate_joint(random_model(g, seed=4))

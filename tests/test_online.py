@@ -61,16 +61,16 @@ def _drift_model(m=5, balance_mean=0.3):
 # views, checks its row once and reads graph-only work from the plan and the
 # compiled cliques, 62.4 at the parent of the array-form moments, the
 # one-gather row posterior and the one-row window update, 58.4 after them,
-# 47.4 once substitutions are decided by count, the window keeps
-# pair-encoded Grams and the sign components are memoized
-CALL_BUDGET = 48
+# 52.4 once substitutions are decided by count and the window keeps
+# pair-encoded Grams
+CALL_BUDGET = 53
 # (first step, end) -> (Python frames, C-level calls) per step: steps 500-699
 # substitute both abstain-conditioned accuracies (some are stale), steps
 # 1293-1392 compute one. C-level calls are the sys.setprofile "c_call" events
 # of votefuse frames (builtins and array methods; a ufunc call is none);
 # before the substitutions by count and the pair-encoded window they were
-# 128.1 and 134.0 (frames 58.4 and 62.0), after them 108.1 and 113.0
-STEP_BUDGETS = {(500, 700): (CALL_BUDGET, 109), (1293, 1393): (51, 113)}
+# 128.1 and 134.0 (frames 58.4 and 62.0), after them 118.1 and 123.0
+STEP_BUDGETS = {(500, 700): (CALL_BUDGET, 119), (1293, 1393): (56, 123)}
 
 
 @st.composite

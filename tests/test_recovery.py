@@ -364,6 +364,21 @@ class TestRecoverParameters:
         assert "valid partner pairs per column: min 12, max 20, columns 5" in \
             mu.diagnostics.report()
 
+    def test_caller_accuracies_with_extra_diagnostics_keys(self):
+        # diagnostics of caller-built Accuracies are a free-form dict: the
+        # fit reads the four keys it knows and ignores any other
+        g = validate_graph(star(4))
+        j = enumerate_joint(random_model(g, seed=23))
+        moments, cfg = j.moment_estimates(), RunConfig()
+        G = augment_graph(g)
+        plan = enumerate_triplets(G, cfg)
+        acc = estimate_accuracies(moments, plan, G, cfg)
+        want = recover_from_moments(moments, g, cfg, G=G, plan=plan, acc=acc)
+        acc = dataclasses.replace(acc, diagnostics={**acc.diagnostics, "note": "hand-set"})
+        mu = recover_from_moments(moments, g, cfg, G=G, plan=plan, acc=acc)
+        assert mu.table.tobytes() == want.table.tobytes()
+        assert mu.diagnostics == want.diagnostics
+
     def test_exact_closure_with_chained_dependencies(self):
         # one source coupled to two others produces a task+source separator
         # and leaves no valid triplets; the ratio fallback carries the whole
