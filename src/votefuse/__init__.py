@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # model core
     "LabelMatrix": "graph",
-    "AugmentedLabelMatrix": "graph",
     "DependencyGraph": "graph",
     "JunctionTree": "graph",
     "ClassPrior": "graph",
@@ -24,6 +23,7 @@ _EXPORTS = {
     "build_junction_tree": "graph",
     # augmentation
     "AbstainPolicy": "augment",
+    "AugmentedLabelMatrix": "augment",
     "AugmentedGraph": "augment",
     "augment_matrix": "augment",
     "augment_graph": "augment",

@@ -13,12 +13,13 @@ multiple of 8 columns, so each mask row is whole uint64 words with one byte
 per source. An ``alternating`` fill depends on its ordinal's parity only, and
 one XOR scan down the rows of those words gives every byte the parity of its
 column's abstains so far; ``seeded-random`` visits only the columns that hold
-abstains and draws each one's coins for its next ordinals. The statistics
-pass reads the votes and their fills block by block (``vote_blocks``), so
-``augment_matrix`` never computes the n x 2m matrix unless a caller asks for
-``.data``, which ``_encode`` interleaves from v + w and w - v.
+abstains and draws each one's coins for its next ordinals.
+
+``augment_matrix`` returns an ``AugmentedLabelMatrix``, which holds the votes
+and the policy only: the statistics pass reads the votes and their fills
+block by block (``vote_blocks``), and the n x 2m matrix is never built.
 ``augment_row`` encodes one stream row, each of its abstains taking its
-column's next ordinal.
+column's next ordinal, and ``pair_votes`` decodes encoded rows back to votes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .graph import BLOCK_ROWS, AugmentedLabelMatrix, DependencyGraph, LabelMatrix, _freeze
+from .graph import DependencyGraph, LabelMatrix, _freeze
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -122,34 +123,19 @@ def _fills(votes: np.ndarray, policy: AbstainPolicy, ordinals: np.ndarray) -> np
     return fills
 
 
-def _encode(votes: np.ndarray, policy: AbstainPolicy, ordinals: np.ndarray) -> np.ndarray:
-    """Pair-encode a block of vote rows whose abstains take the ordinals
-    ``ordinals`` holds, advancing them as ``_fills`` does.
+@dataclass(frozen=True)
+class AugmentedLabelMatrix:
+    """The n x 2m pair encoding of a label matrix under an abstain policy,
+    held as the votes and the policy.
 
-    The n x 2m result is the transpose of a C-contiguous 2m x n array, in
-    which each column is one contiguous row.
-    """
-    n, m = votes.shape
-    fills = _fills(votes, policy, ordinals).T
-    out = np.empty((2 * m, n), dtype=np.int8)
-    np.add(votes.T, fills, out=out[0::2])
-    np.subtract(fills, votes.T, out=out[1::2])
-    return out.T
-
-
-class EncodedLabelMatrix(AugmentedLabelMatrix):
-    """The pair encoding of a label matrix under an abstain policy, computed
-    on demand.
-
-    It holds the votes and the policy. ``vote_blocks`` reads the rows block
-    by block, carrying each column's abstain ordinals across blocks, so the
-    fills do not depend on the block size. ``data`` materialises the whole
-    matrix on first use.
+    ``vote_blocks`` reads the rows block by block as their votes and abstain
+    fills, carrying each column's abstain ordinals across blocks, so the
+    fills do not depend on the block size. The encoded columns are never
+    built.
     """
 
-    def __init__(self, L: LabelMatrix, policy: AbstainPolicy):
-        object.__setattr__(self, "votes", L.votes)
-        object.__setattr__(self, "policy", policy)
+    votes: np.ndarray  # n x m int8, as a LabelMatrix holds them
+    policy: AbstainPolicy
 
     @property
     def n(self) -> int:
@@ -160,28 +146,18 @@ class EncodedLabelMatrix(AugmentedLabelMatrix):
         return self.votes.shape[1]
 
     def vote_blocks(self, rows: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The rows as consecutive blocks of at most ``rows`` rows, each as
+        its votes and its abstain fills (``_fills``)."""
         ordinals = np.zeros(self.m, dtype=np.int64)
         for lo in range(0, self.n, rows):
             votes = self.votes[lo:lo + rows]
             yield votes, _fills(votes, self.policy, ordinals)
 
-    @property
-    def data(self) -> np.ndarray:
-        data = self.__dict__.get("_data")
-        if data is None:
-            data = np.empty((self.n, 2 * self.m), dtype=np.int8)
-            ordinals = np.zeros(self.m, dtype=np.int64)
-            for lo in range(0, self.n, BLOCK_ROWS):
-                data[lo:lo + BLOCK_ROWS] = _encode(self.votes[lo:lo + BLOCK_ROWS],
-                                                   self.policy, ordinals)
-            data = self.__dict__["_data"] = _freeze(data)
-        return data
-
 
 def augment_matrix(L: LabelMatrix, policy: AbstainPolicy = AbstainPolicy()) -> AugmentedLabelMatrix:
     """The pair encoding of ``L``, deterministic given (L, policy); rows are
     encoded when they are read."""
-    return EncodedLabelMatrix(L, policy)
+    return AugmentedLabelMatrix(L.votes, policy)
 
 
 def augment_row(row: np.ndarray, policy: AbstainPolicy,
@@ -202,6 +178,12 @@ def augment_row(row: np.ndarray, policy: AbstainPolicy,
     np.add(votes, fills, out=out[0::2])
     np.subtract(fills, votes, out=out[1::2])
     return out
+
+
+def pair_votes(pairs: np.ndarray) -> np.ndarray:
+    """The votes of pair-encoded int8 rows, whose pair (x_2i, x_2i+1) is
+    (v_i + w_i, w_i - v_i): v_i = (x_2i - x_2i+1) / 2."""
+    return (pairs[..., 0::2] - pairs[..., 1::2]) >> 1
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ Conventions used across the package:
 * Task states are +1/-1, encoded as axis indices 0/1.
 * Vote states are +1/0/-1 (0 = abstain), encoded as axis indices 0/1/2.
 * Source ``i`` lifts to the observed column pair ``(2i, 2i+1)``; column ``2i``
-  tracks the vote and ``2i+1`` mirrors it.
+  tracks the vote and ``2i+1`` mirrors it. The pair encoding of votes lives
+  in ``augment``, whose ``AugmentedLabelMatrix`` computes it lazily.
 * Probability tables over a clique use axes ``(task..., source...)`` with
   member indices ascending.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -48,9 +49,8 @@ VOTE_STATES = (1, 0, -1)
 
 MAX_EXACT_TASKS = 20
 
-# Rows per call of the block kernels: validation here, pair encoding in
-# ``augment``, posteriors in ``inference`` and the CSV writers in ``fileio``.
-# Working memory scales with the block, not with n.
+# Rows per call of the block kernels: posteriors in ``inference`` and the
+# CSV writers in ``fileio``. Working memory scales with the block, not with n.
 BLOCK_ROWS = 1 << 14
 
 # Most sources in one ``FactorGroup``: a row's base-3 state over them,
@@ -72,7 +72,7 @@ def _clip(x, lo: float, hi: float):
 
 
 # ---------------------------------------------------------------------------
-# label matrices
+# label matrix
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -115,57 +115,6 @@ class LabelMatrix:
             raise ValueError(
                 "need at least 3 sources unless the ratio fallback is enabled"
             )
-
-
-@dataclass(frozen=True)
-class AugmentedLabelMatrix:
-    """Binary n x 2m matrix produced by splitting each source into a column pair.
-
-    Pair encoding per row: vote +1 -> (1, -1); vote -1 -> (-1, 1); abstain ->
-    (1, 1) or (-1, -1), balanced by the abstain policy.
-
-    Built from its entries, it checks and holds them. ``augment.augment_matrix``
-    returns a subclass that holds only the votes and the policy and computes
-    each block's abstain fills as ``vote_blocks`` reads it.
-    """
-
-    data: np.ndarray  # n x 2m, entries in {-1, +1}
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.int8)
-        if d.ndim != 2 or d.shape[1] % 2:
-            raise ValueError("augmented matrix must be n x 2m")
-        for lo in range(0, d.shape[0], BLOCK_ROWS):
-            if not np.all(np.abs(d[lo:lo + BLOCK_ROWS]) == 1):
-                raise ValueError("augmented entries must be +/-1")
-        object.__setattr__(self, "data", _freeze(d))
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[1] // 2
-
-    def vote_blocks(self, rows: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """The rows as consecutive blocks of at most ``rows`` rows, each as
-        its votes and its abstain fills (``_split_pairs``)."""
-        for lo in range(0, self.n, rows):
-            yield _split_pairs(self.data[lo:lo + rows])
-
-    def collapse(self) -> LabelMatrix:
-        """Invert the pair encoding back to ternary votes (exact round trip)."""
-        return LabelMatrix(_split_pairs(self.data)[0])
-
-
-def _split_pairs(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The votes v and abstain fills w of pair-encoded int8 rows, whose pair
-    (x_2i, x_2i+1) is (v_i + w_i, w_i - v_i): v_i = (x_2i - x_2i+1) / 2 and
-    w_i = (x_2i + x_2i+1) / 2, the +/-1 fill where a source abstains and 0
-    where it votes."""
-    first, second = pairs[..., 0::2], pairs[..., 1::2]
-    return (first - second) >> 1, (first + second) >> 1
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,10 @@ class PosteriorLabels:
         return np.where(self.probs >= 0.5, 1, -1).astype(np.int8)
 
 
-def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
-               votes: np.ndarray) -> np.ndarray:
+def _log_joint(mu: LabelModelParameters, votes: np.ndarray) -> np.ndarray:
     """log P(Y = y, votes = row) for every task configuration y and row of the
     n x m int8 ``votes``, shape (2,)*D + (n,); zero joints read ``-inf``.
-    ``jt`` is ``mu``'s tree, whose layout holds the tables."""
+    The layout of ``mu``'s tree (``mu.jtree``) holds the tables."""
     D, m = mu.graph.n_tasks, mu.graph.n_sources
     if votes.shape[1] != m:
         raise ShapeMismatch(f"matrix has {votes.shape[1]} sources, model expects {m}")
@@ -123,15 +122,15 @@ def _log_joint(mu: LabelModelParameters, jt: JunctionTree,
     return out
 
 
-def _normalized(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
-                votes: np.ndarray, first_row: Optional[int] = 0) -> np.ndarray:
+def _normalized(mu: LabelModelParameters, prior: ClassPrior, votes: np.ndarray,
+                first_row: Optional[int] = 0) -> np.ndarray:
     """P(Y | row) for every row of ``votes``, shape (2,)*D + (n,). Errors
     number the rows from ``first_row``, or name only the votes when it is
     None."""
     if prior.n_tasks != mu.graph.n_tasks:
         raise ShapeMismatch(
             f"prior covers {prior.n_tasks} tasks, model has {mu.graph.n_tasks}")
-    log_joint = _log_joint(mu, jt, votes)
+    log_joint = _log_joint(mu, votes)
     flat = log_joint.reshape(2 ** mu.graph.n_tasks, votes.shape[0])
     peak = np.maximum.reduce(flat, axis=0)
     alive = np.isfinite(peak)
@@ -185,7 +184,7 @@ def joint_probability(mu: LabelModelParameters, jt: JunctionTree,
     if not np.isin(y, TASK_STATES).all():
         raise ValueError(f"task states are +1 or -1, got y = {y.tolist()}")
     y_idx = tuple(TASK_IDX[int(v)] for v in y)
-    return float(np.exp(_log_joint(mu, jt, _row(lam))[y_idx + (0,)]))
+    return float(np.exp(_log_joint(mu, _row(lam))[y_idx + (0,)]))
 
 
 def posterior(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
@@ -197,7 +196,7 @@ def posterior(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
     prior argument is kept for interface symmetry (the tables already embed
     it) and only checked for shape.
     """
-    return _normalized(mu, jt, prior, _row(lam), first_row=None)[..., 0]
+    return _normalized(mu, prior, _row(lam), first_row=None)[..., 0]
 
 
 def marginal_positives(post_table: np.ndarray) -> np.ndarray:
@@ -218,7 +217,7 @@ def predict_proba(L: LabelMatrix, mu: LabelModelParameters, jt: JunctionTree,
     probs = np.empty((L.n, mu.graph.n_tasks))
     # an empty matrix still takes one (empty) pass, which checks its shape
     for lo in range(0, max(L.n, 1), BLOCK_ROWS):
-        w = _normalized(mu, jt, prior, L.votes[lo:lo + BLOCK_ROWS], first_row=lo)
+        w = _normalized(mu, prior, L.votes[lo:lo + BLOCK_ROWS], first_row=lo)
         probs[lo:lo + BLOCK_ROWS] = _positives(w)
     return PosteriorLabels(probs)
 

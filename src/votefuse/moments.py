@@ -38,23 +38,21 @@ pairwise products, or by agreeing with the first moments E[v] = a * E[Y].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .augment import AugmentedGraph
+from .augment import AugmentedGraph, AugmentedLabelMatrix
 from .config import RunConfig
 from .errors import (
-    EstimationWarning,
     InsufficientIndependence,
     NoUsableTriplet,
     PriorNearZero,
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import AugmentedLabelMatrix, ClassPrior, DependencyGraph, _clip
+from .graph import ClassPrior, DependencyGraph, _clip
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +600,6 @@ def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunC
                 total = float(np.add.reduce(weights))
                 if total == 0.0:
                     diag["sign_ties"].append(int(cols[0]))
-                    warnings.warn(
-                        f"sign tie for task {d + 1}: accuracy sum is zero under "
-                        f"both flips; defaulting to positive",
-                        EstimationWarning,
-                    )
                     flip = 1
                 else:
                     flip = 1 if total > 0 else -1
@@ -708,7 +701,9 @@ def conditional_accuracy_from_stats(target: int, cond: int,
 
 def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                         G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
-    """Triplet magnitudes, sign resolution, and ratio fallback, in one pass."""
+    """Triplet magnitudes, sign resolution, and ratio fallback, in one pass.
+    Floored magnitudes and sign ties are recorded in the diagnostics
+    (``floored_columns``, ``sign["sign_ties"]``), not warned of."""
     mags = _pooled_magnitudes(moments.M, plan)
     values, order, sign_diag = _resolve_signs(
         mags, moments.M, G, cfg, moments.first_moments, moments.prior)
@@ -733,13 +728,6 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
             fallback_used.append(c // 2)
         method = tuple(method)
     np.negative(values[0::2], out=values[1::2])
-
-    if floored:
-        warnings.warn(
-            f"accuracy magnitude clamped to the {EPS_ACC} floor for columns "
-            f"{floored}; these sources look uninformative",
-            EstimationWarning,
-        )
 
     diag = {
         "partner_pairs": dict(plan.pairs),

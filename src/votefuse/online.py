@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .augment import AbstainPolicy, augment_graph, augment_row
+from .augment import AbstainPolicy, augment_graph, augment_row, pair_votes
 from .config import RunConfig
 from .errors import ConfigError, EstimationWarning, VoteFuseError
-from .graph import (AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMatrix,
-                    LabelModelParameters, build_junction_tree, validate_graph)
+from .graph import (ClassPrior, DependencyGraph, LabelMatrix, LabelModelParameters,
+                    build_junction_tree, validate_graph)
 from .inference import marginal_positives, posterior
 from .moments import RunningStats, enumerate_triplets, tracked_statistics
 from .recovery import compile_cliques, recover_from_moments
@@ -91,7 +91,7 @@ class RollingState:
     def window_rows(self) -> np.ndarray:
         """Raw vote rows currently inside the window (oldest first)."""
         idx = (self.t + np.arange(-self.buffered, 0)) % len(self._rows)
-        return AugmentedLabelMatrix(self._rows[idx]).collapse().votes
+        return pair_votes(self._rows[idx])
 
     def window_policy(self) -> AbstainPolicy:
         """A policy whose per-column phase reproduces this stream's abstain
@@ -131,16 +131,13 @@ class RollingState:
         fresh = None
         failure = None
         try:
-            # estimator degradation warnings would repeat every step; the
-            # per-step diagnostics on the returned parameters carry the same
-            # information
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EstimationWarning)
-                moments = self.stats.to_moments(prior_t)
-                fresh = recover_from_moments(
-                    moments, self.graph, self.cfg,
-                    jtree=self.jtree, G=self.aug_graph, plan=self.plan,
-                )
+            # the fit warns of nothing: its diagnostics on the returned
+            # parameters record floored accuracies, sign ties and substitutions
+            moments = self.stats.to_moments(prior_t)
+            fresh = recover_from_moments(
+                moments, self.graph, self.cfg,
+                jtree=self.jtree, G=self.aug_graph, plan=self.plan,
+            )
         except VoteFuseError as exc:
             failure = exc
 

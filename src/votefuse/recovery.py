@@ -48,6 +48,7 @@ from .graph import (
     validate_graph,
 )
 from .moments import (
+    EPS_ACC,
     Accuracies,
     MomentEstimates,
     TripletPlan,
@@ -458,8 +459,8 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
     it empirical moments, the streaming estimator feeds it windowed moments,
     and the closure tests feed it exact enumerated moments. Substituted
     abstain-conditioned accuracies are recorded in the diagnostics
-    (``conditional_substitutions``); ``recover_parameters`` also warns of
-    each.
+    (``conditional_substitutions``), as are floored accuracies and sign
+    ties; ``recover_parameters`` also warns of each.
     """
     prior = moments.prior
     if jtree is None:
@@ -494,7 +495,8 @@ def recover_parameters(L: LabelMatrix, g: DependencyGraph, prior: ClassPrior,
                        cfg: RunConfig = RunConfig()) -> LabelModelParameters:
     """End-to-end batch fit: augment, estimate moments, recover accuracies,
     and solve every clique and separator marginal. Warns (EstimationWarning)
-    of each abstain-conditioned accuracy it had to substitute."""
+    of what the diagnostics record: each sign tie, the floored accuracies
+    and each abstain-conditioned accuracy it had to substitute."""
     L.require_fit_shape(allow_small=cfg.ratio_fallback)
     g = validate_graph(g)
     cfg.check_sources(g.n_sources)  # before the statistics pass
@@ -503,7 +505,20 @@ def recover_parameters(L: LabelMatrix, g: DependencyGraph, prior: ClassPrior,
     A = augment_matrix(L, cfg.policy)
     moments = estimate_moments(A, prior, G)
     mu = recover_from_moments(moments, g, cfg, jtree=jtree, G=G)
-    for sub in mu.diagnostics.conditional_substitutions:
+    diag = mu.diagnostics
+    for col in diag.sign.get("sign_ties", []):
+        warnings.warn(
+            f"sign tie for task {g.assignment[col // 2] + 1}: accuracy sum is zero "
+            f"under both flips; defaulting to positive",
+            EstimationWarning,
+        )
+    if diag.floored_columns:
+        warnings.warn(
+            f"accuracy magnitude clamped to the {EPS_ACC} floor for columns "
+            f"{diag.floored_columns}; these sources look uninformative",
+            EstimationWarning,
+        )
+    for sub in diag.conditional_substitutions:
         warnings.warn(
             f"substituting the unconditional accuracy of source {sub['target']} "
             f"for its abstain-conditioned value: {sub['reason']}",

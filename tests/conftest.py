@@ -34,7 +34,7 @@ def child_env() -> dict:
 
 def reference_augment(votes, policy):
     """The former per-column pair encoding loop, kept as the reference for the
-    block encoder."""
+    lazy matrix's fills and the stream's rows."""
     n, m = votes.shape
     out = np.empty((n, 2 * m), dtype=np.int8)
     out[:, 0::2] = votes
@@ -67,6 +67,16 @@ def reference_encode(votes, policy, ordinals):
         out[2 * j + 1][rows] = vals
         ordinals[j] = first + rows.size
     return out.T
+
+
+def reference_fills(votes, policy, ordinals=None):
+    """The abstain fills of the reference encoding: its even column where a
+    source abstains, 0 where it votes. With ``ordinals`` the encoding is
+    ``reference_encode``'s, which advances them in place; otherwise
+    ``reference_augment``'s."""
+    pairs = (reference_augment(votes, policy) if ordinals is None
+             else reference_encode(votes, policy, ordinals))
+    return np.where(votes == 0, pairs[:, 0::2], 0).astype(np.int8)
 
 
 class ReferenceStats:
@@ -227,13 +237,14 @@ def reference_partner_pairs(G):
     return out
 
 
-def reference_log_joint(mu, jt, votes, absolute=False):
-    """The former per-factor log-joint loop (log tables, base-3 states and
-    broadcast shapes rebuilt on every call), kept as the reference for the
-    parameter vector's one log and the grouped kernel over the layout
-    ``graph.compile_layout`` caches on the tree. With ``absolute`` it sums
-    the factors' absolute values (the scale of a summation error bound)."""
-    D = mu.graph.n_tasks
+def reference_log_joint(mu, votes, absolute=False):
+    """The former per-factor log-joint loop over the cliques and separators
+    of ``mu.jtree`` (log tables, base-3 states and broadcast shapes rebuilt
+    on every call), kept as the reference for the parameter vector's one log
+    and the grouped kernel over the layout ``graph.compile_layout`` caches on
+    the tree. With ``absolute`` it sums the factors' absolute values (the
+    scale of a summation error bound)."""
+    D, jt = mu.graph.n_tasks, mu.jtree
     with np.errstate(divide="ignore"):
         factors = [(vs, np.log(mu.cliques[vs])) for vs in jt.cliques]
         for sep, deg in jt.separators:

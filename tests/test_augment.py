@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,41 +6,63 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from votefuse import augment
-from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix, augment_row
+from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix, augment_row, pair_votes
 from votefuse.graph import LabelMatrix
 
-from conftest import reference_augment, reference_encode, star, star_with_edges
+from conftest import reference_augment, reference_fills, star, star_with_edges
+
+
+def _read(A, rows=3):
+    """The votes and fills of the lazy matrix ``A``, read as the statistics
+    pass reads them, ``rows`` rows at a time."""
+    blocks = list(A.vote_blocks(rows))
+    if not blocks:
+        return A.votes, np.zeros(A.votes.shape, dtype=np.int8)
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _fills(A, rows=3):
+    return _read(A, rows)[1]
+
+
+def _rows(votes, policy=AbstainPolicy()):
+    """The stream's pair encoding of ``votes``, one ``augment_row`` per row."""
+    counts = np.zeros(votes.shape[1], dtype=np.int64)
+    return np.stack([augment_row(v, policy, counts) for v in votes])
 
 
 class TestPairEncoding:
     def test_vote_plus_one(self):
-        A = augment_matrix(LabelMatrix(np.array([[1]])))
-        assert tuple(A.data[0]) == (1, -1)
+        votes = np.array([[1]], dtype=np.int8)
+        assert tuple(_rows(votes)[0]) == (1, -1)
+        assert _fills(augment_matrix(LabelMatrix(votes)))[0, 0] == 0
 
     def test_vote_minus_one(self):
-        A = augment_matrix(LabelMatrix(np.array([[-1]])))
-        assert tuple(A.data[0]) == (-1, 1)
+        votes = np.array([[-1]], dtype=np.int8)
+        assert tuple(_rows(votes)[0]) == (-1, 1)
+        assert _fills(augment_matrix(LabelMatrix(votes)))[0, 0] == 0
 
     def test_alternating_column(self):
-        L = LabelMatrix(np.zeros((4, 1), dtype=np.int8))
-        A = augment_matrix(L, AbstainPolicy(mode="alternating"))
+        votes = np.zeros((4, 1), dtype=np.int8)
+        policy = AbstainPolicy(mode="alternating")
+        assert _fills(augment_matrix(LabelMatrix(votes), policy))[:, 0].tolist() == [1, -1, 1, -1]
         expected = [(1, 1), (-1, -1), (1, 1), (-1, -1)]
-        assert [tuple(r) for r in A.data] == expected
+        assert [tuple(r) for r in _rows(votes, policy)] == expected
 
     def test_alternating_counts_with_votes_interleaved(self):
         votes = np.array([[0], [1], [0], [0], [-1], [0], [0]], dtype=np.int8)
         A = augment_matrix(LabelMatrix(votes), AbstainPolicy(mode="alternating"))
-        abst = A.data[votes[:, 0] == 0]
-        pos = int((abst[:, 0] == 1).sum())
-        assert pos == int(np.ceil(abst.shape[0] / 2))
+        abst = _fills(A)[votes[:, 0] == 0, 0]
+        pos = int((abst == 1).sum())
+        assert pos == int(np.ceil(abst.size / 2))
+        assert not _fills(A)[votes[:, 0] != 0].any()
 
     def test_deterministic_given_policy(self):
         rng = np.random.default_rng(5)
         L = LabelMatrix(rng.integers(-1, 2, size=(50, 4)).astype(np.int8))
         pol = AbstainPolicy(mode="seeded-random", seed=99)
-        a1 = augment_matrix(L, pol)
-        a2 = augment_matrix(L, pol)
-        np.testing.assert_array_equal(a1.data, a2.data)
+        np.testing.assert_array_equal(_fills(augment_matrix(L, pol)),
+                                      _fills(augment_matrix(L, pol)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -50,18 +71,21 @@ class TestPairEncoding:
        st.sampled_from(["alternating", "seeded-random"]),
        st.integers(0, 2 ** 32))
 def test_round_trip(votes, mode, seed):
+    # the stream's encoded rows decode back to their votes, and the lazy
+    # matrix reads back the votes it holds
     L = LabelMatrix(votes)
-    A = augment_matrix(L, AbstainPolicy(mode=mode, seed=seed))
-    np.testing.assert_array_equal(A.collapse().votes, L.votes)
+    policy = AbstainPolicy(mode=mode, seed=seed)
+    np.testing.assert_array_equal(pair_votes(_rows(L.votes, policy)), L.votes)
+    np.testing.assert_array_equal(_read(augment_matrix(L, policy))[0], L.votes)
 
 
 def test_seeded_random_column_mean_within_coin_bound():
     # mean of the pair value over k abstains stays inside 4 sigma of a fair coin
     k = 40_000
     L = LabelMatrix(np.zeros((k, 2), dtype=np.int8))
-    A = augment_matrix(L, AbstainPolicy(mode="seeded-random", seed=1234))
+    fills = _fills(augment_matrix(L, AbstainPolicy(mode="seeded-random", seed=1234)), rows=4096)
     for col in range(2):
-        mean = A.data[:, 2 * col].astype(float).mean()
+        mean = fills[:, col].astype(float).mean()
         assert abs(mean) < 4.0 / np.sqrt(k)
 
 
@@ -75,16 +99,18 @@ def test_column_fill_independent_of_other_columns():
     other = votes.copy()
     other[:, [0, 2, 3]] = rng.integers(-1, 2, size=(200, 3)).astype(np.int8)
     B = augment_matrix(LabelMatrix(other), pol)
-    np.testing.assert_array_equal(A.data[:, 2:4], B.data[:, 2:4])
+    np.testing.assert_array_equal(_fills(A)[:, 1], _fills(B)[:, 1])
 
 
 def test_augment_row_continues_ordinals():
+    # the stream's rows are the pairs (v + w, w - v) of the batch's fills
     votes = np.array([[0, 1], [0, 0], [1, 0], [0, -1]], dtype=np.int8)
     pol = AbstainPolicy(mode="alternating")
-    batch = augment_matrix(LabelMatrix(votes), pol)
+    fills = _fills(augment_matrix(LabelMatrix(votes), pol))
     counts = np.zeros(2, dtype=np.int64)
-    rows = [augment_row(votes[t], pol, counts) for t in range(4)]
-    np.testing.assert_array_equal(np.stack(rows), batch.data)
+    rows = np.stack([augment_row(votes[t], pol, counts) for t in range(4)])
+    np.testing.assert_array_equal(rows[:, 0::2], votes + fills)
+    np.testing.assert_array_equal(rows[:, 1::2], fills - votes)
     assert list(counts) == [3, 2]
 
 
@@ -93,7 +119,7 @@ def test_phase_offsets_continue_a_stream():
     full = augment_matrix(LabelMatrix(votes), AbstainPolicy(mode="alternating"))
     tail = augment_matrix(LabelMatrix(votes[2:]),
                           AbstainPolicy(mode="alternating", phase=(2,)))
-    np.testing.assert_array_equal(tail.data, full.data[2:])
+    np.testing.assert_array_equal(_fills(tail), _fills(full)[2:])
 
 
 @st.composite
@@ -112,10 +138,11 @@ def _votes_and_policy(draw):
 @settings(max_examples=150, deadline=None)
 @given(_votes_and_policy(), st.integers(1, 35))
 def test_matrix_matches_reference_encoding_for_any_block_size(case, block):
+    # the fills the statistics pass reads, block by block
     votes, policy = case
-    with mock.patch.object(augment, "BLOCK_ROWS", block):
-        data = augment_matrix(LabelMatrix(votes), policy).data  # encoded here
-    np.testing.assert_array_equal(data, reference_augment(votes, policy))
+    got_votes, fills = _read(augment_matrix(LabelMatrix(votes), policy), rows=block)
+    np.testing.assert_array_equal(got_votes, votes)
+    np.testing.assert_array_equal(fills, reference_fills(votes, policy))
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,13 +178,14 @@ def _blocks_and_policy(draw):
 @settings(max_examples=200, deadline=None)
 @given(_blocks_and_policy())
 def test_encode_blocks_match_reference_encoding(case):
-    # each block continues the previous block's per-column abstain ordinals
+    # each block's fills continue the previous block's per-column abstain
+    # ordinals
     votes, cuts, policy = case
     ordinals = np.zeros(votes.shape[1], dtype=np.int64)
-    blocks = [augment._encode(part, policy, ordinals) for part in np.split(votes, cuts)]
-    np.testing.assert_array_equal(np.concatenate(blocks), reference_augment(votes, policy))
+    blocks = [augment._fills(part, policy, ordinals) for part in np.split(votes, cuts)]
+    np.testing.assert_array_equal(np.concatenate(blocks), reference_fills(votes, policy))
     np.testing.assert_array_equal(ordinals, (votes == 0).sum(axis=0))
-    assert all(b.dtype == np.int8 and b.T.flags.c_contiguous for b in blocks)
+    assert all(b.dtype == np.int8 for b in blocks)
 
 
 def test_encode_counts_abstain_runs_longer_than_a_byte():
@@ -172,21 +200,21 @@ def test_encode_counts_abstain_runs_longer_than_a_byte():
         policy = AbstainPolicy(mode=mode, seed=5, phase=tuple(range(11)))
         ordinals, want = np.zeros(11, dtype=np.int64), np.zeros(11, dtype=np.int64)
         for block in (votes[:1_000], votes[1_000:]):
-            np.testing.assert_array_equal(augment._encode(block, policy, ordinals),
-                                          reference_encode(block, policy, want))
+            np.testing.assert_array_equal(augment._fills(block, policy, ordinals),
+                                          reference_fills(block, policy, want))
             np.testing.assert_array_equal(ordinals, want)
 
 
 def test_encode_block_memory_is_bounded_by_the_block():
-    # a full 16,384 x 100 block at a 30% abstain rate: the 3.1 MB result plus
-    # the abstain mask, without per-abstain index arrays (16.7 MB before)
+    # a full 16,384 x 100 block at a 30% abstain rate: its fills and abstain
+    # mask, 3.3 MB in either mode, without per-abstain index arrays
     rng = np.random.default_rng(0)
     votes = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(16_384, 100), p=[0.35, 0.3, 0.35])
     for mode in ("alternating", "seeded-random"):
         ordinals = np.zeros(100, dtype=np.int64)
         tracemalloc.start()
         try:
-            augment._encode(votes, AbstainPolicy(mode=mode, seed=3), ordinals)
+            augment._fills(votes, AbstainPolicy(mode=mode, seed=3), ordinals)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

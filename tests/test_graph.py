@@ -1,6 +1,4 @@
 import re
-import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from votefuse.errors import (
     UnsupportedCliqueSize,
 )
 from votefuse.graph import (
-    AugmentedLabelMatrix,
     ClassPrior,
     DependencyGraph,
     LabelMatrix,
@@ -77,29 +74,6 @@ class TestLabelMatrix:
         L = LabelMatrix(np.array([[1, 0, -1]]))
         with pytest.raises(ValueError):
             L.votes[0, 0] = 0
-
-
-class TestAugmentedLabelMatrix:
-    def test_bad_entry_past_the_first_block_rejected(self):
-        data = np.ones((7, 4), dtype=np.int8)
-        data[5, 3] = 0
-        with mock.patch.object(graph, "BLOCK_ROWS", 2):
-            with pytest.raises(ValueError, match=r"augmented entries must be \+/-1"):
-                AugmentedLabelMatrix(data)
-            data[5, 3] = -1
-            assert AugmentedLabelMatrix(data).n == 7
-
-    def test_validation_memory_is_bounded_by_the_block(self):
-        # checking 400,000 x 40 int8 entries (16 MB) allocates block-sized
-        # temporaries, never one of the matrix's size
-        data = np.ones((400_000, 40), dtype=np.int8)
-        tracemalloc.start()
-        try:
-            AugmentedLabelMatrix(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < data.nbytes / 4
 
 
 class TestValidateGraph:

@@ -321,10 +321,10 @@ class TestPredictProba:
         L, _ = sample(j, 250, seed=seed + 1)
         for n in (80, 81, 82, 242, 243, 244):
             with _short_blocks(jt, n):
-                gathered = inference._log_joint(mu, jt, L.votes[:n])
+                gathered = inference._log_joint(mu, L.votes[:n])
             assert "_group_tables" not in mu.__dict__
             with _short_blocks(jt, 0):
-                grid = inference._log_joint(mu, jt, L.votes[:n])
+                grid = inference._log_joint(mu, L.votes[:n])
             assert "_group_tables" in mu.__dict__
             assert np.isneginf(grid).any() and np.isfinite(grid).any()
             assert gathered.tobytes() == grid.tobytes()
@@ -350,10 +350,10 @@ class TestPredictProba:
         votes = rng.integers(-1, 2, size=(short + 1, g.n_sources)).astype(np.int8)
         mu = LabelModelParameters(g, jt, table)
         for n in sorted({1, short, short + 1} - {0}):
-            got = inference._log_joint(mu, jt, votes[:n])
+            got = inference._log_joint(mu, votes[:n])
             assert ("_group_tables" in mu.__dict__) == (n > short)
             with _short_blocks(jt, n):
-                gathered = inference._log_joint(mu, jt, votes[:n])
+                gathered = inference._log_joint(mu, votes[:n])
             assert got.tobytes() == gathered.tobytes()
 
     @pytest.mark.parametrize("g", [star(1), star(12), star_with_edges(7, [(0, 1), (2, 3), (5, 6)]),
@@ -397,11 +397,11 @@ class TestPredictProba:
         # each within (F - 1) * 2^-53 * sum_f |term_f| of the exact sum
         F = len(jt.layout.factors)
         for mu in (j.true_parameters(jt), fitted, zeroed):
-            got = inference._log_joint(mu, jt, L.votes)
-            want = reference_log_joint(mu, jt, L.votes)
+            got = inference._log_joint(mu, L.votes)
+            want = reference_log_joint(mu, L.votes)
             alive = np.isfinite(want)
             assert (np.isfinite(got) == alive).all() and (got[~alive] == -np.inf).all()
-            bound = 2 * (F - 1) * 2.0 ** -53 * reference_log_joint(mu, jt, L.votes, absolute=True)
+            bound = 2 * (F - 1) * 2.0 ** -53 * reference_log_joint(mu, L.votes, absolute=True)
             assert (np.abs(got[alive] - want[alive]) <= bound[alive]).all()
             post = predict_proba(L, mu, jt, j.prior())
             rows = [posterior(mu, jt, j.prior(), v) for v in L.votes[:40]]

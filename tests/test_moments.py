@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,13 +12,12 @@ from votefuse import augment, moments
 from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import (
-    EstimationWarning,
     InsufficientIndependence,
     NoUsableTriplet,
     PriorNearZero,
     TooFewAbstainRows,
 )
-from votefuse.graph import BLOCK_ROWS, AugmentedLabelMatrix, ClassPrior, DependencyGraph, LabelMatrix
+from votefuse.graph import BLOCK_ROWS, ClassPrior, DependencyGraph, LabelMatrix
 from votefuse.inference import predict_proba
 from votefuse.moments import (
     EPS_ACC,
@@ -43,16 +43,16 @@ from votefuse.oracle import (
 from votefuse.recovery import recover_parameters
 
 from conftest import (ReferenceStats, acceptance_grid, assert_moments_match_dict_form, chain3,
-                      reference_augment, reference_encode, reference_partner_pairs,
+                      reference_augment, reference_fills, reference_partner_pairs,
                       reference_pooled_magnitudes, star, star_with_edges)
 
 
 class TestEstimateMoments:
     def test_direct_average(self):
-        # two +/-1 columns with products (1, -1, 1, 1) average to 0.5
-        data = np.array([[1, 1], [1, -1], [-1, -1], [1, 1]], dtype=np.int8)
-        from votefuse.graph import AugmentedLabelMatrix
-        A = AugmentedLabelMatrix(data)
+        # the pair columns of an abstain (alternating fills), a +1 vote and
+        # two more abstains, (1, 1), (1, -1), (-1, -1), (1, 1): products
+        # (1, -1, 1, 1) average to 0.5
+        A = augment_matrix(LabelMatrix(np.array([[0], [1], [0], [0]], dtype=np.int8)))
         me = estimate_moments(A, ClassPrior.from_balance(0.5))
         assert me.M[0, 1] == pytest.approx(0.5, abs=0)
 
@@ -176,10 +176,6 @@ class TestRunningStatsKernel:
         with _operand_rows(A.m, operand):
             stats = RunningStats.from_matrix(A, tracked, cond)
         _assert_same_stats(stats, ref)
-        # so are the entries of an explicit matrix
-        with _operand_rows(A.m, operand):
-            stats = RunningStats.from_matrix(AugmentedLabelMatrix(aug), tracked, cond)
-        _assert_same_stats(stats, ref)
 
     @settings(max_examples=150, deadline=None)
     @given(_stat_inputs(), st.lists(st.integers(0, 2 ** 16), max_size=60),
@@ -188,29 +184,30 @@ class TestRunningStatsKernel:
         # the first rows come from the batch pass, folded one operand of rows
         # at a time; then each pick either adds the next row or removes a
         # held one
-        A, votes, _aug, tracked, cond = inputs
+        A, votes, aug, tracked, cond = inputs
         nxt = min(start, A.n)
         with _operand_rows(A.m, operand):
-            stats = RunningStats.from_matrix(AugmentedLabelMatrix(A.data[:nxt]), tracked, cond)
-        ops = [(A.data[t], votes[t], 1) for t in range(nxt)]
+            stats = RunningStats.from_matrix(augment_matrix(LabelMatrix(votes[:nxt]), A.policy),
+                                             tracked, cond)
+        ops = [(aug[t], votes[t], 1) for t in range(nxt)]
         held = list(range(nxt))
         for pick in picks:
             if nxt < A.n and (not held or pick % 3):
-                stats.add(A.data[nxt])
-                ops.append((A.data[nxt], votes[nxt], 1))
+                stats.add(aug[nxt])
+                ops.append((aug[nxt], votes[nxt], 1))
                 held.append(nxt)
                 nxt += 1
             elif held:
                 t = held.pop(pick % len(held))
-                stats.remove(A.data[t])
-                ops.append((A.data[t], votes[t], -1))
+                stats.remove(aug[t])
+                ops.append((aug[t], votes[t], -1))
         _assert_same_stats(stats, _reference_stats(A.m, sorted(tracked), cond, ops))
 
     def test_removing_every_row_returns_to_zero(self):
         votes = np.array([[1, 0, -1], [0, 0, 1], [-1, 1, 0]], dtype=np.int8)
         A = augment_matrix(LabelMatrix(votes))
         stats = RunningStats.from_matrix(A, [(0, 2)], [0, 1])
-        for row in A.data:
+        for row in reference_augment(votes, A.policy):
             stats.remove(row)
         _assert_same_stats(stats, _reference_stats(3, [(0, 2)], (0, 1), []))
 
@@ -303,8 +300,8 @@ def test_statistics_pass_matches_the_former_pass(inputs, picks, n_min):
     ordinals, want_ordinals = np.zeros(m, np.int64), np.zeros(m, np.int64)
     for lo in range(0, n, operand):
         block = votes[lo:lo + operand]
-        enc = augment._encode(block, policy, ordinals)
-        np.testing.assert_array_equal(enc, reference_encode(block, policy, want_ordinals))
+        fills = augment._fills(block, policy, ordinals)
+        np.testing.assert_array_equal(fills, reference_fills(block, policy, want_ordinals))
         np.testing.assert_array_equal(ordinals, want_ordinals)
     start = n // 2
     with _operand_rows(m, operand):
@@ -315,7 +312,7 @@ def test_statistics_pass_matches_the_former_pass(inputs, picks, n_min):
     if start:
         with mock.patch.object(moments, "N_MIN_ABSTAIN", n_min):
             assert_moments_match_dict_form(got.to_moments(prior), want.to_moments(prior))
-    aug = augment_matrix(LabelMatrix(votes), policy).data
+    aug = reference_augment(votes, policy)
     nxt, held = start, list(range(start))
     for pick in picks:
         if nxt < n and (not held or pick % 3):
@@ -467,8 +464,10 @@ class TestSolveTriplet:
                              prior=ClassPrior.from_balance(0.6))
         with pytest.raises(NoUsableTriplet):
             estimate_accuracies(me, plan, G, RunConfig())
-        with pytest.warns(EstimationWarning, match="floor"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # recorded, not warned of
             acc = estimate_accuracies(me, plan, G, RunConfig(ratio_fallback=True))
+        assert acc.diagnostics["floored_columns"] == [2, 4]  # sources 2 and 3
         assert acc.method[0] == "ratio"
         assert acc.values[0] == pytest.approx(0.5)  # E[v] / E[Y] = 0.1 / 0.2
         assert acc.values[0] == ratio_accuracy(0, me, G)

@@ -385,6 +385,22 @@ class TestStep:
                 assert res.posterior_pos.tobytes() == pos.tobytes()
         assert kinds == {2, 1, "stale"}
 
+    def test_fit_records_floors_and_ties_without_warning(self):
+        # the rows of recovery's floor and sign-tie tests, streamed: each
+        # fresh snapshot records them, and no step warns of either
+        floor = np.array([[1, 1, 1, 1], [-1, 1, 1, 1], [1, -1, -1, -1], [-1, -1, -1, -1]])
+        tie = np.array([[1, 1, -1, -1], [-1, -1, 1, 1]])
+        prior = ClassPrior.from_balance(0.5)
+        for base, floored, ties in ((floor, [0], []), (tie, [], [0])):
+            state = RollingState(star(4), RunConfig(), window=20, warmup=12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for row in np.tile(base, (8, 1)):
+                    res = state.step(row, prior)
+            assert not res.stale
+            assert res.params.diagnostics.floored_columns == floored
+            assert res.params.diagnostics.sign["sign_ties"] == ties
+
     def test_stale_warning_names_the_stream_row(self):
         # on this stream the fit at step 295 gives the step's own row zero
         # likelihood; the warning names that row of the stream

@@ -364,6 +364,24 @@ class TestRecoverParameters:
         assert "valid partner pairs per column: min 12, max 20, columns 5" in \
             mu.diagnostics.report()
 
+    def test_warns_of_floored_accuracies(self):
+        # source 1 is uncorrelated with sources 2-4, which agree on every
+        # row, so its accuracy magnitude is floored: recorded and warned of
+        base = np.array([[1, 1, 1, 1], [-1, 1, 1, 1], [1, -1, -1, -1], [-1, -1, -1, -1]],
+                        dtype=np.int8)
+        with pytest.warns(EstimationWarning, match=r"floor for columns \[0\]"):
+            mu = recover_parameters(LabelMatrix(np.tile(base, (25, 1))), star(4),
+                                    ClassPrior.from_balance(0.5))
+        assert mu.diagnostics.floored_columns == [0]
+
+    def test_warns_of_sign_ties(self):
+        # sources 1 and 2 vote against sources 3 and 4 on every row, so the
+        # accuracy sum is zero under both flips: recorded and warned of
+        votes = np.tile(np.array([[1, 1, -1, -1], [-1, -1, 1, 1]], dtype=np.int8), (25, 1))
+        with pytest.warns(EstimationWarning, match="sign tie for task 1"):
+            mu = recover_parameters(LabelMatrix(votes), star(4), ClassPrior.from_balance(0.5))
+        assert mu.diagnostics.sign["sign_ties"] == [0]
+
     def test_caller_accuracies_with_extra_diagnostics_keys(self):
         # diagnostics of caller-built Accuracies are a free-form dict: the
         # fit reads the four keys it knows and ignores any other
