@@ -50,7 +50,6 @@ _EXPORTS = {
     "majority_vote": "inference",
     # online
     "RollingState": "online",
-    "step": "online",
     "sweep_window": "online",
     # oracle
     "CanonicalParameters": "oracle",

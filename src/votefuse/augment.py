@@ -188,13 +188,11 @@ def pair_votes(pairs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AugmentedGraph:
-    """The dependency graph lifted to the paired observed-variable space.
-
-    Vertices are D hidden tasks plus 2m observed columns. Every column links
-    to its source's task; each pair carries an internal abstain-rate edge; a
-    dependency edge between two sources induces all four edges between their
-    pairs.
-    """
+    """The dependency graph lifted to the paired observed-variable space,
+    as the fit reads it: the components of the dependency-edge graph
+    (``source_components``), the conditionally independent column pairs
+    (``independent_columns``) and each task's vote-tracking columns
+    (``task_anchors``), each built once per graph."""
 
     graph: DependencyGraph
 
@@ -206,30 +204,8 @@ class AugmentedGraph:
     def n_columns(self) -> int:
         return 2 * self.graph.n_sources
 
-    @property
-    def n_vertices(self) -> int:
-        return self.n_tasks + self.n_columns
-
     def task_of(self, col: int) -> int:
         return self.graph.assignment[col // 2]
-
-    def lift(self, source: int) -> Tuple[int, int]:
-        return 2 * source, 2 * source + 1
-
-    def accuracy_edges(self) -> Tuple[Tuple[int, int], ...]:
-        """(column, task) edges."""
-        return tuple((c, self.task_of(c)) for c in range(self.n_columns))
-
-    def abstain_edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((2 * i, 2 * i + 1) for i in range(self.graph.n_sources))
-
-    def cross_edges(self) -> Tuple[Tuple[int, int], ...]:
-        out = []
-        for a, b in self.graph.source_edges:
-            for ca in self.lift(a):
-                for cb in self.lift(b):
-                    out.append((ca, cb))
-        return tuple(out)
 
     def source_components(self) -> Tuple[int, ...]:
         """Component id per source in the dependency-edge graph.
@@ -275,12 +251,6 @@ class AugmentedGraph:
             cached = self.__dict__["_anchor_cache"] = tuple(
                 _freeze(evens[task == d]) for d in range(self.n_tasks))
         return cached
-
-    def columns_dependent(self, a: int, b: int) -> bool:
-        """Conditional dependence test between observed columns given the
-        hidden layer: same source's pair, or sources connected through
-        dependency edges."""
-        return not self.independent_columns()[a, b]
 
 
 def augment_graph(g: DependencyGraph) -> AugmentedGraph:

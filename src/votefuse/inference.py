@@ -176,8 +176,10 @@ def joint_probability(mu: LabelModelParameters, jt: JunctionTree,
     vote row or a one-row LabelMatrix.
 
     Zero when any clique or separator factor of (y, lam) is zero. ``y``
-    holds one +1 or -1 per task.
+    holds one +1 or -1 per task. ``jt`` must equal ``mu.jtree``.
     """
+    if jt is not mu.jtree and jt != mu.jtree:  # mu's tables are laid out by mu.jtree
+        raise ShapeMismatch("jt is not the junction tree the parameters were fitted on")
     D, y = mu.graph.n_tasks, np.asarray(y)
     if y.shape != (D,):
         raise ShapeMismatch(f"y has shape {y.shape}, the model has {D} tasks")
@@ -194,8 +196,10 @@ def posterior(mu: LabelModelParameters, jt: JunctionTree, prior: ClassPrior,
 
     Exact enumeration over task configurations; the result sums to one. The
     prior argument is kept for interface symmetry (the tables already embed
-    it) and only checked for shape.
+    it) and only checked for shape; ``jt`` must equal ``mu.jtree``.
     """
+    if jt is not mu.jtree and jt != mu.jtree:  # mu's tables are laid out by mu.jtree
+        raise ShapeMismatch("jt is not the junction tree the parameters were fitted on")
     return _normalized(mu, prior, _row(lam), first_row=None)[..., 0]
 
 
@@ -212,8 +216,10 @@ def predict_proba(L: LabelMatrix, mu: LabelModelParameters, jt: JunctionTree,
     number of factor groups times 2^D * n, plus 3^k states per group of k
     sources, with no per-row Python work, and working memory with the block.
     Each row's arithmetic does not depend on the block, so the result is the
-    same for any block size.
+    same for any block size. ``jt`` must equal ``mu.jtree``.
     """
+    if jt is not mu.jtree and jt != mu.jtree:  # mu's tables are laid out by mu.jtree
+        raise ShapeMismatch("jt is not the junction tree the parameters were fitted on")
     probs = np.empty((L.n, mu.graph.n_tasks))
     # an empty matrix still takes one (empty) pass, which checks its shape
     for lo in range(0, max(L.n, 1), BLOCK_ROWS):

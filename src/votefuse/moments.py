@@ -279,18 +279,6 @@ class RunningStats:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CondStats:
-    """Moments restricted to rows where one source abstained.
-
-    ``n_rows`` is None when the statistics are exact (oracle-provided).
-    """
-
-    M: np.ndarray
-    first: np.ndarray
-    n_rows: Optional[int] = None
-
-
-@dataclass
 class MomentEstimates:
     """First and second moments of the augmented columns plus vote statistics.
 
@@ -333,23 +321,6 @@ class MomentEstimates:
         """P(lambda_i = 0) per source."""
         return self.vote_marginals[:, 1]
 
-    def pair_table(self, i: int, j: int) -> np.ndarray:
-        """3x3 cross-tab P(lambda_i = a, lambda_j = b), rows indexed by i's state."""
-        key = (min(i, j), max(i, j))
-        if key not in self.pairs:
-            raise KeyError(key)
-        tbl = self.pair_cells[self.pairs.index(key)]
-        return tbl if i <= j else tbl.T
-
-    def conditional(self, i: int) -> Optional[CondStats]:
-        """The moments restricted to the rows where source ``i`` abstains, as
-        views of the stacked arrays; None when they are not held."""
-        if i not in self.cond_sources:
-            return None
-        t = self.cond_sources.index(i)
-        return CondStats(M=self.cond_M[t], first=self.cond_first[t],
-                         n_rows=None if self.cond_n is None else self.cond_n[t])
-
 
 def estimate_moments(A: AugmentedLabelMatrix, prior: ClassPrior,
                      graph: Optional[AugmentedGraph] = None) -> MomentEstimates:
@@ -385,7 +356,7 @@ class TripletPlan:
 
     ``partners[a]`` lists the columns outside a's component and ``pairs[a]``
     counts a's valid unordered partner pairs, for every anchor with at least
-    one; ``fallback`` lists the even columns with none. ``blocks`` holds one
+    one; an even column with none is not a key. ``blocks`` holds one
     (anchors, P, K) entry per task: P (anchors x columns) is 1 on each
     anchor's partner columns, and K (columns x columns) is 1 on the pairs in
     distinct components with a member on the task. ``single[a]`` is anchor
@@ -395,7 +366,6 @@ class TripletPlan:
     n_columns: int
     partners: Dict[int, np.ndarray]
     pairs: Dict[int, int]
-    fallback: Tuple[int, ...]
     blocks: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     single: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -437,7 +407,6 @@ def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Tripl
                         np.split(cols, np.searchsorted(rows, np.arange(1, anchors.size)))))
     return TripletPlan(n_columns=n_cols, partners=partners,
                        pairs=dict(zip(anchors.tolist(), counts.tolist())),
-                       fallback=tuple(np.setdiff1d(evens, anchors).tolist()),
                        blocks=tuple(blocks),
                        single={a: (block[r:r + 1], P[r:r + 1], K) for block, P, K in blocks
                                for r, a in enumerate(block.tolist())})
@@ -499,11 +468,11 @@ class Accuracies:
 
     Triplet-recovered magnitudes are clamped to [EPS_ACC, 1]; ratio-fallback
     values may be any value in [-1, 1], including 0 for an uninformative
-    source. ``method[c]`` records how column c was estimated.
+    source. ``diagnostics["ratio_fallback_sources"]`` lists the sources
+    whose accuracy the ratio fallback gave.
     """
 
     values: np.ndarray
-    method: Tuple[str, ...]
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -544,13 +513,18 @@ def _sign_components(group: np.ndarray, rel: np.ndarray) -> Tuple[List[List[int]
     return comps, np.array(sign)
 
 
-def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunConfig,
-                   first_moments: Optional[np.ndarray],
-                   prior: Optional[ClassPrior]) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """``resolve_signs`` on a vector of magnitudes, NaN where a column has
-    none. Returns the signed values (NaN where no magnitude), the signed
-    columns in the order they were resolved (per task, per component,
-    ascending) and the diagnostics."""
+def resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph,
+                  cfg: RunConfig = RunConfig(),
+                  first_moments: Optional[np.ndarray] = None,
+                  prior: Optional[ClassPrior] = None) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """Assign signs to the accuracy magnitudes ``mags``, one per column, NaN
+    where a column has none; only the vote-tracking (even) columns are read,
+    grouped per task. Relative signs inside a group come from the signs of
+    the pairwise moments (two hops through a conditionally independent
+    column relate a dependent pair), and the remaining global flip per
+    component is fixed by the configured strategy. Returns the signed values
+    (NaN where no magnitude), the signed columns in the order they were
+    resolved (per task, per component, ascending) and the diagnostics."""
     diag = {"sign_ties": [], "ratio_anchor_fallbacks": []}
     anchor_col = None
     if cfg.sign_strategy == "anchor":
@@ -609,26 +583,6 @@ def _resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph, cfg: RunC
     order = np.concatenate(resolved) if len(resolved) > 1 else (
         resolved[0] if resolved else np.empty(0, dtype=np.intp))
     return signed, order, diag
-
-
-def resolve_signs(magnitudes: Dict[int, float], M: np.ndarray,
-                  G: AugmentedGraph, cfg: RunConfig = RunConfig(),
-                  first_moments: Optional[np.ndarray] = None,
-                  prior: Optional[ClassPrior] = None) -> Tuple[Dict[int, float], dict]:
-    """Assign signs to per-source accuracy magnitudes.
-
-    Operates on the vote-tracking (even) columns, grouped per task; relative
-    signs inside a group come from the signs of the pairwise moments (two hops
-    through a conditionally independent column relate a dependent pair), and
-    the remaining global flip per component is fixed by the configured
-    strategy.
-    """
-    mags = np.empty(G.n_columns)
-    mags.fill(np.nan)
-    evens = [c for c in magnitudes if c % 2 == 0]
-    mags[evens] = [magnitudes[c] for c in evens]
-    signed, order, diag = _resolve_signs(mags, M, G, cfg, first_moments, prior)
-    return dict(zip(order.tolist(), signed[order].tolist())), diag
 
 
 # ---------------------------------------------------------------------------
@@ -705,18 +659,15 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
     Floored magnitudes and sign ties are recorded in the diagnostics
     (``floored_columns``, ``sign["sign_ties"]``), not warned of."""
     mags = _pooled_magnitudes(moments.M, plan)
-    values, order, sign_diag = _resolve_signs(
+    values, order, sign_diag = resolve_signs(
         mags, moments.M, G, cfg, moments.first_moments, moments.prior)
     # a signed magnitude is clamped to [EPS_ACC, 1], so it is floored when
     # its magnitude is (NaN compares false)
     floored = ([c for c in order.tolist() if mags[c] <= EPS_ACC]
                if np.count_nonzero(mags <= EPS_ACC) else [])
 
-    n_cols = G.n_columns
-    method = ("triplet", "mirror") * (n_cols // 2)
     fallback_used = []
-    if len(order) < n_cols // 2:  # some even column has no signed magnitude
-        method = list(method)
+    if len(order) < G.n_columns // 2:  # some even column has no signed magnitude
         for c in (np.flatnonzero(np.isnan(values[0::2])) * 2).tolist():
             if not cfg.ratio_fallback:
                 raise NoUsableTriplet(
@@ -724,9 +675,7 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
                     f"fallback is disabled"
                 )
             values[c] = ratio_accuracy(c, moments, G)
-            method[c] = "ratio"
             fallback_used.append(c // 2)
-        method = tuple(method)
     np.negative(values[0::2], out=values[1::2])
 
     diag = {
@@ -735,4 +684,4 @@ def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
         "ratio_fallback_sources": fallback_used,
         "floored_columns": floored,
     }
-    return Accuracies(values=values, method=method, diagnostics=diag)
+    return Accuracies(values=values, diagnostics=diag)

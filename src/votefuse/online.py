@@ -183,11 +183,6 @@ class RollingState:
             self._stale_warned = True
 
 
-def step(state: RollingState, lam_t: Sequence[int], prior_t: ClassPrior) -> StepResult:
-    """Functional alias for :meth:`RollingState.step`."""
-    return state.step(lam_t, prior_t)
-
-
 # ---------------------------------------------------------------------------
 # window sweep
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .augment import AugmentedGraph
 from .errors import TooLarge
 from .graph import (
     ClassPrior,
@@ -25,7 +24,7 @@ from .graph import (
     build_junction_tree,
     validate_graph,
 )
-from .moments import CondStats, MomentEstimates
+from .moments import MomentEstimates
 
 MAX_ENUM_VARS = 22
 
@@ -221,8 +220,9 @@ class ExactJoint:
         first[1::2] = -first_lam
         return M, first
 
-    def restricted_moments(self, cond: int) -> CondStats:
-        """Exact moments restricted to the event that source ``cond`` abstains."""
+    def restricted_moments(self, cond: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact (M, first moments) restricted to the event that source
+        ``cond`` abstains."""
         p = self._flat()
         vals = self._vote_vectors()[cond]
         mask = vals == 0.0
@@ -230,8 +230,7 @@ class ExactJoint:
         if pz <= 0.0:
             raise ValueError(f"source {cond} never abstains")
         w = np.where(mask, p, 0.0) / pz
-        Mc, firstc = self._moment_arrays(w)
-        return CondStats(M=Mc, first=firstc, n_rows=None)
+        return self._moment_arrays(w)
 
     def moment_estimates(self, track_graph: bool = True) -> MomentEstimates:
         """Exact moments packaged the way the estimation pipeline consumes them."""
@@ -259,8 +258,8 @@ class ExactJoint:
             pairs=pairs,
             pair_cells=np.array(cells).reshape(len(pairs), 3, 3),
             cond_sources=cond,
-            cond_M=np.array([r.M for r in restricted]).reshape(len(cond), c, c),
-            cond_first=np.array([r.first for r in restricted]).reshape(len(cond), c),
+            cond_M=np.array([Mc for Mc, _ in restricted]).reshape(len(cond), c, c),
+            cond_first=np.array([fc for _, fc in restricted]).reshape(len(cond), c),
         )
 
     def clique_table(self, vs: VarSet) -> np.ndarray:
@@ -298,8 +297,7 @@ class ExactJoint:
         return float(np.dot(V[target] * T[self.graph.assignment[target]], w))
 
 
-def enumerate_joint(theta: CanonicalParameters,
-                    G: Optional[AugmentedGraph] = None) -> ExactJoint:
+def enumerate_joint(theta: CanonicalParameters) -> ExactJoint:
     """Exponentiate every configuration's potential and normalize.
 
     The abstain split is balanced by construction: both equal-sign pair states
@@ -307,8 +305,6 @@ def enumerate_joint(theta: CanonicalParameters,
     configuration of the remaining variables.
     """
     g = theta.graph
-    if G is not None and G.graph is not g and G.graph != g:
-        raise ValueError("augmented graph does not match the parameters' graph")
     D, m = g.n_tasks, g.n_sources
     n_bits = D + (2 * m if theta.abstaining else m)
     if n_bits > MAX_ENUM_VARS:
@@ -371,11 +367,9 @@ def enumerate_joint(theta: CanonicalParameters,
     return ExactJoint(params=theta, p_full=p, collapsed=collapsed)
 
 
-def exact_statistics(joint: ExactJoint, g: Optional[DependencyGraph] = None):
+def exact_statistics(joint: ExactJoint):
     """(true moments, true column accuracies, true label model parameters)."""
-    if g is None:
-        g = joint.graph
-    jtree = build_junction_tree(validate_graph(g))
+    jtree = build_junction_tree(validate_graph(joint.graph))
     return joint.moment_estimates(), joint.column_accuracies(), joint.true_parameters(jtree)
 
 

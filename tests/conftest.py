@@ -1,6 +1,7 @@
 """Shared fixtures: the oracle-backed model grid used across the suite."""
 
 import os
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,8 +20,12 @@ from votefuse.graph import (
     _to_varset,
     marginalize_table,
 )
-from votefuse.moments import EPS_ACC, EPS_DEN, CondStats
+from votefuse.moments import EPS_ACC, EPS_DEN
 from votefuse.recovery import build_transform, mu_unflatten
+
+# The moments restricted to the rows where one source abstains, over n_rows
+# rows, in the former dict form of the reference statistics.
+CondStats = namedtuple("CondStats", "M first n_rows")
 
 
 def child_env() -> dict:
@@ -203,17 +208,16 @@ def assert_moments_match_dict_form(got, want):
     for name in ("M", "first_moments", "vote_marginals"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.pairs == tuple(want.pair_tables)
-    for (i, j), tbl in want.pair_tables.items():
-        assert got.pair_table(i, j).tobytes() == tbl.tobytes()
-        assert got.pair_table(j, i).tobytes() == tbl.T.tobytes()
-    for i in got.cond_sources:
-        cs, ref = got.conditional(i), want.conditional.get(i)
-        assert cs.n_rows == (0 if ref is None else ref.n_rows)
+    for q, tbl in enumerate(want.pair_tables.values()):
+        assert got.pair_cells[q].tobytes() == tbl.tobytes()
+    for t, i in enumerate(got.cond_sources):
+        ref = want.conditional.get(i)
+        assert got.cond_n[t] == (0 if ref is None else ref.n_rows)
         if ref is not None and ref.n_rows >= moments.N_MIN_ABSTAIN:
-            assert cs.M.tobytes() == ref.M.tobytes()
-            assert cs.first.tobytes() == ref.first.tobytes()
+            assert got.cond_M[t].tobytes() == ref.M.tobytes()
+            assert got.cond_first[t].tobytes() == ref.first.tobytes()
         else:
-            assert np.isnan(cs.M).all() and np.isnan(cs.first).all()
+            assert np.isnan(got.cond_M[t]).all() and np.isnan(got.cond_first[t]).all()
     assert set(want.conditional) <= set(got.cond_sources)
 
 
@@ -300,12 +304,15 @@ def reference_conditional_accuracies(pairs, moments, plan, G, acc, cfg):
             continue
         col = 2 * target
         try:
-            cs = moments.conditional(cond)
-            if cs is None or (cs.n_rows is not None and cs.n_rows < mod.N_MIN_ABSTAIN):
-                have = 0 if cs is None else cs.n_rows
+            t = moments.cond_sources.index(cond) if cond in moments.cond_sources else None
+            n_rows = 0  # not held
+            if t is not None:
+                n_rows = None if moments.cond_n is None else moments.cond_n[t]  # None: exact
+            if n_rows is not None and n_rows < mod.N_MIN_ABSTAIN:
                 raise TooFewAbstainRows(
-                    f"source {cond + 1} abstains on {have} rows; need {mod.N_MIN_ABSTAIN}")
-            mag = reference_pooled_magnitudes(cs.M, plan, [col])[col] if col in plan.pairs else None
+                    f"source {cond + 1} abstains on {n_rows} rows; need {mod.N_MIN_ABSTAIN}")
+            mag = (reference_pooled_magnitudes(moments.cond_M[t], plan, [col])[col]
+                   if col in plan.pairs else None)
             if mag is not None and mag == mag:
                 sign = 1.0 if hint >= 0 else -1.0
                 out.append(min(max(-1.0, sign * float(mag)), 1.0))
@@ -315,7 +322,7 @@ def reference_conditional_accuracies(pairs, moments, plan, G, acc, cfg):
                 raise NoUsableTriplet(
                     f"no triplets available for column {col}" if mag is None else
                     f"abstain-restricted triplets for source {target + 1} are all degenerate")
-            out.append(float(np.clip(cs.first[col] / ey, -1.0, 1.0)))
+            out.append(float(np.clip(moments.cond_first[t, col] / ey, -1.0, 1.0)))
         except (TooFewAbstainRows, NoUsableTriplet) as exc:
             out.append(hint)
             records.append({"target": target + 1, "cond": cond + 1, "reason": str(exc)})
@@ -467,7 +474,7 @@ def _reference_rhs(clique, acc, moments, cond_acc, prior):
     if len(srcs) == 2:
         j = srcs[1]
         z_j = float(moments.abstain_rates[j])
-        pair = moments.pair_table(i, j)
+        pair = moments.pair_cells[moments.pairs.index((i, j))]
         z_ij = float(pair[1, 1])
         r += [
             float(moments.vote_marginals[j, 0]),

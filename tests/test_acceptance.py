@@ -303,7 +303,8 @@ def test_criterion_6b_single_triplet_ablation():
     plan = enumerate_triplets(G, cfg)
     # every valid triplet per anchor: on a star, any two partner columns of
     # distinct sources
-    triplets = {c: [(j, k) for j in p for k in p if j < k and not G.columns_dependent(j, k)]
+    indep = G.independent_columns()
+    triplets = {c: [(j, k) for j in p for k in p if j < k and indep[j, k]]
                 for c, p in plan.partners.items()}
     n_better = 0
     agg_all, worst_all = [], []
@@ -320,21 +321,15 @@ def test_criterion_6b_single_triplet_ablation():
         rng = np.random.default_rng(seed)
         errs = []
         for _ in range(25):
-            mags = {}
+            mags = np.full(10, np.nan)
             for c, pairs in triplets.items():
                 j, k = pairs[rng.integers(len(pairs))]
                 val = _anchor_magnitudes(me.M, c, j, k)
                 # a degenerate triplet counts as the accuracy floor
                 mags[c] = EPS_ACC if np.isnan(val) else float(val)
-            signed, _ = resolve_signs(mags, me.M, G, cfg,
-                                      me.first_moments, prior)
-            values = np.zeros(10)
-            for c, v in signed.items():
-                values[c] = v
-            for i in range(5):
-                values[2 * i + 1] = -values[2 * i]
-            acc1 = Accuracies(values=values, method=("triplet",) * 10,
-                             diagnostics={})
+            values, _, _ = resolve_signs(mags, me.M, G, cfg, me.first_moments, prior)
+            np.negative(values[0::2], out=values[1::2])
+            acc1 = Accuracies(values=values, diagnostics={})
             mu1 = recover_from_moments(me, g, cfg, G=G, plan=plan, acc=acc1)
             errs.append(float((predict_proba(L, mu1, mu1.jtree, prior)
                                .thresholded()[:, 0] != y).mean()))

@@ -221,31 +221,35 @@ def test_encode_block_memory_is_bounded_by_the_block():
         assert peak < 6 * 2 ** 20, f"{mode}: {peak / 2 ** 20:.1f} MB"
 
 
+def _same_source(n_columns):
+    """Column pairs that belong to one source."""
+    src = np.arange(n_columns) // 2
+    return src[:, None] == src[None, :]
+
+
 class TestAugmentGraph:
     def test_counts_with_dependency(self):
         G = augment_graph(star_with_edges(4, [(0, 1)]))
-        assert G.n_vertices == 1 + 8
-        assert len(G.abstain_edges()) == 4
-        assert len(G.cross_edges()) == 4
-        assert len(G.accuracy_edges()) == 8
-        assert G.lift(2) == (4, 5)
+        assert G.n_columns == 8
         assert G.task_of(5) == 0
+        # the dependency edge joins all four column pairs of sources 1 and 2
+        cross = ~G.independent_columns() & ~_same_source(8)
+        assert np.count_nonzero(cross) == np.count_nonzero(cross[:4, :4]) == 2 * 4
 
     def test_single_source(self):
         G = augment_graph(star(1))
-        assert G.n_vertices == 3
-        assert G.abstain_edges() == ((0, 1),)
-        assert G.cross_edges() == ()
-        assert len(G.accuracy_edges()) == 2
+        assert G.n_columns == 2
+        assert not G.independent_columns().any()  # its own pair only
+        assert [a.tolist() for a in G.task_anchors()] == [[0]]
 
     def test_no_edges_no_cross(self):
         G = augment_graph(star(5))
-        assert G.cross_edges() == ()
+        np.testing.assert_array_equal(G.independent_columns(), ~_same_source(10))
 
     def test_dependence_test(self):
-        G = augment_graph(star_with_edges(4, [(0, 1)]))
-        assert G.columns_dependent(0, 1)        # same pair
-        assert G.columns_dependent(0, 2)        # dependency edge
-        assert G.columns_dependent(1, 3)
-        assert not G.columns_dependent(0, 4)
-        assert not G.columns_dependent(2, 7)
+        indep = augment_graph(star_with_edges(4, [(0, 1)])).independent_columns()
+        assert not indep[0, 1]        # same pair
+        assert not indep[0, 2]        # dependency edge
+        assert not indep[1, 3]
+        assert indep[0, 4]
+        assert indep[2, 7]

@@ -218,6 +218,29 @@ class TestPredictProba:
             predict_proba(LabelMatrix(np.zeros((2, 4), dtype=np.int8)),
                           j.true_parameters(jt), jt, j.prior())
 
+    def test_tree_of_another_graph_is_refused(self):
+        # the tables are laid out by mu.jtree: every entry point refuses
+        # another graph's tree and accepts an equal tree built again
+        g = star_with_edges(4, [(2, 3)])
+        j = enumerate_joint(random_model(g, seed=4))
+        mu, prior = j.true_parameters(build_junction_tree(g)), j.prior()
+        row = np.array([1, 0, -1, 1], dtype=np.int8)
+        L = LabelMatrix(row[np.newaxis])
+        other = build_junction_tree(star(4))
+        with pytest.raises(ShapeMismatch, match="junction tree"):
+            predict_proba(L, mu, other, prior)
+        with pytest.raises(ShapeMismatch, match="junction tree"):
+            posterior(mu, other, prior, row)
+        with pytest.raises(ShapeMismatch, match="junction tree"):
+            joint_probability(mu, other, [1], row)
+        again = build_junction_tree(g)
+        assert again is not mu.jtree and again == mu.jtree
+        assert (predict_proba(L, mu, again, prior).probs.tobytes()
+                == predict_proba(L, mu, mu.jtree, prior).probs.tobytes())
+        assert (posterior(mu, again, prior, row).tobytes()
+                == posterior(mu, mu.jtree, prior, row).tobytes())
+        assert joint_probability(mu, again, [1], row) == joint_probability(mu, mu.jtree, [1], row)
+
     def test_matches_per_row_posterior(self):
         g = star_with_edges(4, [(2, 3)])
         j = enumerate_joint(random_model(g, seed=5))

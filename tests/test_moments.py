@@ -82,7 +82,7 @@ class TestEstimateMoments:
         me = estimate_moments(augment_matrix(LabelMatrix(votes)),
                               ClassPrior.from_balance(0.5), augment_graph(g))
         np.testing.assert_allclose(me.vote_marginals[0], [0.5, 0.25, 0.25])
-        pair = me.pair_table(0, 1)
+        pair = me.pair_cells[me.pairs.index((0, 1))]
         assert pair[0, 0] == pytest.approx(0.25)   # (+1, +1) once
         assert pair.sum() == pytest.approx(1.0)
 
@@ -330,6 +330,16 @@ def test_statistics_pass_matches_the_former_pass(inputs, picks, n_min):
             assert_moments_match_dict_form(got.to_moments(prior), want.to_moments(prior))
 
 
+def _ratio_fallback_sources(G, plan):
+    """The sources a fit on exact moments sends to the ratio fallback."""
+    th = CanonicalParameters(graph=G.graph, theta_task=(0.3,),
+                             theta_acc=(0.5,) * G.graph.n_sources,
+                             theta_abstain=(0.1,) * G.graph.n_sources)
+    me = enumerate_joint(th).moment_estimates()
+    acc = estimate_accuracies(me, plan, G, RunConfig(ratio_fallback=True))
+    return acc.diagnostics["ratio_fallback_sources"]
+
+
 class TestEnumerateTriplets:
     def test_star_contains_vote_tracking_triple(self):
         plan = enumerate_triplets(augment_graph(star(3)))
@@ -337,7 +347,6 @@ class TestEnumerateTriplets:
         np.testing.assert_array_equal(plan.partners[0], [2, 3, 4, 5])
         # one column of each other source: (2, 4), (2, 5), (3, 4), (3, 5)
         assert plan.pairs == {0: 4, 2: 4, 4: 4}
-        assert plan.fallback == ()
 
     def test_dependent_pair_excluded(self):
         # with an edge between sources 1 and 2, source 1 may partner with
@@ -354,12 +363,12 @@ class TestEnumerateTriplets:
         # the pair path between them never touches the hidden layer, so no
         # triplet may mix them
         G = augment_graph(star_with_edges(4, [(0, 1), (0, 2)]))
-        assert G.columns_dependent(2, 4)
+        assert not G.independent_columns()[2, 4]
         plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
         # component {1,2,3} plus singleton {4}: only two independence classes,
-        # so nothing is triplet-recoverable
+        # so nothing is triplet-recoverable and every source takes the ratio
         assert plan.partners == {}
-        assert plan.fallback == (0, 2, 4, 6)
+        assert _ratio_fallback_sources(G, plan) == [0, 1, 2, 3]
 
     def test_two_dependent_sources_have_no_triplets(self):
         G = augment_graph(star_with_edges(2, [(0, 1)]))
@@ -367,13 +376,16 @@ class TestEnumerateTriplets:
             enumerate_triplets(G, RunConfig())
         plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
         assert plan.partners == {}
-        assert plan.fallback == (0, 2)
+        assert _ratio_fallback_sources(G, plan) == [0, 1]
 
     def test_no_observed_path_avoids_hidden_layer(self):
         # pairwise validity means no two triple members are joined by
         # observed-only edges (same pair or cross-pair edges)
         G = augment_graph(star_with_edges(5, [(1, 2)]))
-        observed = set(G.abstain_edges()) | set(G.cross_edges())
+        # each pair's abstain edge and the four edges between dependent pairs
+        observed = [(2 * i, 2 * i + 1) for i in range(5)]
+        observed += [(2 * a + x, 2 * b + y) for a, b in G.graph.source_edges
+                     for x in (0, 1) for y in (0, 1)]
         adj = {}
         for a, b in observed:
             adj.setdefault(a, set()).add(b)
@@ -468,7 +480,7 @@ class TestSolveTriplet:
             warnings.simplefilter("error")  # recorded, not warned of
             acc = estimate_accuracies(me, plan, G, RunConfig(ratio_fallback=True))
         assert acc.diagnostics["floored_columns"] == [2, 4]  # sources 2 and 3
-        assert acc.method[0] == "ratio"
+        assert acc.diagnostics["ratio_fallback_sources"] == [0]
         assert acc.values[0] == pytest.approx(0.5)  # E[v] / E[Y] = 0.1 / 0.2
         assert acc.values[0] == ratio_accuracy(0, me, G)
 
@@ -531,14 +543,13 @@ def test_kernel_matches_per_triplet_reference(inputs):
     G, M = inputs
     plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
     got = _pooled_magnitudes(M, plan)
-    n = G.n_columns
+    n, indep = G.n_columns, G.independent_columns()
     for a in range(0, n, 2):
-        apart = [j for j in range(n) if not G.columns_dependent(a, j)]
+        apart = [j for j in range(n) if indep[a, j]]
         valid = [(j, k) for j in apart for k in apart
-                 if not G.columns_dependent(j, k)
-                 and G.task_of(a) in (G.task_of(j), G.task_of(k))]
+                 if indep[j, k] and G.task_of(a) in (G.task_of(j), G.task_of(k))]
         if not valid:
-            assert a in plan.fallback and a not in plan.partners
+            assert a not in plan.partners and a not in plan.pairs
             assert np.isnan(got[a])
             continue
         np.testing.assert_array_equal(plan.partners[a], apart)
@@ -559,6 +570,13 @@ def test_kernel_matches_per_triplet_reference(inputs):
         np.testing.assert_allclose(part[0], got[a], rtol=1e-13, atol=0)
 
 
+def _mags(n_cols, magnitudes):
+    """A magnitude vector over ``n_cols`` columns, NaN where none is given."""
+    out = np.full(n_cols, np.nan)
+    out[list(magnitudes)] = list(magnitudes.values())
+    return out
+
+
 class TestResolveSigns:
     def test_mixed_signs(self):
         # magnitudes (0.8, 0.6, 0.6) with M_01 < 0 < M_02 force (+, -, +)
@@ -567,9 +585,10 @@ class TestResolveSigns:
         sgn = {(0, 2): -1, (0, 4): 1, (2, 4): -1}
         for (a, b), s in sgn.items():
             M[a, b] = M[b, a] = s * 0.4
-        mags = {0: 0.8, 2: 0.6, 4: 0.6}
-        signed, _ = resolve_signs(mags, M, G)
+        signed, order, _ = resolve_signs(_mags(6, {0: 0.8, 2: 0.6, 4: 0.6}), M, G)
         assert signed[0] > 0 and signed[2] < 0 and signed[4] > 0
+        assert np.isnan(signed[1::2]).all()
+        assert order.tolist() == [0, 2, 4]
 
     def test_all_positive(self):
         G = augment_graph(star(3))
@@ -578,8 +597,8 @@ class TestResolveSigns:
             for b in (0, 2, 4):
                 if a != b:
                     M[a, b] = 0.3
-        signed, _ = resolve_signs({0: 0.5, 2: 0.6, 4: 0.7}, M, G)
-        assert all(v > 0 for v in signed.values())
+        signed, _, _ = resolve_signs(_mags(6, {0: 0.5, 2: 0.6, 4: 0.7}), M, G)
+        np.testing.assert_array_equal(signed[0::2], [0.5, 0.6, 0.7])
 
     def test_anchor_propagates(self):
         G = augment_graph(star(3))
@@ -589,8 +608,8 @@ class TestResolveSigns:
                 if a != b:
                     M[a, b] = 0.3
         cfg = RunConfig(sign_strategy="anchor", anchor_source=0, anchor_sign=-1)
-        signed, _ = resolve_signs({0: 0.5, 2: 0.6, 4: 0.7}, M, G, cfg)
-        assert all(v < 0 for v in signed.values())
+        signed, _, _ = resolve_signs(_mags(6, {0: 0.5, 2: 0.6, 4: 0.7}), M, G, cfg)
+        np.testing.assert_array_equal(signed[0::2], [-0.5, -0.6, -0.7])
 
     def test_anchor_unreachable(self):
         from votefuse.errors import AnchorUnreachable
@@ -600,7 +619,7 @@ class TestResolveSigns:
         M[4, 6] = M[6, 4] = 0.3
         cfg = RunConfig(sign_strategy="anchor", anchor_source=0, anchor_sign=1)
         with pytest.raises(AnchorUnreachable):
-            resolve_signs({0: 0.5, 2: 0.5, 4: 0.5, 6: 0.5}, M, G, cfg)
+            resolve_signs(_mags(8, {0: 0.5, 2: 0.5, 4: 0.5, 6: 0.5}), M, G, cfg)
 
     def test_scaling_leaves_pattern_unchanged(self):
         G = augment_graph(star(3))
@@ -608,11 +627,20 @@ class TestResolveSigns:
         sgn = {(0, 2): -1, (0, 4): 1, (2, 4): -1}
         for (a, b), s in sgn.items():
             M[a, b] = M[b, a] = s * 0.4
-        base = {0: 0.8, 2: 0.6, 4: 0.6}
-        s1, _ = resolve_signs(base, M, G)
-        s2, _ = resolve_signs({k: 3.7 * v for k, v in base.items()}, M, G)
-        assert {k: np.sign(v) for k, v in s1.items()} == \
-               {k: np.sign(v) for k, v in s2.items()}
+        base = _mags(6, {0: 0.8, 2: 0.6, 4: 0.6})
+        s1, _, _ = resolve_signs(base, M, G)
+        s2, _, _ = resolve_signs(3.7 * base, M, G)
+        np.testing.assert_array_equal(np.sign(s1[0::2]), np.sign(s2[0::2]))
+
+    def test_missing_magnitude_left_unsigned(self):
+        # a column without a magnitude (NaN) is neither signed nor resolved,
+        # and the other columns of its task are signed without it
+        G = augment_graph(star(3))
+        M = np.eye(6)
+        M[0, 4] = M[4, 0] = -0.4
+        signed, order, _ = resolve_signs(_mags(6, {0: 0.8, 4: 0.6}), M, G)
+        assert np.isnan(signed[2]) and order.tolist() == [0, 4]
+        assert signed[0] == 0.8 and signed[4] == -0.6
 
 
 class TestRatioAccuracy:
@@ -670,9 +698,9 @@ class TestConditionalAccuracy:
         g = star(4)
         th = random_model(g, seed=5)
         j = enumerate_joint(th)
-        cs = j.restricted_moments(0)
+        M0, first0 = j.restricted_moments(0)
         me = dataclasses.replace(j.moment_estimates(), cond_sources=(0,),
-                                 cond_M=cs.M[np.newaxis], cond_first=cs.first[np.newaxis])
+                                 cond_M=M0[np.newaxis], cond_first=first0[np.newaxis])
         plan = enumerate_triplets(augment_graph(g))
         truth = j.accuracies()
         got = conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
@@ -706,7 +734,7 @@ class TestPipelineProperties:
         acc = estimate_accuracies(me, enumerate_triplets(G), G, RunConfig())
         for a in range(10):
             for b in range(10):
-                if G.columns_dependent(a, b):
+                if not G.independent_columns()[a, b]:
                     continue
                 assert acc.values[a] * acc.values[b] == pytest.approx(
                     me.M[a, b], abs=1e-10)
@@ -784,11 +812,13 @@ class TestPipelineProperties:
             for me in (j.moment_estimates(), estimate_moments(augment_matrix(L), j.prior(), G)):
                 for a, b in g.source_edges:
                     for target, cond in ((a, b), (b, a)):
-                        cs = me.conditional(cond)
-                        if cs is None or (cs.n_rows is not None and cs.n_rows < 50):
+                        if cond not in me.cond_sources:
+                            continue
+                        t = me.cond_sources.index(cond)
+                        if me.cond_n is not None and me.cond_n[t] < 50:
                             continue
                         col = 2 * target
-                        want = reference_pooled_magnitudes(cs.M, plan, [col])[col]
+                        want = reference_pooled_magnitudes(me.cond_M[t], plan, [col])[col]
                         if np.isnan(want):
                             with pytest.raises(NoUsableTriplet):
                                 conditional_accuracy_from_stats(target, cond, me, plan, G, cfg,

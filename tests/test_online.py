@@ -21,7 +21,7 @@ from votefuse.errors import ConfigError, EstimationWarning, VoteFuseError
 from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
 from votefuse.inference import marginal_positives, posterior
 from votefuse.moments import RunningStats, estimate_moments
-from votefuse.online import RollingState, parameter_error, run_stream, step, sweep_window
+from votefuse.online import RollingState, parameter_error, run_stream, sweep_window
 from votefuse.oracle import (
     CanonicalParameters,
     DriftStream,
@@ -96,7 +96,7 @@ class TestWindowedStatistics:
         cfg = RunConfig()
         state = RollingState(g, cfg, window=200, warmup=100)
         for t in range(700):
-            res = step(state, L.votes[t], prior)
+            res = state.step(L.votes[t], prior)
         A = augment_matrix(LabelMatrix(state.window_rows()), state.window_policy())
         me = estimate_moments(A, prior, augment_graph(state.graph))
         batch = recover_from_moments(me, state.graph, cfg)
@@ -242,7 +242,8 @@ class TestStep:
             "enumerate_triplets": (recovery, "enumerate_triplets"),
             "enumerate_triplets (online)": (online, "enumerate_triplets"),
             "compile_cliques (online)": (online, "compile_cliques"),
-            "columns_dependent": (AugmentedGraph, "columns_dependent"),
+            # the column-independence structure is built once per graph
+            "source_components": (AugmentedGraph, "source_components"),
             "compile_layout": (graph, "compile_layout"),
             # the step never reads a snapshot's per-table views
             "TableLayout.views": (graph.TableLayout, "views"),

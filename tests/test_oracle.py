@@ -155,7 +155,12 @@ class TestExactStatistics:
         g, th = random_models(1)[0]
         j = enumerate_joint(th)
         me = j.moment_estimates()
-        cs = me.conditional(0)
+        # the moments restricted to the rows where source 0 abstains, held
+        # in the pipeline's stacked form
+        M0, first0 = j.restricted_moments(0)
+        t = me.cond_sources.index(0)
+        assert me.cond_M[t].tobytes() == M0.tobytes()
+        assert me.cond_first[t].tobytes() == first0.tobytes()
         # E[lambda_1 Y | lambda_0 = 0] equals the restricted moment of column 2
         direct = j.conditional_accuracy(target=1, cond=0)
         p = j.p_full
@@ -163,6 +168,8 @@ class TestExactStatistics:
         w = np.where(mask, p, 0.0) / p[mask].sum()
         check = float(np.dot(w, j.column_value(2) * j.task_value(0)))
         assert abs(direct - check) < 1e-12
+        assert abs(first0[2] - float(np.dot(w, j.column_value(2)))) < 1e-12
+        assert abs(M0[2, 4] - float(np.dot(w, j.column_value(2) * j.column_value(4)))) < 1e-12
 
 
 class TestSampler:

@@ -1,4 +1,6 @@
 import importlib.util
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,17 @@ def test_star_import_binds_every_export():
     assert votefuse.__all__ == sorted(votefuse._EXPORTS)
     for name in votefuse.__all__:
         assert ns[name] is getattr(votefuse, name)
+
+
+def test_readme_python_blocks_run():
+    # every python block of the README runs as printed, warnings as errors
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(block, "README.md", "exec"), {})
 
 
 def _tracing():

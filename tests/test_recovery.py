@@ -373,6 +373,7 @@ class TestRecoverParameters:
             mu = recover_parameters(LabelMatrix(np.tile(base, (25, 1))), star(4),
                                     ClassPrior.from_balance(0.5))
         assert mu.diagnostics.floored_columns == [0]
+        assert "  accuracy floor hit for columns: [0]" in mu.diagnostics.report().splitlines()
 
     def test_warns_of_sign_ties(self):
         # sources 1 and 2 vote against sources 3 and 4 on every row, so the
@@ -381,6 +382,25 @@ class TestRecoverParameters:
         with pytest.warns(EstimationWarning, match="sign tie for task 1"):
             mu = recover_parameters(LabelMatrix(votes), star(4), ClassPrior.from_balance(0.5))
         assert mu.diagnostics.sign["sign_ties"] == [0]
+        assert "  sign ties: [0]" in mu.diagnostics.report().splitlines()
+
+    def test_report_names_ratio_fallback_sources(self):
+        # source 3 has no accuracy, so every partner pair of sources 1 and 2
+        # has a zero moment (ratio fallback) and source 3's magnitude is
+        # floored; the report names both, sources from 1 and columns from 0
+        g = star(3)
+        th = CanonicalParameters(graph=g, theta_task=(0.3,), theta_acc=(0.5, 0.7, 0.0),
+                                 theta_abstain=(0.1, 0.1, 0.1))
+        mu = recover_from_moments(enumerate_joint(th).moment_estimates(), g,
+                                  RunConfig(ratio_fallback=True))
+        assert mu.diagnostics.ratio_fallback_sources == [0, 1]
+        assert mu.diagnostics.report().splitlines() == [
+            "recovery diagnostics",
+            "  valid partner pairs per column: min 4, max 4, columns 3",
+            "  ratio fallback for sources: [1, 2]",
+            "  accuracy floor hit for columns: [4]",
+            "  max marginal clip magnitude: 0",
+        ]
 
     def test_caller_accuracies_with_extra_diagnostics_keys(self):
         # diagnostics of caller-built Accuracies are a free-form dict: the
