@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .graph import DependencyGraph, LabelMatrix, _freeze
+from .graph import DependencyGraph, LabelMatrix
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -188,69 +188,12 @@ def pair_votes(pairs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AugmentedGraph:
-    """The dependency graph lifted to the paired observed-variable space,
-    as the fit reads it: the components of the dependency-edge graph
-    (``source_components``), the conditionally independent column pairs
-    (``independent_columns``) and each task's vote-tracking columns
-    (``task_anchors``), each built once per graph."""
+    """The dependency graph lifted to the paired observed-variable space. The
+    structure the fit reads from it, the column independence mask and each
+    task's anchor columns, is built once per graph by
+    ``moments.enumerate_triplets``."""
 
     graph: DependencyGraph
-
-    @property
-    def n_tasks(self) -> int:
-        return self.graph.n_tasks
-
-    @property
-    def n_columns(self) -> int:
-        return 2 * self.graph.n_sources
-
-    def task_of(self, col: int) -> int:
-        return self.graph.assignment[col // 2]
-
-    def source_components(self) -> Tuple[int, ...]:
-        """Component id per source in the dependency-edge graph.
-
-        A chain of dependency edges is an observed path between pairs that
-        never touches a hidden vertex, so every source in a connected
-        component is conditionally dependent on every other.
-        """
-        cached = self.__dict__.get("_comp_cache")
-        if cached is None:
-            m = self.graph.n_sources
-            comp = list(range(m))
-
-            def find(x):
-                while comp[x] != x:
-                    comp[x] = comp[comp[x]]
-                    x = comp[x]
-                return x
-
-            for a, b in self.graph.source_edges:
-                comp[find(a)] = find(b)
-            cached = tuple(find(i) for i in range(m))
-            self.__dict__["_comp_cache"] = cached
-        return cached
-
-    def independent_columns(self) -> np.ndarray:
-        """Read-only 2m x 2m mask of the observed column pairs that are
-        conditionally independent given the hidden layer: columns of sources
-        in different components. Built once per graph."""
-        cached = self.__dict__.get("_indep_cache")
-        if cached is None:
-            comp = np.asarray(self.source_components())[np.arange(self.n_columns) // 2]
-            cached = self.__dict__["_indep_cache"] = _freeze(comp[:, None] != comp[None, :])
-        return cached
-
-    def task_anchors(self) -> Tuple[np.ndarray, ...]:
-        """Per task, the vote-tracking (even) columns of its sources,
-        ascending, as read-only arrays. Built once per graph."""
-        cached = self.__dict__.get("_anchor_cache")
-        if cached is None:
-            evens = np.arange(0, self.n_columns, 2)
-            task = np.asarray(self.graph.assignment, dtype=np.intp)
-            cached = self.__dict__["_anchor_cache"] = tuple(
-                _freeze(evens[task == d]) for d in range(self.n_tasks))
-        return cached
 
 
 def augment_graph(g: DependencyGraph) -> AugmentedGraph:

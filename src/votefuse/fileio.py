@@ -308,9 +308,11 @@ def _graph_from(path: str, **spec) -> DependencyGraph:
 
 def parse_graph_spec(path: str) -> DependencyGraph:
     """Whitespace-delimited, 1-indexed: ``tasks D``, ``sources m``,
-    ``assign i d``, ``tedge d e``, ``sedge i j``."""
+    ``assign i d``, ``tedge d e``, ``sedge i j``. A later ``assign`` of a
+    source replaces an earlier one; one of a source outside 1..m is an
+    error naming its line."""
     n_tasks = n_sources = None
-    assign: Dict[int, int] = {}
+    assign: Dict[int, Tuple[int, int]] = {}  # source -> (task, line)
     tedges, sedges = [], []
     for ln_no, toks in _spec_lines(path):
         kw = toks[0]
@@ -320,7 +322,7 @@ def parse_graph_spec(path: str) -> DependencyGraph:
             elif kw == "sources":
                 n_sources = int(toks[1])
             elif kw == "assign":
-                assign[int(toks[1]) - 1] = int(toks[2]) - 1
+                assign[int(toks[1]) - 1] = (int(toks[2]) - 1, ln_no)
             elif kw == "tedge":
                 tedges.append((int(toks[1]) - 1, int(toks[2]) - 1))
             elif kw == "sedge":
@@ -333,10 +335,14 @@ def parse_graph_spec(path: str) -> DependencyGraph:
             raise DataFormatError(f"{path}:{ln_no}: bad line {toks}: {exc}") from exc
     if n_tasks is None or n_sources is None:
         raise DataFormatError(f"{path}: need 'tasks' and 'sources' lines")
+    stray = [ln for i, (_, ln) in assign.items() if not 0 <= i < n_sources]
+    if stray:
+        raise DataFormatError(
+            f"{path}:{min(stray)}: assign names a source outside 1 to {n_sources}")
     missing = [i + 1 for i in range(n_sources) if i not in assign]
     if missing:
         raise AssignmentMissing(f"{path}: sources {missing} lack 'assign' lines")
-    assignment = tuple(assign[i] for i in range(n_sources))
+    assignment = tuple(assign[i][0] for i in range(n_sources))
     return _graph_from(path, n_tasks=n_tasks, n_sources=n_sources, assignment=assignment,
                        task_edges=tuple(tedges), source_edges=tuple(sedges))
 
@@ -408,24 +414,25 @@ def parse_model_spec(path: str) -> CanonicalParameters:
 
 def parse_prior_file(path: str, n_tasks: int) -> ClassPrior:
     """Either a single class-balance scalar (one task) or a joint table with
-    one line per configuration: D signs in {-1,+1} then the probability."""
+    one line per configuration: D signs in {-1,+1} then the probability. A
+    configuration listed twice is an error naming the second line."""
     with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        lines = [(ln_no, ln.split("#", 1)[0].split()) for ln_no, ln in enumerate(fh, start=1)]
+    lines = [(ln_no, toks) for ln_no, toks in lines if toks]
     if not lines:
         raise DataFormatError(f"{path}: empty prior file")
-    if len(lines) == 1 and len(lines[0].split()) == 1:
+    if len(lines) == 1 and len(lines[0][1]) == 1:
         if n_tasks != 1:
             raise DataFormatError(
                 f"{path}: scalar balance only valid for one task, have {n_tasks}")
         try:
-            p = float(lines[0])
+            p = float(lines[0][1][0])
         except ValueError as exc:
             raise DataFormatError(f"{path}: bad balance: {exc}") from exc
         return ClassPrior.from_balance(p)
     table = np.zeros((2,) * n_tasks)
-    for ln_no, line in enumerate(lines, start=1):
-        toks = line.split()
+    seen = set()
+    for ln_no, toks in lines:
         if len(toks) != n_tasks + 1:
             raise DataFormatError(
                 f"{path}: line {ln_no}: need {n_tasks} signs and a probability")
@@ -437,7 +444,11 @@ def parse_prior_file(path: str, n_tasks: int) -> ClassPrior:
         if any(s not in (-1, 1) for s in signs):
             raise DataFormatError(f"{path}: line {ln_no}: signs must be +/-1")
         idx = tuple(0 if s == 1 else 1 for s in signs)
-        table[idx] += prob
+        if idx in seen:
+            raise DataFormatError(
+                f"{path}: line {ln_no}: configuration {' '.join(toks[:-1])} listed twice")
+        seen.add(idx)
+        table[idx] = prob
     try:
         return ClassPrior(n_tasks=n_tasks, joint=table)
     except ValueError as exc:

@@ -52,7 +52,7 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import ClassPrior, DependencyGraph, _clip
+from .graph import ClassPrior, DependencyGraph, _clip, _freeze
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +354,11 @@ class TripletPlan:
     and j or k votes on a's task, so all three pairwise moments factor into
     accuracy products against a's hidden variable.
 
+    ``task[c]`` is column c's task and ``task_anchors[d]`` the vote-tracking
+    columns of task d, ascending. ``independent`` (2m x 2m) is True on the
+    column pairs of sources in distinct components, which are conditionally
+    independent given the hidden layer. All three are read-only.
+
     ``partners[a]`` lists the columns outside a's component and ``pairs[a]``
     counts a's valid unordered partner pairs, for every anchor with at least
     one; an even column with none is not a key. ``blocks`` holds one
@@ -364,29 +369,42 @@ class TripletPlan:
     """
 
     n_columns: int
+    task: np.ndarray
+    independent: np.ndarray
+    task_anchors: Tuple[np.ndarray, ...]
     partners: Dict[int, np.ndarray]
     pairs: Dict[int, int]
     blocks: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     single: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> TripletPlan:
-    """The partner masks of every even column, built once per graph."""
-    n_cols = G.n_columns
-    task = np.asarray(G.graph.assignment)[np.arange(n_cols) // 2]
-    comp = np.asarray(G.source_components(), dtype=np.intp)[np.arange(n_cols) // 2]
-    apart = G.independent_columns()
+def enumerate_triplets(graph: AugmentedGraph, cfg: RunConfig = RunConfig()) -> TripletPlan:
+    """The column independence mask, the task anchors and the partner masks
+    of every even column, built once per graph."""
+    g = graph.graph
+    # A chain of dependency edges is an observed path between pairs that
+    # never touches a hidden vertex, so the sources of one component of the
+    # dependency-edge graph are all conditionally dependent.
+    comp = np.arange(g.n_sources)
+    for a, b in g.source_edges:  # b's component joins a's
+        comp[comp == comp[b]] = comp[a]
+    n_cols = 2 * g.n_sources
+    source = np.arange(n_cols) // 2
+    task = _freeze(np.asarray(g.assignment, dtype=np.intp)[source])
+    comp = comp[source]
+    apart = _freeze(comp[:, None] != comp[None, :])
     evens = np.arange(0, n_cols, 2)
     # An anchor's partner pairs join columns of two distinct components
     # other than its own, one of them on its task: with s_c columns in
     # component c, u_c of them off the task, and S, U their sums over those
     # components, there are (S^2 - sum s_c^2 - U^2 + sum u_c^2) / 2.
     s = np.bincount(comp, minlength=n_cols)
-    anchors, counts, blocks = [], [], []
-    for d in range(G.n_tasks):
+    task_anchors, anchors, counts, blocks = [], [], [], []
+    for d in range(g.n_tasks):
         on = task == d
         K = (apart & (on[:, None] | on[None, :])).astype(np.float64)
-        cand = evens[task[evens] == d]
+        cand = _freeze(evens[task[evens] == d])
+        task_anchors.append(cand)
         P = apart[cand].astype(np.float64)
         u = np.bincount(comp[~on], minlength=n_cols)
         own = comp[cand]
@@ -405,7 +423,8 @@ def enumerate_triplets(G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Tripl
     rows, cols = np.nonzero(apart[anchors])
     partners = dict(zip(anchors.tolist(),
                         np.split(cols, np.searchsorted(rows, np.arange(1, anchors.size)))))
-    return TripletPlan(n_columns=n_cols, partners=partners,
+    return TripletPlan(n_columns=n_cols, task=task, independent=apart,
+                       task_anchors=tuple(task_anchors), partners=partners,
                        pairs=dict(zip(anchors.tolist(), counts.tolist())),
                        blocks=tuple(blocks),
                        single={a: (block[r:r + 1], P[r:r + 1], K) for block, P, K in blocks
@@ -513,7 +532,7 @@ def _sign_components(group: np.ndarray, rel: np.ndarray) -> Tuple[List[List[int]
     return comps, np.array(sign)
 
 
-def resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph,
+def resolve_signs(mags: np.ndarray, M: np.ndarray, plan: TripletPlan,
                   cfg: RunConfig = RunConfig(),
                   first_moments: Optional[np.ndarray] = None,
                   prior: Optional[ClassPrior] = None) -> Tuple[np.ndarray, np.ndarray, dict]:
@@ -528,15 +547,15 @@ def resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph,
     diag = {"sign_ties": [], "ratio_anchor_fallbacks": []}
     anchor_col = None
     if cfg.sign_strategy == "anchor":
-        cfg.check_sources(G.graph.n_sources)
+        cfg.check_sources(plan.n_columns // 2)
         anchor_col = 2 * cfg.anchor_source
     # the sign product of each independent column pair whose pairwise moment
     # is usable, |M| >= EPS_DEN; +-0 for every other pair
-    rel = np.copysign(G.independent_columns() & (np.abs(M) >= EPS_DEN), M)
+    rel = np.copysign(plan.independent & (np.abs(M) >= EPS_DEN), M)
     signed = np.empty(len(mags))
     signed.fill(np.nan)
     resolved = []
-    for d, group in enumerate(G.task_anchors()):
+    for d, group in enumerate(plan.task_anchors):
         vals = mags.take(group)
         have = vals == vals  # not NaN
         if np.count_nonzero(have) < len(have):
@@ -589,13 +608,13 @@ def resolve_signs(mags: np.ndarray, M: np.ndarray, G: AugmentedGraph,
 # fallbacks
 # ---------------------------------------------------------------------------
 
-def ratio_accuracy(col: int, moments: MomentEstimates, G: AugmentedGraph) -> float:
+def ratio_accuracy(col: int, moments: MomentEstimates, plan: TripletPlan) -> float:
     """First-moment fallback: a = E[v] / E[Y(col)], valid without triplets.
 
     Fails when the task mean is too close to zero and assumes no singleton
     potentials on the sources (a documented model assumption).
     """
-    ey = moments.prior.task_mean(G.task_of(col))
+    ey = moments.prior.task_mean(plan.task[col])
     if abs(ey) < EPS_PRIOR:
         raise PriorNearZero(
             f"ratio fallback for column {col} needs |E[Y]| >= {EPS_PRIOR}, "
@@ -617,7 +636,7 @@ def abstain_shortfall(cond: int, moments: MomentEstimates) -> Optional[str]:
 
 def conditional_accuracy_from_stats(target: int, cond: int,
                                     moments: MomentEstimates, plan: TripletPlan,
-                                    G: AugmentedGraph, cfg: RunConfig,
+                                    cfg: RunConfig,
                                     sign_hint: float) -> float:
     """E[lambda_target Y | lambda_cond = 0]: the pooled triplet fit on the
     moments restricted to the rows where ``cond`` abstains, on the target's
@@ -643,7 +662,7 @@ def conditional_accuracy_from_stats(target: int, cond: int,
         reason = f"abstain-restricted triplets for source {target + 1} are all degenerate"
     else:
         reason = f"no triplets available for column {col}"
-    ey = moments.prior.task_mean(G.task_of(col))
+    ey = moments.prior.task_mean(plan.task[col])
     if cfg.ratio_fallback and abs(ey) >= EPS_PRIOR:
         return float(_clip(moments.cond_first[t, col] / ey, -1.0, 1.0))
     raise NoUsableTriplet(reason)
@@ -654,27 +673,27 @@ def conditional_accuracy_from_stats(target: int, cond: int,
 # ---------------------------------------------------------------------------
 
 def estimate_accuracies(moments: MomentEstimates, plan: TripletPlan,
-                        G: AugmentedGraph, cfg: RunConfig = RunConfig()) -> Accuracies:
+                        cfg: RunConfig = RunConfig()) -> Accuracies:
     """Triplet magnitudes, sign resolution, and ratio fallback, in one pass.
     Floored magnitudes and sign ties are recorded in the diagnostics
     (``floored_columns``, ``sign["sign_ties"]``), not warned of."""
     mags = _pooled_magnitudes(moments.M, plan)
     values, order, sign_diag = resolve_signs(
-        mags, moments.M, G, cfg, moments.first_moments, moments.prior)
+        mags, moments.M, plan, cfg, moments.first_moments, moments.prior)
     # a signed magnitude is clamped to [EPS_ACC, 1], so it is floored when
     # its magnitude is (NaN compares false)
     floored = ([c for c in order.tolist() if mags[c] <= EPS_ACC]
                if np.count_nonzero(mags <= EPS_ACC) else [])
 
     fallback_used = []
-    if len(order) < G.n_columns // 2:  # some even column has no signed magnitude
+    if len(order) < plan.n_columns // 2:  # some even column has no signed magnitude
         for c in (np.flatnonzero(np.isnan(values[0::2])) * 2).tolist():
             if not cfg.ratio_fallback:
                 raise NoUsableTriplet(
                     f"no triplet-recovered accuracy for column {c} and the ratio "
                     f"fallback is disabled"
                 )
-            values[c] = ratio_accuracy(c, moments, G)
+            values[c] = ratio_accuracy(c, moments, plan)
             fallback_used.append(c // 2)
     np.negative(values[0::2], out=values[1::2])
 

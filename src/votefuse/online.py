@@ -71,8 +71,7 @@ class RollingState:
             self.warmup = self.window
         self.jtree = build_junction_tree(self.graph)
         compile_cliques(self.jtree)  # and the tree's table layout
-        self.aug_graph = augment_graph(self.graph)
-        self.plan = enumerate_triplets(self.aug_graph, cfg)
+        self.plan = enumerate_triplets(augment_graph(self.graph), cfg)
         self.stats = RunningStats(m, *tracked_statistics(self.graph))
         self.t = 0
         self.abstain_ordinals = np.zeros(m, dtype=np.int64)
@@ -134,10 +133,8 @@ class RollingState:
             # the fit warns of nothing: its diagnostics on the returned
             # parameters record floored accuracies, sign ties and substitutions
             moments = self.stats.to_moments(prior_t)
-            fresh = recover_from_moments(
-                moments, self.graph, self.cfg,
-                jtree=self.jtree, G=self.aug_graph, plan=self.plan,
-            )
+            fresh = recover_from_moments(moments, self.graph, self.cfg,
+                                         jtree=self.jtree, plan=self.plan)
         except VoteFuseError as exc:
             failure = exc
 

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .augment import AugmentedGraph, augment_graph, augment_matrix
+from .augment import augment_graph, augment_matrix
 from .config import RunConfig
 from .errors import EstimationWarning, NoUsableTriplet, NumericalInstability
 from .graph import (
@@ -418,7 +418,7 @@ class RecoveryDiagnostics:
 
 def _conditional_accuracies(pairs: Tuple[Tuple[int, int], ...],
                             moments: MomentEstimates, plan: TripletPlan,
-                            G: AugmentedGraph, acc: Accuracies, cfg: RunConfig,
+                            acc: Accuracies, cfg: RunConfig,
                             diag: RecoveryDiagnostics) -> np.ndarray:
     """E[lambda_t Y | lambda_c = 0] for every (t, c) in ``pairs``; the
     unconditional accuracy stands in, recorded in ``diag``, where c abstains
@@ -437,7 +437,7 @@ def _conditional_accuracies(pairs: Tuple[Tuple[int, int], ...],
         if reason is None:
             try:
                 out.append(conditional_accuracy_from_stats(
-                    target, cond, moments, plan, G, cfg, sign_hint=hint))
+                    target, cond, moments, plan, cfg, sign_hint=hint))
                 continue
             except NoUsableTriplet as exc:
                 reason = str(exc)
@@ -450,7 +450,6 @@ def _conditional_accuracies(pairs: Tuple[Tuple[int, int], ...],
 def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
                          cfg: RunConfig = RunConfig(),
                          jtree: Optional[JunctionTree] = None,
-                         G: Optional[AugmentedGraph] = None,
                          plan: Optional[TripletPlan] = None,
                          acc: Optional[Accuracies] = None) -> LabelModelParameters:
     """Recover every clique and separator table from moment estimates.
@@ -465,12 +464,10 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
     prior = moments.prior
     if jtree is None:
         jtree = build_junction_tree(g)
-    if G is None:
-        G = augment_graph(g)
     if plan is None:
-        plan = enumerate_triplets(G, cfg)
+        plan = enumerate_triplets(augment_graph(g), cfg)
     if acc is None:
-        acc = estimate_accuracies(moments, plan, G, cfg)
+        acc = estimate_accuracies(moments, plan, cfg)
     compiled = jtree.__dict__.get("_compiled_cliques") or compile_cliques(jtree)
 
     diag = RecoveryDiagnostics(
@@ -480,7 +477,7 @@ def recover_from_moments(moments: MomentEstimates, g: DependencyGraph,
         floored_columns=acc.diagnostics.get("floored_columns", []),
     )
 
-    cond = _conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc, cfg, diag)
+    cond = _conditional_accuracies(compiled.cond_pairs, moments, plan, acc, cfg, diag)
     rhs = clique_rhs(compiled, acc.values, moments, cond, prior.means)
     table, diag.clip_magnitudes, diag.rhs_clamps = solve_cliques(compiled, rhs)
     for span, tasks in compiled.priors:
@@ -496,15 +493,17 @@ def recover_parameters(L: LabelMatrix, g: DependencyGraph, prior: ClassPrior,
     """End-to-end batch fit: augment, estimate moments, recover accuracies,
     and solve every clique and separator marginal. Warns (EstimationWarning)
     of what the diagnostics record: each sign tie, the floored accuracies
-    and each abstain-conditioned accuracy it had to substitute."""
+    and each abstain-conditioned accuracy it had to substitute. The triplet
+    plan is built first, so a graph without a triplet fails before any row
+    is read."""
     L.require_fit_shape(allow_small=cfg.ratio_fallback)
     g = validate_graph(g)
-    cfg.check_sources(g.n_sources)  # before the statistics pass
+    cfg.check_sources(g.n_sources)
     jtree = build_junction_tree(g)
     G = augment_graph(g)
-    A = augment_matrix(L, cfg.policy)
-    moments = estimate_moments(A, prior, G)
-    mu = recover_from_moments(moments, g, cfg, jtree=jtree, G=G)
+    plan = enumerate_triplets(G, cfg)
+    moments = estimate_moments(augment_matrix(L, cfg.policy), prior, G)
+    mu = recover_from_moments(moments, g, cfg, jtree=jtree, plan=plan)
     diag = mu.diagnostics
     for col in diag.sign.get("sign_ties", []):
         warnings.warn(

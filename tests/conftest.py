@@ -221,17 +221,29 @@ def assert_moments_match_dict_form(got, want):
     assert set(want.conditional) <= set(got.cond_sources)
 
 
-def reference_partner_pairs(G):
+def reference_independent_columns(g):
+    """The 2m x 2m mask of the column pairs of sources that no chain of
+    source edges joins, by Warshall's transitive closure of the source-edge
+    relation: the reference for ``TripletPlan.independent``."""
+    reach = np.eye(g.n_sources, dtype=bool)
+    for a, b in g.source_edges:
+        reach[a, b] = reach[b, a] = True
+    for k in range(g.n_sources):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return ~np.kron(reach, np.ones((2, 2), dtype=bool))
+
+
+def reference_partner_pairs(g):
     """The former count of each anchor's valid partner pairs: per task, half
     the diagonal of P K P^T for the dense anchor-by-column partner mask P and
     the column-by-column mask K of the pairs in distinct components with a
     member on the task. Kept as the reference for the per-component counts
     of ``moments.enumerate_triplets``; the anchors with none are left out."""
-    n_cols = G.n_columns
-    task = np.asarray(G.graph.assignment)[np.arange(n_cols) // 2]
-    apart = G.independent_columns()
+    n_cols = 2 * g.n_sources
+    task = np.asarray(g.assignment)[np.arange(n_cols) // 2]
+    apart = reference_independent_columns(g)
     out = {}
-    for d in range(G.n_tasks):
+    for d in range(g.n_tasks):
         on = task == d
         K = (apart & (on[:, None] | on[None, :])).astype(np.float64)
         cand = np.arange(0, n_cols, 2)[task[0::2] == d]
@@ -287,7 +299,7 @@ def reference_pooled_magnitudes(M, plan, columns):
     return out
 
 
-def reference_conditional_accuracies(pairs, moments, plan, G, acc, cfg):
+def reference_conditional_accuracies(pairs, moments, plan, acc, cfg):
     """The former raise-and-catch form of ``recovery._conditional_accuracies``:
     each (target, cond) pair's fit raised TooFewAbstainRows (too few rows on
     which ``cond`` abstains) or NoUsableTriplet, and the unconditional
@@ -317,7 +329,7 @@ def reference_conditional_accuracies(pairs, moments, plan, G, acc, cfg):
                 sign = 1.0 if hint >= 0 else -1.0
                 out.append(min(max(-1.0, sign * float(mag)), 1.0))
                 continue
-            ey = moments.prior.task_mean(G.task_of(col))
+            ey = moments.prior.task_mean(plan.task[col])
             if not (cfg.ratio_fallback and abs(ey) >= mod.EPS_PRIOR):
                 raise NoUsableTriplet(
                     f"no triplets available for column {col}" if mag is None else

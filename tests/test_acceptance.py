@@ -99,7 +99,7 @@ def test_criterion_2_sampled_recovery_rate():
     def fit_err(n, seed):
         L, _ = sample(j, n, seed)
         me = estimate_moments(augment_matrix(L, cfg.policy), j.prior(), G)
-        acc = estimate_accuracies(me, plan, G, cfg)
+        acc = estimate_accuracies(me, plan, cfg)
         return float(np.linalg.norm(acc.per_source - truth))
 
     err_100k = float(np.mean([fit_err(100_000, s) for s in range(20)]))
@@ -303,7 +303,7 @@ def test_criterion_6b_single_triplet_ablation():
     plan = enumerate_triplets(G, cfg)
     # every valid triplet per anchor: on a star, any two partner columns of
     # distinct sources
-    indep = G.independent_columns()
+    indep = plan.independent
     triplets = {c: [(j, k) for j in p for k in p if j < k and indep[j, k]]
                 for c, p in plan.partners.items()}
     n_better = 0
@@ -327,10 +327,10 @@ def test_criterion_6b_single_triplet_ablation():
                 val = _anchor_magnitudes(me.M, c, j, k)
                 # a degenerate triplet counts as the accuracy floor
                 mags[c] = EPS_ACC if np.isnan(val) else float(val)
-            values, _, _ = resolve_signs(mags, me.M, G, cfg, me.first_moments, prior)
+            values, _, _ = resolve_signs(mags, me.M, plan, cfg, me.first_moments, prior)
             np.negative(values[0::2], out=values[1::2])
             acc1 = Accuracies(values=values, diagnostics={})
-            mu1 = recover_from_moments(me, g, cfg, G=G, plan=plan, acc=acc1)
+            mu1 = recover_from_moments(me, g, cfg, plan=plan, acc=acc1)
             errs.append(float((predict_proba(L, mu1, mu1.jtree, prior)
                                .thresholded()[:, 0] != y).mean()))
         worst = max(errs)

@@ -7,7 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from votefuse import augment
 from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix, augment_row, pair_votes
+from votefuse.config import RunConfig
 from votefuse.graph import LabelMatrix
+from votefuse.moments import enumerate_triplets
 
 from conftest import reference_augment, reference_fills, star, star_with_edges
 
@@ -228,26 +230,29 @@ def _same_source(n_columns):
 
 
 class TestAugmentGraph:
+    # the lifted structure the fit reads is held by the triplet plan
     def test_counts_with_dependency(self):
-        G = augment_graph(star_with_edges(4, [(0, 1)]))
-        assert G.n_columns == 8
-        assert G.task_of(5) == 0
+        plan = enumerate_triplets(augment_graph(star_with_edges(4, [(0, 1)])))
+        assert plan.n_columns == 8
+        assert plan.task[5] == 0
         # the dependency edge joins all four column pairs of sources 1 and 2
-        cross = ~G.independent_columns() & ~_same_source(8)
+        cross = ~plan.independent & ~_same_source(8)
         assert np.count_nonzero(cross) == np.count_nonzero(cross[:4, :4]) == 2 * 4
+        assert not (plan.task.flags.writeable or plan.independent.flags.writeable
+                    or any(a.flags.writeable for a in plan.task_anchors))
 
     def test_single_source(self):
-        G = augment_graph(star(1))
-        assert G.n_columns == 2
-        assert not G.independent_columns().any()  # its own pair only
-        assert [a.tolist() for a in G.task_anchors()] == [[0]]
+        plan = enumerate_triplets(augment_graph(star(1)), RunConfig(ratio_fallback=True))
+        assert plan.n_columns == 2
+        assert not plan.independent.any()  # its own pair only
+        assert [a.tolist() for a in plan.task_anchors] == [[0]]
 
     def test_no_edges_no_cross(self):
-        G = augment_graph(star(5))
-        np.testing.assert_array_equal(G.independent_columns(), ~_same_source(10))
+        plan = enumerate_triplets(augment_graph(star(5)))
+        np.testing.assert_array_equal(plan.independent, ~_same_source(10))
 
     def test_dependence_test(self):
-        indep = augment_graph(star_with_edges(4, [(0, 1)])).independent_columns()
+        indep = enumerate_triplets(augment_graph(star_with_edges(4, [(0, 1)]))).independent
         assert not indep[0, 1]        # same pair
         assert not indep[0, 2]        # dependency edge
         assert not indep[1, 3]

@@ -98,6 +98,38 @@ def test_graph_spec_error_names_the_file_and_one_based_vertices(workdir, capsys,
     assert f"data error: {spec}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [5, 0])
+def test_assign_of_a_missing_source_is_a_data_error(workdir, capsys, source):
+    spec = workdir / "bad.spec"
+    spec.write_text(MODEL + f"assign {source} 1\n")
+    rc = main(["fit-predict", "--labels", str(workdir / "votes.csv"), "--graph", str(spec),
+               "--balance", "0.55", "--out", str(workdir / "post.csv")])
+    assert rc == 2
+    assert (f"data error: {spec}:15: assign names a source outside 1 to 4"
+            in capsys.readouterr().err)
+
+
+def test_prior_listing_a_configuration_twice_is_a_data_error(workdir, capsys):
+    prior = workdir / "prior.txt"
+    prior.write_text("1 0.4\n-1 0.3\n1 0.3\n")
+    rc = main(["fit-predict", "--labels", str(workdir / "votes.csv"),
+               "--graph", str(workdir / "model.txt"), "--prior", str(prior),
+               "--out", str(workdir / "post.csv")])
+    assert rc == 2
+    assert (f"data error: {prior}: line 3: configuration 1 listed twice"
+            in capsys.readouterr().err)
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    # --threads sets the BLAS thread environment after the arguments parse,
+    # which works only while no numeric module is loaded yet
+    code = ("import sys, votefuse, votefuse.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command, out", [("fit", "params.json"), ("fit-predict", "post.csv")])
 def test_rejected_graph_structure_names_the_file(workdir, capsys, command, out):
     # L1, L2 and L3 form a triangle: a clique of one task and three sources

@@ -234,6 +234,15 @@ class TestGraphSpec:
         with pytest.raises(AssignmentMissing, match=r"\[2\]"):
             fileio.parse_graph_spec(path)
 
+    @pytest.mark.parametrize("source", [5, 0])
+    def test_assign_of_a_missing_source_names_its_line(self, tmp_path, source):
+        path = tmp_path / "graph.txt"
+        path.write_text(f"tasks 1\nsources 3\nassign 1 1\nassign 2 1\nassign 3 1\n"
+                        f"assign {source} 1\n")
+        with pytest.raises(DataFormatError) as exc:
+            fileio.parse_graph_spec(path)
+        assert str(exc.value) == f"{path}:6: assign names a source outside 1 to 3"
+
     def test_unknown_keyword(self, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("tasks 1\nsources 1\nassign 1 1\nfrobnicate 3\n")
@@ -282,6 +291,15 @@ class TestPriorFile:
         path.write_text("0.5\n")
         with pytest.raises(DataFormatError):
             fileio.parse_prior_file(path, 2)
+
+    def test_configuration_listed_twice_names_its_line(self, tmp_path):
+        # the repeats are not summed into P(Y=1) = 0.7; the line number
+        # counts the comment line
+        path = tmp_path / "prior.txt"
+        path.write_text("# joint prior\n1 0.4\n-1 0.3\n1 0.3\n")
+        with pytest.raises(DataFormatError) as exc:
+            fileio.parse_prior_file(path, 1)
+        assert str(exc.value) == f"{path}: line 4: configuration 1 listed twice"
 
     def test_joint_must_normalize(self, tmp_path):
         path = tmp_path / "prior.txt"

@@ -43,8 +43,9 @@ from votefuse.oracle import (
 from votefuse.recovery import recover_parameters
 
 from conftest import (ReferenceStats, acceptance_grid, assert_moments_match_dict_form, chain3,
-                      reference_augment, reference_fills, reference_partner_pairs,
-                      reference_pooled_magnitudes, star, star_with_edges)
+                      reference_augment, reference_fills, reference_independent_columns,
+                      reference_partner_pairs, reference_pooled_magnitudes, star,
+                      star_with_edges)
 
 
 class TestEstimateMoments:
@@ -330,13 +331,13 @@ def test_statistics_pass_matches_the_former_pass(inputs, picks, n_min):
             assert_moments_match_dict_form(got.to_moments(prior), want.to_moments(prior))
 
 
-def _ratio_fallback_sources(G, plan):
+def _ratio_fallback_sources(g, plan):
     """The sources a fit on exact moments sends to the ratio fallback."""
-    th = CanonicalParameters(graph=G.graph, theta_task=(0.3,),
-                             theta_acc=(0.5,) * G.graph.n_sources,
-                             theta_abstain=(0.1,) * G.graph.n_sources)
+    th = CanonicalParameters(graph=g, theta_task=(0.3,),
+                             theta_acc=(0.5,) * g.n_sources,
+                             theta_abstain=(0.1,) * g.n_sources)
     me = enumerate_joint(th).moment_estimates()
-    acc = estimate_accuracies(me, plan, G, RunConfig(ratio_fallback=True))
+    acc = estimate_accuracies(me, plan, RunConfig(ratio_fallback=True))
     return acc.diagnostics["ratio_fallback_sources"]
 
 
@@ -362,29 +363,29 @@ class TestEnumerateTriplets:
         # sources 2 and 3 have no direct edge but both couple to source 1;
         # the pair path between them never touches the hidden layer, so no
         # triplet may mix them
-        G = augment_graph(star_with_edges(4, [(0, 1), (0, 2)]))
-        assert not G.independent_columns()[2, 4]
-        plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
+        g = star_with_edges(4, [(0, 1), (0, 2)])
+        plan = enumerate_triplets(augment_graph(g), RunConfig(ratio_fallback=True))
+        assert not plan.independent[2, 4]
         # component {1,2,3} plus singleton {4}: only two independence classes,
         # so nothing is triplet-recoverable and every source takes the ratio
         assert plan.partners == {}
-        assert _ratio_fallback_sources(G, plan) == [0, 1, 2, 3]
+        assert _ratio_fallback_sources(g, plan) == [0, 1, 2, 3]
 
     def test_two_dependent_sources_have_no_triplets(self):
-        G = augment_graph(star_with_edges(2, [(0, 1)]))
+        g = star_with_edges(2, [(0, 1)])
         with pytest.raises(InsufficientIndependence):
-            enumerate_triplets(G, RunConfig())
-        plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
+            enumerate_triplets(augment_graph(g), RunConfig())
+        plan = enumerate_triplets(augment_graph(g), RunConfig(ratio_fallback=True))
         assert plan.partners == {}
-        assert _ratio_fallback_sources(G, plan) == [0, 1]
+        assert _ratio_fallback_sources(g, plan) == [0, 1]
 
     def test_no_observed_path_avoids_hidden_layer(self):
         # pairwise validity means no two triple members are joined by
         # observed-only edges (same pair or cross-pair edges)
-        G = augment_graph(star_with_edges(5, [(1, 2)]))
+        g = star_with_edges(5, [(1, 2)])
         # each pair's abstain edge and the four edges between dependent pairs
         observed = [(2 * i, 2 * i + 1) for i in range(5)]
-        observed += [(2 * a + x, 2 * b + y) for a, b in G.graph.source_edges
+        observed += [(2 * a + x, 2 * b + y) for a, b in g.source_edges
                      for x in (0, 1) for y in (0, 1)]
         adj = {}
         for a, b in observed:
@@ -403,7 +404,7 @@ class TestEnumerateTriplets:
                         stack.append(w)
             return False
 
-        plan = enumerate_triplets(G)
+        plan = enumerate_triplets(augment_graph(g))
         for a, partners in plan.partners.items():
             assert not any(connected(a, j) for j in partners)
         for _anchors, _P, K in plan.blocks:
@@ -413,24 +414,26 @@ class TestEnumerateTriplets:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 40), st.data())
     def test_partner_pair_counts_match_the_dense_product(self, n_tasks, m, data):
-        # the per-component counts against the former dense P K P^T count on
+        # the per-component counts against the former dense P K P^T count,
+        # and the independence mask and task anchors against references, on
         # random multi-task graphs with source edges
         assignment = data.draw(st.lists(st.integers(0, n_tasks - 1), min_size=m, max_size=m))
         pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=m))
-        G = augment_graph(DependencyGraph(n_tasks, m, tuple(assignment),
-                                          source_edges=tuple(edges)))
-        plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
-        assert plan.pairs == reference_partner_pairs(G)
+        g = DependencyGraph(n_tasks, m, tuple(assignment), source_edges=tuple(edges))
+        plan = enumerate_triplets(augment_graph(g), RunConfig(ratio_fallback=True))
+        assert plan.pairs == reference_partner_pairs(g)
+        np.testing.assert_array_equal(plan.independent, reference_independent_columns(g))
+        assert [a.tolist() for a in plan.task_anchors] == [
+            [2 * i for i in range(m) if assignment[i] == d] for d in range(n_tasks)]
 
     def test_multi_task_triples_keep_an_on_task_partner(self):
-        G = augment_graph(chain3())
-        plan = enumerate_triplets(G)
+        plan = enumerate_triplets(augment_graph(chain3()))
         assert len(plan.blocks) == 3
         for d, (anchors, _P, K) in enumerate(plan.blocks):
-            assert all(G.task_of(a) == d for a in anchors)
+            assert all(plan.task[a] == d for a in anchors)
             for j, k in zip(*np.nonzero(K)):
-                assert G.task_of(j) == d or G.task_of(k) == d
+                assert plan.task[j] == d or plan.task[k] == d
 
 
 def _solve(M3):
@@ -468,21 +471,20 @@ class TestSolveTriplet:
         # and goes to the ratio fallback or raises without it
         M3 = _moments3(0.5, 0.5, 1e-6)
         assert np.isnan(_solve(M3)[0])
-        G = augment_graph(star(3))
-        plan = enumerate_triplets(G)
+        plan = enumerate_triplets(augment_graph(star(3)))
         me = MomentEstimates(M=np.kron(M3, [[1.0, -1.0], [-1.0, 1.0]]),
                              first_moments=np.array([0.1, -0.1, 0.3, -0.3, 0.0, 0.0]),
                              vote_marginals=np.tile([0.5, 0.0, 0.5], (3, 1)),
                              prior=ClassPrior.from_balance(0.6))
         with pytest.raises(NoUsableTriplet):
-            estimate_accuracies(me, plan, G, RunConfig())
+            estimate_accuracies(me, plan, RunConfig())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # recorded, not warned of
-            acc = estimate_accuracies(me, plan, G, RunConfig(ratio_fallback=True))
+            acc = estimate_accuracies(me, plan, RunConfig(ratio_fallback=True))
         assert acc.diagnostics["floored_columns"] == [2, 4]  # sources 2 and 3
         assert acc.diagnostics["ratio_fallback_sources"] == [0]
         assert acc.values[0] == pytest.approx(0.5)  # E[v] / E[Y] = 0.1 / 0.2
-        assert acc.values[0] == ratio_accuracy(0, me, G)
+        assert acc.values[0] == ratio_accuracy(0, me, plan)
 
     def test_clamped_to_floor_and_one(self):
         M = _moments3(0.9, 0.9, 0.1)  # implies |a_0| > 1
@@ -532,7 +534,7 @@ def _kernel_inputs(draw):
     noise = rng.normal(0.0, draw(st.sampled_from([0.0, 0.05, 0.5])), (n, n))
     M = (np.outer(acc, acc) + (noise + noise.T) / 2) * draw(st.sampled_from([1.0, 1e-6]))
     M = np.triu(M, 1) + np.triu(M, 1).T + np.eye(n)
-    return augment_graph(g), M
+    return g, M
 
 
 @settings(max_examples=150, deadline=None)
@@ -540,14 +542,14 @@ def _kernel_inputs(draw):
 def test_kernel_matches_per_triplet_reference(inputs):
     # the plan and the pooled kernel against a plain loop over every triplet
     # that the validity rule admits
-    G, M = inputs
-    plan = enumerate_triplets(G, RunConfig(ratio_fallback=True))
+    g, M = inputs
+    plan = enumerate_triplets(augment_graph(g), RunConfig(ratio_fallback=True))
     got = _pooled_magnitudes(M, plan)
-    n, indep = G.n_columns, G.independent_columns()
+    n, indep, task = plan.n_columns, plan.independent, plan.task
     for a in range(0, n, 2):
         apart = [j for j in range(n) if indep[a, j]]
         valid = [(j, k) for j in apart for k in apart
-                 if indep[j, k] and G.task_of(a) in (G.task_of(j), G.task_of(k))]
+                 if indep[j, k] and task[a] in (task[j], task[k])]
         if not valid:
             assert a not in plan.partners and a not in plan.pairs
             assert np.isnan(got[a])
@@ -580,67 +582,72 @@ def _mags(n_cols, magnitudes):
 class TestResolveSigns:
     def test_mixed_signs(self):
         # magnitudes (0.8, 0.6, 0.6) with M_01 < 0 < M_02 force (+, -, +)
-        G = augment_graph(star(3))
+        plan = enumerate_triplets(augment_graph(star(3)))
         M = np.eye(6)
         sgn = {(0, 2): -1, (0, 4): 1, (2, 4): -1}
         for (a, b), s in sgn.items():
             M[a, b] = M[b, a] = s * 0.4
-        signed, order, _ = resolve_signs(_mags(6, {0: 0.8, 2: 0.6, 4: 0.6}), M, G)
+        signed, order, _ = resolve_signs(_mags(6, {0: 0.8, 2: 0.6, 4: 0.6}), M, plan)
         assert signed[0] > 0 and signed[2] < 0 and signed[4] > 0
         assert np.isnan(signed[1::2]).all()
         assert order.tolist() == [0, 2, 4]
 
     def test_all_positive(self):
-        G = augment_graph(star(3))
+        plan = enumerate_triplets(augment_graph(star(3)))
         M = np.eye(6)
         for a in (0, 2, 4):
             for b in (0, 2, 4):
                 if a != b:
                     M[a, b] = 0.3
-        signed, _, _ = resolve_signs(_mags(6, {0: 0.5, 2: 0.6, 4: 0.7}), M, G)
+        signed, _, _ = resolve_signs(_mags(6, {0: 0.5, 2: 0.6, 4: 0.7}), M, plan)
         np.testing.assert_array_equal(signed[0::2], [0.5, 0.6, 0.7])
 
     def test_anchor_propagates(self):
-        G = augment_graph(star(3))
+        plan = enumerate_triplets(augment_graph(star(3)))
         M = np.eye(6)
         for a in (0, 2, 4):
             for b in (0, 2, 4):
                 if a != b:
                     M[a, b] = 0.3
         cfg = RunConfig(sign_strategy="anchor", anchor_source=0, anchor_sign=-1)
-        signed, _, _ = resolve_signs(_mags(6, {0: 0.5, 2: 0.6, 4: 0.7}), M, G, cfg)
+        signed, _, _ = resolve_signs(_mags(6, {0: 0.5, 2: 0.6, 4: 0.7}), M, plan, cfg)
         np.testing.assert_array_equal(signed[0::2], [-0.5, -0.6, -0.7])
 
     def test_anchor_unreachable(self):
         from votefuse.errors import AnchorUnreachable
-        G = augment_graph(star(4))
+        plan = enumerate_triplets(augment_graph(star(4)))
         M = np.eye(8)
         M[0, 2] = M[2, 0] = 0.3  # sources 1-2 related, 3-4 related, no bridge
         M[4, 6] = M[6, 4] = 0.3
         cfg = RunConfig(sign_strategy="anchor", anchor_source=0, anchor_sign=1)
         with pytest.raises(AnchorUnreachable):
-            resolve_signs(_mags(8, {0: 0.5, 2: 0.5, 4: 0.5, 6: 0.5}), M, G, cfg)
+            resolve_signs(_mags(8, {0: 0.5, 2: 0.5, 4: 0.5, 6: 0.5}), M, plan, cfg)
 
     def test_scaling_leaves_pattern_unchanged(self):
-        G = augment_graph(star(3))
+        plan = enumerate_triplets(augment_graph(star(3)))
         M = np.eye(6)
         sgn = {(0, 2): -1, (0, 4): 1, (2, 4): -1}
         for (a, b), s in sgn.items():
             M[a, b] = M[b, a] = s * 0.4
         base = _mags(6, {0: 0.8, 2: 0.6, 4: 0.6})
-        s1, _, _ = resolve_signs(base, M, G)
-        s2, _, _ = resolve_signs(3.7 * base, M, G)
+        s1, _, _ = resolve_signs(base, M, plan)
+        s2, _, _ = resolve_signs(3.7 * base, M, plan)
         np.testing.assert_array_equal(np.sign(s1[0::2]), np.sign(s2[0::2]))
 
     def test_missing_magnitude_left_unsigned(self):
         # a column without a magnitude (NaN) is neither signed nor resolved,
         # and the other columns of its task are signed without it
-        G = augment_graph(star(3))
+        plan = enumerate_triplets(augment_graph(star(3)))
         M = np.eye(6)
         M[0, 4] = M[4, 0] = -0.4
-        signed, order, _ = resolve_signs(_mags(6, {0: 0.8, 4: 0.6}), M, G)
+        signed, order, _ = resolve_signs(_mags(6, {0: 0.8, 4: 0.6}), M, plan)
         assert np.isnan(signed[2]) and order.tolist() == [0, 4]
         assert signed[0] == 0.8 and signed[4] == -0.6
+
+
+def _plan(g):
+    """The triplet plan of ``g``, under the ratio fallback."""
+    return enumerate_triplets(augment_graph(g), RunConfig(ratio_fallback=True))
 
 
 class TestRatioAccuracy:
@@ -653,16 +660,16 @@ class TestRatioAccuracy:
 
     def test_division(self):
         me = self._moments([0.14, -0.14], balance=0.6)  # E[Y] = 0.2
-        assert ratio_accuracy(0, me, augment_graph(star(1))) == pytest.approx(0.7)
+        assert ratio_accuracy(0, me, _plan(star(1))) == pytest.approx(0.7)
 
     def test_zero_numerator(self):
         me = self._moments([0.0, 0.0], balance=0.6)
-        assert ratio_accuracy(0, me, augment_graph(star(1))) == 0.0
+        assert ratio_accuracy(0, me, _plan(star(1))) == 0.0
 
     def test_near_zero_prior_rejected(self):
         me = self._moments([0.14, -0.14], balance=0.5)
         with pytest.raises(PriorNearZero):
-            ratio_accuracy(0, me, augment_graph(star(1)))
+            ratio_accuracy(0, me, _plan(star(1)))
 
     def test_exact_on_enumerated_joint(self):
         g = star(2)
@@ -671,9 +678,9 @@ class TestRatioAccuracy:
         j = enumerate_joint(th)
         me = j.moment_estimates()
         truth = j.accuracies()
-        G = augment_graph(g)
+        plan = _plan(g)
         for i in range(2):
-            assert ratio_accuracy(2 * i, me, G) == pytest.approx(truth[i], abs=1e-12)
+            assert ratio_accuracy(2 * i, me, plan) == pytest.approx(truth[i], abs=1e-12)
 
 
 def _restricted_moments(A, cond, prior):
@@ -689,7 +696,7 @@ class TestConditionalAccuracy:
         plan = enumerate_triplets(augment_graph(g))
         me = _restricted_moments(A, 0, ClassPrior.from_balance(0.5))
         with pytest.raises(TooFewAbstainRows):
-            conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
+            conditional_accuracy_from_stats(1, 0, me, plan,
                                             RunConfig(), sign_hint=1.0)
 
     def test_independent_abstention_equals_unconditional(self):
@@ -703,7 +710,7 @@ class TestConditionalAccuracy:
                                  cond_M=M0[np.newaxis], cond_first=first0[np.newaxis])
         plan = enumerate_triplets(augment_graph(g))
         truth = j.accuracies()
-        got = conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
+        got = conditional_accuracy_from_stats(1, 0, me, plan,
                                               RunConfig(), sign_hint=truth[1])
         assert got == pytest.approx(truth[1], abs=1e-12)
 
@@ -718,7 +725,7 @@ class TestConditionalAccuracy:
         A = augment_matrix(L)
         plan = enumerate_triplets(augment_graph(g))
         me = _restricted_moments(A, 0, j.prior())
-        got = conditional_accuracy_from_stats(1, 0, me, plan, augment_graph(g),
+        got = conditional_accuracy_from_stats(1, 0, me, plan,
                                               RunConfig(), sign_hint=truth)
         assert abs(got - truth) < 0.03
 
@@ -730,11 +737,11 @@ class TestPipelineProperties:
         th = random_model(g, seed=9)
         j = enumerate_joint(th)
         me = j.moment_estimates()
-        G = augment_graph(g)
-        acc = estimate_accuracies(me, enumerate_triplets(G), G, RunConfig())
+        plan = enumerate_triplets(augment_graph(g))
+        acc = estimate_accuracies(me, plan, RunConfig())
         for a in range(10):
             for b in range(10):
-                if not G.independent_columns()[a, b]:
+                if not plan.independent[a, b]:
                     continue
                 assert acc.values[a] * acc.values[b] == pytest.approx(
                     me.M[a, b], abs=1e-10)
@@ -746,11 +753,11 @@ class TestPipelineProperties:
         g = star(4)
         G = augment_graph(g)
         me = estimate_moments(augment_matrix(L), ClassPrior.from_balance(0.5), G)
-        acc = estimate_accuracies(me, enumerate_triplets(G), G, RunConfig())
+        acc = estimate_accuracies(me, enumerate_triplets(G), RunConfig())
         perm = np.array([2, 0, 3, 1])
         Lp = LabelMatrix(L.votes[:, perm])
         mep = estimate_moments(augment_matrix(Lp), ClassPrior.from_balance(0.5), G)
-        accp = estimate_accuracies(mep, enumerate_triplets(G), G, RunConfig())
+        accp = estimate_accuracies(mep, enumerate_triplets(G), RunConfig())
         np.testing.assert_allclose(accp.per_source, acc.per_source[perm], atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -768,7 +775,7 @@ class TestPipelineProperties:
 
         def fit(votes):
             me = estimate_moments(augment_matrix(LabelMatrix(votes)), prior, G)
-            return estimate_accuracies(me, plan, G, RunConfig())
+            return estimate_accuracies(me, plan, RunConfig())
 
         acc, accp = fit(L.votes), fit(L.votes[:, perm])
         np.testing.assert_allclose(accp.per_source, acc.per_source[perm],
@@ -782,15 +789,14 @@ class TestPipelineProperties:
         g, seed, abstaining = acceptance_grid()[case]
         j = enumerate_joint(random_model(g, seed=seed, abstaining=abstaining))
         me = j.moment_estimates()
-        G = augment_graph(g)
-        plan = enumerate_triplets(G)
+        plan = enumerate_triplets(augment_graph(g))
         cfg = RunConfig()
         mags = _pooled_magnitudes(me.M, plan)
         np.testing.assert_allclose(mags[0::2], np.abs(j.accuracies()), rtol=0, atol=1e-12)
         for a, b in g.source_edges:
             for target, cond in ((a, b), (b, a)):
                 truth = j.conditional_accuracy(target, cond)
-                got = conditional_accuracy_from_stats(target, cond, me, plan, G, cfg,
+                got = conditional_accuracy_from_stats(target, cond, me, plan, cfg,
                                                       sign_hint=truth)
                 assert got == pytest.approx(truth, abs=1e-12)
 
@@ -821,11 +827,11 @@ class TestPipelineProperties:
                         want = reference_pooled_magnitudes(me.cond_M[t], plan, [col])[col]
                         if np.isnan(want):
                             with pytest.raises(NoUsableTriplet):
-                                conditional_accuracy_from_stats(target, cond, me, plan, G, cfg,
+                                conditional_accuracy_from_stats(target, cond, me, plan, cfg,
                                                                 sign_hint=0.3)
                             continue
                         for hint in (0.3, -0.3):
-                            got = conditional_accuracy_from_stats(target, cond, me, plan, G,
+                            got = conditional_accuracy_from_stats(target, cond, me, plan,
                                                                   cfg, sign_hint=hint)
                             sign = 1.0 if hint >= 0 else -1.0
                             assert got == float(np.clip(sign * want, -1.0, 1.0))
@@ -839,12 +845,11 @@ class TestPipelineProperties:
         from votefuse.graph import DependencyGraph, validate_graph
         g = validate_graph(DependencyGraph(2, 5, (0, 0, 1, 1, 1),
                                            task_edges=((0, 1),)))
-        G = augment_graph(g)
-        plan = enumerate_triplets(G, RunConfig())
+        plan = enumerate_triplets(augment_graph(g), RunConfig())
         assert 0 in plan.partners  # solvable despite the two-source group
         for seed in range(4):
             j = enumerate_joint(random_model(g, seed=seed))
-            acc = estimate_accuracies(j.moment_estimates(), plan, G, RunConfig())
+            acc = estimate_accuracies(j.moment_estimates(), plan, RunConfig())
             np.testing.assert_allclose(acc.per_source, j.accuracies(), atol=1e-10)
 
     def test_error_shrinks_with_sample_size(self):
@@ -860,7 +865,7 @@ class TestPipelineProperties:
         def err(n, seed):
             L, _ = sample(j, n, seed)
             me = estimate_moments(augment_matrix(L), j.prior(), G)
-            acc = estimate_accuracies(me, plan, G, RunConfig())
+            acc = estimate_accuracies(me, plan, RunConfig())
             return np.linalg.norm(acc.per_source - truth)
 
         small = np.mean([err(2_000, s) for s in range(8)])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import votefuse
 
 from votefuse import graph, moments, online, recovery
-from votefuse.augment import AbstainPolicy, AugmentedGraph, augment_graph, augment_matrix
+from votefuse.augment import AbstainPolicy, augment_graph, augment_matrix
 from votefuse.config import RunConfig
 from votefuse.errors import ConfigError, EstimationWarning, VoteFuseError
 from votefuse.graph import ClassPrior, DependencyGraph, LabelMatrix
@@ -62,15 +62,17 @@ def _drift_model(m=5, balance_mean=0.3):
 # compiled cliques, 62.4 at the parent of the array-form moments, the
 # one-gather row posterior and the one-row window update, 58.4 after them,
 # 52.4 once substitutions are decided by count and the window keeps
-# pair-encoded Grams
-CALL_BUDGET = 53
+# pair-encoded Grams, 49.4 once the fit reads the graph-only structure as
+# fields of the triplet plan
+CALL_BUDGET = 50
 # (first step, end) -> (Python frames, C-level calls) per step: steps 500-699
 # substitute both abstain-conditioned accuracies (some are stale), steps
 # 1293-1392 compute one. C-level calls are the sys.setprofile "c_call" events
 # of votefuse frames (builtins and array methods; a ufunc call is none);
 # before the substitutions by count and the pair-encoded window they were
-# 128.1 and 134.0 (frames 58.4 and 62.0), after them 118.1 and 123.0
-STEP_BUDGETS = {(500, 700): (CALL_BUDGET, 119), (1293, 1393): (56, 123)}
+# 128.1 and 134.0 (frames 58.4 and 62.0), after them 118.1 and 123.0 (frames
+# 52.4 and 56.0), with the plan's fields 116.1 and 121.0 (49.4 and 53.0)
+STEP_BUDGETS = {(500, 700): (CALL_BUDGET, 117), (1293, 1393): (53, 121)}
 
 
 @st.composite
@@ -242,8 +244,6 @@ class TestStep:
             "enumerate_triplets": (recovery, "enumerate_triplets"),
             "enumerate_triplets (online)": (online, "enumerate_triplets"),
             "compile_cliques (online)": (online, "compile_cliques"),
-            # the column-independence structure is built once per graph
-            "source_components": (AugmentedGraph, "source_components"),
             "compile_layout": (graph, "compile_layout"),
             # the step never reads a snapshot's per-table views
             "TableLayout.views": (graph.TableLayout, "views"),
@@ -334,14 +334,12 @@ class TestStep:
                 state.step(np.array(row, dtype=np.int8), prior)
                 me = state.stats.to_moments(prior)
                 try:
-                    acc = moments.estimate_accuracies(me, state.plan, state.aug_graph, cfg)
+                    acc = moments.estimate_accuracies(me, state.plan, cfg)
                 except VoteFuseError:
                     continue
                 diag = recovery.RecoveryDiagnostics()
-                got = recovery._conditional_accuracies(pairs, me, state.plan, state.aug_graph,
-                                                       acc, cfg, diag)
-                want, records = reference_conditional_accuracies(
-                    pairs, me, state.plan, state.aug_graph, acc, cfg)
+                got = recovery._conditional_accuracies(pairs, me, state.plan, acc, cfg, diag)
+                want, records = reference_conditional_accuracies(pairs, me, state.plan, acc, cfg)
                 assert got.tobytes() == want.tobytes()
                 assert diag.conditional_substitutions == records
                 for n in me.cond_n:
@@ -366,8 +364,7 @@ class TestStep:
                     continue
                 try:
                     mu = recover_from_moments(state.stats.to_moments(prior), state.graph, cfg,
-                                              jtree=state.jtree, G=state.aug_graph,
-                                              plan=state.plan)
+                                              jtree=state.jtree, plan=state.plan)
                     pos = marginal_positives(posterior(mu, state.jtree, prior, row))
                     kind = len(mu.diagnostics.conditional_substitutions)
                     last = mu

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from votefuse.config import RunConfig
 from votefuse import recovery
 from votefuse.augment import augment_graph, augment_matrix
-from votefuse.errors import EstimationWarning, NumericalInstability, UnsupportedCliqueSize, VoteFuseError
+from votefuse.errors import (EstimationWarning, InsufficientIndependence, NumericalInstability,
+                             UnsupportedCliqueSize, VoteFuseError)
 from votefuse.graph import (
     ClassPrior,
     DependencyGraph,
@@ -314,23 +316,23 @@ def test_batched_solve_matches_per_clique_reference(model):
         warnings.simplefilter("ignore", EstimationWarning)
         try:
             plan = enumerate_triplets(G, cfg)
-            acc = estimate_accuracies(moments, plan, G, cfg)
+            acc = estimate_accuracies(moments, plan, cfg)
         except VoteFuseError:
             assume(False)
         compiled = compile_cliques(jt)
         event("two-source cliques" if compiled.cond_pairs else "one-source cliques only")
-        cond = recovery._conditional_accuracies(compiled.cond_pairs, moments, plan, G, acc,
-                                                cfg, recovery.RecoveryDiagnostics())
+        cond = recovery._conditional_accuracies(compiled.cond_pairs, moments, plan, acc, cfg,
+                                                recovery.RecoveryDiagnostics())
         try:
             want = reference_clique_tables(jt, acc.values, moments,
                                            dict(zip(compiled.cond_pairs, cond)), j.prior())
         except NumericalInstability as exc:
             event("unstable solve")
             with pytest.raises(NumericalInstability) as got:
-                recover_from_moments(moments, g, cfg, jtree=jt, G=G, plan=plan, acc=acc)
+                recover_from_moments(moments, g, cfg, jtree=jt, plan=plan, acc=acc)
             assert str(got.value) == str(exc)
             return
-        mu = recover_from_moments(moments, g, cfg, jtree=jt, G=G, plan=plan, acc=acc)
+        mu = recover_from_moments(moments, g, cfg, jtree=jt, plan=plan, acc=acc)
     tables, clips, clamps = want
     for vs, table in tables.items():
         np.testing.assert_allclose(mu.cliques[vs], table, rtol=0, atol=1e-15)
@@ -341,6 +343,18 @@ def test_batched_solve_matches_per_clique_reference(model):
 
 
 class TestRecoverParameters:
+    def test_graph_without_a_triplet_fails_before_the_statistics_pass(self):
+        # sources 1-2-3 chained by source edges share one component, so no
+        # triplet is conditionally independent; the plan is built, and
+        # fails, before any row is read
+        g = star_with_edges(3, [(0, 1), (1, 2)])
+        L = LabelMatrix(np.ones((10, 3), dtype=np.int8))
+        read = mock.Mock(side_effect=AssertionError("the statistics pass ran"))
+        with mock.patch.object(recovery, "estimate_moments", read):
+            with pytest.raises(InsufficientIndependence):
+                recover_parameters(L, g, ClassPrior.from_balance(0.6), RunConfig())
+        read.assert_not_called()
+
     def test_exact_moments_closure_on_grid(self):
         for g, seed, abstaining in acceptance_grid():
             g = validate_graph(g)
@@ -408,12 +422,11 @@ class TestRecoverParameters:
         g = validate_graph(star(4))
         j = enumerate_joint(random_model(g, seed=23))
         moments, cfg = j.moment_estimates(), RunConfig()
-        G = augment_graph(g)
-        plan = enumerate_triplets(G, cfg)
-        acc = estimate_accuracies(moments, plan, G, cfg)
-        want = recover_from_moments(moments, g, cfg, G=G, plan=plan, acc=acc)
+        plan = enumerate_triplets(augment_graph(g), cfg)
+        acc = estimate_accuracies(moments, plan, cfg)
+        want = recover_from_moments(moments, g, cfg, plan=plan, acc=acc)
         acc = dataclasses.replace(acc, diagnostics={**acc.diagnostics, "note": "hand-set"})
-        mu = recover_from_moments(moments, g, cfg, G=G, plan=plan, acc=acc)
+        mu = recover_from_moments(moments, g, cfg, plan=plan, acc=acc)
         assert mu.table.tobytes() == want.table.tobytes()
         assert mu.diagnostics == want.diagnostics
 
