@@ -369,15 +369,24 @@ def parse_model_spec(path: str) -> CanonicalParameters:
     ``theta task d v``, ``theta tedge d e v``, ``theta acc i v``,
     ``theta abstain i v``, ``theta sedge i j v``. Omitted weights default to
     zero; a model with no nonzero abstain weights still abstains unless
-    ``theta noabstain`` is present.
+    ``theta noabstain`` is present. A task or source outside the graph, or an
+    edge weight on a pair that is not an edge of it, is an error naming its
+    line.
     """
     g = parse_graph_spec(path)
-    t_task = np.zeros(g.n_tasks)
-    t_acc = np.zeros(g.n_sources)
-    t_abst = np.zeros(g.n_sources)
+    t_task, t_acc, t_abst = np.zeros(g.n_tasks), np.zeros(g.n_sources), np.zeros(g.n_sources)
     t_tedge: Dict[Tuple[int, int], float] = {}
     t_dep: Dict[Tuple[int, int], float] = {}
+    vectors = {"task": t_task, "acc": t_acc, "abstain": t_abst}
+    edges = {"tedge": (t_tedge, g.task_edges), "sedge": (t_dep, g.source_edges)}
     abstaining = True
+
+    def index(tok: str, kind: str) -> int:
+        what, n = ("task", g.n_tasks) if kind in ("task", "tedge") else ("source", g.n_sources)
+        if not 1 <= int(tok) <= n:
+            raise ValueError(f"{what} {tok} is outside 1 to {n}")
+        return int(tok) - 1
+
     for ln_no, toks in _spec_lines(path):
         if toks[0] != "theta":
             continue
@@ -385,16 +394,14 @@ def parse_model_spec(path: str) -> CanonicalParameters:
             kind = toks[1]
             if kind == "noabstain":
                 abstaining = False
-            elif kind == "task":
-                t_task[int(toks[2]) - 1] = float(toks[3])
-            elif kind == "acc":
-                t_acc[int(toks[2]) - 1] = float(toks[3])
-            elif kind == "abstain":
-                t_abst[int(toks[2]) - 1] = float(toks[3])
-            elif kind == "tedge":
-                t_tedge[(int(toks[2]) - 1, int(toks[3]) - 1)] = float(toks[4])
-            elif kind == "sedge":
-                t_dep[(int(toks[2]) - 1, int(toks[3]) - 1)] = float(toks[4])
+            elif kind in vectors:
+                vectors[kind][index(toks[2], kind)] = float(toks[3])
+            elif kind in edges:
+                weights, graph_edges = edges[kind]
+                a, b = index(toks[2], kind), index(toks[3], kind)
+                if (min(a, b), max(a, b)) not in graph_edges:
+                    raise ValueError(f"{kind} {toks[2]} {toks[3]} is not an edge of the graph")
+                weights[a, b] = float(toks[4])
             else:
                 raise DataFormatError(f"{path}:{ln_no}: unknown theta kind {kind!r}")
         except (IndexError, ValueError) as exc:

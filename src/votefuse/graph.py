@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -309,10 +310,10 @@ class JunctionTree:
     edges: Tuple[Tuple[int, int, VarSet], ...]
     separators: Tuple[Tuple[VarSet, int], ...]
 
-    @property
+    @cached_property
     def layout(self) -> "TableLayout":
         """The tree's table layout, compiled on first use."""
-        return self.__dict__.get("_layout") or compile_layout(self)
+        return compile_layout(self)
 
     def source_cliques(self) -> Tuple[VarSet, ...]:
         return tuple(c for c in self.cliques if c.sources)
@@ -515,15 +516,11 @@ class ClassPrior:
             return float(marg[0] - marg[1])
         return float(self.task_means[d])
 
-    @property
+    @cached_property
     def means(self) -> np.ndarray:
         """E[Y_d] of every task as one read-only vector, computed on first
         use."""
-        means = self.__dict__.get("_means")
-        if means is None:
-            means = np.array([self.task_mean(d) for d in range(self.n_tasks)])
-            self.__dict__["_means"] = means = _freeze(means)
-        return means
+        return _freeze(np.array([self.task_mean(d) for d in range(self.n_tasks)]))
 
     def p_pos(self, d: int) -> float:
         """P(Y_d = 1)."""
@@ -705,7 +702,7 @@ def _onto(clique: TableFactor, sep: TableFactor) -> np.ndarray:
 
 
 def compile_layout(jt: JunctionTree) -> TableLayout:
-    """The table layout of ``jt``, cached on the tree as ``jt.layout``."""
+    """The table layout of ``jt``; ``jt.layout`` caches it on the tree."""
     n_tasks = 1 + max(d for c in jt.cliques for d in c.tasks)  # every table has a task
     factors, size = [], 0
     for vs, degree in [(c, 0) for c in jt.cliques] + list(jt.separators):
@@ -728,7 +725,7 @@ def compile_layout(jt: JunctionTree) -> TableLayout:
     grid = sum(math.prod(np.broadcast_shapes(*(f.bcast[:-1] for f in group.factors)))
                * 3 ** len(group.sources) for group in groups)
     gather_rows = grid // (len(factors) << n_tasks)
-    layout = jt.__dict__["_layout"] = TableLayout(
+    return TableLayout(
         factors=tuple(factors), n_cliques=len(cliques), size=size,
         starts=np.array([f.span.start for f in factors], dtype=np.intp),
         scale=np.repeat([1.0 - f.degree for f in factors],
@@ -743,7 +740,6 @@ def compile_layout(jt: JunctionTree) -> TableLayout:
         groups=groups, gather_rows=gather_rows,
         row_base=_row_base(factors, n_tasks) if gather_rows else None,
         row_weights=_row_weights(factors))
-    return layout
 
 
 def _row_base(factors, n_tasks: int) -> np.ndarray:
@@ -797,60 +793,52 @@ class LabelModelParameters:
         # the view maps (mapping proxies, which cannot be pickled), the log
         # table and the group tables are rebuilt on first use
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("_view_maps", "_log_table", "_group_tables")}
+                if k not in ("_views", "log_table", "group_tables")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.table.flags.writeable = False  # a copied array is writeable
 
+    @cached_property
     def _views(self) -> Tuple[Mapping[VarSet, np.ndarray], Mapping[VarSet, np.ndarray]]:
-        views = self.__dict__.get("_view_maps")
-        if views is None:
-            views = self.__dict__["_view_maps"] = self.jtree.layout.views(self.table)
-        return views
+        return self.jtree.layout.views(self.table)
 
     @property
     def cliques(self) -> Mapping[VarSet, np.ndarray]:
-        return self._views()[0]
+        return self._views[0]
 
     @property
     def separators(self) -> Mapping[VarSet, np.ndarray]:
-        return self._views()[1]
+        return self._views[1]
 
-    @property
+    @cached_property
     def log_table(self) -> np.ndarray:
         """Each entry's log times its exponent in the junction-tree product
         (``layout.scale``): log(clique entry), -(deg - 1) * log(separator
         entry); -inf where an entry is zero. Read-only."""
-        out = self.__dict__.get("_log_table")
-        if out is None:
-            positive = self.table > 0
-            out = np.empty(self.table.shape)
-            out.fill(-np.inf)
-            np.log(self.table, out=out, where=positive)
-            np.multiply(self.jtree.layout.scale, out, out=out, where=positive)
-            self.__dict__["_log_table"] = out = _freeze(out)
-        return out
+        positive = self.table > 0
+        out = np.empty(self.table.shape)
+        out.fill(-np.inf)
+        np.log(self.table, out=out, where=positive)
+        np.multiply(self.jtree.layout.scale, out, out=out, where=positive)
+        return _freeze(out)
 
-    @property
+    @cached_property
     def group_tables(self) -> Tuple[np.ndarray, ...]:
         """Per ``FactorGroup`` of the layout, its factors' ``log_table``
         entries summed, in factor order, at each of its 3^k group states: an
         array with the factors' broadcast task axes and one axis of 3^k
         states (1 when the group has no sources). Read-only."""
-        out = self.__dict__.get("_group_tables")
-        if out is None:
-            log_table, tables = self.log_table, []
-            for group in self.jtree.layout.groups:
-                acc = None
-                for f, cells in zip(group.factors, group.cells):
-                    term = log_table[f.span].reshape(f.bcast)
-                    if len(f.sources):
-                        term = term.take(cells, axis=-1)
-                    acc = term if acc is None else acc + term
-                tables.append(_freeze(acc))
-            self.__dict__["_group_tables"] = out = tuple(tables)
-        return out
+        log_table, tables = self.log_table, []
+        for group in self.jtree.layout.groups:
+            acc = None
+            for f, cells in zip(group.factors, group.cells):
+                term = log_table[f.span].reshape(f.bcast)
+                if len(f.sources):
+                    term = term.take(cells, axis=-1)
+                acc = term if acc is None else acc + term
+            tables.append(_freeze(acc))
+        return tuple(tables)
 
     @classmethod
     def from_tables(cls, graph: DependencyGraph, jtree: JunctionTree,

@@ -7,11 +7,12 @@ operand, without pair-encoding them. A pair is (v_i + w_i, w_i - v_i), so a
 fixed 0/+-1 matrix P maps that Gram G, once, to the Gram of the pair-encoded
 rows with a ones column, P.T @ G @ P: pairwise products, first moments, the
 vote counts and the row count, which ``to_moments`` divides by the count.
+Each source of a tracked pair adds the Gram of the rows where it abstains,
+and the pair's vote cross-tab is read off those Grams and the main one.
 Neither the n x 2m matrix nor a block of it is held: the pass's memory is
 one operand, its abstain mask and the Grams. The moments are fixed-shape
-arrays: the tracked pairs' cross-tabs as one stack, and the
-abstain-restricted moments as stacks with their row counts, NaN where too
-few rows for a fit to read them.
+arrays: the cross-tabs as one stack, and the abstain-restricted moments as
+stacks with their row counts, NaN where too few rows for a fit to read them.
 
 The accuracy of observed column ``a`` is a_a = E[v_a Y(a)], the scaled
 correlation with its hidden task. For columns a, j, k that are pairwise
@@ -52,23 +53,38 @@ from .errors import (
     AnchorUnreachable,
     TooFewAbstainRows,
 )
-from .graph import ClassPrior, DependencyGraph, _clip, _freeze
+from .graph import ClassPrior, _clip, _freeze
 
 
 # ---------------------------------------------------------------------------
 # sufficient statistics (shared by the batch and streaming paths)
 # ---------------------------------------------------------------------------
 
-def tracked_statistics(g: DependencyGraph) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
-    """The source pairs whose vote cross-tabs, and the sources whose
-    abstain-restricted moments, clique recovery needs: every dependency edge
-    and every source on one."""
-    edges = g.source_edges
-    return edges, tuple(sorted({s for e in edges for s in e}))
-
-
 # four times a source's (+1, abstain, -1) counts from its Gram entries n, d, e, o
 _VOTE_COUNTS = np.array([[1, -1, 1, -1], [2, 2, 0, 0], [1, -1, -1, 1]])
+
+# Sixteen times a tracked pair (p, q)'s 3 x 3 vote cross-tab from 20 Gram
+# entries (``RunningStats._pair_entries``): n, d, e, o of p and of q, of p
+# over the rows where q abstains and of q over those where p abstains, and
+# the products of p's and q's pair columns. With a = v^2, 1 on a vote, the
+# rows are four times the sums of [1, a_p, v_p] x [1, a_q, v_q]: a sum times
+# a_p is the sum less that over the rows where p abstains, and 4 v_p v_q is
+# (x_2p - x_2p+1)(x_2q - x_2q+1).
+_PAIR_SUMS = np.array([
+    # p: n d e o   q: n d e o     p | q abstains  q | p abstains  products
+    [4, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0],   # 1
+    [0, 0, 0, 0,   2, -2, 0, 0,  0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0],   # a_q
+    [0, 0, 0, 0,   0, 0, 2, -2,  0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0],   # v_q
+    [2, -2, 0, 0,  0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0],   # a_p
+    [0, 0, 0, 0,   2, -2, 0, 0,  0, 0, 0, 0,   -2, 2, 0, 0,  0, 0, 0, 0],   # a_p a_q
+    [0, 0, 0, 0,   0, 0, 2, -2,  0, 0, 0, 0,   0, 0, -2, 2,  0, 0, 0, 0],   # a_p v_q
+    [0, 0, 2, -2,  0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0],   # v_p
+    [0, 0, 2, -2,  0, 0, 0, 0,   0, 0, -2, 2,  0, 0, 0, 0,   0, 0, 0, 0],   # v_p a_q
+    [0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0,   0, 0, 0, 0,   1, -1, -1, 1]])  # v_p v_q
+# twice the indicators (a + v) / 2, 1 - a and (a - v) / 2 of the states +1,
+# abstain and -1 in [1, a, v]: a cell is their outer product with the sums
+_STATES = np.array([[0, 1, 1], [2, -2, 0], [0, 1, -1]])
+_PAIR_CELLS = np.kron(_STATES, _STATES) @ _PAIR_SUMS
 
 # Bytes of the float32 operand each Gram is taken of: ~2,600 rows at m=100.
 # Folding a Gram into the int64 totals costs O(m^2), so an operand is never
@@ -81,69 +97,53 @@ class RunningStats:
     """Integer-exact sufficient statistics over a set of augmented rows.
 
     Holds everything parameter recovery consumes: pairwise products and first
-    moments of the augmented columns, per-source vote histograms, vote
-    cross-tabs for tracked source pairs, and abstain-restricted copies of the
-    pairwise sums for tracked conditioning sources.
+    moments of the augmented columns, per-source vote histograms, tracked
+    source pairs' vote cross-tabs, and abstain-restricted copies of the
+    pairwise sums for each source of a tracked pair, all read off Grams.
 
     The statistics are int64 Grams of the pair-encoded rows with a ones
-    column, one per conditioning source over the rows where it abstains. A
-    stream adds and removes one such row at a time (``_fold_row``). A batch
-    (``from_matrix``) casts the votes v and fills w of as many rows as a
-    float32 operand [v | w | 1] holds into it and folds the operand's Gram
-    through ``_accumulate``, a partial Gram being an integer matrix float32
-    holds exactly; the pass ends by mapping each Gram G to P.T @ G @ P, in
-    float64, exact as every entry is an integer far below 2**53. One product
-    of a row reads the tracked pairs' cross-tab cells and the conditioning
-    sources' abstain flags off its votes. So a rolling window holds the same
+    column, one more per source of a tracked pair over the rows where it
+    abstains. A stream adds and removes one such row at a time
+    (``_fold_row``). A batch (``from_matrix``) casts the votes v and fills w
+    of as many rows as a float32 operand [v | w | 1] holds into it and folds
+    the operand's Gram through ``_accumulate``, a partial Gram being an
+    integer matrix float32 holds exactly; the pass ends by mapping each Gram
+    G to P.T @ G @ P, in float64, exact as every entry is an integer far
+    below 2**53. A row counts in a source's restricted Gram where the source's
+    vote is 0, its two pair columns equal. So a rolling window holds the same
     statistics the batch path computes, int64 for int64, and batch memory is
     bounded by one operand and its abstain mask, not by n or by m x block.
     """
 
-    def __init__(self, m: int,
-                 tracked_pairs: Iterable[Tuple[int, int]] = (),
-                 cond_sources: Iterable[int] = ()):
+    def __init__(self, m: int, tracked_pairs: Iterable[Tuple[int, int]] = ()):
         self.m = m
         width = 2 * m + 1
-        self.cond_sources = tuple(sorted(set(cond_sources)))
+        self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
+        self.cond_sources = tuple(sorted({s for pair in self.tracked_pairs for s in pair}))
         # the Gram of the rows [pair encoding | 1], then one per conditioning
         # source over the rows where it abstains; one array, so each Gram's
         # count sits at its [-1, -1]. No attribute is a view of another, so a
         # copy or a pickle holds the same statistics.
         self._grams = np.zeros((1 + len(self.cond_sources), width, width), dtype=np.int64)
         # x @ P is [pair encoding | 1]: columns 2i and 2i+1 of P take
-        # v_i + w_i and w_i - v_i, and the last one keeps the ones. P's
-        # columns are orthogonal with squared norm 2 (1 for the ones), so its
-        # inverse is P.T / 2 with the ones kept.
+        # v_i + w_i and w_i - v_i, and the last one keeps the ones
         i = np.arange(m)
         self._to_pairs = np.zeros((width, width))
         self._to_pairs[i, 2 * i] = self._to_pairs[m + i, 2 * i] = self._to_pairs[m + i, 2 * i + 1] = 1
         self._to_pairs[i, 2 * i + 1] = -1
         self._to_pairs[-1, -1] = 1
-        from_pairs = self._to_pairs.T / 2
-        from_pairs[-1, -1] = 1
         self._row = np.ones(width, dtype=np.int64)  # [pair-encoded row | 1]
         # per source, the flat indices of the Gram entries n (rows),
         # d = sum x_2i x_2i+1 (abstains - votes), e = sum x_2i, o = sum x_2i+1
-        self._vote_cells = np.stack([np.full(m, width * width - 1), 2 * i * (width + 1) + 1,
-                                     2 * m * width + 2 * i, 2 * m * width + 2 * i + 1], axis=1)
-        self.tracked_pairs = tuple(sorted({(min(a, b), max(a, b)) for a, b in tracked_pairs}))
-        # the pair cross-tabs are one count vector, so a block updates all
-        # of them with a single bincount
-        k, kc = len(self.tracked_pairs), len(self.cond_sources)
-        self._pair_cells = np.zeros(9 * k, dtype=np.int64)
-        # One product with an operand row [v | w | 1] gives each tracked
-        # pair's cell and then each conditioning source's vote, 0 where it
-        # abstains. A pair (p, q) sits in cell 9k + 3 * state_p + state_q of its
-        # 3 x 3 block, with state 1 - v (0, 1, 2 for +1, abstain, -1): in cell
-        # 9k + 4 - 3 v_p - v_q. Every entry is an integer float32 holds exactly.
-        self._row_map = np.zeros((width, k + kc), dtype=np.float32)
-        pairs = np.array(self.tracked_pairs, dtype=np.intp).reshape(k, 2)
-        self._row_map[pairs[:, 0], np.arange(k)] = -3
-        self._row_map[pairs[:, 1], np.arange(k)] = -1
-        self._row_map[-1, :k] = 9 * np.arange(k) + 4
-        self._row_map[list(self.cond_sources), k + np.arange(kc)] = 1
-        # twice that for a pair-encoded row, through P's inverse: integers
-        self._pair_row_map = (2 * from_pairs @ self._row_map).astype(np.int64)
+        cells = self._vote_cells = np.stack([np.full(m, width * width - 1), 2 * i * (width + 1) + 1,
+                                             2 * m * width + 2 * i, 2 * m * width + 2 * i + 1], 1)
+        # per tracked pair (p, q), the flat indices of its ``_PAIR_CELLS``
+        # entries in the stacked Grams
+        p, q = np.array(self.tracked_pairs, dtype=np.intp).reshape(-1, 2).T
+        gram_q, gram_p = (1 + np.searchsorted(self.cond_sources, [q, p])) * width * width
+        self._pair_entries = np.concatenate([
+            cells[p], cells[q], gram_q[:, None] + cells[p], gram_p[:, None] + cells[q],
+            (2 * p[:, None] + [0, 0, 1, 1]) * width + 2 * q[:, None] + [0, 1, 0, 1]], axis=1)
 
     @property
     def n(self) -> int:
@@ -156,8 +156,10 @@ class RunningStats:
     @property
     def pair_counts(self) -> Dict[Tuple[int, int], np.ndarray]:
         """The 3 x 3 vote cross-tab of each tracked pair, rows indexed by the
-        first source's state (+1, abstain, -1)."""
-        return dict(zip(self.tracked_pairs, self._pair_cells.reshape(-1, 3, 3)))
+        first source's state (+1, abstain, -1), read off the Grams
+        (``_PAIR_CELLS``)."""
+        cells = (self._grams.take(self._pair_entries) @ _PAIR_CELLS.T) >> 4
+        return dict(zip(self.tracked_pairs, cells.reshape(-1, 3, 3)))
 
     @property
     def vote_counts(self) -> np.ndarray:
@@ -188,14 +190,8 @@ class RunningStats:
         # fewer than 2**24 unless m is in the millions: float32 is exact
         gram = (x.T @ x).astype(np.int64)
         np.add(self._grams[0], gram, out=self._grams[0])
-        per_row = x @ self._row_map
-        k = len(self.tracked_pairs)
-        if k:
-            cells = per_row[:, :k].astype(np.intp).ravel()
-            np.add(self._pair_cells, np.bincount(cells, minlength=self._pair_cells.size),
-                   out=self._pair_cells)
         if self.cond_sources:
-            abstains = per_row[:, k:] == 0
+            abstains = x[:, self.cond_sources] == 0
             counts = np.add.reduce(abstains, axis=0, dtype=np.intp)
             for t in counts.nonzero()[0].tolist():
                 # an operand where every row abstains reuses its Gram
@@ -205,21 +201,17 @@ class RunningStats:
 
     def _fold_row(self, aug_row: np.ndarray, sign: int) -> None:
         """Add (sign +1) or subtract (sign -1) one pair-encoded row's outer
-        product, with the ones, to the Grams it counts in, and its cells."""
+        product, with the ones, to the Grams it counts in."""
         update = np.add if sign > 0 else np.subtract
         row = self._row
         row[:-1] = aug_row
         gram = np.multiply.outer(row, row)
         grams = self._grams
         update(grams[0], gram, out=grams[0])
-        per_row = (row @ self._pair_row_map).tolist()  # doubled
-        k = len(self.tracked_pairs)
-        for t, vote in enumerate(per_row[k:], 1):
-            if vote == 0:
+        abstains = aug_row[0::2] == aug_row[1::2]  # per source
+        for t, s in enumerate(self.cond_sources, 1):
+            if abstains[s]:
                 update(grams[t], gram, out=grams[t])
-        cells = self._pair_cells
-        for cell in per_row[:k]:
-            cells[cell >> 1] += sign
 
     def add(self, aug_row: np.ndarray) -> None:
         self._fold_row(aug_row, 1)
@@ -228,12 +220,11 @@ class RunningStats:
         self._fold_row(aug_row, -1)
 
     @classmethod
-    def from_matrix(cls, A: AugmentedLabelMatrix,
-                    tracked_pairs=(), cond_sources=()) -> "RunningStats":
+    def from_matrix(cls, A: AugmentedLabelMatrix, tracked_pairs=()) -> "RunningStats":
         """The statistics of every row of ``A``, read one operand of rows at
         a time, as many as ``_OPERAND_BYTES`` holds, as their votes and
         fills (``A.vote_blocks``), which are cast into one reused operand."""
-        st = cls(A.m, tracked_pairs, cond_sources)
+        st = cls(A.m, tracked_pairs)
         m, width = A.m, 2 * A.m + 1
         rows = max(_OPERAND_BYTES, 8 * width * width) // (4 * width)
         operand = np.ones((min(rows, A.n), width), dtype=np.float32)
@@ -266,7 +257,8 @@ class RunningStats:
             vote_marginals=self.vote_counts / n,
             prior=prior,
             pairs=self.tracked_pairs,
-            pair_cells=(self._pair_cells / n).reshape(-1, 3, 3),
+            pair_cells=(self._grams.take(self._pair_entries) @ _PAIR_CELLS.T
+                        ).reshape(-1, 3, 3) / (16 * n),
             cond_sources=self.cond_sources,
             cond_n=tuple(counts[1:]),
             cond_M=avg[1:, :-1],
@@ -326,16 +318,15 @@ def estimate_moments(A: AugmentedLabelMatrix, prior: ClassPrior,
                      graph: Optional[AugmentedGraph] = None) -> MomentEstimates:
     """Empirical moments of an augmented matrix: M_ab = (1/n) sum_t A_ta A_tb.
 
-    When the dependency graph is supplied, vote cross-tabs are kept for every
-    dependent source pair and abstain-restricted moments for every source that
-    appears in a dependency edge (both are needed to recover two-source clique
-    marginals).
+    When the dependency graph is supplied, every dependent source pair is
+    tracked: its vote cross-tab and, for each of its sources, the moments
+    restricted to the rows where that source abstains (both are needed to
+    recover two-source clique marginals).
     """
     if A.n < 1:
         raise ValueError("need at least one sample")
-    tracked, cond = tracked_statistics(graph.graph) if graph is not None else ((), ())
-    stats = RunningStats.from_matrix(A, tracked, cond)
-    return stats.to_moments(prior)
+    tracked = graph.graph.source_edges if graph is not None else ()
+    return RunningStats.from_matrix(A, tracked).to_moments(prior)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import ConfigError, EstimationWarning, VoteFuseError
 from .graph import (ClassPrior, DependencyGraph, LabelMatrix, LabelModelParameters,
                     build_junction_tree, validate_graph)
 from .inference import marginal_positives, posterior
-from .moments import RunningStats, enumerate_triplets, tracked_statistics
+from .moments import RunningStats, enumerate_triplets
 from .recovery import compile_cliques, recover_from_moments
 
 
@@ -72,7 +72,7 @@ class RollingState:
         self.jtree = build_junction_tree(self.graph)
         compile_cliques(self.jtree)  # and the tree's table layout
         self.plan = enumerate_triplets(augment_graph(self.graph), cfg)
-        self.stats = RunningStats(m, *tracked_statistics(self.graph))
+        self.stats = RunningStats(m, self.graph.source_edges)
         self.t = 0
         self.abstain_ordinals = np.zeros(m, dtype=np.int64)
         # the augmented row of step t sits at t % len(self._rows)

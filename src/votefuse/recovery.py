@@ -85,22 +85,16 @@ class TransformPair:
     A_inv: np.ndarray
 
 
-_transform_cache: Dict[int, TransformPair] = {}
-
-
+@functools.cache
 def build_transform(s: int) -> TransformPair:
     """Kronecker recursion A_s = D (x) A_{s-1} + E (x) B_{s-1} (B_s mirrored)."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if s in _transform_cache:
-        return _transform_cache[s]
     A, B = A0, B0
     for _ in range(s):
         A, B = (np.kron(DBLOCK, A) + np.kron(EBLOCK, B),
                 np.kron(EBLOCK, A) + np.kron(DBLOCK, B))
-    pair = TransformPair(s=s, A=A, B=B, A_inv=np.linalg.inv(A))
-    _transform_cache[s] = pair
-    return pair
+    return TransformPair(s=s, A=A, B=B, A_inv=np.linalg.inv(A))
 
 
 def mu_flatten(table: np.ndarray) -> np.ndarray:

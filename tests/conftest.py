@@ -257,9 +257,9 @@ def reference_log_joint(mu, votes, absolute=False):
     """The former per-factor log-joint loop over the cliques and separators
     of ``mu.jtree`` (log tables, base-3 states and broadcast shapes rebuilt
     on every call), kept as the reference for the parameter vector's one log
-    and the grouped kernel over the layout ``graph.compile_layout`` caches on
-    the tree. With ``absolute`` it sums the factors' absolute values (the
-    scale of a summation error bound)."""
+    and the grouped kernel over the layout ``graph.compile_layout`` builds and
+    ``JunctionTree.layout`` caches on the tree. With ``absolute`` it sums the
+    factors' absolute values (the scale of a summation error bound)."""
     D, jt = mu.graph.n_tasks, mu.jtree
     with np.errstate(divide="ignore"):
         factors = [(vs, np.log(mu.cliques[vs])) for vs in jt.cliques]

@@ -109,6 +109,20 @@ def test_assign_of_a_missing_source_is_a_data_error(workdir, capsys, source):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("theta acc 0 0.7", "15: bad theta line: source 0 is outside 1 to 4"),
+    ("theta sedge 1 2 0.3", "15: bad theta line: sedge 1 2 is not an edge of the graph"),
+])
+def test_simulate_refuses_a_weight_outside_the_graph(tmp_path, capsys, line, message):
+    model = tmp_path / "model.txt"
+    model.write_text(MODEL + line + "\n")
+    rc = main(["simulate", "--model", str(model), "--n", "100", "--seed", "1",
+               "--out", str(tmp_path / "votes.csv"), "--truth-out", str(tmp_path / "truth.csv")])
+    assert rc == 2
+    assert f"data error: {model}:{message}" in capsys.readouterr().err
+    assert not (tmp_path / "votes.csv").exists()
+
+
 def test_prior_listing_a_configuration_twice_is_a_data_error(workdir, capsys):
     prior = workdir / "prior.txt"
     prior.write_text("1 0.4\n-1 0.3\n1 0.3\n")

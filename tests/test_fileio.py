@@ -271,6 +271,39 @@ class TestModelSpec:
         th = fileio.parse_model_spec(path)
         assert not th.abstaining
 
+    @pytest.mark.parametrize("line, message", [
+        ("theta acc 0 0.7", "source 0 is outside 1 to 3"),
+        ("theta acc 4 0.7", "source 4 is outside 1 to 3"),
+        ("theta abstain 0 0.1", "source 0 is outside 1 to 3"),
+        ("theta task 0 0.2", "task 0 is outside 1 to 2"),
+        ("theta task 3 0.2", "task 3 is outside 1 to 2"),
+        ("theta sedge 1 4 0.3", "source 4 is outside 1 to 3"),
+        ("theta sedge 1 3 0.3", "sedge 1 3 is not an edge of the graph"),
+        ("theta sedge 3 2 0.3", "sedge 3 2 is not an edge of the graph"),
+        ("theta tedge 1 2 0.3", "tedge 1 2 is not an edge of the graph"),
+        ("theta tedge 0 1 0.3", "task 0 is outside 1 to 2"),
+    ])
+    def test_weight_outside_the_graph_names_its_line(self, tmp_path, line, message):
+        # a weight on a missing task, source or edge is refused, not written
+        # to another entry (index -1 is the last one) or sampled off-graph
+        path = tmp_path / "model.txt"
+        path.write_text("tasks 2\nsources 3\nassign 1 1\nassign 2 1\nassign 3 2\n"
+                        f"sedge 1 2\ntheta acc 1 0.6\n{line}\n")
+        with pytest.raises(DataFormatError) as exc:
+            fileio.parse_model_spec(path)
+        assert str(exc.value) == f"{path}:8: bad theta line: {message}"
+
+    def test_edge_weights_in_either_order(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("tasks 2\nsources 3\nassign 1 1\nassign 2 1\nassign 3 2\n"
+                        "tedge 1 2\nsedge 1 2\ntheta sedge 2 1 0.3\ntheta tedge 2 1 -0.2\n"
+                        "theta task 2 0.1\ntheta acc 3 0.5\n")
+        th = fileio.parse_model_spec(path)
+        assert th.theta_dep == {(0, 1): 0.3}
+        assert th.theta_task_edge == {(0, 1): -0.2}
+        assert th.theta_task == (0.0, 0.1)
+        assert th.theta_acc == (0.0, 0.0, 0.5)
+
 
 class TestPriorFile:
     def test_scalar_balance(self, tmp_path):

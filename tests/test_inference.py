@@ -43,7 +43,7 @@ def _short_blocks(jt, rows):
     rows take the one gather."""
     layout = jt.layout
     n_tasks = 1 + max(d for c in jt.cliques for d in c.tasks)
-    return mock.patch.dict(jt.__dict__, {"_layout": dataclasses.replace(
+    return mock.patch.dict(jt.__dict__, {"layout": dataclasses.replace(
         layout, gather_rows=rows, row_base=graph._row_base(layout.factors, n_tasks))})
 
 
@@ -345,10 +345,10 @@ class TestPredictProba:
         for n in (80, 81, 82, 242, 243, 244):
             with _short_blocks(jt, n):
                 gathered = inference._log_joint(mu, L.votes[:n])
-            assert "_group_tables" not in mu.__dict__
+            assert "group_tables" not in mu.__dict__
             with _short_blocks(jt, 0):
                 grid = inference._log_joint(mu, L.votes[:n])
-            assert "_group_tables" in mu.__dict__
+            assert "group_tables" in mu.__dict__
             assert np.isneginf(grid).any() and np.isfinite(grid).any()
             assert gathered.tobytes() == grid.tobytes()
             mu = _with_clique(mu, clique, mu.cliques[clique])  # fresh caches
@@ -374,7 +374,7 @@ class TestPredictProba:
         mu = LabelModelParameters(g, jt, table)
         for n in sorted({1, short, short + 1} - {0}):
             got = inference._log_joint(mu, votes[:n])
-            assert ("_group_tables" in mu.__dict__) == (n > short)
+            assert ("group_tables" in mu.__dict__) == (n > short)
             with _short_blocks(jt, n):
                 gathered = inference._log_joint(mu, votes[:n])
             assert got.tobytes() == gathered.tobytes()
@@ -434,7 +434,7 @@ class TestPredictProba:
                 for v, row in zip(L.votes, rows):
                     np.testing.assert_allclose(posterior(mu, jt, j.prior(), v), row,
                                                rtol=0, atol=1e-12)
-        assert "_layout" in jt.__dict__
+        assert "layout" in jt.__dict__
 
     def test_beats_majority_vote_on_heterogeneous_sources(self):
         accs = np.array([0.8, 0.1, 0.1, 0.1, 0.1])

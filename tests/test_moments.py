@@ -137,8 +137,8 @@ def _assert_same_stats(stats, ref):
 @st.composite
 def _stat_inputs(draw):
     """Abstaining votes with their lazily encoded pair encoding and its
-    reference encoding, plus random tracked source pairs and conditioning
-    sources."""
+    reference encoding, plus random tracked source pairs and their sources,
+    the conditioning sources."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(0, 40))
     p_abstain = draw(st.sampled_from([0.0, 0.3, 0.9]))
@@ -152,7 +152,7 @@ def _stat_inputs(draw):
     A = augment_matrix(LabelMatrix(votes), policy)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     tracked = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
-    cond = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
+    cond = tuple(sorted({s for pair in tracked for s in pair}))
     return A, votes, reference_augment(votes, policy), tracked, cond
 
 
@@ -175,7 +175,7 @@ class TestRunningStatsKernel:
         ref = _reference_stats(A.m, sorted(tracked), cond,
                                [(aug[t], votes[t], 1) for t in range(A.n)])
         with _operand_rows(A.m, operand):
-            stats = RunningStats.from_matrix(A, tracked, cond)
+            stats = RunningStats.from_matrix(A, tracked)
         _assert_same_stats(stats, ref)
 
     @settings(max_examples=150, deadline=None)
@@ -189,7 +189,7 @@ class TestRunningStatsKernel:
         nxt = min(start, A.n)
         with _operand_rows(A.m, operand):
             stats = RunningStats.from_matrix(augment_matrix(LabelMatrix(votes[:nxt]), A.policy),
-                                             tracked, cond)
+                                             tracked)
         ops = [(aug[t], votes[t], 1) for t in range(nxt)]
         held = list(range(nxt))
         for pick in picks:
@@ -207,10 +207,10 @@ class TestRunningStatsKernel:
     def test_removing_every_row_returns_to_zero(self):
         votes = np.array([[1, 0, -1], [0, 0, 1], [-1, 1, 0]], dtype=np.int8)
         A = augment_matrix(LabelMatrix(votes))
-        stats = RunningStats.from_matrix(A, [(0, 2)], [0, 1])
+        stats = RunningStats.from_matrix(A, [(0, 1), (0, 2)])
         for row in reference_augment(votes, A.policy):
             stats.remove(row)
-        _assert_same_stats(stats, _reference_stats(3, [(0, 2)], (0, 1), []))
+        _assert_same_stats(stats, _reference_stats(3, [(0, 1), (0, 2)], (0, 1, 2), []))
 
     def test_statistics_pass_memory_is_bounded_by_the_operand(self):
         # two full blocks of 100 sources: the pass holds one fixed-size
@@ -223,10 +223,10 @@ class TestRunningStatsKernel:
         votes = rng.choice(np.array([-1, 0, 1], np.int8), size=(n, m))
         A = augment_matrix(LabelMatrix(votes))
         peaks = []
-        for tracked, cond in (((), ()), ([(0, 1)], [0, 1])):
+        for tracked in ((), [(0, 1)]):
             tracemalloc.start()
             try:
-                RunningStats.from_matrix(A, tracked, cond)
+                RunningStats.from_matrix(A, tracked)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -255,8 +255,8 @@ class TestRunningStatsKernel:
 def _pass_inputs(draw):
     """Votes whose columns never, always or sometimes abstain, for 1 to 19
     sources (8 and 16 among them), a policy of either mode with or without
-    phases, random tracked pairs and conditioning sources, and an operand
-    of 1 to 45 rows."""
+    phases, random tracked pairs and their sources, the conditioning
+    sources, and an operand of 1 to 45 rows."""
     m = draw(st.integers(1, 19))
     n = draw(st.integers(0, 90))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -269,7 +269,7 @@ def _pass_inputs(draw):
                            seed=draw(st.integers(0, 2 ** 32)), phase=phase)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     tracked = tuple(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))) if pairs else ()
-    cond = tuple(sorted(draw(st.sets(st.integers(0, m - 1), max_size=4))))
+    cond = tuple(sorted({s for pair in tracked for s in pair}))
     return votes, policy, tracked, cond, draw(st.integers(1, 45))
 
 
@@ -307,7 +307,7 @@ def test_statistics_pass_matches_the_former_pass(inputs, picks, n_min):
     start = n // 2
     with _operand_rows(m, operand):
         got = RunningStats.from_matrix(augment_matrix(LabelMatrix(votes[:start]), policy),
-                                       tracked, cond)
+                                       tracked)
     want = ReferenceStats.from_matrix(votes[:start], policy, operand, tracked, cond)
     _assert_stats_equal(got, want)
     if start:
@@ -684,8 +684,9 @@ class TestRatioAccuracy:
 
 
 def _restricted_moments(A, cond, prior):
-    """Moments that carry the abstain-restricted statistics of source ``cond``."""
-    return RunningStats.from_matrix(A, cond_sources=(cond,)).to_moments(prior)
+    """Moments that carry the abstain-restricted statistics of source
+    ``cond``, which tracking its pair with the next source keeps."""
+    return RunningStats.from_matrix(A, [(cond, (cond + 1) % A.m)]).to_moments(prior)
 
 
 class TestConditionalAccuracy:
